@@ -307,6 +307,9 @@ def write_sidecar(path, scaler: ScalerParams, split_assignment: dict,
 
 def read_sidecar(path) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
-    doc["scaler"] = ScalerParams.from_dict(doc["scaler"])
+        try:
+            doc = json.load(fh)
+            doc["scaler"] = ScalerParams.from_dict(doc["scaler"])
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
+            raise DataFormatError(f"{path}: corrupt dataset sidecar ({exc!r})") from None
     return doc

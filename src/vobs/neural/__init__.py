@@ -1,15 +1,21 @@
-"""Self-contained float64 neural engine: layers, BPTT, Adam, gradient
-verification, and weight serialization."""
+"""Self-contained numpy neural engine: layers, BPTT, Adam, gradient
+verification, and weight serialization.
+
+Precision policy: training and inference math runs in float32
+(`COMPUTE_DTYPE`) on a cast copy of the network. The float64 network is the
+master: Adam updates it, the weight file stores it bit-exact, and the
+finite-difference gradient check runs on it.
+"""
 
 from .adam import Adam
 from .gradcheck import gradient_check, write_gradcheck_csv
 from .layers import Dense, GruLayer, LstmLayer, gru_cell_forward, lstm_cell_forward, sigmoid
 from .network import (
+    COMPUTE_DTYPE,
     DEFAULT_DENSE,
     DEFAULT_HIDDEN,
     RecurrentRegressor,
     TrainConfig,
-    forward_full,
     gru_observer_net,
     l2_loss,
     lstm_observer_net,
@@ -24,6 +30,7 @@ from .weights_io import (
 
 __all__ = [
     "Adam",
+    "COMPUTE_DTYPE",
     "DEFAULT_DENSE",
     "DEFAULT_HIDDEN",
     "Dense",
@@ -34,7 +41,6 @@ __all__ = [
     "WeightsCorruptionError",
     "WeightsShapeError",
     "WeightsVersionError",
-    "forward_full",
     "gradient_check",
     "gru_cell_forward",
     "gru_observer_net",

@@ -6,6 +6,7 @@ import csv
 
 import numpy as np
 
+from ..errors import ConfigError
 from .network import RecurrentRegressor
 
 
@@ -22,7 +23,12 @@ def gradient_check(net: RecurrentRegressor, windows: np.ndarray,
     `corrupt_forget_gate` deliberately scales the first cell layer's
     recurrent forget-gate gradient block — a self-test that the check can
     actually catch a wrong gradient.
+
+    The network must be float64: a central difference at `eps` is below
+    float32 resolution.
     """
+    if net.dtype != np.float64:
+        raise ConfigError(f"gradient check needs a float64 network, got {net.dtype}")
     _, grads = net.loss_and_gradients(windows, prev_state, targets)
     if corrupt_forget_gate and net.kind == "lstm":
         h = net.cells[0].hidden

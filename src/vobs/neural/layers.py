@@ -1,12 +1,15 @@
 """Dense, LSTM, and GRU layers with exact analytic gradients.
 
-Everything is float64. Sequence tensors are handled time-major internally —
-(time, batch, channels) — so each step touches contiguous memory; the
-network boundary transposes once per call. Gate blocks are stored stacked
-along the output axis in a fixed, documented order — LSTM: input | forget |
-candidate | output; GRU: update | reset | candidate. The per-step cell
-functions share their math with the sequence loops, so the cell-level
-contract and the training path cannot drift apart.
+Each layer computes in the dtype of its weights, float32 or float64: every
+sequence buffer, state and gradient takes that dtype. Training and evaluation
+run float32 copies; the float64 master weights, the weight file and the
+gradient check stay float64. Sequence tensors are handled time-major
+internally — (time, batch, channels) — so each step touches contiguous
+memory; the network boundary transposes once per call. Gate blocks are
+stored stacked along the output axis in a fixed, documented order — LSTM:
+input | forget | candidate | output; GRU: update | reset | candidate. The
+per-step cell functions share their math with the sequence loops, so the
+cell-level contract and the training path cannot drift apart.
 """
 
 from __future__ import annotations
@@ -30,6 +33,13 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
         np.reciprocal(x, out=x)
 
 
+def _as_weights(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Contiguous weight arrays sharing one dtype: float32 when the first
+    array is float32, float64 otherwise."""
+    dtype = np.float32 if np.asarray(arrays[0]).dtype == np.float32 else np.float64
+    return [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
+
+
 def _uniform_fan_in(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, shape)
@@ -39,8 +49,7 @@ class Dense:
     """Fully connected layer y = act(W x + b), act in {sigmoid, identity}."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, activation: str = "sigmoid"):
-        w = np.ascontiguousarray(w, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
+        w, b = _as_weights(w, b)
         if w.ndim != 2 or b.shape != (w.shape[0],):
             raise ValueError(f"dense shape mismatch: w {w.shape}, b {b.shape}")
         if activation not in ("sigmoid", "identity"):
@@ -80,9 +89,7 @@ class LstmLayer:
     """One LSTM layer; weights wx (4h, in), wh (4h, h), bias (4h,)."""
 
     def __init__(self, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
-        wx = np.ascontiguousarray(wx, dtype=np.float64)
-        wh = np.ascontiguousarray(wh, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
+        wx, wh, b = _as_weights(wx, wh, b)
         h = wh.shape[1]
         if wx.ndim != 2 or wx.shape[0] != 4 * h or wh.shape != (4 * h, h) \
                 or b.shape != (4 * h,):
@@ -133,13 +140,14 @@ class LstmLayer:
         h = self.hidden
         gates = (x.reshape(t_len * bsz, -1) @ self.wx.T).reshape(t_len, bsz, 4 * h)
         gates += self.b
-        cs = np.empty((t_len, bsz, h))
-        tcs = np.empty((t_len, bsz, h))
-        hs = np.empty((t_len, bsz, h))
+        dt = self.wx.dtype
+        cs = np.empty((t_len, bsz, h), dtype=dt)
+        tcs = np.empty((t_len, bsz, h), dtype=dt)
+        hs = np.empty((t_len, bsz, h), dtype=dt)
         wh_t = self.wh.T
-        h_t = np.zeros((bsz, h))
-        c_t = np.zeros((bsz, h))
-        buf = np.empty((bsz, 4 * h))
+        h_t = np.zeros((bsz, h), dtype=dt)
+        c_t = np.zeros((bsz, h), dtype=dt)
+        buf = np.empty((bsz, 4 * h), dtype=dt)
         for t in range(t_len):
             z = gates[t]
             z += np.matmul(h_t, wh_t, out=buf)
@@ -156,9 +164,10 @@ class LstmLayer:
         """Exact BPTT; dh_seq (T, B, h) accumulates upstream gradients."""
         x, gates, cs, tcs, hs = cache
         t_len, bsz, h = hs.shape
-        dz_all = np.empty((t_len, bsz, 4 * h))
-        dh_next = np.zeros((bsz, h))
-        dc_next = np.zeros((bsz, h))
+        dt = self.wx.dtype
+        dz_all = np.empty((t_len, bsz, 4 * h), dtype=dt)
+        dh_next = np.zeros((bsz, h), dtype=dt)
+        dc_next = np.zeros((bsz, h), dtype=dt)
         for t in range(t_len - 1, -1, -1):
             z = gates[t]
             i = z[:, :h]
@@ -189,7 +198,7 @@ class LstmLayer:
             dc_next = dc * f
         flat = dz_all.reshape(t_len * bsz, 4 * h)
         h_prev = np.concatenate(
-            [np.zeros((1, bsz, h)), hs[:-1]], axis=0).reshape(t_len * bsz, h)
+            [np.zeros((1, bsz, h), dtype=dt), hs[:-1]], axis=0).reshape(t_len * bsz, h)
         grads = {
             "wx": flat.T @ x.reshape(t_len * bsz, -1),
             "wh": flat.T @ h_prev,
@@ -207,9 +216,7 @@ class GruLayer:
     """
 
     def __init__(self, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
-        wx = np.ascontiguousarray(wx, dtype=np.float64)
-        wh = np.ascontiguousarray(wh, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
+        wx, wh, b = _as_weights(wx, wh, b)
         h = wh.shape[1]
         if wx.ndim != 2 or wx.shape[0] != 3 * h or wh.shape != (3 * h, h) \
                 or b.shape != (3 * h,):
@@ -250,12 +257,13 @@ class GruLayer:
         h = self.hidden
         zin = (x.reshape(t_len * bsz, -1) @ self.wx.T).reshape(t_len, bsz, 3 * h)
         zin += self.b
-        gz = np.empty((t_len, bsz, h))
-        gr = np.empty((t_len, bsz, h))
-        gn = np.empty((t_len, bsz, h))
-        rhs = np.empty((t_len, bsz, h))
-        hs = np.empty((t_len, bsz, h))
-        h_t = np.zeros((bsz, h))
+        dt = self.wx.dtype
+        gz = np.empty((t_len, bsz, h), dtype=dt)
+        gr = np.empty((t_len, bsz, h), dtype=dt)
+        gn = np.empty((t_len, bsz, h), dtype=dt)
+        rhs = np.empty((t_len, bsz, h), dtype=dt)
+        hs = np.empty((t_len, bsz, h), dtype=dt)
+        h_t = np.zeros((bsz, h), dtype=dt)
         for t in range(t_len):
             z, r, n, rh, h_t = self.step(zin[t], h_t)
             gz[t] = z
@@ -268,11 +276,12 @@ class GruLayer:
     def backward_seq(self, dh_seq: np.ndarray, cache):
         x, gz, gr, gn, rhs, hs = cache
         t_len, bsz, h = hs.shape
-        da_all = np.empty((t_len, bsz, 3 * h))
-        dh_next = np.zeros((bsz, h))
+        dt = self.wx.dtype
+        da_all = np.empty((t_len, bsz, 3 * h), dtype=dt)
+        dh_next = np.zeros((bsz, h), dtype=dt)
         wh_zr = self.wh[: 2 * h]
         wh_n = self.wh[2 * h:]
-        zero = np.zeros((bsz, h))
+        zero = np.zeros((bsz, h), dtype=dt)
         for t in range(t_len - 1, -1, -1):
             z = gz[t]
             r = gr[t]
@@ -295,7 +304,7 @@ class GruLayer:
             dh_next += dh * z
         flat = da_all.reshape(t_len * bsz, 3 * h)
         h_prev_all = np.concatenate(
-            [np.zeros((1, bsz, h)), hs[:-1]], axis=0).reshape(t_len * bsz, h)
+            [np.zeros((1, bsz, h), dtype=dt), hs[:-1]], axis=0).reshape(t_len * bsz, h)
         grads_wh = np.empty_like(self.wh)
         grads_wh[: 2 * h] = flat[:, : 2 * h].T @ h_prev_all
         grads_wh[2 * h:] = flat[:, 2 * h:].T @ rhs.reshape(t_len * bsz, h)
@@ -311,9 +320,10 @@ class GruLayer:
 def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
                       layer: LstmLayer):
     """Single LSTM step on one vector (or batch); returns (h, c)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    h_prev = np.atleast_2d(np.asarray(h_prev, dtype=np.float64))
-    c_prev = np.atleast_2d(np.asarray(c_prev, dtype=np.float64))
+    dt = layer.wx.dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dt))
+    h_prev = np.atleast_2d(np.asarray(h_prev, dtype=dt))
+    c_prev = np.atleast_2d(np.asarray(c_prev, dtype=dt))
     z = x @ layer.wx.T + h_prev @ layer.wh.T + layer.b
     _, c, _, h = layer.step(z, c_prev)
     if h.shape[0] == 1 and np.asarray(x).ndim <= 2:
@@ -323,8 +333,9 @@ def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
 
 def gru_cell_forward(x: np.ndarray, h_prev: np.ndarray, layer: GruLayer):
     """Single GRU step on one vector (or batch); returns h."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    h_prev = np.atleast_2d(np.asarray(h_prev, dtype=np.float64))
+    dt = layer.wx.dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dt))
+    h_prev = np.atleast_2d(np.asarray(h_prev, dtype=dt))
     zin = x @ layer.wx.T + layer.b
     _, _, _, _, h = layer.step(zin, h_prev)
     return h[0] if h.shape[0] == 1 else h

@@ -47,16 +47,6 @@ def save_weights(net: RecurrentRegressor, path) -> None:
         fh.write("end\n")
 
 
-def _parse_header(lines) -> dict:
-    header = {}
-    for raw in lines:
-        if raw.startswith("array ") or raw == "end":
-            return header, raw
-        key, _, value = raw.partition(" ")
-        header[key] = value
-    raise WeightsCorruptionError("missing array section")
-
-
 def load_weights(path) -> RecurrentRegressor:
     try:
         with open(path) as fh:

@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import NoiseSpec, ScalerParams, WindowedDataset, inject_state_noise
 from .domain import SENSOR_CHANNELS, STATE_CHANNELS, Trajectory
 from .errors import ConfigError, NumericalError
-from .neural import Adam, RecurrentRegressor, TrainConfig, lstm_observer_net
+from .neural import COMPUTE_DTYPE, Adam, RecurrentRegressor, TrainConfig, lstm_observer_net
 from .seeding import derived_rng
 
 
@@ -84,6 +84,9 @@ def write_training_log(log: list[dict], path) -> None:
 
 def _batched_val_loss(net: RecurrentRegressor, ds: WindowedDataset,
                       batch_size: int) -> float:
+    """Teacher-forced loss over `ds`, computed on a `COMPUTE_DTYPE` copy of
+    `net` and reduced in float64."""
+    net = net.astype(COMPUTE_DTYPE)
     total = 0.0
     for lo in range(0, len(ds), batch_size):
         hi = min(lo + batch_size, len(ds))
@@ -103,6 +106,11 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
     epoch (stds of 0 reduce to plain teacher forcing). Validation uses
     noise-free teacher forcing; the weights of the best validation epoch are
     returned. The log records per-epoch mean train and val loss.
+
+    Mixed precision: `net` is the master and Adam updates its weights. Every
+    batch refreshes a `COMPUTE_DTYPE` working copy from the master, which
+    computes the loss and the gradients; the gradients are cast back to the
+    master's dtype before the update. Validation runs on a cast copy too.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ConfigError("training and validation sets must be non-empty")
@@ -110,6 +118,7 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
         net = lstm_observer_net(seed=tc.seed)
     params = [arr for _, arr in net.params()]
     adam = Adam(params, lr=tc.learning_rate)
+    work = net.astype(COMPUTE_DTYPE)
     stds = cfg.noise.stds()
     inject = bool((stds > 0).any())
 
@@ -132,12 +141,13 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
                 phys = cfg.scaler.unscale_state(prev)
                 noisy = inject_state_noise(phys, cfg.noise, rng=noise_rng)
                 prev = cfg.scaler.scale_state(noisy)
-            loss, grads = net.loss_and_gradients(
+            work.load_flat(params)
+            loss, grads = work.loss_and_gradients(
                 train_ds.windows[idx], prev, train_ds.target[idx])
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"training diverged (non-finite loss) at epoch {epoch}, batch {bidx}")
-            adam.step(params, grads)
+            adam.step(params, [g.astype(net.dtype) for g in grads])
             epoch_sum += loss * len(idx)
 
         val_loss = _batched_val_loss(net, val_ds, tc.batch_size)

@@ -28,6 +28,7 @@ from .domain import (
 )
 from .errors import ConfigError, DataFormatError
 from .neural import (
+    COMPUTE_DTYPE,
     TrainConfig,
     load_weights,
     lstm_observer_net,
@@ -146,7 +147,10 @@ def _load_manifest(cfg: RunConfig) -> dict:
     if not os.path.exists(path):
         raise DataFormatError(f"no corpus manifest at {path}; run 'simulate' first")
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: corrupt corpus manifest ({exc})") from None
 
 
 def _load_trajectories(cfg: RunConfig, manifest: dict) -> list[Trajectory]:
@@ -274,7 +278,11 @@ def _observer_trace(spec, cfg: RunConfig, traj: Trajectory, nets: dict,
 
 def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     """Run every configured observer over the test split and write the
-    report bundle (CSV + text tables + rankings + plot data)."""
+    report bundle (CSV + text tables + rankings + plot data).
+
+    Each loaded network is cast once to `COMPUTE_DTYPE`, so the window stacks
+    and the closed-loop head run in float32; traces store float64 estimates
+    and the EKF stays float64 throughout."""
     manifest = _load_manifest(cfg)
     sidecar = _load_sidecar(cfg)
     scaler: ds.ScalerParams = sidecar["scaler"]
@@ -294,7 +302,7 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
             if not os.path.exists(path):
                 raise DataFormatError(
                     f"observer '{name}': missing weight file {path}; run 'train' first")
-            nets[name] = load_weights(path)
+            nets[name] = load_weights(path).astype(COMPUTE_DTYPE)
 
     any_windowed = any(s.type in ("lstm", "gru") for s in cfg.observers.values())
     skip = cfg.window_len - 1 if any_windowed else 0

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -119,6 +120,14 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "lstm" in err and "weight" in err
 
+    def test_rerun_report_is_byte_identical(self, pipeline_run):
+        tmp_path, cfg = pipeline_run
+        report = tmp_path / "run" / "eval" / "report.csv"
+        assert main(["evaluate", "--config", cfg, "--no-traces"]) == 0
+        first = report.read_bytes()
+        assert main(["evaluate", "--config", cfg, "--no-traces"]) == 0
+        assert report.read_bytes() == first
+
     def test_report_command_rerenders(self, pipeline_run):
         tmp_path, cfg = pipeline_run
         assert main(["evaluate", "--config", cfg]) == 0
@@ -157,6 +166,32 @@ class TestExitCodes:
         base = (tmp_path / "run" / "manifest.json").read_text()
         assert main(["simulate", "--config", cfg, "--seed", "99"]) == 0
         assert (tmp_path / "run" / "manifest.json").read_text() != base
+
+
+class TestCorruptStageMetadata:
+    """A corrupt manifest or sidecar is a data error (exit 3) naming the file."""
+
+    @pytest.fixture
+    def run_copy(self, pipeline_run, tmp_path):
+        src_tmp, _ = pipeline_run
+        shutil.copytree(src_tmp / "run", tmp_path / "run")
+        return tmp_path, _write_config(tmp_path)
+
+    def test_corrupt_manifest(self, run_copy, capsys):
+        tmp_path, cfg = run_copy
+        manifest = tmp_path / "run" / "manifest.json"
+        manifest.write_text(manifest.read_text()[:40])
+        assert main(["dataset", "--config", cfg]) == 3
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_sidecar_without_scaler(self, run_copy, capsys):
+        tmp_path, cfg = run_copy
+        sidecar = tmp_path / "run" / "dataset" / "dataset.json"
+        doc = json.loads(sidecar.read_text())
+        del doc["scaler"]
+        sidecar.write_text(json.dumps(doc))
+        assert main(["train", "--config", cfg]) == 3
+        assert "dataset.json" in capsys.readouterr().err
 
 
 class TestEnvDefaultRoot:
