@@ -187,6 +187,11 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
         near_limits_max_g=float(ev_doc.get("near_limits_max_g", 0.8)),
     )
 
+    n_workers = workers if workers is not None else doc.get("workers", 1)
+    if isinstance(n_workers, bool) or not isinstance(n_workers, int) or n_workers < 1:
+        source = "--workers" if workers is not None else f"{where}: workers"
+        raise ConfigError(f"{source} must be an integer >= 1, got {n_workers!r}")
+
     return RunConfig(
         master_seed=master_seed,
         out_dir=resolved_out,
@@ -200,5 +205,5 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
         train=train,
         observers=observers,
         segments=segments,
-        workers=workers if workers is not None else int(doc.get("workers", 1)),
+        workers=n_workers,
     )

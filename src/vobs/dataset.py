@@ -310,6 +310,9 @@ def read_sidecar(path) -> dict:
         try:
             doc = json.load(fh)
             doc["scaler"] = ScalerParams.from_dict(doc["scaler"])
+            for key in ("split_assignment", "counts"):
+                if not isinstance(doc[key], dict):
+                    raise TypeError(f"'{key}' must be a mapping")
         except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise DataFormatError(f"{path}: corrupt dataset sidecar ({exc!r})") from None
     return doc

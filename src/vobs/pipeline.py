@@ -9,8 +9,10 @@ rerun with the same config produces byte-identical outputs.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -101,8 +103,9 @@ def simulate_corpus(cfg: RunConfig) -> dict:
     for kind, intensity, duration_s, label, seed, _ in jobs:
         builtin_scripts(kind, intensity, duration_s=duration_s, seed=seed)
 
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    n_workers = min(cfg.workers, len(jobs))
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             trajectories = list(pool.map(_simulate_job, jobs))
     else:
         trajectories = [_simulate_job(job) for job in jobs]
@@ -148,25 +151,29 @@ def _load_manifest(cfg: RunConfig) -> dict:
         raise DataFormatError(f"no corpus manifest at {path}; run 'simulate' first")
     with open(path) as fh:
         try:
-            return json.load(fh)
+            manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: corrupt corpus manifest ({exc})") from None
+    entries = manifest.get("trajectories") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("file"), str)
+            and isinstance(e.get("label"), str) for e in entries):
+        raise DataFormatError(
+            f"{path}: corrupt corpus manifest ('trajectories' must list entries "
+            f"with a 'file' and a 'label')")
+    return manifest
 
 
-def _load_trajectories(cfg: RunConfig, manifest: dict) -> list[Trajectory]:
-    out = []
-    for entry in manifest["trajectories"]:
-        traj = read_trajectory_csv(os.path.join(cfg.out_dir, entry["file"]),
-                                   label=entry["label"])
-        out.append(traj)
-    return out
+def _load_trajectories(cfg: RunConfig, entries: list[dict]) -> list[Trajectory]:
+    return [read_trajectory_csv(os.path.join(cfg.out_dir, e["file"]), label=e["label"])
+            for e in entries]
 
 
 def build_dataset(cfg: RunConfig) -> dict:
     """Split the corpus, fit the scaler on the training split, window all
     three splits, and write caches plus the sidecar metadata file."""
     manifest = _load_manifest(cfg)
-    trajectories = _load_trajectories(cfg, manifest)
+    trajectories = _load_trajectories(cfg, manifest["trajectories"])
     split_spec = ds.SplitSpec(cfg.split.train, cfg.split.val, cfg.split.test,
                               seed=derive_seed(cfg.master_seed, "split"))
     train, val, test = ds.split_dataset(trajectories, split_spec)
@@ -263,17 +270,72 @@ def _ekf_config(spec, params: VehicleParams) -> EkfConfig:
     return EkfConfig.for_vehicle(params, **kwargs)
 
 
-def _observer_trace(spec, cfg: RunConfig, traj: Trajectory, nets: dict,
-                    scaler: ds.ScalerParams, params: VehicleParams):
+def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
+                scaler: ds.ScalerParams, params: VehicleParams, task):
+    """Estimate trace of one (observer name, test trajectory index) pair."""
+    name, index = task
+    spec = cfg.observers[name]
+    traj = trajs[index]
     initial = traj.state_channels()[0]
     if spec.type == "lstm":
         ocfg = ObserverConfig(scaler=scaler, window_len=cfg.window_len)
-        return run_closed_loop(traj, initial, nets[spec.name], ocfg)
+        return run_closed_loop(traj, initial, nets[name], ocfg)
     if spec.type == "gru":
-        return run_gru(traj, nets[spec.name], scaler, initial_state=initial,
+        return run_gru(traj, nets[name], scaler, initial_state=initial,
                        window_len=cfg.window_len)
     ekf_cfg = _ekf_config(spec, params)
     return run_ekf(traj, EkfState(initial, ekf_cfg.p0_matrix()), params, ekf_cfg)
+
+
+_worker_shared: tuple = ()  # _trace_task's leading arguments, in an evaluate worker
+
+
+def _init_trace_worker(*shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _worker_trace(task):
+    return _trace_task(*_worker_shared, task)
+
+
+@contextmanager
+def _single_blas_thread():
+    """Set OPENBLAS_NUM_THREADS=1 for processes started inside the block.
+
+    OpenBLAS reads it once, when numpy loads, so it must be in a spawned
+    worker's environment from the start; the parent's value is restored."""
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+def _compute_traces(workers: int, shared: tuple, tasks: list) -> list:
+    """`_trace_task(*shared, task)` for every task, in task order.
+
+    With more than one worker the tasks run in a pool of spawned processes,
+    each with one BLAS thread; `shared` reaches each worker once, through the
+    pool initializer. Forked workers would inherit the parent's multi-threaded
+    OpenBLAS and oversubscribe the cores."""
+    n_workers = min(workers, len(tasks))
+    if n_workers <= 1:
+        return [_trace_task(*shared, task) for task in tasks]
+    pool = ProcessPoolExecutor(max_workers=n_workers,
+                               mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_init_trace_worker, initargs=shared)
+    try:
+        # the pool starts its workers while map submits the tasks
+        with _single_blas_thread():
+            results = pool.map(_worker_trace, tasks)
+        return list(results)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
@@ -282,7 +344,15 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
 
     Each loaded network is cast once to `COMPUTE_DTYPE`, so the window stacks
     and the closed-loop head run in float32; traces store float64 estimates
-    and the EKF stays float64 throughout."""
+    and the EKF stays float64 throughout.
+
+    Each (observer, test trajectory) pair is an independent task. With
+    `cfg.workers > 1` the tasks run in spawned worker processes, each with a
+    single BLAS thread; scoring and every file write stay in this process,
+    and the outputs are byte-identical for any number of workers. A spawned
+    worker imports the main module of the calling program, so a script that
+    runs this with more than one worker must do so under
+    `if __name__ == "__main__":`."""
     manifest = _load_manifest(cfg)
     sidecar = _load_sidecar(cfg)
     scaler: ds.ScalerParams = sidecar["scaler"]
@@ -291,8 +361,7 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
                     if assignment.get(e["label"]) == "test"]
     if not test_entries:
         raise ConfigError("test split is empty")
-    test_trajs = [read_trajectory_csv(os.path.join(cfg.out_dir, e["file"]),
-                                      label=e["label"]) for e in test_entries]
+    test_trajs = _load_trajectories(cfg, test_entries)
 
     params = VehicleParams()
     nets = {}
@@ -317,12 +386,15 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
         counts[seg_of[traj.label]] += len(traj) - skip
     counts = {seg: n for seg, n in counts.items() if n > 0}
 
+    tasks = [(name, i) for name in cfg.observers for i in range(len(test_trajs))]
+    computed = iter(_compute_traces(cfg.workers,
+                                    (cfg, test_trajs, nets, scaler, params), tasks))
     traces: dict[str, dict[str, object]] = {name: {} for name in cfg.observers}
     table: dict[str, dict[str, np.ndarray]] = {}
-    for name, spec in cfg.observers.items():
+    for name in cfg.observers:
         per_segment: dict[str, list] = {"overall": [], "normal": [], "near_limits": []}
         for traj in test_trajs:
-            trace = _observer_trace(spec, cfg, traj, nets, scaler, params)
+            trace = next(computed)
             traces[name][traj.label] = trace
             err = ev.mae(trace, traj, skip_warmup=True, skip=skip)
             n_eff = len(trace) - skip

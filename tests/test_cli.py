@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shutil
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from vobs import pipeline
 from vobs.cli import main
 
 BASE_CONFIG = {
@@ -44,6 +46,23 @@ def pipeline_run(tmp_path_factory):
     return tmp_path, cfg
 
 
+@pytest.fixture
+def run_copy(pipeline_run, tmp_path):
+    """A private copy of the shared run, for tests that change or add files."""
+    src_tmp, _ = pipeline_run
+    shutil.copytree(src_tmp / "run", tmp_path / "run")
+    return tmp_path, _write_config(tmp_path)
+
+
+class _PoolRequested(Exception):
+    """Raised by `_refuse_pool` with the requested worker count."""
+
+
+def _refuse_pool(max_workers, **kwargs):
+    """Stands in for ProcessPoolExecutor: records the size, starts nothing."""
+    raise _PoolRequested(max_workers)
+
+
 class TestSimulate:
     def test_manifest_totals(self, pipeline_run):
         tmp_path, _ = pipeline_run
@@ -69,6 +88,13 @@ class TestSimulate:
         serial = (tmp_path / "run" / "manifest.json").read_bytes()
         assert main(["simulate", "--config", cfg1, "--workers", "2"]) == 0
         assert (tmp_path / "run" / "manifest.json").read_bytes() == serial
+
+    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
+        cfg = _write_config(tmp_path)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _refuse_pool)
+        with pytest.raises(_PoolRequested) as requested:
+            main(["simulate", "--config", cfg, "--workers", "64"])
+        assert requested.value.args == (8,)  # 2 corpus blocks x 4 repeats
 
 
 class TestDatasetCommand:
@@ -128,6 +154,45 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", cfg, "--no-traces"]) == 0
         assert report.read_bytes() == first
 
+    def test_workers_flag_gives_same_output(self, run_copy):
+        tmp_path, cfg = run_copy
+        eval_dir = tmp_path / "run" / "eval"
+        blas_env = os.environ.get("OPENBLAS_NUM_THREADS")
+
+        def outputs():
+            files = [eval_dir / "report.csv", *sorted((eval_dir / "traces").rglob("*.csv"))]
+            return {f.relative_to(eval_dir).as_posix(): f.read_bytes() for f in files}
+
+        assert main(["evaluate", "--config", cfg, "--workers", "1"]) == 0
+        serial = outputs()
+        shutil.rmtree(eval_dir)
+        assert main(["evaluate", "--config", cfg, "--workers", "2"]) == 0
+        assert len(serial) > 2  # the report and traces of both observers
+        assert outputs() == serial
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_env
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_worker_failure_keeps_numeric_exit(self, run_copy, workers, capsys):
+        tmp_path, cfg = run_copy
+        weights = tmp_path / "run" / "models" / "lstm.weights"
+        lines = weights.read_text().splitlines()
+        row = next(i for i, ln in enumerate(lines) if ln.startswith("array lstm0.wx")) + 1
+        lines[row] = "nan " + lines[row].split(" ", 1)[1]
+        weights.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", "--config", cfg, "--workers", workers]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_pool_capped_at_task_count(self, run_copy, monkeypatch):
+        tmp_path, cfg = run_copy
+        sidecar = json.loads((tmp_path / "run" / "dataset" / "dataset.json").read_text())
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _refuse_pool)
+        with pytest.raises(_PoolRequested) as requested:
+            main(["evaluate", "--config", cfg, "--workers", "64"])
+        n_observers = len(BASE_CONFIG["observers"])
+        assert requested.value.args == (n_observers * sidecar["counts"]["test_trajectories"],)
+
     def test_report_command_rerenders(self, pipeline_run):
         tmp_path, cfg = pipeline_run
         assert main(["evaluate", "--config", cfg]) == 0
@@ -160,6 +225,17 @@ class TestExitCodes:
     def test_bad_flag_usage(self, capsys):
         assert main(["simulate"]) == 1  # --config required
 
+    @pytest.mark.parametrize("value", [0, -2, "two", 2.5, True])
+    def test_invalid_workers_is_config_error(self, tmp_path, value, capsys):
+        cfg = _write_config(tmp_path, overrides={"workers": value})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "workers" in capsys.readouterr().err
+
+    def test_zero_workers_flag_is_config_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["simulate", "--config", cfg, "--workers", "0"]) == 1
+        assert "workers" in capsys.readouterr().err
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = _write_config(tmp_path)
         assert main(["simulate", "--config", cfg]) == 0
@@ -170,12 +246,6 @@ class TestExitCodes:
 
 class TestCorruptStageMetadata:
     """A corrupt manifest or sidecar is a data error (exit 3) naming the file."""
-
-    @pytest.fixture
-    def run_copy(self, pipeline_run, tmp_path):
-        src_tmp, _ = pipeline_run
-        shutil.copytree(src_tmp / "run", tmp_path / "run")
-        return tmp_path, _write_config(tmp_path)
 
     def test_corrupt_manifest(self, run_copy, capsys):
         tmp_path, cfg = run_copy
@@ -192,6 +262,27 @@ class TestCorruptStageMetadata:
         sidecar.write_text(json.dumps(doc))
         assert main(["train", "--config", cfg]) == 3
         assert "dataset.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, name, key, value", [
+        ("dataset", "manifest.json", "trajectories", None),
+        ("evaluate", "manifest.json", "file", None),
+        ("train", "dataset/dataset.json", "counts", None),
+        ("evaluate", "dataset/dataset.json", "split_assignment", None),
+        ("evaluate", "dataset/dataset.json", "split_assignment", []),
+    ])
+    def test_missing_or_mistyped_key(self, run_copy, capsys, stage, name, key, value):
+        tmp_path, cfg = run_copy
+        path = tmp_path / "run" / name
+        doc = json.loads(path.read_text())
+        if key == "file":
+            del doc["trajectories"][0]["file"]
+        elif value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        assert main([stage, "--config", cfg]) == 3
+        assert os.path.basename(name) in capsys.readouterr().err
 
 
 class TestEnvDefaultRoot:
