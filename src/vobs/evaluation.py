@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import G_AY, G_MPS2, G_VX, G_VY, G_YAWRATE, Trajectory
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .observer_lstm import EstimateTrace
 
 CHANNELS = ("vx", "vy", "yaw_rate")
@@ -175,18 +175,29 @@ def write_report_csv(report: EvalReport, path) -> None:
 
 
 def read_report_csv(path) -> EvalReport:
+    """Read a report written by `write_report_csv`."""
     table: dict[str, dict[str, np.ndarray]] = {}
     counts: dict[str, int] = {}
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "observer,segment,channel,mae,unit,n_samples":
-            raise ConfigError(f"{path}: not an evaluation report")
-        for line in fh:
-            observer, segment, channel, value, _, n = line.strip().split(",")
+            raise DataFormatError(f"{path}:1: not an evaluation report (header {header!r})")
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            if len(fields) != 6:
+                raise DataFormatError(f"{path}:{lineno}: expected 6 columns")
+            observer, segment, channel, value, _, n = fields
+            if segment not in SEGMENTS or channel not in CHANNELS:
+                raise DataFormatError(
+                    f"{path}:{lineno}: unknown segment or channel '{segment},{channel}'")
+            try:
+                mae_value, n_samples = float(value), int(n)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
             segs = table.setdefault(observer, {})
             err = segs.setdefault(segment, np.zeros(3))
-            err[CHANNELS.index(channel)] = float(value)
-            counts[segment] = int(n)
+            err[CHANNELS.index(channel)] = mae_value
+            counts[segment] = n_samples
     return EvalReport(table, counts)
 
 

@@ -52,7 +52,7 @@ class RecurrentRegressor:
     """Cell stack plus dense head; `state_dim` 0 disables the state input."""
 
     def __init__(self, kind: str, cells: list, head: list[Dense],
-                 state_dim: int, init_seed: int = 0, format_version: int = 1):
+                 state_dim: int, init_seed: int = 0):
         if kind not in ("lstm", "gru"):
             raise ConfigError(f"unknown cell kind '{kind}'")
         if not cells or not head:
@@ -73,7 +73,6 @@ class RecurrentRegressor:
         self.head = head
         self.state_dim = state_dim
         self.init_seed = init_seed
-        self.format_version = format_version
 
     # -- introspection ------------------------------------------------------
 
@@ -117,8 +116,7 @@ class RecurrentRegressor:
         head = [Dense(d.w.astype(dtype), d.b.astype(dtype), d.activation)
                 for d in self.head]
         return RecurrentRegressor(self.kind, cells, head, self.state_dim,
-                                  init_seed=self.init_seed,
-                                  format_version=self.format_version)
+                                  init_seed=self.init_seed)
 
     def copy_weights(self) -> list[np.ndarray]:
         return [arr.copy() for _, arr in self.params()]

@@ -1,13 +1,35 @@
-"""Versioned text serialization of network weights.
+"""Versioned serialization of network weights (format version 2).
 
-Layout: a header of `key value` lines describing the architecture, then one
-`array <name> <dims...>` line per tensor followed by its flattened values on
-a single line (row-major; recurrent tensors keep the documented gate-block
-row order), closed by an `end` sentinel. Floats are written with repr so the
-round trip is bit-exact.
+Layout: ASCII header lines, then a raw binary payload.
+
+    vobs-weights 2
+    kind <lstm|gru>
+    init_seed <int>
+    in_dim <int>
+    state_dim <int>
+    hidden <width...>
+    dense <width...>
+    output_activation <name>
+    array <name> <dims...>          one line per tensor, in `params()` order
+    payload <nbytes> <sha256-hex>
+    <payload: every tensor's little-endian float64 bytes, row-major, concatenated>
+
+Recurrent tensors keep the documented gate-block row order. The payload is
+the float64 master's exact bytes, so the round trip is bit-exact. Its length
+and SHA-256 are checked before any tensor is built: a truncated or damaged
+payload would otherwise still decode as finite floats and load as a network
+that quietly predicts garbage.
+
+Files are written to a temporary file in the same directory and moved into
+place with `os.replace`, so an interrupted save leaves the previous file
+intact. Version 1 files (one text line of repr floats per tensor) are not
+read; `vobs train` rewrites them.
 """
 
 from __future__ import annotations
+
+import hashlib
+import os
 
 import numpy as np
 
@@ -15,7 +37,9 @@ from ..errors import DataFormatError
 from .layers import Dense, GruLayer, LstmLayer
 from .network import RecurrentRegressor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+MAGIC = b"vobs-weights"
+_F8 = np.dtype("<f8")
 
 
 class WeightsVersionError(DataFormatError):
@@ -31,47 +55,54 @@ class WeightsCorruptionError(DataFormatError):
 
 
 def save_weights(net: RecurrentRegressor, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"vobs-weights {net.format_version}\n")
-        fh.write(f"kind {net.kind}\n")
-        fh.write(f"init_seed {net.init_seed}\n")
-        fh.write(f"in_dim {net.in_dim}\n")
-        fh.write(f"state_dim {net.state_dim}\n")
-        fh.write(f"hidden {' '.join(str(h) for h in net.hidden_sizes)}\n")
-        fh.write(f"dense {' '.join(str(d) for d in net.dense_sizes)}\n")
-        fh.write(f"output_activation {net.head[-1].activation}\n")
-        for name, arr in net.params():
-            dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"array {name} {dims}\n")
-            fh.write(" ".join(repr(float(v)) for v in arr.ravel()) + "\n")
-        fh.write("end\n")
+    params = net.params()
+    payload = b"".join(arr.astype(_F8, copy=False).tobytes() for _, arr in params)
+    lines = [
+        f"{MAGIC.decode()} {FORMAT_VERSION}",
+        f"kind {net.kind}",
+        f"init_seed {net.init_seed}",
+        f"in_dim {net.in_dim}",
+        f"state_dim {net.state_dim}",
+        f"hidden {' '.join(str(h) for h in net.hidden_sizes)}",
+        f"dense {' '.join(str(d) for d in net.dense_sizes)}",
+        f"output_activation {net.head[-1].activation}",
+    ]
+    lines += [f"array {name} {' '.join(str(d) for d in arr.shape)}" for name, arr in params]
+    lines.append(f"payload {len(payload)} {hashlib.sha256(payload).hexdigest()}")
+    head = ("\n".join(lines) + "\n").encode("ascii")
+
+    tmp = os.path.join(os.path.dirname(path) or ".",
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(head)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_weights(path) -> RecurrentRegressor:
     try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    if not lines or not lines[0].startswith("vobs-weights"):
+    first = data[:data.find(b"\n")]
+    magic, _, version_text = first.partition(b" ")
+    if magic != MAGIC:
         raise WeightsCorruptionError(f"{path}: not a weight file")
     try:
-        version = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        version = int(version_text)
+    except ValueError:
         raise WeightsCorruptionError(f"{path}: unreadable version line") from None
     if version != FORMAT_VERSION:
         raise WeightsVersionError(
-            f"{path}: format version {version} not supported (expected {FORMAT_VERSION})")
-
-    it = iter(lines[1:])
-    header = {}
-    pending = None
-    for raw in it:
-        if raw.startswith("array ") or raw == "end":
-            pending = raw
-            break
-        key, _, value = raw.partition(" ")
-        header[key] = value
+            f"{path}: weight format version {version} is not supported (this build "
+            f"reads version {FORMAT_VERSION}); re-run 'vobs train' to rewrite it")
+    header, arrays_declared, payload_at = _read_header(path, data, len(first) + 1)
     try:
         kind = header["kind"]
         init_seed = int(header["init_seed"])
@@ -80,38 +111,31 @@ def load_weights(path) -> RecurrentRegressor:
         hidden = tuple(int(v) for v in header["hidden"].split())
         dense = tuple(int(v) for v in header["dense"].split())
         output_activation = header["output_activation"]
+        nbytes_text, digest = header["payload"].split()
+        nbytes = int(nbytes_text)
     except (KeyError, ValueError) as exc:
         raise WeightsCorruptionError(f"{path}: bad header ({exc})") from None
     if kind not in ("lstm", "gru"):
         raise WeightsShapeError(f"{path}: unknown cell kind '{kind}'")
 
+    declared = sum(int(np.prod(shape)) for _, shape in arrays_declared) * _F8.itemsize
+    if declared != nbytes:
+        raise WeightsCorruptionError(
+            f"{path}: array lines declare {declared} payload bytes, header says {nbytes}")
+    if len(data) - payload_at != nbytes:
+        raise WeightsCorruptionError(
+            f"{path}: payload is {len(data) - payload_at} bytes, expected {nbytes}")
+    payload = memoryview(data)[payload_at:]
+    if hashlib.sha256(payload).hexdigest() != digest:
+        raise WeightsCorruptionError(f"{path}: payload does not match its SHA-256")
+
     arrays: dict[str, np.ndarray] = {}
-    raw = pending
-    while raw is not None:
-        if raw == "end":
-            break
-        if not raw.startswith("array "):
-            raise WeightsCorruptionError(f"{path}: unexpected line {raw[:40]!r}")
-        parts = raw.split()
-        name = parts[1]
-        try:
-            shape = tuple(int(v) for v in parts[2:])
-            values_line = next(it)
-        except (ValueError, StopIteration):
-            raise WeightsCorruptionError(f"{path}: truncated array '{name}'") from None
-        try:
-            values = np.array(values_line.split(), dtype=np.float64)
-        except ValueError:
-            raise WeightsCorruptionError(
-                f"{path}: array '{name}' contains non-numeric data") from None
-        expected = int(np.prod(shape)) if shape else 0
-        if values.size != expected:
-            raise WeightsCorruptionError(
-                f"{path}: array '{name}' has {values.size} values, expected {expected}")
-        arrays[name] = values.reshape(shape)
-        raw = next(it, None)
-    else:
-        raise WeightsCorruptionError(f"{path}: missing end marker")
+    offset = 0
+    for name, shape in arrays_declared:
+        count = int(np.prod(shape))
+        arrays[name] = np.frombuffer(payload, dtype=_F8, count=count,
+                                     offset=offset).reshape(shape).astype(np.float64)
+        offset += count * _F8.itemsize
 
     # assemble and validate against the declared architecture
     gate_mult = 4 if kind == "lstm" else 3
@@ -148,8 +172,39 @@ def load_weights(path) -> RecurrentRegressor:
     extra = set(arrays) - {name for name, _ in _expected_names(kind, len(hidden), len(widths))}
     if extra:
         raise WeightsShapeError(f"{path}: unexpected tensors {sorted(extra)}")
-    return RecurrentRegressor(kind, cells, head, state_dim,
-                              init_seed=init_seed, format_version=version)
+    return RecurrentRegressor(kind, cells, head, state_dim, init_seed=init_seed)
+
+
+def _read_header(path, data: bytes, pos: int):
+    """(`key value` mapping, declared (name, shape) arrays, payload offset)
+    of the header lines from offset `pos` on.
+
+    The header ends at the `payload` line; the bytes after it are binary."""
+    header: dict[str, str] = {}
+    arrays: list[tuple[str, tuple]] = []
+    while "payload" not in header:
+        end = data.find(b"\n", pos)
+        if end < 0:
+            raise WeightsCorruptionError(f"{path}: header ends before the payload line")
+        try:
+            line = data[pos:end].decode("ascii")
+        except UnicodeDecodeError:
+            raise WeightsCorruptionError(f"{path}: binary data in the header") from None
+        pos = end + 1
+        key, _, value = line.partition(" ")
+        if key != "array":
+            header[key] = value
+            continue
+        name, _, dims = value.partition(" ")
+        try:
+            shape = tuple(int(v) for v in dims.split())
+        except ValueError:
+            shape = None
+        if not name or shape is None or any(n < 0 for n in shape) \
+                or name in {n for n, _ in arrays}:
+            raise WeightsCorruptionError(f"{path}: bad array line {line[:60]!r}")
+        arrays.append((name, shape))
+    return header, arrays, pos
 
 
 def _expected_names(kind: str, n_cells: int, n_dense: int):

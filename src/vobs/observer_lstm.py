@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import NoiseSpec, ScalerParams, WindowedDataset, inject_state_noise
 from .domain import SENSOR_CHANNELS, STATE_CHANNELS, Trajectory
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataFormatError, NumericalError
 from .neural import COMPUTE_DTYPE, Adam, RecurrentRegressor, TrainConfig, lstm_observer_net
 from .seeding import derived_rng
 
@@ -66,12 +66,22 @@ def write_trace_csv(trace: EstimateTrace, path) -> None:
 
 
 def read_trace_csv(path, warmup_len: int = 0) -> EstimateTrace:
+    """Read a trace written by `write_trace_csv`."""
+    expected = ["t", "vx_est", "vy_est", "yaw_rate_est"]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "vx_est", "vy_est", "yaw_rate_est"]:
-            raise ConfigError(f"{path}: not a trace file")
-        data = np.array([[float(v) for v in row] for row in reader])
+        header = next(reader, None)
+        if header != expected:
+            raise DataFormatError(f"{path}:1: not a trace file (header {header!r})")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(expected):
+                raise DataFormatError(f"{path}:{lineno}: expected {len(expected)} columns")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    data = np.array(rows, dtype=np.float64).reshape(-1, len(expected))
     return EstimateTrace(data[:, 0], data[:, 1:4], warmup_len=warmup_len)
 
 

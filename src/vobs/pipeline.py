@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,7 +29,7 @@ from .domain import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, VobsError
 from .neural import (
     COMPUTE_DTYPE,
     TrainConfig,
@@ -270,6 +271,21 @@ def _ekf_config(spec, params: VehicleParams) -> EkfConfig:
     return EkfConfig.for_vehicle(params, **kwargs)
 
 
+def _eval_inputs(cfg: RunConfig, test_entries: list[dict]):
+    """(test trajectories, nets cast to `COMPUTE_DTYPE`) read from the run
+    directory; evaluate's parent process and each of its workers call it."""
+    trajs = _load_trajectories(cfg, test_entries)
+    nets = {}
+    for name, spec in cfg.observers.items():
+        if spec.trainable:
+            path = weights_path(cfg, name)
+            if not os.path.exists(path):
+                raise DataFormatError(
+                    f"observer '{name}': missing weight file {path}; run 'train' first")
+            nets[name] = load_weights(path).astype(COMPUTE_DTYPE)
+    return trajs, nets
+
+
 def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
                 scaler: ds.ScalerParams, params: VehicleParams, task):
     """Estimate trace of one (observer name, test trajectory index) pair."""
@@ -287,7 +303,12 @@ def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
     return run_ekf(traj, EkfState(initial, ekf_cfg.p0_matrix()), params, ekf_cfg)
 
 
-_worker_shared: tuple = ()  # _trace_task's leading arguments, in an evaluate worker
+# in an evaluate worker: the pool initializer's (cfg, test entries, scaler,
+# params), and the (trajectories, nets) its first task reads from the run
+# directory; reading in a task, not the initializer, sends a read error back
+# to the parent as that task's exception instead of breaking the pool
+_worker_shared: tuple = ()
+_worker_inputs: tuple = ()
 
 
 def _init_trace_worker(*shared) -> None:
@@ -296,7 +317,11 @@ def _init_trace_worker(*shared) -> None:
 
 
 def _worker_trace(task):
-    return _trace_task(*_worker_shared, task)
+    global _worker_inputs
+    cfg, test_entries, scaler, params = _worker_shared
+    if not _worker_inputs:
+        _worker_inputs = _eval_inputs(cfg, test_entries)
+    return _trace_task(cfg, *_worker_inputs, scaler, params, task)
 
 
 @contextmanager
@@ -316,24 +341,34 @@ def _single_blas_thread():
             os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
-def _compute_traces(workers: int, shared: tuple, tasks: list) -> list:
-    """`_trace_task(*shared, task)` for every task, in task order.
+def _compute_traces(cfg: RunConfig, test_entries: list[dict], inputs: tuple,
+                    scaler: ds.ScalerParams, params: VehicleParams,
+                    tasks: list) -> list:
+    """`_trace_task` for every task, in task order; `inputs` is this
+    process's `_eval_inputs(cfg, test_entries)`.
 
     With more than one worker the tasks run in a pool of spawned processes,
-    each with one BLAS thread; `shared` reaches each worker once, through the
-    pool initializer. Forked workers would inherit the parent's multi-threaded
-    OpenBLAS and oversubscribe the cores."""
-    n_workers = min(workers, len(tasks))
+    each with one BLAS thread. The pool initializer hands each worker only
+    the small (cfg, test entries, scaler, params); the worker reads the
+    trajectories and weight files itself. Forked workers would inherit the
+    parent's multi-threaded OpenBLAS and oversubscribe the cores."""
+    n_workers = min(cfg.workers, len(tasks))
     if n_workers <= 1:
-        return [_trace_task(*shared, task) for task in tasks]
+        return [_trace_task(cfg, *inputs, scaler, params, task) for task in tasks]
     pool = ProcessPoolExecutor(max_workers=n_workers,
                                mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_init_trace_worker, initargs=shared)
+                               initializer=_init_trace_worker,
+                               initargs=(cfg, test_entries, scaler, params))
     try:
         # the pool starts its workers while map submits the tasks
         with _single_blas_thread():
             results = pool.map(_worker_trace, tasks)
         return list(results)
+    except BrokenProcessPool as exc:
+        raise VobsError(
+            "an evaluate worker process died; a script that runs evaluate with "
+            "more than one worker must call it under "
+            "'if __name__ == \"__main__\":'") from exc
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -349,10 +384,18 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     Each (observer, test trajectory) pair is an independent task. With
     `cfg.workers > 1` the tasks run in spawned worker processes, each with a
     single BLAS thread; scoring and every file write stay in this process,
-    and the outputs are byte-identical for any number of workers. A spawned
-    worker imports the main module of the calling program, so a script that
-    runs this with more than one worker must do so under
-    `if __name__ == "__main__":`."""
+    and the outputs are byte-identical for any number of workers. This
+    process reads (and so checks) the test trajectories and weight files
+    first; each worker then receives only the config, the test split's
+    manifest entries, the scaler and the vehicle parameters, a few KB, and
+    reads its trajectories and weight files from the run directory itself.
+
+    A spawned worker imports the main module of the calling program, so a
+    script that runs this with more than one worker must do so under
+    `if __name__ == "__main__":`. Without the guard each worker dies while
+    starting up, and evaluate exits 1 with a `VobsError` naming the
+    requirement instead of hanging: the start-up data fits in a pipe buffer,
+    so handing it to a dead worker cannot block."""
     manifest = _load_manifest(cfg)
     sidecar = _load_sidecar(cfg)
     scaler: ds.ScalerParams = sidecar["scaler"]
@@ -361,17 +404,8 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
                     if assignment.get(e["label"]) == "test"]
     if not test_entries:
         raise ConfigError("test split is empty")
-    test_trajs = _load_trajectories(cfg, test_entries)
-
+    test_trajs, nets = _eval_inputs(cfg, test_entries)
     params = VehicleParams()
-    nets = {}
-    for name, spec in cfg.observers.items():
-        if spec.trainable:
-            path = weights_path(cfg, name)
-            if not os.path.exists(path):
-                raise DataFormatError(
-                    f"observer '{name}': missing weight file {path}; run 'train' first")
-            nets[name] = load_weights(path).astype(COMPUTE_DTYPE)
 
     any_windowed = any(s.type in ("lstm", "gru") for s in cfg.observers.values())
     skip = cfg.window_len - 1 if any_windowed else 0
@@ -387,8 +421,8 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     counts = {seg: n for seg, n in counts.items() if n > 0}
 
     tasks = [(name, i) for name in cfg.observers for i in range(len(test_trajs))]
-    computed = iter(_compute_traces(cfg.workers,
-                                    (cfg, test_trajs, nets, scaler, params), tasks))
+    computed = iter(_compute_traces(cfg, test_entries, (test_trajs, nets),
+                                    scaler, params, tasks))
     traces: dict[str, dict[str, object]] = {name: {} for name in cfg.observers}
     table: dict[str, dict[str, np.ndarray]] = {}
     for name in cfg.observers:

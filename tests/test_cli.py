@@ -1,14 +1,20 @@
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import vobs
 from vobs import pipeline
 from vobs.cli import main
+from vobs.neural import load_weights, save_weights
 
 BASE_CONFIG = {
     "master_seed": 3,
@@ -55,12 +61,15 @@ def run_copy(pipeline_run, tmp_path):
 
 
 class _PoolRequested(Exception):
-    """Raised by `_refuse_pool` with the requested worker count."""
+    """Raised by `_refuse_pool` with the requested worker count; `options`
+    holds the pool's other arguments."""
 
 
 def _refuse_pool(max_workers, **kwargs):
-    """Stands in for ProcessPoolExecutor: records the size, starts nothing."""
-    raise _PoolRequested(max_workers)
+    """Stands in for ProcessPoolExecutor: records the request, starts nothing."""
+    requested = _PoolRequested(max_workers)
+    requested.options = kwargs
+    raise requested
 
 
 class TestSimulate:
@@ -176,10 +185,9 @@ class TestEvaluateCommand:
     def test_worker_failure_keeps_numeric_exit(self, run_copy, workers, capsys):
         tmp_path, cfg = run_copy
         weights = tmp_path / "run" / "models" / "lstm.weights"
-        lines = weights.read_text().splitlines()
-        row = next(i for i, ln in enumerate(lines) if ln.startswith("array lstm0.wx")) + 1
-        lines[row] = "nan " + lines[row].split(" ", 1)[1]
-        weights.write_text("\n".join(lines) + "\n")
+        net = load_weights(weights)
+        net.cells[0].wx[0, 0] = np.nan
+        save_weights(net, weights)
         assert main(["evaluate", "--config", cfg, "--workers", workers]) == 2
         assert "non-finite" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
@@ -192,6 +200,37 @@ class TestEvaluateCommand:
             main(["evaluate", "--config", cfg, "--workers", "64"])
         n_observers = len(BASE_CONFIG["observers"])
         assert requested.value.args == (n_observers * sidecar["counts"]["test_trajectories"],)
+
+    def test_worker_startup_data_is_small(self, run_copy, monkeypatch):
+        # workers read trajectories and weights from the run directory; the
+        # initializer's arguments stay far below a pipe buffer's worth
+        _, cfg = run_copy
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _refuse_pool)
+        with pytest.raises(_PoolRequested) as requested:
+            main(["evaluate", "--config", cfg, "--workers", "2"])
+        assert len(pickle.dumps(requested.value.options["initargs"])) < 64 * 1024
+
+    def test_unguarded_script_exits_instead_of_hanging(self, run_copy):
+        tmp_path, cfg = run_copy
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import sys\n"
+            "from vobs.cli import main\n"
+            f"sys.exit(main(['evaluate', '--config', {cfg!r}, '--workers', '2']))\n")
+        src = os.path.dirname(os.path.dirname(vobs.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen([sys.executable, str(script)], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("evaluate hung after its workers died at start-up")
+        assert proc.returncode == 1, err
+        assert 'if __name__ == "__main__":' in err
 
     def test_report_command_rerenders(self, pipeline_run):
         tmp_path, cfg = pipeline_run
@@ -283,6 +322,26 @@ class TestCorruptStageMetadata:
         path.write_text(json.dumps(doc))
         assert main([stage, "--config", cfg]) == 3
         assert os.path.basename(name) in capsys.readouterr().err
+
+
+class TestMalformedReport:
+    """A malformed report.csv is a data error (exit 3) naming file and line."""
+
+    HEADER = "observer,segment,channel,mae,unit,n_samples\n"
+    GOOD = "ekf,overall,vx,0.25,m/s,5\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("observer,segment,channel,mae,unit\n" + GOOD, 1),
+        (HEADER + GOOD + "lstm,overall,vx,0.5,m/s\n", 3),
+        (HEADER + GOOD + "lstm,overall,vx,abc,m/s,5\n", 3),
+        (HEADER + GOOD + "lstm,overall,vz,0.5,m/s,5\n", 3),
+    ], ids=["bad_header", "field_count", "non_numeric", "unknown_channel"])
+    def test_malformed_report_exits_3(self, tmp_path, capsys, text, line):
+        eval_dir = tmp_path / "run" / "eval"
+        eval_dir.mkdir(parents=True)
+        (eval_dir / "report.csv").write_text(text)
+        assert main(["report", "--out", str(tmp_path / "run")]) == 3
+        assert f"report.csv:{line}:" in capsys.readouterr().err
 
 
 class TestEnvDefaultRoot:

@@ -1,4 +1,7 @@
+import errno
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from vobs.neural import (
     save_weights,
     sigmoid,
 )
+from vobs.neural import weights_io
 from vobs.neural.weights_io import (
     WeightsCorruptionError,
     WeightsShapeError,
@@ -322,6 +326,10 @@ class TestAdam:
         assert final < first / 100
 
 
+# SHA-256 of the weight file of TestWeightsIo's seed-21 network
+PINNED_SHA256 = "92ad5e0aa5435a1e354a5b327444d35fb550d6e0311fa16bed5cba84e6f1ffe9"
+
+
 class TestWeightsIo:
     def _net(self):
         return lstm_observer_net(seed=21, in_dim=5, hidden=(3, 4), dense=(4,),
@@ -346,30 +354,29 @@ class TestWeightsIo:
         for (_, a), (_, b) in zip(net.params(), back.params()):
             np.testing.assert_array_equal(a, b)
 
-    def test_truncation_is_corruption(self, tmp_path):
-        net = self._net()
+    def _saved(self, tmp_path):
         path = tmp_path / "w.weights"
-        save_weights(net, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-3]) + "\n")
+        save_weights(self._net(), path)
+        return path
+
+    def test_truncation_is_corruption(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
         with pytest.raises(WeightsCorruptionError):
             load_weights(path)
 
     def test_future_version_rejected_before_load(self, tmp_path):
-        net = self._net()
-        path = tmp_path / "w.weights"
-        save_weights(net, path)
-        text = path.read_text().replace("vobs-weights 1", "vobs-weights 2", 1)
-        path.write_text(text)
+        path = self._saved(tmp_path)
+        data = path.read_bytes().replace(b"vobs-weights 2\n", b"vobs-weights 3\n", 1)
+        path.write_bytes(data)
         with pytest.raises(WeightsVersionError):
             load_weights(path)
 
     def test_shape_mismatch_detected(self, tmp_path):
-        net = self._net()
-        path = tmp_path / "w.weights"
-        save_weights(net, path)
-        text = path.read_text().replace("hidden 3 4", "hidden 4 3", 1)
-        path.write_text(text)
+        path = self._saved(tmp_path)
+        data = path.read_bytes().replace(b"\nhidden 3 4\n", b"\nhidden 4 3\n", 1)
+        path.write_bytes(data)
         with pytest.raises(WeightsShapeError):
             load_weights(path)
 
@@ -378,6 +385,71 @@ class TestWeightsIo:
         path.write_text("not a weight file\n")
         with pytest.raises(WeightsCorruptionError):
             load_weights(path)
+
+    def test_flipped_payload_byte_fails_digest(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[-5] ^= 0x01  # a low mantissa bit: still a finite float
+        path.write_bytes(bytes(data))
+        with pytest.raises(WeightsCorruptionError, match="SHA-256"):
+            load_weights(path)
+
+    def test_short_payload_is_corruption(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])  # one whole float missing
+        with pytest.raises(WeightsCorruptionError, match="payload is"):
+            load_weights(path)
+
+    def test_text_v1_file_asks_to_retrain(self, tmp_path):
+        net = self._net()
+        lines = ["vobs-weights 1", "kind lstm", "init_seed 21", "in_dim 5",
+                 "state_dim 3", "hidden 3 4", "dense 4 3", "output_activation sigmoid"]
+        for name, arr in net.params():
+            lines.append(f"array {name} {' '.join(str(d) for d in arr.shape)}")
+            lines.append(" ".join(repr(float(v)) for v in arr.ravel()))
+        path = tmp_path / "old.weights"
+        path.write_text("\n".join(lines + ["end"]) + "\n")
+        with pytest.raises(WeightsVersionError) as raised:
+            load_weights(path)
+        assert "old.weights" in str(raised.value)
+        assert "vobs train" in str(raised.value)
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # any change to the layout or the payload encoding changes this digest
+        digest = hashlib.sha256(self._saved(tmp_path).read_bytes()).hexdigest()
+        assert digest == PINNED_SHA256
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = self._saved(tmp_path)
+        old = self._net()
+
+        class _DiskFull:
+            """Writes half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "no space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(weights_io, "open",
+                            lambda p, mode: _DiskFull(open(p, mode)), raising=False)
+        changed = lstm_observer_net(seed=22, in_dim=5, hidden=(3, 4), dense=(4,),
+                                    out_dim=3, state_dim=3)
+        with pytest.raises(OSError):
+            save_weights(changed, path)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["w.weights"]
+        back = load_weights(path)
+        for (_, a), (_, b) in zip(old.params(), back.params()):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestDeterminism:

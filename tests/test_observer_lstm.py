@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vobs.dataset import NoiseSpec, ScalerParams, WindowedDataset, fit_scaler, make_windows
-from vobs.errors import ConfigError, NumericalError
+from vobs.errors import ConfigError, DataFormatError, NumericalError
 from vobs.neural import TrainConfig, lstm_observer_net
 from vobs.observer_lstm import (
     EstimateTrace,
@@ -139,6 +139,18 @@ class TestTraceCsv:
         back = read_trace_csv(path, warmup_len=2)
         np.testing.assert_array_equal(back.t_s, trace.t_s)
         np.testing.assert_array_equal(back.estimates, trace.estimates)
+
+    @pytest.mark.parametrize("text, line", [
+        ("t,vx,vy,yaw_rate\n0.0,1.0,2.0,3.0\n", 1),
+        ("", 1),
+        ("t,vx_est,vy_est,yaw_rate_est\n0.0,1.0,2.0,3.0\n0.02,1.0,2.0\n", 3),
+        ("t,vx_est,vy_est,yaw_rate_est\n0.0,1.0,abc,3.0\n", 2),
+    ], ids=["bad_header", "empty", "field_count", "non_numeric"])
+    def test_malformed_trace_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=f"trace.csv:{line}:"):
+            read_trace_csv(path)
 
 
 def _toy_dataset(n_traj=6, n=160, seed=0):
