@@ -13,15 +13,21 @@ Q*dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import NoiseSpec, ScalerParams, WindowedDataset
-from .domain import Trajectory, VehicleParams
+from .domain import VehicleParams
 from .errors import ConfigError, NumericalError
 from .neural import RecurrentRegressor, TrainConfig, gru_observer_net
-from .observer_lstm import EstimateTrace, ObserverConfig, train_observer
+from .observer_lstm import (
+    EstimateTrace,
+    ObserverConfig,
+    sensor_stream,
+    train_observer,
+    window_features,
+)
 
 # defaults below were tuned once by grid search on low-acceleration synthetic
 # data with the standard sensor noise; see eval config documentation
@@ -221,14 +227,7 @@ def run_ekf(frames, initial: EkfState, p: VehicleParams,
     passed); afterwards each frame's (ax, steering) drives the prediction
     into its own timestamp before its measurements are assimilated.
     """
-    if isinstance(frames, Trajectory):
-        t = frames.sensors[:, 0]
-        raw = frames.sensor_channels()
-    else:
-        arr = np.asarray(frames, dtype=np.float64) if not isinstance(frames, list) \
-            else np.array([f.as_array() for f in frames])
-        t = arr[:, 0]
-        raw = arr[:, 1:6]
+    t, raw = sensor_stream(frames)
     n = raw.shape[0]
     if n == 0:
         raise ConfigError("empty sensor stream")
@@ -268,24 +267,10 @@ def run_gru(frames, net: RecurrentRegressor, scaler: ScalerParams,
     steps carry `initial_state` when provided (the first computed estimate
     otherwise) purely to keep traces length-aligned.
     """
-    if isinstance(frames, Trajectory):
-        t = frames.sensors[:, 0]
-        raw = frames.sensor_channels()
-    else:
-        arr = np.asarray(frames, dtype=np.float64) if not isinstance(frames, list) \
-            else np.array([f.as_array() for f in frames])
-        t = arr[:, 0]
-        raw = arr[:, 1:6]
-    n = raw.shape[0]
+    t, raw = sensor_stream(frames)
     w = window_len
-    if n < w:
-        raise ConfigError(f"need at least {w} frames, got {n}")
-
-    scaled = scaler.scale_sensors(raw)
-    windows = np.lib.stride_tricks.sliding_window_view(scaled, (w, scaled.shape[1]))[:, 0]
-    estimates = np.empty((n, 3))
-    for lo in range(0, windows.shape[0], feature_batch):
-        feats = net.features(windows[lo: lo + feature_batch])
+    estimates = np.empty((raw.shape[0], 3))
+    for lo, feats in window_features(raw, scaler, net, w, feature_batch):
         out = net.head_forward(feats, None)
         estimates[w - 1 + lo: w - 1 + lo + out.shape[0]] = scaler.unscale_state(out)
     if initial_state is None:

@@ -6,7 +6,7 @@ keys. All randomness derives from the single master seed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -78,10 +78,50 @@ class RunConfig:
     workers: int = 1
 
 
+TOP_LEVEL_KEYS = ("master_seed", "out_dir", "workers", "corpus", "sensor_noise", "split",
+                  "dataset", "state_noise", "train", "observers", "evaluation")
+CORPUS_ENTRY_TYPES = {"kind": str, "intensity": float, "count": int, "duration_s": float}
+DATASET_TYPES = {"window_len": int, "train_stride": int, "val_stride": int}
+TRAIN_TYPES = {"epochs": int, "batch_size": int, "learning_rate": float, "shuffle": bool}
+EKF_OVERRIDE_KEYS = ("q", "r", "p0", "cornering_stiffness_front", "cornering_stiffness_rear")
+OBSERVER_KEYS = ("type", "state_noise") + EKF_OVERRIDE_KEYS
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"missing '{key}' in {where}")
     return mapping[key]
+
+
+def _check_keys(mapping, allowed, section: str, where: str) -> dict:
+    """`mapping` itself, once it is a mapping whose keys are all in `allowed`."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where}: {section} must be a mapping")
+    for key in mapping:
+        if key not in allowed:
+            raise ConfigError(f"{where}: unknown key '{key}' in {section} "
+                              f"(expected one of: {', '.join(allowed)})")
+    return mapping
+
+
+def _section(mapping, section: str, where: str, types: dict) -> dict:
+    """The keyword arguments of one section: each value converted by the type
+    of its key; a key missing from `types` or a value that does not convert
+    is an error."""
+    _check_keys(mapping, tuple(types), section, where)
+    kwargs = {}
+    for key, value in mapping.items():
+        try:
+            kwargs[key] = types[key](value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: {section}.{key} must be "
+                              f"{types[key].__name__}, got {value!r}") from None
+    return kwargs
+
+
+def _float_fields(cls) -> dict:
+    """Every settable field of a float-valued spec; the seed is derived."""
+    return {f.name: float for f in fields(cls) if f.name != "seed"}
 
 
 def default_out_root() -> str:
@@ -106,6 +146,7 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None,
 def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
                  workers: int | None = None, epochs: int | None = None,
                  where: str = "config") -> RunConfig:
+    _check_keys(doc, TOP_LEVEL_KEYS, "the top level", where)
     master_seed = seed if seed is not None else int(doc.get("master_seed", 0))
 
     resolved_out = out_dir or doc.get("out_dir")
@@ -115,52 +156,24 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
     corpus_doc = _require(doc, "corpus", where)
     if not isinstance(corpus_doc, list) or not corpus_doc:
         raise ConfigError(f"{where}: corpus must be a non-empty list")
-    corpus = [CorpusEntry(
-        kind=_require(entry, "kind", "corpus entry"),
-        intensity=float(_require(entry, "intensity", "corpus entry")),
-        count=int(entry.get("count", 1)),
-        duration_s=float(entry["duration_s"]) if "duration_s" in entry else None,
-    ) for entry in corpus_doc]
+    corpus = []
+    for k, entry in enumerate(corpus_doc):
+        section = f"corpus entry {k}"
+        kwargs = _section(entry, section, where, CORPUS_ENTRY_TYPES)
+        _require(kwargs, "kind", section)
+        _require(kwargs, "intensity", section)
+        corpus.append(CorpusEntry(**kwargs))
 
-    noise_doc = doc.get("sensor_noise", {})
-    sensor_noise = SensorNoiseSpec(
-        std_ax=float(noise_doc.get("std_ax", 0.05)),
-        std_ay=float(noise_doc.get("std_ay", 0.05)),
-        std_yaw_rate=float(noise_doc.get("std_yaw_rate", 0.002)),
-        std_wheel_speed=float(noise_doc.get("std_wheel_speed", 0.03)),
-        std_steering=float(noise_doc.get("std_steering", 0.001)),
-        bias_ax=float(noise_doc.get("bias_ax", 0.0)),
-        bias_ay=float(noise_doc.get("bias_ay", 0.0)),
-        bias_yaw_rate=float(noise_doc.get("bias_yaw_rate", 0.0)),
-        bias_wheel_speed=float(noise_doc.get("bias_wheel_speed", 0.0)),
-        bias_steering=float(noise_doc.get("bias_steering", 0.0)),
-    )
-
-    split_doc = doc.get("split", {})
-    split = SplitSpec(
-        train=float(split_doc.get("train", 0.6)),
-        val=float(split_doc.get("val", 0.2)),
-        test=float(split_doc.get("test", 0.2)),
-    )
-
-    ds_doc = doc.get("dataset", {})
-    window_len = int(ds_doc.get("window_len", 50))
-    train_stride = int(ds_doc.get("train_stride", 1))
-    val_stride = int(ds_doc.get("val_stride", 1))
-
-    sn_doc = doc.get("state_noise", {})
-    state_noise = NoiseSpec(
-        std_v_mps=float(sn_doc.get("std_v_mps", 0.03)),
-        std_yaw_rate_radps=float(sn_doc.get("std_yaw_rate_radps", 0.003)),
-    )
-
-    tr_doc = doc.get("train", {})
-    train = TrainConfig(
-        epochs=epochs if epochs is not None else int(tr_doc.get("epochs", 50)),
-        batch_size=int(tr_doc.get("batch_size", 256)),
-        learning_rate=float(tr_doc.get("learning_rate", 1e-3)),
-        shuffle=bool(tr_doc.get("shuffle", True)),
-    )
+    sensor_noise = SensorNoiseSpec(**_section(
+        doc.get("sensor_noise", {}), "sensor_noise", where, _float_fields(SensorNoiseSpec)))
+    split = SplitSpec(**_section(doc.get("split", {}), "split", where, _float_fields(SplitSpec)))
+    ds_doc = _section(doc.get("dataset", {}), "dataset", where, DATASET_TYPES)
+    state_noise = NoiseSpec(**_section(
+        doc.get("state_noise", {}), "state_noise", where, _float_fields(NoiseSpec)))
+    tr_doc = _section(doc.get("train", {}), "train", where, TRAIN_TYPES)
+    if epochs is not None:
+        tr_doc["epochs"] = epochs
+    train = TrainConfig(**tr_doc)
 
     obs_doc = doc.get("observers")
     if obs_doc is None:
@@ -169,23 +182,20 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
             "gru": {"type": "gru"},
             "ekf": {"type": "ekf"},
         }
+    if not isinstance(obs_doc, dict):
+        raise ConfigError(f"{where}: observers must be a mapping")
     observers = {}
     for name, spec in obs_doc.items():
-        spec = spec or {}
+        spec = _check_keys(spec or {}, OBSERVER_KEYS, f"observer '{name}'", where)
         observers[name] = ObserverSpec(
             name=name,
             type=_require(spec, "type", f"observer '{name}'"),
             state_noise=bool(spec.get("state_noise", True)),
-            ekf_overrides={k: v for k, v in spec.items()
-                           if k in ("q", "r", "p0", "cornering_stiffness_front",
-                                    "cornering_stiffness_rear")},
+            ekf_overrides={k: v for k, v in spec.items() if k in EKF_OVERRIDE_KEYS},
         )
 
-    ev_doc = doc.get("evaluation", {})
-    segments = SegmentSpec(
-        normal_threshold_g=float(ev_doc.get("normal_threshold_g", 0.5)),
-        near_limits_max_g=float(ev_doc.get("near_limits_max_g", 0.8)),
-    )
+    segments = SegmentSpec(**_section(
+        doc.get("evaluation", {}), "evaluation", where, _float_fields(SegmentSpec)))
 
     n_workers = workers if workers is not None else doc.get("workers", 1)
     if isinstance(n_workers, bool) or not isinstance(n_workers, int) or n_workers < 1:
@@ -198,9 +208,9 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
         corpus=corpus,
         sensor_noise=sensor_noise,
         split=split,
-        window_len=window_len,
-        train_stride=train_stride,
-        val_stride=val_stride,
+        window_len=ds_doc.get("window_len", 50),
+        train_stride=ds_doc.get("train_stride", 1),
+        val_stride=ds_doc.get("val_stride", 1),
         state_noise=state_noise,
         train=train,
         observers=observers,

@@ -3,13 +3,19 @@
 Each layer computes in the dtype of its weights, float32 or float64: every
 sequence buffer, state and gradient takes that dtype. Training and evaluation
 run float32 copies; the float64 master weights, the weight file and the
-gradient check stay float64. Sequence tensors are handled time-major
-internally — (time, batch, channels) — so each step touches contiguous
-memory; the network boundary transposes once per call. Gate blocks are
-stored stacked along the output axis in a fixed, documented order — LSTM:
-input | forget | candidate | output; GRU: update | reset | candidate. The
-per-step cell functions share their math with the sequence loops, so the
-cell-level contract and the training path cannot drift apart.
+gradient check stay float64.
+
+Sequence tensors are feature-major, (time, features, batch): step t is one
+contiguous (features, batch) array, its recurrent term is `wh @ h_t` with the
+weights as stored, and every gate is a contiguous row range of the step's
+pre-activation, so each elementwise pass of the loops runs on contiguous
+memory. The network boundary transposes once per call; the dense head keeps
+(batch, features). Gate blocks are stored stacked along the output axis in a
+fixed, documented order — LSTM: input | forget | candidate | output; GRU:
+update | reset | candidate. Each recurrent layer's `step` is its one cell
+update: the sequence loop calls it on every step and the single-step cell
+function calls it once, so the cell-level contract and the training path
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -31,6 +37,21 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
         np.exp(x, out=x)
         x += 1.0
         np.reciprocal(x, out=x)
+
+
+def _mul_sigmoid_grad(d: np.ndarray, s: np.ndarray, tmp: np.ndarray) -> None:
+    """d *= s * (1 - s) in place, for s = sigmoid(a); tmp is scratch shaped
+    like d."""
+    d *= s
+    np.subtract(1.0, s, out=tmp)
+    d *= tmp
+
+
+def _mul_tanh_grad(d: np.ndarray, t: np.ndarray, tmp: np.ndarray) -> None:
+    """d *= 1 - t * t in place, for t = tanh(a); tmp is scratch shaped like d."""
+    np.multiply(t, t, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    d *= tmp
 
 
 def _as_weights(*arrays: np.ndarray) -> list[np.ndarray]:
@@ -112,100 +133,83 @@ class LstmLayer:
         b[hidden: 2 * hidden] = 1.0  # forget-gate bias keeps early memory open
         return cls(wx, wh, b)
 
-    def _activate_gates(self, z: np.ndarray) -> None:
-        """In-place gate nonlinearities on a (B, 4h) pre-activation."""
-        h = self.hidden
-        _sigmoid_inplace(z[:, : 2 * h])
-        np.tanh(z[:, 2 * h: 3 * h], out=z[:, 2 * h: 3 * h])
-        _sigmoid_inplace(z[:, 3 * h:])
+    def step(self, z, h_prev, c_prev, c, tc, h_out, buf) -> None:
+        """One cell update on (features, batch) columns.
 
-    def step(self, z: np.ndarray, c_prev: np.ndarray):
-        """One cell update from a full pre-activation; z is consumed in place.
-
-        Returns (gates, c, tanh_c, h) where gates is z after activation.
+        z is the (4h, B) input projection wx @ x + b: the recurrent term is
+        added and the gates are activated in place. The cell state, its tanh
+        and the new hidden state go into the (h, B) arrays c, tc and h_out;
+        buf is (4h, B) scratch.
         """
         h = self.hidden
-        self._activate_gates(z)
-        i = z[:, :h]
-        f = z[:, h: 2 * h]
-        g = z[:, 2 * h: 3 * h]
-        o = z[:, 3 * h:]
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        return z, c, tc, o * tc
+        z += np.matmul(self.wh, h_prev, out=buf)
+        i, f, g, o = z[:h], z[h: 2 * h], z[2 * h: 3 * h], z[3 * h:]
+        _sigmoid_inplace(z[: 2 * h])
+        np.tanh(g, out=g)
+        _sigmoid_inplace(o)
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=tc)
+        c += tc
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_out)
 
     def forward_seq(self, x: np.ndarray):
-        """Run the full sequence; x is (T, B, in), returns (T, B, h) + cache."""
-        t_len, bsz, _ = x.shape
+        """Run the full sequence; x is (T, in, B), returns (T, h, B) + cache."""
+        t_len, _, bsz = x.shape
         h = self.hidden
-        gates = (x.reshape(t_len * bsz, -1) @ self.wx.T).reshape(t_len, bsz, 4 * h)
-        gates += self.b
-        dt = self.wx.dtype
-        cs = np.empty((t_len, bsz, h), dtype=dt)
-        tcs = np.empty((t_len, bsz, h), dtype=dt)
-        hs = np.empty((t_len, bsz, h), dtype=dt)
-        wh_t = self.wh.T
-        h_t = np.zeros((bsz, h), dtype=dt)
-        c_t = np.zeros((bsz, h), dtype=dt)
-        buf = np.empty((bsz, 4 * h), dtype=dt)
+        gates = np.matmul(self.wx, x)
+        gates += self.b[:, None]
+        cs = np.empty((t_len, h, bsz), dtype=gates.dtype)
+        tcs = np.empty_like(cs)
+        hs = np.empty_like(cs)
+        zero = np.zeros((h, bsz), dtype=gates.dtype)
+        buf = np.empty((4 * h, bsz), dtype=gates.dtype)
         for t in range(t_len):
-            z = gates[t]
-            z += np.matmul(h_t, wh_t, out=buf)
-            self._activate_gates(z)
-            np.multiply(z[:, h: 2 * h], c_t, out=cs[t])
-            cs[t] += z[:, :h] * z[:, 2 * h: 3 * h]
-            c_t = cs[t]
-            np.tanh(c_t, out=tcs[t])
-            np.multiply(z[:, 3 * h:], tcs[t], out=hs[t])
-            h_t = hs[t]
+            h_prev, c_prev = (hs[t - 1], cs[t - 1]) if t else (zero, zero)
+            self.step(gates[t], h_prev, c_prev, cs[t], tcs[t], hs[t], buf)
         return hs, (x, gates, cs, tcs, hs)
 
     def backward_seq(self, dh_seq: np.ndarray, cache):
-        """Exact BPTT; dh_seq (T, B, h) accumulates upstream gradients."""
+        """Exact BPTT; dh_seq (T, h, B) holds the upstream gradients.
+
+        Returns dx (T, in, B) and the weight gradients."""
         x, gates, cs, tcs, hs = cache
-        t_len, bsz, h = hs.shape
-        dt = self.wx.dtype
-        dz_all = np.empty((t_len, bsz, 4 * h), dtype=dt)
-        dh_next = np.zeros((bsz, h), dtype=dt)
-        dc_next = np.zeros((bsz, h), dtype=dt)
+        t_len, h, bsz = hs.shape
+        dz_all = np.empty((t_len, 4 * h, bsz), dtype=hs.dtype)
+        dh = np.empty((h, bsz), dtype=hs.dtype)
+        dc = np.empty_like(dh)
+        tmp = np.empty_like(dh)
+        dh_next = np.zeros_like(dh)
+        dc_next = np.zeros_like(dh)
+        wh_t = np.ascontiguousarray(self.wh.T)
         for t in range(t_len - 1, -1, -1):
-            z = gates[t]
-            i = z[:, :h]
-            f = z[:, h: 2 * h]
-            g = z[:, 2 * h: 3 * h]
-            o = z[:, 3 * h:]
+            i, f, g, o = gates[t].reshape(4, h, bsz)
+            di, df, dg, do = dz_all[t].reshape(4, h, bsz)
             tc = tcs[t]
-            dh = dh_seq[t] + dh_next
-            dc = dh * o
-            dc *= 1.0 - tc * tc
+            np.add(dh_seq[t], dh_next, out=dh)
+            np.multiply(dh, o, out=dc)
+            _mul_tanh_grad(dc, tc, tmp)
             dc += dc_next
-            dz = dz_all[t]
-            np.multiply(dc, g, out=dz[:, :h])
-            dz[:, :h] *= i
-            dz[:, :h] *= 1.0 - i
+            np.multiply(dc, g, out=di)
+            _mul_sigmoid_grad(di, i, tmp)
             if t > 0:
-                np.multiply(dc, cs[t - 1], out=dz[:, h: 2 * h])
-                dz[:, h: 2 * h] *= f
-                dz[:, h: 2 * h] *= 1.0 - f
+                np.multiply(dc, cs[t - 1], out=df)
+                _mul_sigmoid_grad(df, f, tmp)
             else:
-                dz[:, h: 2 * h] = 0.0
-            np.multiply(dc, i, out=dz[:, 2 * h: 3 * h])
-            dz[:, 2 * h: 3 * h] *= 1.0 - g * g
-            np.multiply(dh, tc, out=dz[:, 3 * h:])
-            dz[:, 3 * h:] *= o
-            dz[:, 3 * h:] *= 1.0 - o
-            dh_next = dz @ self.wh
-            dc_next = dc * f
-        flat = dz_all.reshape(t_len * bsz, 4 * h)
-        h_prev = np.concatenate(
-            [np.zeros((1, bsz, h), dtype=dt), hs[:-1]], axis=0).reshape(t_len * bsz, h)
+                df[...] = 0.0
+            np.multiply(dc, i, out=dg)
+            _mul_tanh_grad(dg, g, tmp)
+            np.multiply(dh, tc, out=do)
+            _mul_sigmoid_grad(do, o, tmp)
+            np.matmul(wh_t, dz_all[t], out=dh_next)
+            np.multiply(dc, f, out=dc_next)
+        # step 0 has h_prev = 0, so it adds nothing to the wh gradient
         grads = {
-            "wx": flat.T @ x.reshape(t_len * bsz, -1),
-            "wh": flat.T @ h_prev,
-            "b": flat.sum(axis=0),
+            "wx": np.matmul(dz_all, x.transpose(0, 2, 1)).sum(axis=0),
+            "wh": np.matmul(dz_all[1:], hs[:-1].transpose(0, 2, 1)).sum(axis=0),
+            "b": dz_all.sum(axis=(0, 2)),
         }
-        dx = (flat @ self.wx).reshape(x.shape)
-        return dx, grads
+        return np.matmul(self.wx.T, dz_all), grads
 
 
 class GruLayer:
@@ -237,105 +241,113 @@ class GruLayer:
         wh = _uniform_fan_in(rng, (3 * hidden, hidden), hidden)
         return cls(wx, wh, np.zeros(3 * hidden))
 
-    def step(self, zin_t: np.ndarray, h_prev: np.ndarray):
-        """One cell update from the input projection zin_t = Wx x + b.
+    def step(self, a, h_prev, rh, h_out, buf) -> None:
+        """One cell update on (features, batch) columns.
 
-        Returns (z, r, n, rh, h).
+        a is the (3h, B) input projection wx @ x + b; on return it holds the
+        activated gates z | r | n. r * h_prev goes into rh and the new hidden
+        state into h_out, both (h, B); buf is (2h, B) scratch.
         """
         h = self.hidden
-        a_zr = zin_t[:, : 2 * h] + h_prev @ self.wh[: 2 * h].T
-        _sigmoid_inplace(a_zr)
-        z = a_zr[:, :h]
-        r = a_zr[:, h:]
-        rh = r * h_prev
-        n = np.tanh(zin_t[:, 2 * h:] + rh @ self.wh[2 * h:].T)
-        return z, r, n, rh, (1.0 - z) * n + z * h_prev
+        z, r, n = a[:h], a[h: 2 * h], a[2 * h:]
+        a[: 2 * h] += np.matmul(self.wh[: 2 * h], h_prev, out=buf)
+        _sigmoid_inplace(a[: 2 * h])
+        np.multiply(r, h_prev, out=rh)
+        n += np.matmul(self.wh[2 * h:], rh, out=buf[:h])
+        np.tanh(n, out=n)
+        np.subtract(1.0, z, out=h_out)
+        h_out *= n
+        np.multiply(z, h_prev, out=buf[:h])
+        h_out += buf[:h]
 
     def forward_seq(self, x: np.ndarray):
-        """Run the full sequence; x is (T, B, in), returns (T, B, h) + cache."""
-        t_len, bsz, _ = x.shape
+        """Run the full sequence; x is (T, in, B), returns (T, h, B) + cache."""
+        t_len, _, bsz = x.shape
         h = self.hidden
-        zin = (x.reshape(t_len * bsz, -1) @ self.wx.T).reshape(t_len, bsz, 3 * h)
-        zin += self.b
-        dt = self.wx.dtype
-        gz = np.empty((t_len, bsz, h), dtype=dt)
-        gr = np.empty((t_len, bsz, h), dtype=dt)
-        gn = np.empty((t_len, bsz, h), dtype=dt)
-        rhs = np.empty((t_len, bsz, h), dtype=dt)
-        hs = np.empty((t_len, bsz, h), dtype=dt)
-        h_t = np.zeros((bsz, h), dtype=dt)
+        gates = np.matmul(self.wx, x)
+        gates += self.b[:, None]
+        rhs = np.empty((t_len, h, bsz), dtype=gates.dtype)
+        hs = np.empty_like(rhs)
+        zero = np.zeros((h, bsz), dtype=gates.dtype)
+        buf = np.empty((2 * h, bsz), dtype=gates.dtype)
         for t in range(t_len):
-            z, r, n, rh, h_t = self.step(zin[t], h_t)
-            gz[t] = z
-            gr[t] = r
-            gn[t] = n
-            rhs[t] = rh
-            hs[t] = h_t
-        return hs, (x, gz, gr, gn, rhs, hs)
+            self.step(gates[t], hs[t - 1] if t else zero, rhs[t], hs[t], buf)
+        return hs, (x, gates, rhs, hs)
 
     def backward_seq(self, dh_seq: np.ndarray, cache):
-        x, gz, gr, gn, rhs, hs = cache
-        t_len, bsz, h = hs.shape
-        dt = self.wx.dtype
-        da_all = np.empty((t_len, bsz, 3 * h), dtype=dt)
-        dh_next = np.zeros((bsz, h), dtype=dt)
-        wh_zr = self.wh[: 2 * h]
-        wh_n = self.wh[2 * h:]
-        zero = np.zeros((bsz, h), dtype=dt)
+        """Exact BPTT; dh_seq (T, h, B) holds the upstream gradients.
+
+        Returns dx (T, in, B) and the weight gradients."""
+        x, gates, rhs, hs = cache
+        t_len, h, bsz = hs.shape
+        da_all = np.empty((t_len, 3 * h, bsz), dtype=hs.dtype)
+        dh = np.empty((h, bsz), dtype=hs.dtype)
+        drh = np.empty_like(dh)
+        tmp = np.empty_like(dh)
+        omz = np.empty_like(dh)
+        dh_next = np.zeros_like(dh)
+        zero = np.zeros_like(dh)
+        wh_zr_t = np.ascontiguousarray(self.wh[: 2 * h].T)
+        wh_n_t = np.ascontiguousarray(self.wh[2 * h:].T)
         for t in range(t_len - 1, -1, -1):
-            z = gz[t]
-            r = gr[t]
-            n = gn[t]
+            z, r, n = gates[t].reshape(3, h, bsz)
+            daz, dar, dan = da_all[t].reshape(3, h, bsz)
             h_prev = hs[t - 1] if t > 0 else zero
-            dh = dh_seq[t] + dh_next
-            da = da_all[t]
-            dan = da[:, 2 * h:]
-            np.multiply(dh, 1.0 - z, out=dan)
-            dan *= 1.0 - n * n
-            drh = dan @ wh_n
-            np.multiply(dh, h_prev - n, out=da[:, :h])
-            da[:, :h] *= z
-            da[:, :h] *= 1.0 - z
-            np.multiply(drh, h_prev, out=da[:, h: 2 * h])
-            da[:, h: 2 * h] *= r
-            da[:, h: 2 * h] *= 1.0 - r
-            dh_next = da[:, : 2 * h] @ wh_zr
-            dh_next += drh * r
-            dh_next += dh * z
-        flat = da_all.reshape(t_len * bsz, 3 * h)
-        h_prev_all = np.concatenate(
-            [np.zeros((1, bsz, h), dtype=dt), hs[:-1]], axis=0).reshape(t_len * bsz, h)
+            np.add(dh_seq[t], dh_next, out=dh)
+            np.subtract(1.0, z, out=omz)
+            np.multiply(dh, omz, out=dan)
+            _mul_tanh_grad(dan, n, tmp)
+            np.matmul(wh_n_t, dan, out=drh)
+            np.subtract(h_prev, n, out=tmp)
+            np.multiply(dh, tmp, out=daz)
+            daz *= z
+            daz *= omz
+            np.multiply(drh, h_prev, out=dar)
+            _mul_sigmoid_grad(dar, r, tmp)
+            np.matmul(wh_zr_t, da_all[t, : 2 * h], out=dh_next)
+            np.multiply(drh, r, out=tmp)
+            dh_next += tmp
+            np.multiply(dh, z, out=tmp)
+            dh_next += tmp
+        # step 0 has h_prev = 0 and so r * h_prev = 0: it adds nothing to wh
         grads_wh = np.empty_like(self.wh)
-        grads_wh[: 2 * h] = flat[:, : 2 * h].T @ h_prev_all
-        grads_wh[2 * h:] = flat[:, 2 * h:].T @ rhs.reshape(t_len * bsz, h)
+        grads_wh[: 2 * h] = np.matmul(da_all[1:, : 2 * h],
+                                      hs[:-1].transpose(0, 2, 1)).sum(axis=0)
+        grads_wh[2 * h:] = np.matmul(da_all[1:, 2 * h:],
+                                     rhs[1:].transpose(0, 2, 1)).sum(axis=0)
         grads = {
-            "wx": flat.T @ x.reshape(t_len * bsz, -1),
+            "wx": np.matmul(da_all, x.transpose(0, 2, 1)).sum(axis=0),
             "wh": grads_wh,
-            "b": flat.sum(axis=0),
+            "b": da_all.sum(axis=(0, 2)),
         }
-        dx = (flat @ self.wx).reshape(x.shape)
-        return dx, grads
+        return np.matmul(self.wx.T, da_all), grads
+
+
+def _columns(layer, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Vectors or (B, features) rows as contiguous (features, B) columns in
+    the layer's dtype."""
+    return [np.ascontiguousarray(np.atleast_2d(np.asarray(a)).T, dtype=layer.wx.dtype)
+            for a in arrays]
 
 
 def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
                       layer: LstmLayer):
-    """Single LSTM step on one vector (or batch); returns (h, c)."""
-    dt = layer.wx.dtype
-    x = np.atleast_2d(np.asarray(x, dtype=dt))
-    h_prev = np.atleast_2d(np.asarray(h_prev, dtype=dt))
-    c_prev = np.atleast_2d(np.asarray(c_prev, dtype=dt))
-    z = x @ layer.wx.T + h_prev @ layer.wh.T + layer.b
-    _, c, _, h = layer.step(z, c_prev)
-    if h.shape[0] == 1 and np.asarray(x).ndim <= 2:
-        return h[0], c[0]
-    return h, c
+    """Single LSTM step on one vector or a (B, in) batch; returns (h, c) as
+    vectors for a single sample and as (B, h) arrays otherwise."""
+    x, h_prev, c_prev = _columns(layer, x, h_prev, c_prev)
+    z = layer.wx @ x + layer.b[:, None]
+    c, tc, h = (np.empty_like(c_prev) for _ in range(3))
+    layer.step(z, h_prev, c_prev, c, tc, h, np.empty_like(z))
+    if h.shape[1] == 1:
+        return h[:, 0], c[:, 0]
+    return h.T, c.T
 
 
 def gru_cell_forward(x: np.ndarray, h_prev: np.ndarray, layer: GruLayer):
-    """Single GRU step on one vector (or batch); returns h."""
-    dt = layer.wx.dtype
-    x = np.atleast_2d(np.asarray(x, dtype=dt))
-    h_prev = np.atleast_2d(np.asarray(h_prev, dtype=dt))
-    zin = x @ layer.wx.T + layer.b
-    _, _, _, _, h = layer.step(zin, h_prev)
-    return h[0] if h.shape[0] == 1 else h
+    """Single GRU step on one vector or a (B, in) batch; returns h as a
+    vector for a single sample and as a (B, h) array otherwise."""
+    x, h_prev = _columns(layer, x, h_prev)
+    a = layer.wx @ x + layer.b[:, None]
+    rh, h = np.empty_like(h_prev), np.empty_like(h_prev)
+    layer.step(a, h_prev, rh, h, np.empty((2 * layer.hidden, h.shape[1]), dtype=h.dtype))
+    return h[:, 0] if h.shape[1] == 1 else h.T

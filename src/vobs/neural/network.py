@@ -6,7 +6,9 @@ The forward contract: the cell stack runs over all window steps (layer k's
 full hidden sequence feeds layer k+1), the final step's hidden vector of the
 last layer is concatenated with the previous state (when the network has a
 state input) and pushed through the dense head. With sigmoid output, every
-prediction lives in (0, 1), matching the scaled target space.
+prediction lives in (0, 1), matching the scaled target space. Windows come
+in batch-major, (B, T, in); one copy turns them into the cell stack's
+feature-major (T, in, B), and the dense head works on (B, features) rows.
 
 A network computes in the dtype of its weights. Training and evaluation run a
 `COMPUTE_DTYPE` copy made with `RecurrentRegressor.astype`; the float64
@@ -140,10 +142,12 @@ class RecurrentRegressor:
                 f"non-finite activation in {self.kind} layer {layer_idx} at step {step}")
 
     def _time_major(self, windows: np.ndarray) -> np.ndarray:
-        seq = np.asarray(windows, dtype=self.dtype)
+        """(B, T, in) windows as one contiguous (T, in, B) sequence, cast to
+        the network's dtype in the same copy."""
+        seq = np.asarray(windows)
         if seq.ndim == 2:
             seq = seq[None]
-        return np.ascontiguousarray(seq.transpose(1, 0, 2))
+        return np.ascontiguousarray(seq.transpose(1, 2, 0), dtype=self.dtype)
 
     def features(self, windows: np.ndarray, check_finite: bool = True) -> np.ndarray:
         """Final-step hidden vector of the last cell layer, (B, h_last)."""
@@ -152,7 +156,7 @@ class RecurrentRegressor:
             seq, _ = cell.forward_seq(seq)
             if check_finite:
                 self._check_finite(seq, k)
-        return seq[-1]
+        return np.ascontiguousarray(seq[-1].T)
 
     def head_forward(self, feats: np.ndarray, prev_state: np.ndarray | None) -> np.ndarray:
         u = np.asarray(feats, dtype=self.dtype)
@@ -189,7 +193,7 @@ class RecurrentRegressor:
         for cell in self.cells:
             seq, cache = cell.forward_seq(seq)
             cell_caches.append(cache)
-        feats = seq[-1]
+        feats = seq[-1].T
 
         if self.state_dim:
             prev = np.atleast_2d(np.asarray(prev_state, dtype=self.dtype))
@@ -220,7 +224,7 @@ class RecurrentRegressor:
             hs = cache[-1]
             if dh_seq is None:
                 dh_seq = np.zeros_like(hs)
-                dh_seq[-1] = dfeat
+                dh_seq[-1] = dfeat.T
             dx, g = self.cells[k].backward_seq(dh_seq, cache)
             cell_grads.append(g)
             dh_seq = dx

@@ -170,15 +170,30 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
     return net, log
 
 
-def _raw_window_matrix(frames) -> tuple[np.ndarray, np.ndarray]:
-    """(t, raw 5-channel matrix) from a Trajectory, frame list, or array."""
+def sensor_stream(frames) -> tuple[np.ndarray, np.ndarray]:
+    """(t, raw 5-channel matrix) of a Trajectory or an (N, 6) array of sensor
+    rows."""
     if isinstance(frames, Trajectory):
         return frames.sensors[:, 0], frames.sensor_channels()
-    arr = np.asarray(frames, dtype=np.float64) if not isinstance(frames, list) \
-        else np.array([f.as_array() for f in frames])
+    arr = np.asarray(frames, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 6:
         raise ConfigError(f"expected (N, 6) sensor rows, got {arr.shape}")
     return arr[:, 0], arr[:, 1:6]
+
+
+def window_features(raw: np.ndarray, scaler: ScalerParams, net: RecurrentRegressor,
+                    window_len: int, feature_batch: int):
+    """(first window index, features) batches over every sliding window of the
+    raw sensor matrix, scaled; each batch is one `net.features` call on at
+    most `feature_batch` windows, computed as the batches are consumed."""
+    n = raw.shape[0]
+    if n < window_len:
+        raise ConfigError(f"need at least {window_len} frames, got {n}")
+    scaled = scaler.scale_sensors(raw)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        scaled, (window_len, scaled.shape[1]))[:, 0]
+    return ((lo, net.features(windows[lo: lo + feature_batch]))
+            for lo in range(0, windows.shape[0], feature_batch))
 
 
 def estimate_step(window, prev_estimate, net: RecurrentRegressor,
@@ -212,22 +227,14 @@ def run_closed_loop(frames, initial_state, net: RecurrentRegressor,
     the sensors, so its features are precomputed in batches; the recurrent
     feedback runs through the dense head sequentially.
     """
-    t, raw = _raw_window_matrix(frames)
-    n = raw.shape[0]
+    t, raw = sensor_stream(frames)
     w = cfg.window_len
-    if n < w:
-        raise ConfigError(f"need at least {w} frames, got {n}")
     initial = np.asarray(initial_state, dtype=np.float64).reshape(3)
 
-    scaled = cfg.scaler.scale_sensors(raw)
-    windows = np.lib.stride_tricks.sliding_window_view(scaled, (w, scaled.shape[1]))[:, 0]
-
-    estimates = np.empty((n, 3))
+    estimates = np.empty((raw.shape[0], 3))
     estimates[: w - 1] = initial
     prev_scaled = cfg.scaler.scale_state(initial)[None]
-    n_win = windows.shape[0]
-    for lo in range(0, n_win, feature_batch):
-        feats = net.features(windows[lo: lo + feature_batch])
+    for lo, feats in window_features(raw, cfg.scaler, net, w, feature_batch):
         for j in range(feats.shape[0]):
             out = net.head_forward(feats[j: j + 1], prev_scaled)
             estimates[w - 1 + lo + j] = cfg.scaler.unscale_state(out[0])

@@ -508,20 +508,15 @@ def _write_distributions(test_trajs, seg_of, eval_dir) -> None:
     groups = {"all": test_trajs,
               "normal": [t for t in test_trajs if seg_of[t.label] == "normal"],
               "near_limits": [t for t in test_trajs if seg_of[t.label] == "near_limits"]}
+    dists = {name: ev.accel_distribution(group) for name, group in groups.items() if group}
     with open(os.path.join(eval_dir, "accel_distribution.csv"), "w") as fh:
         fh.write("set,min,q25,median,q75,max\n")
-        for name, group in groups.items():
-            if not group:
-                continue
-            q = ev.accel_distribution(group)
+        for name, q in dists.items():
             fh.write(f"{name},{q['min']!r},{q['q25']!r},{q['median']!r},"
                      f"{q['q75']!r},{q['max']!r}\n")
     with open(os.path.join(eval_dir, "accel_histogram.csv"), "w") as fh:
         fh.write("set,bin_lo,bin_hi,count\n")
-        for name, group in groups.items():
-            if not group:
-                continue
-            q = ev.accel_distribution(group)
+        for name, q in dists.items():
             for lo, hi, c in zip(q["edges"][:-1], q["edges"][1:], q["counts"]):
                 fh.write(f"{name},{float(lo)!r},{float(hi)!r},{int(c)}\n")
     counts, ax_edges, ay_edges = ev.friction_circle_hist(test_trajs)

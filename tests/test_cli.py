@@ -14,6 +14,7 @@ import yaml
 import vobs
 from vobs import pipeline
 from vobs.cli import main
+from vobs.config import build_config, load_config
 from vobs.neural import load_weights, save_weights
 
 BASE_CONFIG = {
@@ -58,6 +59,13 @@ def run_copy(pipeline_run, tmp_path):
     src_tmp, _ = pipeline_run
     shutil.copytree(src_tmp / "run", tmp_path / "run")
     return tmp_path, _write_config(tmp_path)
+
+
+def _subprocess_env(**overrides):
+    """This environment with the tested vobs package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(vobs.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **overrides)
 
 
 class _PoolRequested(Exception):
@@ -133,6 +141,27 @@ class TestTrainCommand:
     def test_ekf_is_not_trainable(self, pipeline_run):
         _, cfg = pipeline_run
         assert main(["train", "--config", cfg, "--observer", "ekf"]) == 1
+
+    def test_output_independent_of_blas_threads(self, pipeline_run, tmp_path):
+        # batches of 100 windows fill no BLAS kernel block evenly, where a
+        # split across threads could change the last bits of a product
+        src_tmp, _ = pipeline_run
+        models = {}
+        for threads in ("1", "2"):
+            run = tmp_path / f"run{threads}"
+            shutil.copytree(src_tmp / "run", run)
+            shutil.rmtree(run / "models")
+            doc = json.loads(json.dumps(BASE_CONFIG))
+            doc["out_dir"] = str(run)
+            doc["train"]["batch_size"] = 100
+            cfg = tmp_path / f"cfg{threads}.yaml"
+            cfg.write_text(yaml.safe_dump(doc))
+            subprocess.run([sys.executable, "-m", "vobs.cli", "train", "--config", str(cfg)],
+                           env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                           check=True, capture_output=True, timeout=300)
+            models[threads] = {p.name: p.read_bytes() for p in (run / "models").iterdir()}
+        assert sorted(models["1"]) == ["lstm.trainlog.csv", "lstm.weights"]
+        assert models["1"] == models["2"]
 
 
 class TestEvaluateCommand:
@@ -217,10 +246,7 @@ class TestEvaluateCommand:
             "import sys\n"
             "from vobs.cli import main\n"
             f"sys.exit(main(['evaluate', '--config', {cfg!r}, '--workers', '2']))\n")
-        src = os.path.dirname(os.path.dirname(vobs.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.Popen([sys.executable, str(script)], env=env,
+        proc = subprocess.Popen([sys.executable, str(script)], env=_subprocess_env(),
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                 text=True, start_new_session=True)
         try:
@@ -281,6 +307,49 @@ class TestExitCodes:
         base = (tmp_path / "run" / "manifest.json").read_text()
         assert main(["simulate", "--config", cfg, "--seed", "99"]) == 0
         assert (tmp_path / "run" / "manifest.json").read_text() != base
+
+
+class TestUnknownConfigKeys:
+    """A key no section knows is a config error (exit 1) naming section and key."""
+
+    @pytest.mark.parametrize("section, key, edit", [
+        ("the top level", "master_sed", lambda d: d.update(master_sed=1)),
+        ("corpus entry 1", "repeats", lambda d: d["corpus"][1].update(repeats=2)),
+        ("sensor_noise", "std_axx", lambda d: d.update(sensor_noise={"std_axx": 0.1})),
+        ("split", "tset", lambda d: d.update(split={"tset": 0.2})),
+        ("dataset", "window", lambda d: d["dataset"].update(window=20)),
+        ("state_noise", "std_v", lambda d: d.update(state_noise={"std_v": 0.1})),
+        ("train", "epoch", lambda d: d["train"].update(epoch=1)),
+        ("observer 'ekf'", "Q", lambda d: d["observers"]["ekf"].update(Q=[1, 1, 1])),
+        ("evaluation", "normal_g", lambda d: d.update(evaluation={"normal_g": 0.4})),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, section, key, edit):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        edit(doc)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert f"unknown key '{key}' in {section}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_unconvertible_value_rejected(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["train"]["epochs"] = "many"
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "train.epochs must be int, got 'many'" in capsys.readouterr().err
+
+    def test_every_documented_key_accepted(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = load_config(os.path.join(root, "configs", "reference.yaml"))
+        assert cfg.segments.near_limits_max_g == 0.8
+        ekf = {"type": "ekf", "q": [0.1, 0.1, 0.1], "r": [1e-3, 1e-5, 1e-2],
+               "p0": [1, 1, 1], "cornering_stiffness_front": 6e4,
+               "cornering_stiffness_rear": 7e4}
+        doc = dict(BASE_CONFIG, observers={"ekf": ekf})
+        assert build_config(doc).observers["ekf"].ekf_overrides == {
+            k: v for k, v in ekf.items() if k != "type"}
 
 
 class TestCorruptStageMetadata:

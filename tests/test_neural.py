@@ -143,6 +143,33 @@ class TestGruCell:
         assert worst < 1e-12
 
 
+class TestSequenceMatchesCell:
+    """forward_seq over T steps is T calls of the single-step cell function."""
+
+    T, B = 6, 4
+
+    def test_lstm(self):
+        rng = np.random.default_rng(31)
+        layer = _random_lstm(in_dim=3, hidden=5, seed=31)
+        x = rng.normal(0, 1, (self.T, self.B, 3))
+        hs, _ = layer.forward_seq(np.ascontiguousarray(x.transpose(0, 2, 1)))
+        h = np.zeros((self.B, 5))
+        c = np.zeros((self.B, 5))
+        for t in range(self.T):
+            h, c = lstm_cell_forward(x[t], h, c, layer)
+            np.testing.assert_allclose(hs[t].T, h, rtol=0, atol=1e-12)
+
+    def test_gru(self):
+        rng = np.random.default_rng(32)
+        layer = _random_gru(in_dim=3, hidden=5, seed=32)
+        x = rng.normal(0, 1, (self.T, self.B, 3))
+        hs, _ = layer.forward_seq(np.ascontiguousarray(x.transpose(0, 2, 1)))
+        h = np.zeros((self.B, 5))
+        for t in range(self.T):
+            h = gru_cell_forward(x[t], h, layer)
+            np.testing.assert_allclose(hs[t].T, h, rtol=0, atol=1e-12)
+
+
 class TestForwardFull:
     def test_zero_weights_give_half(self):
         net = lstm_observer_net(seed=0, in_dim=5, hidden=(3,), dense=(4,),
@@ -186,6 +213,13 @@ class TestForwardFull:
         w[0, 4, 2] = np.nan
         with pytest.raises(NumericalError, match="layer 0 at step 4"):
             net.forward(w, np.zeros((1, 3)))
+
+    def test_nonfinite_input_identified_gru(self):
+        net = gru_observer_net(seed=0, in_dim=5, hidden=(3,), dense=(4,), out_dim=3)
+        w = np.zeros((1, 7, 5))
+        w[0, 4, 2] = np.nan
+        with pytest.raises(NumericalError, match="gru layer 0 at step 4"):
+            net.forward(w)
 
     def test_gru_net_has_no_state_input(self):
         net = gru_observer_net(seed=1, in_dim=5, hidden=(3,), dense=(4,), out_dim=3)
@@ -484,5 +518,17 @@ class TestDeterminism:
             p = rng.uniform(0, 1, (2, 3))
             y = rng.uniform(0, 1, (2, 3))
             err, _ = gradient_check(net, w, p, y)
+            worst = max(worst, err)
+        assert worst < 1e-4
+
+    def test_gru_gradient_fidelity_many_seeds(self):
+        worst = 0.0
+        for seed in range(5):
+            rng = np.random.default_rng(100 + seed)
+            net = gru_observer_net(seed=seed, in_dim=5, hidden=(3, 4), dense=(4,),
+                                   out_dim=3)
+            w = rng.uniform(0, 1, (2, 5, 5))
+            y = rng.uniform(0, 1, (2, 3))
+            err, _ = gradient_check(net, w, None, y)
             worst = max(worst, err)
         assert worst < 1e-4
