@@ -4,13 +4,11 @@ Subcommands mirror the pipeline stages: simulate, dataset, train, evaluate,
 report, gradcheck. Every flag overrides the corresponding config key; the
 VOBS_OUT environment variable sets the default output root.
 
-`--workers` (config key `workers`, default 1) parallelises two stages:
-`simulate` runs maneuvers in forked processes, and `evaluate` runs each
-(observer, test trajectory) pair in spawned processes with one BLAS thread
-each. Outputs are byte-identical for any value. `train` ignores it: its
-float32 gradient products reduce over a whole batch, and their last bits
-depend on the BLAS thread count, so training in single-thread workers would
-not reproduce the serial weight files.
+`--workers` (config key `workers`, default 1) parallelises two stages in
+forked processes with one BLAS thread each: `simulate` runs one maneuver per
+task, and `evaluate` one (observer, test trajectory) pair. Outputs are
+byte-identical for any value. `train` ignores it and trains the observers
+one after another in this process.
 
 Exit codes: 0 success, 1 validation/config error, 2 numerical failure,
 3 I/O or data-format error.
@@ -46,9 +44,9 @@ def _add_common(sub, config_required=True):
                      help=f"output directory (default root from ${'{'}VOBS_OUT{'}'} "
                           f"or '{default_out_root()}')")
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes for simulate (forked) and evaluate "
-                          "(spawned, one BLAS thread each); train ignores it. "
-                          "Outputs are byte-identical for any value")
+                     help="forked worker processes, one BLAS thread each, for "
+                          "simulate and evaluate; train ignores it. Outputs are "
+                          "byte-identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:

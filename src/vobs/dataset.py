@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,8 +114,6 @@ class WindowedDataset:
     prev_state: np.ndarray
     target: np.ndarray
     window_len: int = 50
-    stride: int = 1
-    labels: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return self.windows.shape[0]
@@ -136,8 +134,7 @@ class WindowedDataset:
         return cls(np.concatenate([p.windows for p in parts]),
                    np.concatenate([p.prev_state for p in parts]),
                    np.concatenate([p.target for p in parts]),
-                   window_len=w,
-                   labels=[lb for p in parts for lb in p.labels])
+                   window_len=w)
 
 
 def fit_scaler(trajectories: list[Trajectory]) -> ScalerParams:
@@ -186,8 +183,7 @@ def make_windows(traj: Trajectory, scaler: ScalerParams, w: int = 50,
     windows = win_view[targets_idx - (w - 1), 0].copy()
     prev = states[targets_idx - 1].copy()
     target = states[targets_idx].copy()
-    return WindowedDataset(windows, prev, target, window_len=w, stride=stride,
-                           labels=[traj.label] * len(targets_idx))
+    return WindowedDataset(windows, prev, target, window_len=w)
 
 
 def split_dataset(trajectories: list[Trajectory],

@@ -36,14 +36,6 @@ CSV_HEADER = (
 
 
 @dataclass(frozen=True)
-class Constants:
-    """Fixed physical constants of the sampling setup."""
-
-    g_mps2: float = G_MPS2
-    dt_s: float = DT_S
-
-
-@dataclass(frozen=True)
 class TireParams:
     """Magic-formula lateral coefficients; D multiplies the static vertical load."""
 

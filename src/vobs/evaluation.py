@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import G_AY, G_MPS2, G_VX, G_VY, G_YAWRATE, Trajectory
+from .domain import G_AY, G_MPS2, Trajectory
 from .errors import ConfigError, DataFormatError
 from .observer_lstm import EstimateTrace
 
@@ -138,14 +138,6 @@ def aggregate_mae(per_trace: list[tuple[np.ndarray, int]]) -> np.ndarray:
     if n == 0:
         raise ConfigError("no samples to aggregate")
     return total / n
-
-
-def scaled_mae_sum(err: np.ndarray, state_min: np.ndarray,
-                   state_max: np.ndarray) -> float:
-    """Channel-commensurate aggregate: per-channel MAE divided by the
-    training range, summed. Yaw rate is converted back from mrad/s first."""
-    phys = err * np.array([1.0, 1.0, 1e-3])
-    return float(np.sum(phys / (state_max - state_min)))
 
 
 @dataclass

@@ -8,12 +8,14 @@ rerun with the same config produces byte-identical outputs.
 
 from __future__ import annotations
 
+import ctypes
+import dataclasses
+import glob
 import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from .observer_lstm import (
     write_training_log,
 )
 from .seeding import derive_seed
-from .simulator import SensorNoiseSpec, builtin_scripts, run_maneuver
+from .simulator import builtin_scripts, run_maneuver
 
 MANIFEST_NAME = "manifest.json"
 SIDECAR_NAME = "dataset/dataset.json"
@@ -60,10 +62,72 @@ def _jittered_intensity(base: float, index: int, count: int) -> float:
     return min(max(base + offset, 0.05), 1.0)
 
 
-def _simulate_job(args):
-    """Worker entry: build and run one maneuver from plain values."""
-    (kind, intensity, duration_s, label, script_seed, noise_fields) = args
-    noise = SensorNoiseSpec(**noise_fields)
+# the (fn, shared) of the pool `_map_tasks` is running; its forked workers
+# inherit it, so only the tasks and results cross a pipe
+_pool_job: tuple = ()
+
+
+def _set_blas_threads(n: int) -> int | None:
+    """Set numpy's bundled OpenBLAS to `n` threads; return the previous
+    count, or None, changing nothing, without the library or its symbols.
+    Outputs do not depend on the BLAS thread count, only the speed does."""
+    libs = os.path.dirname(os.path.abspath(np.__file__)) + ".libs"
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        previous = get()
+        put(n)
+        return previous
+    return None
+
+
+def _pool_task(task):
+    fn, shared = _pool_job
+    return fn(*shared, task)
+
+
+def _map_tasks(fn, tasks: list, workers: int, shared: tuple = ()) -> list:
+    """`[fn(*shared, t) for t in tasks]`, in task order.
+
+    With more than one worker (capped at the task count) the tasks run in a
+    pool of forked processes. `fn` and `shared` reach the workers by
+    inheritance; a worker that dies is a `VobsError`.
+
+    This process holds numpy's OpenBLAS at one thread while the pool forks,
+    so each worker inherits one thread and never starts another; the count
+    is restored afterwards. Setting it inside a forked worker instead would
+    restart OpenBLAS's thread pool there, whose idle thread spins for about
+    0.1 s of CPU time."""
+    global _pool_job
+    n_workers = min(workers, len(tasks))
+    if n_workers <= 1:
+        return [fn(*shared, task) for task in tasks]
+    _pool_job = (fn, shared)
+    blas_threads = _set_blas_threads(1)
+    try:
+        pool = ProcessPoolExecutor(max_workers=n_workers,
+                                   mp_context=multiprocessing.get_context("fork"))
+        try:
+            return list(pool.map(_pool_task, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    except BrokenProcessPool as exc:
+        raise VobsError("a worker process died before finishing its tasks") from exc
+    finally:
+        _pool_job = ()
+        if blas_threads is not None:
+            _set_blas_threads(blas_threads)
+
+
+def _simulate_job(job):
+    """Build and run one maneuver."""
+    kind, intensity, duration_s, label, script_seed, noise = job
     script = builtin_scripts(kind, intensity, duration_s=duration_s,
                              seed=script_seed)
     traj = run_maneuver(script, VehicleParams(), noise)
@@ -77,22 +141,10 @@ def _corpus_jobs(cfg: RunConfig):
         for i in range(entry.count):
             label = f"{entry.label}#{i}"
             intensity = _jittered_intensity(entry.intensity, i, entry.count)
-            noise_fields = {
-                "std_ax": cfg.sensor_noise.std_ax,
-                "std_ay": cfg.sensor_noise.std_ay,
-                "std_yaw_rate": cfg.sensor_noise.std_yaw_rate,
-                "std_wheel_speed": cfg.sensor_noise.std_wheel_speed,
-                "std_steering": cfg.sensor_noise.std_steering,
-                "bias_ax": cfg.sensor_noise.bias_ax,
-                "bias_ay": cfg.sensor_noise.bias_ay,
-                "bias_yaw_rate": cfg.sensor_noise.bias_yaw_rate,
-                "bias_wheel_speed": cfg.sensor_noise.bias_wheel_speed,
-                "bias_steering": cfg.sensor_noise.bias_steering,
-                "seed": derive_seed(cfg.master_seed, "sensors", label),
-            }
+            noise = dataclasses.replace(
+                cfg.sensor_noise, seed=derive_seed(cfg.master_seed, "sensors", label))
             jobs.append((entry.kind, intensity, entry.duration_s, label,
-                         derive_seed(cfg.master_seed, "script", label),
-                         noise_fields))
+                         derive_seed(cfg.master_seed, "script", label), noise))
     return jobs
 
 
@@ -104,12 +156,7 @@ def simulate_corpus(cfg: RunConfig) -> dict:
     for kind, intensity, duration_s, label, seed, _ in jobs:
         builtin_scripts(kind, intensity, duration_s=duration_s, seed=seed)
 
-    n_workers = min(cfg.workers, len(jobs))
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            trajectories = list(pool.map(_simulate_job, jobs))
-    else:
-        trajectories = [_simulate_job(job) for job in jobs]
+    trajectories = _map_tasks(_simulate_job, jobs, cfg.workers)
 
     traj_dir = os.path.join(cfg.out_dir, "trajectories")
     os.makedirs(traj_dir, exist_ok=True)
@@ -118,7 +165,7 @@ def simulate_corpus(cfg: RunConfig) -> dict:
     has_low = False
     has_high = False
     for job, traj in zip(jobs, trajectories):
-        kind, intensity, _, label, _, noise_fields = job
+        kind, intensity, _, label, _, noise = job
         fname = label.replace("#", "-") + ".csv"
         write_trajectory_csv(traj, os.path.join(traj_dir, fname))
         peak_g = float(np.max(np.abs(traj.truth[:, G_AY]))) / G_MPS2
@@ -132,7 +179,7 @@ def simulate_corpus(cfg: RunConfig) -> dict:
             "intensity": intensity,
             "n_frames": len(traj),
             "peak_ay_g": peak_g,
-            "sensor_seed": noise_fields["seed"],
+            "sensor_seed": noise.seed,
         })
     manifest = {
         "master_seed": cfg.master_seed,
@@ -208,7 +255,12 @@ def _load_sidecar(cfg: RunConfig) -> dict:
     path = os.path.join(cfg.out_dir, SIDECAR_NAME)
     if not os.path.exists(path):
         raise DataFormatError(f"no dataset sidecar at {path}; run 'dataset' first")
-    return ds.read_sidecar(path)
+    sidecar = ds.read_sidecar(path)
+    if sidecar.get("window_len") != cfg.window_len:
+        raise DataFormatError(
+            f"{path}: dataset built with window_len {sidecar.get('window_len')!r}, "
+            f"but the config sets window_len {cfg.window_len}; rerun 'dataset'")
+    return sidecar
 
 
 def weights_path(cfg: RunConfig, name: str) -> str:
@@ -271,21 +323,6 @@ def _ekf_config(spec, params: VehicleParams) -> EkfConfig:
     return EkfConfig.for_vehicle(params, **kwargs)
 
 
-def _eval_inputs(cfg: RunConfig, test_entries: list[dict]):
-    """(test trajectories, nets cast to `COMPUTE_DTYPE`) read from the run
-    directory; evaluate's parent process and each of its workers call it."""
-    trajs = _load_trajectories(cfg, test_entries)
-    nets = {}
-    for name, spec in cfg.observers.items():
-        if spec.trainable:
-            path = weights_path(cfg, name)
-            if not os.path.exists(path):
-                raise DataFormatError(
-                    f"observer '{name}': missing weight file {path}; run 'train' first")
-            nets[name] = load_weights(path).astype(COMPUTE_DTYPE)
-    return trajs, nets
-
-
 def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
                 scaler: ds.ScalerParams, params: VehicleParams, task):
     """Estimate trace of one (observer name, test trajectory index) pair."""
@@ -303,76 +340,6 @@ def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
     return run_ekf(traj, EkfState(initial, ekf_cfg.p0_matrix()), params, ekf_cfg)
 
 
-# in an evaluate worker: the pool initializer's (cfg, test entries, scaler,
-# params), and the (trajectories, nets) its first task reads from the run
-# directory; reading in a task, not the initializer, sends a read error back
-# to the parent as that task's exception instead of breaking the pool
-_worker_shared: tuple = ()
-_worker_inputs: tuple = ()
-
-
-def _init_trace_worker(*shared) -> None:
-    global _worker_shared
-    _worker_shared = shared
-
-
-def _worker_trace(task):
-    global _worker_inputs
-    cfg, test_entries, scaler, params = _worker_shared
-    if not _worker_inputs:
-        _worker_inputs = _eval_inputs(cfg, test_entries)
-    return _trace_task(cfg, *_worker_inputs, scaler, params, task)
-
-
-@contextmanager
-def _single_blas_thread():
-    """Set OPENBLAS_NUM_THREADS=1 for processes started inside the block.
-
-    OpenBLAS reads it once, when numpy loads, so it must be in a spawned
-    worker's environment from the start; the parent's value is restored."""
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = saved
-
-
-def _compute_traces(cfg: RunConfig, test_entries: list[dict], inputs: tuple,
-                    scaler: ds.ScalerParams, params: VehicleParams,
-                    tasks: list) -> list:
-    """`_trace_task` for every task, in task order; `inputs` is this
-    process's `_eval_inputs(cfg, test_entries)`.
-
-    With more than one worker the tasks run in a pool of spawned processes,
-    each with one BLAS thread. The pool initializer hands each worker only
-    the small (cfg, test entries, scaler, params); the worker reads the
-    trajectories and weight files itself. Forked workers would inherit the
-    parent's multi-threaded OpenBLAS and oversubscribe the cores."""
-    n_workers = min(cfg.workers, len(tasks))
-    if n_workers <= 1:
-        return [_trace_task(cfg, *inputs, scaler, params, task) for task in tasks]
-    pool = ProcessPoolExecutor(max_workers=n_workers,
-                               mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_init_trace_worker,
-                               initargs=(cfg, test_entries, scaler, params))
-    try:
-        # the pool starts its workers while map submits the tasks
-        with _single_blas_thread():
-            results = pool.map(_worker_trace, tasks)
-        return list(results)
-    except BrokenProcessPool as exc:
-        raise VobsError(
-            "an evaluate worker process died; a script that runs evaluate with "
-            "more than one worker must call it under "
-            "'if __name__ == \"__main__\":'") from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     """Run every configured observer over the test split and write the
     report bundle (CSV + text tables + rankings + plot data).
@@ -382,20 +349,10 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     and the EKF stays float64 throughout.
 
     Each (observer, test trajectory) pair is an independent task. With
-    `cfg.workers > 1` the tasks run in spawned worker processes, each with a
-    single BLAS thread; scoring and every file write stay in this process,
-    and the outputs are byte-identical for any number of workers. This
-    process reads (and so checks) the test trajectories and weight files
-    first; each worker then receives only the config, the test split's
-    manifest entries, the scaler and the vehicle parameters, a few KB, and
-    reads its trajectories and weight files from the run directory itself.
-
-    A spawned worker imports the main module of the calling program, so a
-    script that runs this with more than one worker must do so under
-    `if __name__ == "__main__":`. Without the guard each worker dies while
-    starting up, and evaluate exits 1 with a `VobsError` naming the
-    requirement instead of hanging: the start-up data fits in a pipe buffer,
-    so handing it to a dead worker cannot block."""
+    `cfg.workers > 1` the tasks run in forked worker processes, each with a
+    single BLAS thread, which inherit the trajectories and nets this process
+    read; scoring and every file write stay in this process, and the outputs
+    are byte-identical for any number of workers."""
     manifest = _load_manifest(cfg)
     sidecar = _load_sidecar(cfg)
     scaler: ds.ScalerParams = sidecar["scaler"]
@@ -404,7 +361,15 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
                     if assignment.get(e["label"]) == "test"]
     if not test_entries:
         raise ConfigError("test split is empty")
-    test_trajs, nets = _eval_inputs(cfg, test_entries)
+    test_trajs = _load_trajectories(cfg, test_entries)
+    nets = {}
+    for name, spec in cfg.observers.items():
+        if spec.trainable:
+            path = weights_path(cfg, name)
+            if not os.path.exists(path):
+                raise DataFormatError(
+                    f"observer '{name}': missing weight file {path}; run 'train' first")
+            nets[name] = load_weights(path).astype(COMPUTE_DTYPE)
     params = VehicleParams()
 
     any_windowed = any(s.type in ("lstm", "gru") for s in cfg.observers.values())
@@ -421,8 +386,8 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     counts = {seg: n for seg, n in counts.items() if n > 0}
 
     tasks = [(name, i) for name in cfg.observers for i in range(len(test_trajs))]
-    computed = iter(_compute_traces(cfg, test_entries, (test_trajs, nets),
-                                    scaler, params, tasks))
+    computed = iter(_map_tasks(_trace_task, tasks, cfg.workers,
+                               shared=(cfg, test_trajs, nets, scaler, params)))
     traces: dict[str, dict[str, object]] = {name: {} for name in cfg.observers}
     table: dict[str, dict[str, np.ndarray]] = {}
     for name in cfg.observers:

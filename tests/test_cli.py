@@ -1,7 +1,8 @@
+import ctypes
+import glob
 import json
 import multiprocessing
 import os
-import pickle
 import shutil
 import signal
 import subprocess
@@ -69,15 +70,30 @@ def _subprocess_env(**overrides):
 
 
 class _PoolRequested(Exception):
-    """Raised by `_refuse_pool` with the requested worker count; `options`
-    holds the pool's other arguments."""
+    """Raised by `_refuse_pool` with the requested worker count."""
 
 
 def _refuse_pool(max_workers, **kwargs):
     """Stands in for ProcessPoolExecutor: records the request, starts nothing."""
-    requested = _PoolRequested(max_workers)
-    requested.options = kwargs
-    raise requested
+    raise _PoolRequested(max_workers)
+
+
+def _openblas_get_num_threads():
+    """numpy's bundled OpenBLAS thread-count getter, or None without one."""
+    libs = os.path.dirname(os.path.abspath(np.__file__)) + ".libs"
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        try:
+            get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes = []
+        get.restype = ctypes.c_int
+        return get
+    return None
+
+
+def _blas_threads(_task):
+    return _openblas_get_num_threads()()
 
 
 class TestSimulate:
@@ -230,17 +246,14 @@ class TestEvaluateCommand:
         n_observers = len(BASE_CONFIG["observers"])
         assert requested.value.args == (n_observers * sidecar["counts"]["test_trajectories"],)
 
-    def test_worker_startup_data_is_small(self, run_copy, monkeypatch):
-        # workers read trajectories and weights from the run directory; the
-        # initializer's arguments stay far below a pipe buffer's worth
-        _, cfg = run_copy
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _refuse_pool)
-        with pytest.raises(_PoolRequested) as requested:
-            main(["evaluate", "--config", cfg, "--workers", "2"])
-        assert len(pickle.dumps(requested.value.options["initargs"])) < 64 * 1024
-
-    def test_unguarded_script_exits_instead_of_hanging(self, run_copy):
+    def test_unguarded_script_runs_parallel_evaluate(self, run_copy):
+        # forked workers do not import the calling script, so it needs no
+        # 'if __name__ == "__main__":' guard
         tmp_path, cfg = run_copy
+        report = tmp_path / "run" / "eval" / "report.csv"
+        assert main(["evaluate", "--config", cfg, "--workers", "1"]) == 0
+        serial = report.read_bytes()
+        shutil.rmtree(tmp_path / "run" / "eval")
         script = tmp_path / "unguarded.py"
         script.write_text(
             "import sys\n"
@@ -254,9 +267,9 @@ class TestEvaluateCommand:
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-            pytest.fail("evaluate hung after its workers died at start-up")
-        assert proc.returncode == 1, err
-        assert 'if __name__ == "__main__":' in err
+            pytest.fail("an unguarded script's parallel evaluate hung")
+        assert proc.returncode == 0, err
+        assert report.read_bytes() == serial
 
     def test_report_command_rerenders(self, pipeline_run):
         tmp_path, cfg = pipeline_run
@@ -265,6 +278,36 @@ class TestEvaluateCommand:
         (tmp_path / "run" / "eval" / "report.txt").unlink()
         assert main(["report", "--out", str(tmp_path / "run")]) == 0
         assert (tmp_path / "run" / "eval" / "report.txt").read_text() == text_before
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("stage, victim", [("simulate", "run_maneuver"),
+                                               ("evaluate", "run_ekf")])
+    def test_dead_worker_exits_1(self, run_copy, monkeypatch, capsys, stage, victim):
+        # forked workers inherit the patch, so each one dies at its first such task
+        _, cfg = run_copy
+        monkeypatch.setattr(pipeline, victim, lambda *args, **kwargs: os._exit(1))
+        assert main([stage, "--config", cfg, "--workers", "2"]) == 1
+        assert "worker process died" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_one_blas_thread(self):
+        get_threads = _openblas_get_num_threads()
+        if get_threads is None:
+            pytest.skip("numpy has no bundled OpenBLAS exposing its thread count")
+        before = get_threads()
+        assert pipeline._map_tasks(_blas_threads, [0, 1], 2) == [1, 1]
+        assert get_threads() == before
+        assert multiprocessing.active_children() == []
+
+    def test_pool_that_fails_to_start_restores_state(self, monkeypatch):
+        get_threads = _openblas_get_num_threads()
+        before = get_threads() if get_threads else None
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _refuse_pool)
+        with pytest.raises(_PoolRequested):
+            pipeline._map_tasks(_blas_threads, [0, 1], 2, shared=("big input",))
+        assert pipeline._pool_job == ()
+        assert (get_threads() if get_threads else None) == before
 
 
 class TestGradcheckCommand:
@@ -391,6 +434,16 @@ class TestCorruptStageMetadata:
         path.write_text(json.dumps(doc))
         assert main([stage, "--config", cfg]) == 3
         assert os.path.basename(name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    def test_window_len_differs_from_sidecar(self, run_copy, capsys, stage):
+        tmp_path, _ = run_copy
+        dataset = dict(BASE_CONFIG["dataset"], window_len=20)
+        cfg = _write_config(tmp_path, overrides={"dataset": dataset}, name="w20.yaml")
+        assert main([stage, "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "dataset.json" in err
+        assert "window_len 50" in err and "window_len 20" in err
 
 
 class TestMalformedReport:
