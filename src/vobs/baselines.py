@@ -249,13 +249,13 @@ def run_ekf(frames, initial: EkfState, p: VehicleParams,
 
 def train_gru(train_ds: WindowedDataset, val_ds: WindowedDataset,
               scaler: ScalerParams, tc: TrainConfig,
-              net: RecurrentRegressor | None = None):
+              net: RecurrentRegressor | None = None, map_fn=map):
     """Same optimization loop as the feedback observer, minus the state
     input — there is nothing to inject noise into."""
     if net is None:
         net = gru_observer_net(seed=tc.seed)
     cfg = ObserverConfig(scaler=scaler, noise=NoiseSpec(0.0, 0.0))
-    return train_observer(train_ds, val_ds, cfg, tc, net=net)
+    return train_observer(train_ds, val_ds, cfg, tc, net=net, map_fn=map_fn)
 
 
 def run_gru(frames, net: RecurrentRegressor, scaler: ScalerParams,

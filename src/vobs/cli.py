@@ -4,11 +4,13 @@ Subcommands mirror the pipeline stages: simulate, dataset, train, evaluate,
 report, gradcheck. Every flag overrides the corresponding config key; the
 VOBS_OUT environment variable sets the default output root.
 
-`--workers` (config key `workers`, default 1) parallelises two stages in
-forked processes with one BLAS thread each: `simulate` runs one maneuver per
-task, and `evaluate` one (observer, test trajectory) pair. Outputs are
-byte-identical for any value. `train` ignores it and trains the observers
-one after another in this process.
+`--workers` (config key `workers`, default 1) parallelises three stages.
+`simulate` and `evaluate` run in forked processes with one BLAS thread each:
+one maneuver per task, and one (observer, test trajectory) pair. `train`
+splits every batch into two shards in any case and, with more than one
+worker, runs the shards on two threads in this process with one BLAS thread
+each; the observers still train one after another. Outputs are
+byte-identical for any value.
 
 Exit codes: 0 success, 1 validation/config error, 2 numerical failure,
 3 I/O or data-format error.
@@ -45,8 +47,9 @@ def _add_common(sub, config_required=True):
                           f"or '{default_out_root()}')")
     sub.add_argument("--workers", type=int, default=None,
                      help="forked worker processes, one BLAS thread each, for "
-                          "simulate and evaluate; train ignores it. Outputs are "
-                          "byte-identical for any value")
+                          "simulate and evaluate; above 1, train runs each batch's "
+                          "two shards on two threads. Outputs are byte-identical "
+                          "for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:

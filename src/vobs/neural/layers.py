@@ -16,6 +16,14 @@ update | reset | candidate. Each recurrent layer's `step` is its one cell
 update: the sequence loop calls it on every step and the single-step cell
 function calls it once, so the cell-level contract and the training path
 cannot drift apart.
+
+Each weight gradient is a sum over time steps of one outer product,
+dz_t @ u_t.T. `_sum_over_steps` adds these products one step at a time, in
+ascending t, into the gradient array through one (out, in) scratch product.
+The result is bit-identical to stacking all T products and summing them over
+the time axis, but no (T, out, in) temporary is made: that stack is the
+largest buffer of a backward pass, and with training shards on two threads
+each thread's malloc arena would keep a copy of it.
 """
 
 from __future__ import annotations
@@ -52,6 +60,19 @@ def _mul_tanh_grad(d: np.ndarray, t: np.ndarray, tmp: np.ndarray) -> None:
     np.multiply(t, t, out=tmp)
     np.subtract(1.0, tmp, out=tmp)
     d *= tmp
+
+
+def _sum_over_steps(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum over t of a[t] @ b[t].T, for a (T, m, B) and b (T, n, B),
+    added in ascending t; zero for T = 0."""
+    if len(a) == 0:
+        out[...] = 0.0
+        return out
+    np.matmul(a[0], b[0].T, out=out)
+    prod = np.empty_like(out)
+    for t in range(1, len(a)):
+        out += np.matmul(a[t], b[t].T, out=prod)
+    return out
 
 
 def _as_weights(*arrays: np.ndarray) -> list[np.ndarray]:
@@ -205,8 +226,8 @@ class LstmLayer:
             np.multiply(dc, f, out=dc_next)
         # step 0 has h_prev = 0, so it adds nothing to the wh gradient
         grads = {
-            "wx": np.matmul(dz_all, x.transpose(0, 2, 1)).sum(axis=0),
-            "wh": np.matmul(dz_all[1:], hs[:-1].transpose(0, 2, 1)).sum(axis=0),
+            "wx": _sum_over_steps(dz_all, x, np.empty_like(self.wx)),
+            "wh": _sum_over_steps(dz_all[1:], hs[:-1], np.empty_like(self.wh)),
             "b": dz_all.sum(axis=(0, 2)),
         }
         return np.matmul(self.wx.T, dz_all), grads
@@ -311,12 +332,10 @@ class GruLayer:
             dh_next += tmp
         # step 0 has h_prev = 0 and so r * h_prev = 0: it adds nothing to wh
         grads_wh = np.empty_like(self.wh)
-        grads_wh[: 2 * h] = np.matmul(da_all[1:, : 2 * h],
-                                      hs[:-1].transpose(0, 2, 1)).sum(axis=0)
-        grads_wh[2 * h:] = np.matmul(da_all[1:, 2 * h:],
-                                     rhs[1:].transpose(0, 2, 1)).sum(axis=0)
+        _sum_over_steps(da_all[1:, : 2 * h], hs[:-1], grads_wh[: 2 * h])
+        _sum_over_steps(da_all[1:, 2 * h:], rhs[1:], grads_wh[2 * h:])
         grads = {
-            "wx": np.matmul(da_all, x.transpose(0, 2, 1)).sum(axis=0),
+            "wx": _sum_over_steps(da_all, x, np.empty_like(self.wx)),
             "wh": grads_wh,
             "b": da_all.sum(axis=(0, 2)),
         }

@@ -16,10 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import NoiseSpec, ScalerParams, WindowedDataset, inject_state_noise
-from .domain import SENSOR_CHANNELS, STATE_CHANNELS, Trajectory
+from .domain import SENSOR_CHANNELS, Trajectory
 from .errors import ConfigError, DataFormatError, NumericalError
 from .neural import COMPUTE_DTYPE, Adam, RecurrentRegressor, TrainConfig, lstm_observer_net
 from .seeding import derived_rng
+
+# every batch is split into this many shards; a constant, so the reduction
+# order, and with it every output, is the same for any number of workers
+SHARDS = 2
 
 
 @dataclass(frozen=True)
@@ -30,7 +34,6 @@ class ObserverConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     window_len: int = 50
     sensor_channels: tuple = SENSOR_CHANNELS
-    state_channels: tuple = STATE_CHANNELS
 
     def __post_init__(self):
         if self.window_len < 1:
@@ -92,24 +95,55 @@ def write_training_log(log: list[dict], path) -> None:
             fh.write(f"{entry['epoch']},{entry['train_loss']!r},{entry['val_loss']!r}\n")
 
 
+def _shards(lo: int, hi: int) -> list[slice]:
+    """Rows lo..hi-1 of a batch as `np.array_split`'s SHARDS near-equal
+    ranges, empty ones dropped."""
+    return [slice(int(part[0]), int(part[-1]) + 1)
+            for part in np.array_split(np.arange(lo, hi), SHARDS) if len(part)]
+
+
+def sharded_loss_and_gradients(net: RecurrentRegressor, windows, prev, target,
+                               map_fn=map):
+    """`net.loss_and_gradients` of one batch, computed shard by shard through
+    `map_fn` and combined in float64, in shard order, each shard weighted by
+    its share of the batch."""
+    n = len(windows)
+    parts = _shards(0, n)
+    results = map_fn(lambda rows: net.loss_and_gradients(
+        windows[rows], None if prev is None else prev[rows], target[rows]), parts)
+    loss = 0.0
+    grads = [np.zeros(arr.shape) for _, arr in net.params()]
+    for rows, (part_loss, part_grads) in zip(parts, results):
+        weight = (rows.stop - rows.start) / n
+        loss += weight * part_loss
+        for acc, g in zip(grads, part_grads):
+            acc += weight * g.astype(np.float64)
+    return loss, grads
+
+
 def _batched_val_loss(net: RecurrentRegressor, ds: WindowedDataset,
-                      batch_size: int) -> float:
+                      batch_size: int, map_fn=map) -> float:
     """Teacher-forced loss over `ds`, computed on a `COMPUTE_DTYPE` copy of
-    `net` and reduced in float64."""
+    `net` and reduced in float64; each batch is sharded like a training
+    batch and its per-shard sums of squared errors are added in shard order."""
     net = net.astype(COMPUTE_DTYPE)
+
+    def sse(rows: slice) -> float:
+        prev = ds.prev_state[rows] if net.state_dim else None
+        diff = net.forward(ds.windows[rows], prev, check_finite=False) - ds.target[rows]
+        return float(np.sum(diff * diff))
+
     total = 0.0
     for lo in range(0, len(ds), batch_size):
         hi = min(lo + batch_size, len(ds))
-        prev = ds.prev_state[lo:hi] if net.state_dim else None
-        pred = net.forward(ds.windows[lo:hi], prev, check_finite=False)
-        diff = pred - ds.target[lo:hi]
-        total += float(np.sum(diff * diff))
+        for part in map_fn(sse, _shards(lo, hi)):
+            total += part
     return total / (len(ds) * ds.target.shape[1])
 
 
 def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
                    cfg: ObserverConfig, tc: TrainConfig,
-                   net: RecurrentRegressor | None = None):
+                   net: RecurrentRegressor | None = None, map_fn=map):
     """Train with noise-injected teacher forcing; returns (weights, log).
 
     Fresh Gaussian noise is drawn for every sample's fed-back state each
@@ -119,8 +153,16 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
 
     Mixed precision: `net` is the master and Adam updates its weights. Every
     batch refreshes a `COMPUTE_DTYPE` working copy from the master, which
-    computes the loss and the gradients; the gradients are cast back to the
-    master's dtype before the update. Validation runs on a cast copy too.
+    computes the loss and the gradients; the gradients are combined in
+    float64 and cast to the master's dtype before the update. Validation runs on a cast copy too.
+
+    Shards: every batch is split into `SHARDS` near-equal row ranges
+    (`np.array_split`, empty ones dropped), after the batch's state noise is
+    drawn. Each shard's loss and gradients come from the one working copy,
+    through `map_fn`: the builtin `map` runs them one after another, a
+    thread pool's `map` runs them at once. They are combined in float64, in
+    shard order, each weighted by its share of the batch, so the result does
+    not depend on `map_fn`. Validation batches are sharded the same way.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ConfigError("training and validation sets must be non-empty")
@@ -152,15 +194,15 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
                 noisy = inject_state_noise(phys, cfg.noise, rng=noise_rng)
                 prev = cfg.scaler.scale_state(noisy)
             work.load_flat(params)
-            loss, grads = work.loss_and_gradients(
-                train_ds.windows[idx], prev, train_ds.target[idx])
+            loss, grads = sharded_loss_and_gradients(
+                work, train_ds.windows[idx], prev, train_ds.target[idx], map_fn)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"training diverged (non-finite loss) at epoch {epoch}, batch {bidx}")
-            adam.step(params, [g.astype(net.dtype) for g in grads])
+            adam.step(params, [g.astype(net.dtype, copy=False) for g in grads])
             epoch_sum += loss * len(idx)
 
-        val_loss = _batched_val_loss(net, val_ds, tc.batch_size)
+        val_loss = _batched_val_loss(net, val_ds, tc.batch_size, map_fn)
         log.append({"epoch": epoch, "train_loss": epoch_sum / n, "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss

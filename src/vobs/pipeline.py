@@ -8,13 +8,15 @@ rerun with the same config produces byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
+import functools
 import glob
 import json
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -42,6 +44,7 @@ from .neural import (
     write_gradcheck_csv,
 )
 from .observer_lstm import (
+    SHARDS,
     ObserverConfig,
     run_closed_loop,
     train_observer,
@@ -87,6 +90,18 @@ def _set_blas_threads(n: int) -> int | None:
     return None
 
 
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """Hold numpy's bundled OpenBLAS at `n` threads inside the block; the
+    previous count is restored on the way out, also on an exception."""
+    previous = _set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
+
+
 def _pool_task(task):
     fn, shared = _pool_job
     return fn(*shared, task)
@@ -109,20 +124,32 @@ def _map_tasks(fn, tasks: list, workers: int, shared: tuple = ()) -> list:
     if n_workers <= 1:
         return [fn(*shared, task) for task in tasks]
     _pool_job = (fn, shared)
-    blas_threads = _set_blas_threads(1)
     try:
-        pool = ProcessPoolExecutor(max_workers=n_workers,
-                                   mp_context=multiprocessing.get_context("fork"))
-        try:
-            return list(pool.map(_pool_task, tasks))
-        finally:
-            pool.shutdown(cancel_futures=True)
+        with _blas_threads(1):
+            pool = ProcessPoolExecutor(max_workers=n_workers,
+                                       mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(_pool_task, tasks))
+            finally:
+                pool.shutdown(cancel_futures=True)
     except BrokenProcessPool as exc:
         raise VobsError("a worker process died before finishing its tasks") from exc
     finally:
         _pool_job = ()
-        if blas_threads is not None:
-            _set_blas_threads(blas_threads)
+
+
+@contextlib.contextmanager
+def _shard_map(workers: int):
+    """The `map` that train runs each batch's shards with: the builtin `map`
+    for one worker, otherwise the `map` of a pool of min(workers, SHARDS)
+    threads. While the pool is open numpy's OpenBLAS is held at one thread:
+    two shard threads on two BLAS threads each would oversubscribe two
+    cores."""
+    if workers <= 1:
+        yield map
+        return
+    with _blas_threads(1), ThreadPoolExecutor(max_workers=min(workers, SHARDS)) as pool:
+        yield pool.map
 
 
 def _simulate_job(job):
@@ -263,12 +290,32 @@ def _load_sidecar(cfg: RunConfig) -> dict:
     return sidecar
 
 
+def _read_split_cache(cfg: RunConfig, sidecar: dict, split: str) -> ds.WindowedDataset:
+    """The `split` window cache, refused unless its window length and window
+    count are the ones the sidecar records."""
+    path = os.path.join(cfg.out_dir, "dataset", f"{split}.cache")
+    data = ds.read_cache(path)
+    if data.window_len != sidecar["window_len"]:
+        raise DataFormatError(
+            f"{path}: cache holds windows of window_len {data.window_len}, but the "
+            f"sidecar records window_len {sidecar['window_len']!r}; rerun 'dataset'")
+    expected = sidecar["counts"].get(split)
+    if len(data) != expected:
+        raise DataFormatError(
+            f"{path}: cache holds {len(data)} windows, but the sidecar counts "
+            f"{expected!r} {split} windows; rerun 'dataset'")
+    return data
+
+
 def weights_path(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, "models", f"{name}.weights")
 
 
 def train_observer_model(cfg: RunConfig, name: str) -> dict:
-    """Train one configured learned observer and write weights + log."""
+    """Train one configured learned observer and write weights + log.
+
+    With `cfg.workers > 1` the shards of each batch run on a thread pool
+    (see `_shard_map`); the outputs are byte-identical for any `workers`."""
     if name not in cfg.observers:
         raise ConfigError(f"no observer named '{name}' in the config")
     spec = cfg.observers[name]
@@ -277,8 +324,8 @@ def train_observer_model(cfg: RunConfig, name: str) -> dict:
 
     sidecar = _load_sidecar(cfg)
     scaler: ds.ScalerParams = sidecar["scaler"]
-    train_ds = ds.read_cache(os.path.join(cfg.out_dir, "dataset", "train.cache"))
-    val_ds = ds.read_cache(os.path.join(cfg.out_dir, "dataset", "val.cache"))
+    train_ds = _read_split_cache(cfg, sidecar, "train")
+    val_ds = _read_split_cache(cfg, sidecar, "val")
 
     tc = TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
                      learning_rate=cfg.train.learning_rate,
@@ -292,9 +339,11 @@ def train_observer_model(cfg: RunConfig, name: str) -> dict:
         else:
             noise = ds.NoiseSpec(0.0, 0.0)
         ocfg = ObserverConfig(scaler=scaler, noise=noise, window_len=cfg.window_len)
-        net, log = train_observer(train_ds, val_ds, ocfg, tc)
+        train = functools.partial(train_observer, train_ds, val_ds, ocfg, tc)
     else:
-        net, log = train_gru(train_ds, val_ds, scaler, tc)
+        train = functools.partial(train_gru, train_ds, val_ds, scaler, tc)
+    with _shard_map(cfg.workers) as map_fn:
+        net, log = train(map_fn=map_fn)
 
     os.makedirs(os.path.join(cfg.out_dir, "models"), exist_ok=True)
     save_weights(net, weights_path(cfg, name))

@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import vobs
 from vobs import pipeline
 from vobs.cli import main
 from vobs.config import build_config, load_config
-from vobs.neural import load_weights, save_weights
+from vobs.neural import RecurrentRegressor, load_weights, save_weights
 
 BASE_CONFIG = {
     "master_seed": 3,
@@ -159,25 +160,28 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--observer", "ekf"]) == 1
 
     def test_output_independent_of_blas_threads(self, pipeline_run, tmp_path):
-        # batches of 100 windows fill no BLAS kernel block evenly, where a
-        # split across threads could change the last bits of a product
+        # batches of 100 windows (shards of 50) fill no BLAS kernel block
+        # evenly, where a split across threads could change the last bits of
+        # a product; --workers 2 runs the shards on two threads
         src_tmp, _ = pipeline_run
         models = {}
-        for threads in ("1", "2"):
-            run = tmp_path / f"run{threads}"
+        for threads, workers in (("1", "1"), ("2", "1"), ("2", "2")):
+            run = tmp_path / f"run{threads}{workers}"
             shutil.copytree(src_tmp / "run", run)
             shutil.rmtree(run / "models")
             doc = json.loads(json.dumps(BASE_CONFIG))
             doc["out_dir"] = str(run)
             doc["train"]["batch_size"] = 100
-            cfg = tmp_path / f"cfg{threads}.yaml"
+            cfg = tmp_path / f"cfg{threads}{workers}.yaml"
             cfg.write_text(yaml.safe_dump(doc))
-            subprocess.run([sys.executable, "-m", "vobs.cli", "train", "--config", str(cfg)],
+            subprocess.run([sys.executable, "-m", "vobs.cli", "train", "--config", str(cfg),
+                            "--workers", workers],
                            env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
                            check=True, capture_output=True, timeout=300)
-            models[threads] = {p.name: p.read_bytes() for p in (run / "models").iterdir()}
-        assert sorted(models["1"]) == ["lstm.trainlog.csv", "lstm.weights"]
-        assert models["1"] == models["2"]
+            models[threads, workers] = {p.name: p.read_bytes()
+                                        for p in (run / "models").iterdir()}
+        assert sorted(models["1", "1"]) == ["lstm.trainlog.csv", "lstm.weights"]
+        assert models["1", "1"] == models["2", "1"] == models["2", "2"]
 
 
 class TestEvaluateCommand:
@@ -299,6 +303,29 @@ class TestWorkerPool:
         assert pipeline._map_tasks(_blas_threads, [0, 1], 2) == [1, 1]
         assert get_threads() == before
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("diverge", [False, True])
+    def test_threaded_train_leaves_no_state_behind(self, run_copy, monkeypatch, diverge):
+        _, cfg = run_copy
+        get_threads = _openblas_get_num_threads()
+        blas_before = get_threads() if get_threads else None
+        threads_before = threading.active_count()
+        calls = []
+        original = RecurrentRegressor.loss_and_gradients
+
+        def spy(self, *args):
+            calls.append((threading.current_thread() is threading.main_thread(),
+                          get_threads() if get_threads else 1))
+            loss, grads = original(self, *args)
+            return (float("nan") if diverge else loss), grads
+
+        monkeypatch.setattr(RecurrentRegressor, "loss_and_gradients", spy)
+        code = main(["train", "--config", cfg, "--observer", "lstm", "--workers", "2"])
+        assert code == (2 if diverge else 0)
+        # every shard ran on a pool thread, with OpenBLAS held at one thread
+        assert calls and all(not on_main and n == 1 for on_main, n in calls)
+        assert threading.active_count() == threads_before
+        assert (get_threads() if get_threads else None) == blas_before
 
     def test_pool_that_fails_to_start_restores_state(self, monkeypatch):
         get_threads = _openblas_get_num_threads()
@@ -444,6 +471,40 @@ class TestCorruptStageMetadata:
         err = capsys.readouterr().err
         assert "dataset.json" in err
         assert "window_len 50" in err and "window_len 20" in err
+
+    @staticmethod
+    def _w20_caches(tmp_path):
+        """Caches of the same corpus built with window_len 20."""
+        other = tmp_path / "w20"
+        other.mkdir()
+        shutil.copy(tmp_path / "run" / "manifest.json", other)
+        shutil.copytree(tmp_path / "run" / "trajectories", other / "trajectories")
+        cfg = _write_config(tmp_path, name="w20.yaml", overrides={
+            "dataset": dict(BASE_CONFIG["dataset"], window_len=20), "out_dir": str(other)})
+        assert main(["dataset", "--config", cfg]) == 0
+        return other / "dataset"
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_cache_window_len_differs_from_sidecar(self, run_copy, capsys, split):
+        tmp_path, cfg = run_copy
+        shutil.copy(self._w20_caches(tmp_path) / f"{split}.cache",
+                    tmp_path / "run" / "dataset")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"{split}.cache" in err
+        assert "window_len 20" in err and "window_len 50" in err
+
+    @pytest.mark.parametrize("split, other", [("train", "val"), ("val", "train")])
+    def test_cache_count_differs_from_sidecar(self, run_copy, capsys, split, other):
+        tmp_path, cfg = run_copy
+        dataset = tmp_path / "run" / "dataset"
+        counts = json.loads((dataset / "dataset.json").read_text())["counts"]
+        shutil.copy(dataset / f"{other}.cache", dataset / f"{split}.cache")
+        assert main(["train", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"{split}.cache" in err
+        assert f"{counts[other]} windows" in err and f"{counts[split]} {split}" in err
 
 
 class TestMalformedReport:

@@ -23,7 +23,7 @@ from vobs.neural import (
     save_weights,
     sigmoid,
 )
-from vobs.neural import weights_io
+from vobs.neural import layers, weights_io
 from vobs.neural.weights_io import (
     WeightsCorruptionError,
     WeightsShapeError,
@@ -294,6 +294,38 @@ class TestBackward:
         dense0_b = grads[-5]
         assert dense0_b[0] == 0.0
         assert np.abs(dense0_b[1:]).max() > 0
+
+
+def _stacked_sum(a, b, out):
+    """The stacked weight-gradient formula: every step's product a[t] @ b[t].T
+    at once, then summed over the time axis."""
+    out[...] = np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
+    return out
+
+
+class TestStepSumGradients:
+    """backward_seq sums each weight gradient step by step; the result is
+    bit-equal to the stacked formula, kept here as the reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("make", [_random_lstm, _random_gru])
+    @pytest.mark.parametrize("t_len", [1, 12])
+    def test_bit_equal_to_stacked_formula(self, monkeypatch, make, dtype, t_len):
+        rng = np.random.default_rng(41)
+        layer = make(in_dim=7, hidden=16, seed=41)
+        layer = type(layer)(layer.wx.astype(dtype), layer.wh.astype(dtype),
+                            layer.b.astype(dtype))
+        x = rng.normal(0, 1, (t_len, 7, 37)).astype(dtype)
+        hs, cache = layer.forward_seq(x)
+        dh = rng.normal(0, 1, hs.shape).astype(dtype)
+        dx, grads = layer.backward_seq(dh, cache)
+        monkeypatch.setattr(layers, "_sum_over_steps", _stacked_sum)
+        dx_ref, grads_ref = layer.backward_seq(dh, cache)
+        assert dx.tobytes() == dx_ref.tobytes()
+        assert sorted(grads) == ["b", "wh", "wx"]
+        for name, g in grads.items():
+            assert g.dtype == dtype
+            assert g.tobytes() == grads_ref[name].tobytes(), name
 
 
 class TestGradientCheckTool:
