@@ -68,14 +68,23 @@ class RunConfig:
     corpus: list[CorpusEntry]
     sensor_noise: SensorNoiseSpec
     split: SplitSpec
-    window_len: int
-    train_stride: int
-    val_stride: int
     state_noise: NoiseSpec
     train: TrainConfig
     observers: dict[str, ObserverSpec]
     segments: SegmentSpec
+    # the `dataset` section
+    window_len: int = 50
+    train_stride: int = 1
+    val_stride: int = 1
     workers: int = 1
+
+
+# the observers a config without an `observers` section compares
+DEFAULT_OBSERVERS = {
+    "lstm": {"type": "lstm", "state_noise": True},
+    "gru": {"type": "gru"},
+    "ekf": {"type": "ekf"},
+}
 
 
 TOP_LEVEL_KEYS = ("master_seed", "out_dir", "workers", "corpus", "sensor_noise", "split",
@@ -177,11 +186,7 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
 
     obs_doc = doc.get("observers")
     if obs_doc is None:
-        obs_doc = {
-            "lstm": {"type": "lstm", "state_noise": True},
-            "gru": {"type": "gru"},
-            "ekf": {"type": "ekf"},
-        }
+        obs_doc = DEFAULT_OBSERVERS
     if not isinstance(obs_doc, dict):
         raise ConfigError(f"{where}: observers must be a mapping")
     observers = {}
@@ -208,12 +213,10 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
         corpus=corpus,
         sensor_noise=sensor_noise,
         split=split,
-        window_len=ds_doc.get("window_len", 50),
-        train_stride=ds_doc.get("train_stride", 1),
-        val_stride=ds_doc.get("val_stride", 1),
         state_noise=state_noise,
         train=train,
         observers=observers,
         segments=segments,
         workers=n_workers,
+        **ds_doc,
     )

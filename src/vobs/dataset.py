@@ -47,9 +47,6 @@ class ScalerParams:
     def scale_sensors(self, x: np.ndarray) -> np.ndarray:
         return (x - self.sensor_min) / (self.sensor_max - self.sensor_min)
 
-    def unscale_sensors(self, x: np.ndarray) -> np.ndarray:
-        return x * (self.sensor_max - self.sensor_min) + self.sensor_min
-
     def scale_state(self, x: np.ndarray) -> np.ndarray:
         return (x - self.state_min) / (self.state_max - self.state_min)
 
@@ -125,9 +122,10 @@ class WindowedDataset:
 
     @classmethod
     def concatenate(cls, parts: list["WindowedDataset"]) -> "WindowedDataset":
-        parts = [p for p in parts if len(p) > 0]
+        """The parts' windows stacked in order; every part, empty ones
+        included, must carry the same window length, which the result keeps."""
         if not parts:
-            return cls.empty()
+            raise ConfigError("cannot concatenate an empty list of datasets")
         w = parts[0].window_len
         if any(p.window_len != w for p in parts):
             raise ConfigError("cannot concatenate datasets with different window lengths")

@@ -11,7 +11,6 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,53 +84,11 @@ class VehicleParams:
         return self.mass_kg * G_MPS2 * self.lf_m / self.wheelbase_m
 
 
-@dataclass(frozen=True)
-class SensorFrame:
-    """One 50 Hz sample of the in-car sensor suite."""
-
-    t_s: float
-    ax_mps2: float
-    ay_mps2: float
-    yaw_rate_radps: float
-    wheel_speed_rr_mps: float
-    steering_rad: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.t_s, self.ax_mps2, self.ay_mps2, self.yaw_rate_radps,
-             self.wheel_speed_rr_mps, self.steering_rad]
-        )
-
-
-@dataclass(frozen=True)
-class GroundTruthState:
-    """One 50 Hz sample of the reference sensor (planar pose + velocities)."""
-
-    t_s: float
-    x_m: float
-    y_m: float
-    yaw_rad: float
-    vx_mps: float
-    vy_mps: float
-    yaw_rate_radps: float
-    ax_mps2: float
-    ay_mps2: float
-    beta_rad: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.t_s, self.x_m, self.y_m, self.yaw_rad, self.vx_mps,
-             self.vy_mps, self.yaw_rate_radps, self.ax_mps2, self.ay_mps2,
-             self.beta_rad]
-        )
-
-
 class Trajectory:
     """Time-aligned sensor and ground-truth streams of one maneuver.
 
     Stored as two float64 matrices (rows are 50 Hz samples, column layout in
-    the S_*/G_* constants) so windowing and evaluation stay vectorized; the
-    `frame` accessor materializes typed pairs on demand.
+    the S_*/G_* constants) so windowing and evaluation stay vectorized.
     """
 
     def __init__(self, sensors: np.ndarray, truth: np.ndarray, label: str = ""):
@@ -152,21 +109,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.sensors.shape[0]
 
-    def frame(self, i: int) -> tuple[SensorFrame, GroundTruthState]:
-        s = self.sensors[i]
-        g = self.truth[i]
-        return (
-            SensorFrame(s[S_T], s[S_AX], s[S_AY], s[S_YAWRATE], s[S_WHEEL], s[S_STEER]),
-            GroundTruthState(*g),
-        )
-
-    @classmethod
-    def from_frames(cls, frames, label: str = "") -> "Trajectory":
-        """Build from an ordered list of (SensorFrame, GroundTruthState) pairs."""
-        sensors = np.array([f.as_array() for f, _ in frames], dtype=np.float64)
-        truth = np.array([g.as_array() for _, g in frames], dtype=np.float64)
-        return cls(sensors.reshape(-1, 6), truth.reshape(-1, 10), label)
-
     def sensor_channels(self) -> np.ndarray:
         """(N, 5) matrix of the five sensor channels, time column dropped."""
         return self.sensors[:, 1:6]
@@ -174,58 +116,6 @@ class Trajectory:
     def state_channels(self) -> np.ndarray:
         """(N, 3) ground-truth (vx, vy, yaw_rate)."""
         return self.truth[:, [G_VX, G_VY, G_YAWRATE]]
-
-
-def side_slip(vx: float, vy: float) -> float:
-    """Angle between the velocity vector and the longitudinal axis.
-
-    atan2 convention: (0, 0) maps to 0.
-    """
-    return math.atan2(vy, vx)
-
-
-def accel_in_g(ay: float) -> float:
-    """Magnitude of an acceleration expressed in multiples of g."""
-    return abs(ay) / G_MPS2
-
-
-def validate_trajectory(traj: Trajectory) -> list[str]:
-    """Check timing, alignment, and finiteness invariants.
-
-    Returns a list of human-readable violations; an empty list means the
-    trajectory is well formed. Violations are data, not exceptions.
-    """
-    violations: list[str] = []
-    n = len(traj)
-    if n == 0:
-        return ["empty trajectory"]
-
-    bad_sensor = ~np.isfinite(traj.sensors).all(axis=1)
-    bad_truth = ~np.isfinite(traj.truth).all(axis=1)
-    for idx in np.flatnonzero(bad_sensor | bad_truth):
-        violations.append(f"non-finite value at index {idx}")
-
-    ts = traj.sensors[:, S_T]
-    tg = traj.truth[:, G_T]
-    misaligned = np.flatnonzero(np.abs(ts - tg) > 1e-9)
-    for idx in misaligned:
-        violations.append(f"sensor/truth time misalignment at index {idx}")
-
-    gaps = np.diff(ts)
-    for k in np.flatnonzero(np.abs(gaps - DT_S) > 1e-9):
-        violations.append(f"timing violation at index {k + 1}: dt={gaps[k]:.6f}s")
-
-    vx = traj.truth[:, G_VX]
-    vy = traj.truth[:, G_VY]
-    beta = traj.truth[:, G_BETA]
-    moving = vx > 0.1
-    if moving.any():
-        expected = np.arctan2(vy[moving], vx[moving])
-        bad = np.flatnonzero(np.abs(beta[moving] - expected) > 1e-9)
-        for k in np.flatnonzero(moving)[bad]:
-            violations.append(f"side-slip inconsistent with velocities at index {k}")
-
-    return violations
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -65,15 +65,6 @@ def segment_label(traj: Trajectory, spec: SegmentSpec | None = None) -> str:
     return "near_limits" if peak >= spec.normal_threshold_g * G_MPS2 else "normal"
 
 
-def segment_trajectories(trajs: list[Trajectory],
-                         spec: SegmentSpec | None = None) -> dict[str, list[Trajectory]]:
-    """Partition trajectories into exactly one group each."""
-    groups: dict[str, list[Trajectory]] = {"normal": [], "near_limits": []}
-    for traj in trajs:
-        groups[segment_label(traj, spec)].append(traj)
-    return groups
-
-
 def compare_observers(reports: dict[str, np.ndarray]) -> dict[str, dict[str, str]]:
     """Rank observers per channel from a {name: per-channel MAE} table.
 

@@ -88,17 +88,14 @@ def _uniform_fan_in(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.n
 
 
 class Dense:
-    """Fully connected layer y = act(W x + b), act in {sigmoid, identity}."""
+    """Fully connected layer y = sigmoid(W x + b)."""
 
-    def __init__(self, w: np.ndarray, b: np.ndarray, activation: str = "sigmoid"):
+    def __init__(self, w: np.ndarray, b: np.ndarray):
         w, b = _as_weights(w, b)
         if w.ndim != 2 or b.shape != (w.shape[0],):
             raise ValueError(f"dense shape mismatch: w {w.shape}, b {b.shape}")
-        if activation not in ("sigmoid", "identity"):
-            raise ValueError(f"unknown activation '{activation}'")
         self.w = w
         self.b = b
-        self.activation = activation
 
     @property
     def out_dim(self) -> int:
@@ -109,20 +106,18 @@ class Dense:
         return self.w.shape[1]
 
     @classmethod
-    def initialize(cls, in_dim: int, out_dim: int, rng: np.random.Generator,
-                   activation: str = "sigmoid") -> "Dense":
+    def initialize(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "Dense":
         w = _uniform_fan_in(rng, (out_dim, in_dim), in_dim)
-        return cls(w, np.zeros(out_dim), activation)
+        return cls(w, np.zeros(out_dim))
 
     def forward(self, x: np.ndarray):
         y = x @ self.w.T + self.b
-        if self.activation == "sigmoid":
-            _sigmoid_inplace(y)
+        _sigmoid_inplace(y)
         return y, (x, y)
 
     def backward(self, dy: np.ndarray, cache):
         x, y = cache
-        dz = dy * (y * (1.0 - y)) if self.activation == "sigmoid" else dy
+        dz = dy * (y * (1.0 - y))
         grads = {"w": dz.T @ x, "b": dz.sum(axis=0)}
         return dz @ self.w, grads
 

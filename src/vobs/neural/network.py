@@ -5,8 +5,8 @@ by a sigmoid dense head.
 The forward contract: the cell stack runs over all window steps (layer k's
 full hidden sequence feeds layer k+1), the final step's hidden vector of the
 last layer is concatenated with the previous state (when the network has a
-state input) and pushed through the dense head. With sigmoid output, every
-prediction lives in (0, 1), matching the scaled target space. Windows come
+state input) and pushed through the dense head. Its sigmoid output keeps
+every prediction in (0, 1), matching the scaled target space. Windows come
 in batch-major, (B, T, in); one copy turns them into the cell stack's
 feature-major (T, in, B), and the dense head works on (B, features) rows.
 
@@ -115,8 +115,7 @@ class RecurrentRegressor:
         """A copy of the network with every weight cast to `dtype`."""
         cells = [type(c)(c.wx.astype(dtype), c.wh.astype(dtype), c.b.astype(dtype))
                  for c in self.cells]
-        head = [Dense(d.w.astype(dtype), d.b.astype(dtype), d.activation)
-                for d in self.head]
+        head = [Dense(d.w.astype(dtype), d.b.astype(dtype)) for d in self.head]
         return RecurrentRegressor(self.kind, cells, head, self.state_dim,
                                   init_seed=self.init_seed)
 
@@ -248,43 +247,43 @@ def l2_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def lstm_observer_net(seed: int, in_dim: int = 5,
-                      hidden: tuple = DEFAULT_HIDDEN,
-                      dense: tuple = DEFAULT_DENSE,
-                      out_dim: int = 3, state_dim: int = 3,
-                      output_activation: str = "sigmoid") -> RecurrentRegressor:
-    """LSTM stack + dense head with the previous state concatenated in."""
+def build_net(kind: str, seed: int, in_dim: int, hidden: tuple, dense: tuple,
+              out_dim: int, state_dim: int) -> RecurrentRegressor:
+    """A freshly initialized `kind` ("lstm" or "gru") cell stack of widths
+    `hidden` over `in_dim` inputs, then sigmoid dense layers of widths
+    `dense` and `out_dim` over the last hidden vector and `state_dim` state
+    inputs.
+
+    The only place the network layout is written down: the observer nets
+    and `load_weights` all build through it. Weights are drawn from one
+    generator seeded by `seed`, layer by layer, cells first.
+    """
+    cell_cls = {"lstm": LstmLayer, "gru": GruLayer}[kind]
     rng = np.random.default_rng(seed)
     cells = []
     d = in_dim
     for h in hidden:
-        cells.append(LstmLayer.initialize(d, h, rng))
+        cells.append(cell_cls.initialize(d, h, rng))
         d = h
     head = []
     d = hidden[-1] + state_dim
-    for width in dense:
-        head.append(Dense.initialize(d, width, rng, activation="sigmoid"))
+    for width in (*dense, out_dim):
+        head.append(Dense.initialize(d, width, rng))
         d = width
-    head.append(Dense.initialize(d, out_dim, rng, activation=output_activation))
-    return RecurrentRegressor("lstm", cells, head, state_dim, init_seed=seed)
+    return RecurrentRegressor(kind, cells, head, state_dim, init_seed=seed)
+
+
+def lstm_observer_net(seed: int, in_dim: int = 5,
+                      hidden: tuple = DEFAULT_HIDDEN,
+                      dense: tuple = DEFAULT_DENSE,
+                      out_dim: int = 3, state_dim: int = 3) -> RecurrentRegressor:
+    """LSTM stack + dense head with the previous state concatenated in."""
+    return build_net("lstm", seed, in_dim, hidden, dense, out_dim, state_dim)
 
 
 def gru_observer_net(seed: int, in_dim: int = 5,
                      hidden: tuple = DEFAULT_HIDDEN,
                      dense: tuple = DEFAULT_DENSE,
-                     out_dim: int = 3,
-                     output_activation: str = "sigmoid") -> RecurrentRegressor:
+                     out_dim: int = 3) -> RecurrentRegressor:
     """GRU stack + dense head driven by the sensor window alone."""
-    rng = np.random.default_rng(seed)
-    cells = []
-    d = in_dim
-    for h in hidden:
-        cells.append(GruLayer.initialize(d, h, rng))
-        d = h
-    head = []
-    d = hidden[-1]
-    for width in dense:
-        head.append(Dense.initialize(d, width, rng, activation="sigmoid"))
-        d = width
-    head.append(Dense.initialize(d, out_dim, rng, activation=output_activation))
-    return RecurrentRegressor("gru", cells, head, 0, init_seed=seed)
+    return build_net("gru", seed, in_dim, hidden, dense, out_dim, 0)

@@ -8,17 +8,19 @@ Layout: ASCII header lines, then a raw binary payload.
     in_dim <int>
     state_dim <int>
     hidden <width...>
-    dense <width...>
-    output_activation <name>
+    dense <width...>                the dense head's widths, output layer last
+    output_activation sigmoid
     array <name> <dims...>          one line per tensor, in `params()` order
     payload <nbytes> <sha256-hex>
     <payload: every tensor's little-endian float64 bytes, row-major, concatenated>
 
 Recurrent tensors keep the documented gate-block row order. The payload is
 the float64 master's exact bytes, so the round trip is bit-exact. Its length
-and SHA-256 are checked before any tensor is built: a truncated or damaged
+and SHA-256 are checked before any tensor is read: a truncated or damaged
 payload would otherwise still decode as finite floats and load as a network
-that quietly predicts garbage.
+that quietly predicts garbage. Loading builds the declared architecture with
+`build_net` and requires the array lines to name exactly its tensors, in
+order and shape; the payload then fills them.
 
 Files are written to a temporary file in the same directory and moved into
 place with `os.replace`, so an interrupted save leaves the previous file
@@ -30,12 +32,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+from itertools import zip_longest
 
 import numpy as np
 
 from ..errors import DataFormatError
-from .layers import Dense, GruLayer, LstmLayer
-from .network import RecurrentRegressor
+from .network import RecurrentRegressor, build_net
 
 FORMAT_VERSION = 2
 MAGIC = b"vobs-weights"
@@ -65,7 +67,7 @@ def save_weights(net: RecurrentRegressor, path) -> None:
         f"state_dim {net.state_dim}",
         f"hidden {' '.join(str(h) for h in net.hidden_sizes)}",
         f"dense {' '.join(str(d) for d in net.dense_sizes)}",
-        f"output_activation {net.head[-1].activation}",
+        "output_activation sigmoid",
     ]
     lines += [f"array {name} {' '.join(str(d) for d in arr.shape)}" for name, arr in params]
     lines.append(f"payload {len(payload)} {hashlib.sha256(payload).hexdigest()}")
@@ -113,10 +115,25 @@ def load_weights(path) -> RecurrentRegressor:
         output_activation = header["output_activation"]
         nbytes_text, digest = header["payload"].split()
         nbytes = int(nbytes_text)
+        if init_seed < 0:
+            raise ValueError(f"negative init_seed {init_seed}")
     except (KeyError, ValueError) as exc:
         raise WeightsCorruptionError(f"{path}: bad header ({exc})") from None
     if kind not in ("lstm", "gru"):
         raise WeightsShapeError(f"{path}: unknown cell kind '{kind}'")
+    if output_activation != "sigmoid":
+        raise WeightsShapeError(
+            f"{path}: output_activation '{output_activation}' is not supported "
+            f"(the dense head is sigmoid throughout)")
+    # every size of a real network is a dimension of one of its stored
+    # tensors; the bound keeps a damaged size from building a huge network
+    largest = max((n for _, shape in arrays_declared for n in shape), default=0)
+    sizes = (in_dim, *hidden, *dense)
+    if not hidden or not dense or min(sizes) < 1 or max(sizes) > largest \
+            or not 0 <= state_dim <= largest:
+        raise WeightsShapeError(
+            f"{path}: declared sizes do not describe a network (in_dim {in_dim}, "
+            f"state_dim {state_dim}, hidden {list(hidden)}, dense {list(dense)})")
 
     declared = sum(int(np.prod(shape)) for _, shape in arrays_declared) * _F8.itemsize
     if declared != nbytes:
@@ -129,50 +146,23 @@ def load_weights(path) -> RecurrentRegressor:
     if hashlib.sha256(payload).hexdigest() != digest:
         raise WeightsCorruptionError(f"{path}: payload does not match its SHA-256")
 
-    arrays: dict[str, np.ndarray] = {}
+    net = build_net(kind, init_seed, in_dim, hidden, dense[:-1], dense[-1], state_dim)
+    expected = [(name, arr.shape) for name, arr in net.params()]
+    if arrays_declared != expected:
+        found, needed = next((a, b) for a, b in zip_longest(arrays_declared, expected)
+                             if a != b)
+        raise WeightsShapeError(
+            f"{path}: array lines do not match the declared architecture "
+            f"(found {found}, expected {needed})")
+    arrays = []
     offset = 0
-    for name, shape in arrays_declared:
+    for _, shape in arrays_declared:
         count = int(np.prod(shape))
-        arrays[name] = np.frombuffer(payload, dtype=_F8, count=count,
-                                     offset=offset).reshape(shape).astype(np.float64)
+        arrays.append(np.frombuffer(payload, dtype=_F8, count=count,
+                                    offset=offset).reshape(shape))
         offset += count * _F8.itemsize
-
-    # assemble and validate against the declared architecture
-    gate_mult = 4 if kind == "lstm" else 3
-    cell_cls = LstmLayer if kind == "lstm" else GruLayer
-    cells = []
-    d = in_dim
-    try:
-        for k, h in enumerate(hidden):
-            wx = arrays[f"{kind}{k}.wx"]
-            wh = arrays[f"{kind}{k}.wh"]
-            b = arrays[f"{kind}{k}.b"]
-            if wx.shape != (gate_mult * h, d) or wh.shape != (gate_mult * h, h):
-                raise WeightsShapeError(
-                    f"{path}: layer {kind}{k} tensors do not match declared sizes")
-            cells.append(cell_cls(wx, wh, b))
-            d = h
-        head = []
-        d = hidden[-1] + state_dim
-        widths = list(dense)
-        for k, width in enumerate(widths):
-            w = arrays[f"dense{k}.w"]
-            b = arrays[f"dense{k}.b"]
-            if w.shape != (width, d):
-                raise WeightsShapeError(
-                    f"{path}: dense{k} is {w.shape}, expected {(width, d)}")
-            activation = output_activation if k == len(widths) - 1 else "sigmoid"
-            head.append(Dense(w, b, activation=activation))
-            d = width
-    except KeyError as exc:
-        raise WeightsCorruptionError(f"{path}: missing tensor {exc}") from None
-    except ValueError as exc:
-        raise WeightsShapeError(f"{path}: {exc}") from None
-
-    extra = set(arrays) - {name for name, _ in _expected_names(kind, len(hidden), len(widths))}
-    if extra:
-        raise WeightsShapeError(f"{path}: unexpected tensors {sorted(extra)}")
-    return RecurrentRegressor(kind, cells, head, state_dim, init_seed=init_seed)
+    net.load_flat(arrays)
+    return net
 
 
 def _read_header(path, data: bytes, pos: int):
@@ -205,13 +195,3 @@ def _read_header(path, data: bytes, pos: int):
             raise WeightsCorruptionError(f"{path}: bad array line {line[:60]!r}")
         arrays.append((name, shape))
     return header, arrays, pos
-
-
-def _expected_names(kind: str, n_cells: int, n_dense: int):
-    for k in range(n_cells):
-        yield f"{kind}{k}.wx", None
-        yield f"{kind}{k}.wh", None
-        yield f"{kind}{k}.b", None
-    for k in range(n_dense):
-        yield f"dense{k}.w", None
-        yield f"dense{k}.b", None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import NoiseSpec, ScalerParams, WindowedDataset, inject_state_noise
-from .domain import SENSOR_CHANNELS, Trajectory
+from .domain import Trajectory
 from .errors import ConfigError, DataFormatError, NumericalError
 from .neural import COMPUTE_DTYPE, Adam, RecurrentRegressor, TrainConfig, lstm_observer_net
 from .seeding import derived_rng
@@ -28,12 +28,11 @@ SHARDS = 2
 
 @dataclass(frozen=True)
 class ObserverConfig:
-    """Window geometry, channel set, state-noise spec, and scaler."""
+    """Window geometry, state-noise spec, and scaler."""
 
     scaler: ScalerParams
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     window_len: int = 50
-    sensor_channels: tuple = SENSOR_CHANNELS
 
     def __post_init__(self):
         if self.window_len < 1:
@@ -236,27 +235,6 @@ def window_features(raw: np.ndarray, scaler: ScalerParams, net: RecurrentRegress
         scaled, (window_len, scaled.shape[1]))[:, 0]
     return ((lo, net.features(windows[lo: lo + feature_batch]))
             for lo in range(0, windows.shape[0], feature_batch))
-
-
-def estimate_step(window, prev_estimate, net: RecurrentRegressor,
-                  cfg: ObserverConfig) -> np.ndarray:
-    """One observer step: scale inputs, run the network, unscale the output.
-
-    `window` is the last window_len raw sensor frames (oldest first);
-    `prev_estimate` is the previous state estimate in physical units.
-    """
-    if isinstance(window, list):
-        raw = np.array([f.as_array()[1:6] for f in window])
-    else:
-        raw = np.asarray(window, dtype=np.float64)
-        if raw.ndim == 2 and raw.shape[1] == 6:
-            raw = raw[:, 1:6]
-    if raw.shape != (cfg.window_len, len(cfg.sensor_channels)):
-        raise ConfigError(f"window must be {(cfg.window_len, 5)}, got {raw.shape}")
-    scaled = cfg.scaler.scale_sensors(raw)
-    prev_scaled = cfg.scaler.scale_state(np.asarray(prev_estimate, dtype=np.float64))
-    out = net.forward(scaled, prev_scaled)
-    return cfg.scaler.unscale_state(out[0])
 
 
 def run_closed_loop(frames, initial_state, net: RecurrentRegressor,

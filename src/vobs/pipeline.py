@@ -36,7 +36,6 @@ from .domain import (
 from .errors import ConfigError, DataFormatError, VobsError
 from .neural import (
     COMPUTE_DTYPE,
-    TrainConfig,
     load_weights,
     lstm_observer_net,
     save_weights,
@@ -249,8 +248,7 @@ def build_dataset(cfg: RunConfig) -> dict:
     three splits, and write caches plus the sidecar metadata file."""
     manifest = _load_manifest(cfg)
     trajectories = _load_trajectories(cfg, manifest["trajectories"])
-    split_spec = ds.SplitSpec(cfg.split.train, cfg.split.val, cfg.split.test,
-                              seed=derive_seed(cfg.master_seed, "split"))
+    split_spec = dataclasses.replace(cfg.split, seed=derive_seed(cfg.master_seed, "split"))
     train, val, test = ds.split_dataset(trajectories, split_spec)
     scaler = ds.fit_scaler(train)
 
@@ -271,10 +269,8 @@ def build_dataset(cfg: RunConfig) -> dict:
     for name, group in (("train", train), ("val", val), ("test", test)):
         for t in group:
             assignment[t.label] = name
-    noise = ds.NoiseSpec(cfg.state_noise.std_v_mps,
-                         cfg.state_noise.std_yaw_rate_radps)
     ds.write_sidecar(os.path.join(cfg.out_dir, SIDECAR_NAME), scaler, assignment,
-                     counts, cfg.window_len, strides, noise, cfg.master_seed)
+                     counts, cfg.window_len, strides, cfg.state_noise, cfg.master_seed)
     return {"counts": counts, "assignment": assignment}
 
 
@@ -327,15 +323,11 @@ def train_observer_model(cfg: RunConfig, name: str) -> dict:
     train_ds = _read_split_cache(cfg, sidecar, "train")
     val_ds = _read_split_cache(cfg, sidecar, "val")
 
-    tc = TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
-                     learning_rate=cfg.train.learning_rate,
-                     seed=derive_seed(cfg.master_seed, "train", name),
-                     shuffle=cfg.train.shuffle)
+    tc = dataclasses.replace(cfg.train, seed=derive_seed(cfg.master_seed, "train", name))
     if spec.type == "lstm":
         if spec.state_noise:
-            noise = ds.NoiseSpec(cfg.state_noise.std_v_mps,
-                                 cfg.state_noise.std_yaw_rate_radps,
-                                 seed=derive_seed(cfg.master_seed, "state-noise", name))
+            noise = dataclasses.replace(
+                cfg.state_noise, seed=derive_seed(cfg.master_seed, "state-noise", name))
         else:
             noise = ds.NoiseSpec(0.0, 0.0)
         ocfg = ObserverConfig(scaler=scaler, noise=noise, window_len=cfg.window_len)

@@ -15,14 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import (
-    DT_S,
-    G_MPS2,
-    GroundTruthState,
-    TireParams,
-    Trajectory,
-    VehicleParams,
-)
+from .domain import DT_S, G_MPS2, TireParams, Trajectory, VehicleParams
 from .errors import ConfigError, NumericalError
 
 MAX_STEERING_RAD = 0.6
@@ -111,11 +104,6 @@ def pacejka_lateral_force(slip_rad: float, vertical_load_n: float,
                        * math.atan(tire.stiffness_factor_b * slip_rad)))
 
 
-def pacejka_peak_slip(tire: TireParams) -> float:
-    """Slip angle at which the magic formula reaches its global maximum."""
-    return math.tan(math.pi / (2.0 * tire.shape_factor_c)) / tire.stiffness_factor_b
-
-
 def _derivatives(x, y, yaw, vx, vy, r, delta, fx, p: VehicleParams,
                  fzf: float, fzr: float):
     """Continuous-time bicycle-model derivatives; returns the 6 state rates
@@ -164,27 +152,10 @@ def _rk4_step(s, delta, fx, p, fzf, fzr, dt):
             r + w * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5]))
 
 
-def step_dynamic_bicycle(state: SimState, u: ControlInput, p: VehicleParams,
-                         dt: float) -> SimState:
-    """Advance the state by one RK4 step of length dt.
-
-    Slip angles are undefined near standstill; scripted maneuvers keep
-    vx >= 0.5 m/s at all times.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    s = state.as_tuple()
-    if not all(math.isfinite(v) for v in s):
-        raise NumericalError(f"non-finite state {state}")
-    fzf = p.static_load_front_n
-    fzr = p.static_load_rear_n
-    out = _rk4_step(s, u.steering_rad, u.long_force_n, p, fzf, fzr, dt)
-    return SimState(*out)
-
-
-def synthesize_sensors(truth, steering, p: VehicleParams,
+def synthesize_sensors(gt: np.ndarray, steering, p: VehicleParams,
                        noise: SensorNoiseSpec) -> np.ndarray:
-    """Build the in-car sensor stream from ground truth and the steering trace.
+    """Build the in-car sensor stream from the (N, 10) ground truth, in
+    Trajectory.truth layout, and the steering trace.
 
     The accelerometer channels are the body-frame specific forces already
     carried by the ground truth; the wheel-speed channel is the longitudinal
@@ -192,10 +163,6 @@ def synthesize_sensors(truth, steering, p: VehicleParams,
     vx + (track/2)*yaw_rate.  Each channel gets seeded Gaussian noise plus a
     constant bias. Returns an (N, 6) matrix in Trajectory.sensors layout.
     """
-    if isinstance(truth, np.ndarray):
-        gt = truth
-    else:
-        gt = np.array([g.as_array() for g in truth], dtype=np.float64)
     if gt.shape[0] == 0:
         raise ValueError("empty ground-truth sequence")
     steering = np.asarray(steering, dtype=np.float64)

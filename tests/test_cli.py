@@ -462,6 +462,15 @@ class TestCorruptStageMetadata:
         assert main([stage, "--config", cfg]) == 3
         assert os.path.basename(name) in capsys.readouterr().err
 
+    def test_empty_hidden_line_in_weights(self, run_copy, capsys):
+        tmp_path, cfg = run_copy
+        path = tmp_path / "run" / "models" / "lstm.weights"
+        data = path.read_bytes()
+        start = data.index(b"\nhidden ") + 1
+        path.write_bytes(data[:start] + b"hidden " + data[data.index(b"\n", start):])
+        assert main(["evaluate", "--config", cfg]) == 3
+        assert "lstm.weights" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stage", ["train", "evaluate"])
     def test_window_len_differs_from_sidecar(self, run_copy, capsys, stage):
         tmp_path, _ = run_copy

@@ -60,7 +60,8 @@ class TestScaler:
         scaler = fit_scaler([_traj(200, seed=3)])
         rng = np.random.default_rng(seed)
         x = rng.uniform(-50, 50, (50, 5))
-        back = scaler.unscale_sensors(scaler.scale_sensors(x))
+        span = scaler.sensor_max - scaler.sensor_min
+        back = scaler.scale_sensors(x) * span + scaler.sensor_min
         assert np.abs(back - x).max() < 1e-12
         s = rng.uniform(-30, 30, (50, 3))
         assert np.abs(scaler.unscale_state(scaler.scale_state(s)) - s).max() < 1e-12
@@ -227,5 +228,9 @@ class TestConcatenate:
         assert len(total) == sum(len(p) for p in parts)
 
     def test_empty_parts_ok(self, scaler):
-        ds = WindowedDataset.concatenate([make_windows(_traj(10), scaler, w=50)])
-        assert len(ds) == 0
+        # too-short trajectories give no windows, but keep the window length
+        for w in (50, 20):
+            ds = WindowedDataset.concatenate([make_windows(_traj(15), scaler, w=w)])
+            assert len(ds) == 0
+            assert ds.window_len == w
+            assert ds.windows.shape == (0, w, 5)

@@ -2,22 +2,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vobs.domain import (
     DT_S,
-    G_AY,
-    GroundTruthState,
-    SensorFrame,
-    Trajectory,
+    G_BETA,
+    G_T,
+    G_VX,
+    G_VY,
+    S_T,
     VehicleParams,
-    accel_in_g,
     read_trajectory_csv,
-    side_slip,
-    validate_trajectory,
     write_trajectory_csv,
 )
 from vobs.errors import DataFormatError
+from vobs.simulator import (
+    ControlInput,
+    ManeuverScript,
+    SensorNoiseSpec,
+    SimState,
+    run_maneuver,
+)
+
+from conftest import circle_script
 
 
 class TestVehicleParams:
@@ -45,71 +52,51 @@ class TestVehicleParams:
         assert total == pytest.approx(p.mass_kg * 9.81, rel=1e-12)
 
 
+def _coasting(params, **initial):
+    """Half a second with zero controls from the given initial state."""
+    script = ManeuverScript("coast", 0.5, lambda t, s: ControlInput(0.0, 0.0),
+                            SimState(**initial))
+    return run_maneuver(script, params, SensorNoiseSpec.zero())
+
+
 class TestSideSlip:
-    def test_zero_lateral(self):
-        assert side_slip(10.0, 0.0) == 0.0
+    """gt_beta, the side slip the simulator records with each sample."""
 
-    def test_analytic_value(self):
-        assert side_slip(10.0, 1.0) == pytest.approx(0.09967, abs=1e-5)
+    def test_zero_lateral(self, straight_traj):
+        assert (straight_traj.truth[:, G_BETA] == 0.0).all()
 
-    def test_degenerate_standstill(self):
-        assert side_slip(0.0, 0.0) == 0.0
+    def test_analytic_value(self, params):
+        traj = _coasting(params, vx_mps=10.0, vy_mps=1.0)
+        assert traj.truth[0, G_BETA] == pytest.approx(0.09967, abs=1e-5)
 
-    @given(st.floats(0.1, 100), st.floats(-30, 30))
-    def test_odd_in_vy(self, vx, vy):
-        assert side_slip(vx, -vy) == pytest.approx(-side_slip(vx, vy), abs=1e-15)
+    def test_degenerate_standstill(self, params):
+        traj = _coasting(params, vx_mps=0.0)
+        assert (traj.truth[:, G_BETA] == 0.0).all()
 
-
-class TestAccelInG:
-    def test_one_g(self):
-        assert accel_in_g(9.81) == pytest.approx(1.0)
-
-    def test_reference_low_dynamic_peak(self):
-        assert accel_in_g(2.10) == pytest.approx(0.214, abs=5e-4)
-
-    def test_zero(self):
-        assert accel_in_g(0.0) == 0.0
-
-    @given(st.floats(-50, 50))
-    def test_even(self, a):
-        assert accel_in_g(a) == accel_in_g(-a)
-
-
-def _well_formed(n=100):
-    t = np.arange(n) * DT_S
-    sensors = np.zeros((n, 6))
-    sensors[:, 0] = t
-    truth = np.zeros((n, 10))
-    truth[:, 0] = t
-    truth[:, 4] = 10.0  # vx
-    return Trajectory(sensors, truth, label="test")
+    @given(st.floats(0.5, 40), st.floats(-5, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_odd_in_vy(self, params, vx, vy):
+        # mirroring the initial lateral velocity mirrors the whole coast
+        beta = _coasting(params, vx_mps=vx, vy_mps=vy).truth[:, G_BETA]
+        mirrored = _coasting(params, vx_mps=vx, vy_mps=-vy).truth[:, G_BETA]
+        np.testing.assert_allclose(mirrored, -beta, rtol=0, atol=1e-15)
 
 
 class TestValidateTrajectory:
-    def test_well_formed(self):
-        assert validate_trajectory(_well_formed()) == []
-
-    def test_nan_flagged_with_index(self):
-        traj = _well_formed()
-        traj.sensors[42, 2] = np.nan
-        violations = validate_trajectory(traj)
-        assert len(violations) == 1
-        assert "non-finite" in violations[0] and "42" in violations[0]
-
-    def test_timing_gap_flagged(self):
-        traj = _well_formed()
-        traj.sensors[50:, 0] += DT_S  # 0.04 s gap before index 50
-        traj.truth[50:, 0] += DT_S
-        violations = validate_trajectory(traj)
-        assert any("timing violation" in v and "50" in v for v in violations)
-
-    def test_beta_inconsistency_flagged(self):
-        traj = _well_formed()
-        traj.truth[10, 9] = 0.3  # beta inconsistent with vy=0
-        assert any("side-slip" in v for v in validate_trajectory(traj))
-
-    def test_simulated_trajectory_is_valid(self, straight_traj):
-        assert validate_trajectory(straight_traj) == []
+    def test_simulated_trajectory_is_valid(self, params, straight_traj,
+                                           noisy_straight_traj):
+        # finite, on the 0.02 s grid, sensor and truth time aligned, and
+        # gt_beta = atan2(vy, vx) at every sample
+        circle = run_maneuver(circle_script(duration_s=8.0), params,
+                              SensorNoiseSpec(seed=5))
+        for traj in (straight_traj, noisy_straight_traj, circle):
+            assert np.isfinite(traj.sensors).all() and np.isfinite(traj.truth).all()
+            np.testing.assert_array_equal(traj.sensors[:, S_T], traj.truth[:, G_T])
+            np.testing.assert_allclose(np.diff(traj.truth[:, G_T]), DT_S,
+                                       rtol=0, atol=1e-9)
+            expected = [math.atan2(vy, vx)
+                        for vx, vy in zip(traj.truth[:, G_VX], traj.truth[:, G_VY])]
+            np.testing.assert_array_equal(traj.truth[:, G_BETA], expected)
 
 
 class TestTrajectoryCsv:
@@ -125,14 +112,3 @@ class TestTrajectoryCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataFormatError):
             read_trajectory_csv(path)
-
-    def test_frame_accessor_types(self, straight_traj):
-        frame, gt = straight_traj.frame(0)
-        assert isinstance(frame, SensorFrame)
-        assert isinstance(gt, GroundTruthState)
-        assert frame.t_s == gt.t_s == 0.0
-
-    def test_from_frames_round_trip(self, straight_traj):
-        pairs = [straight_traj.frame(i) for i in range(5)]
-        rebuilt = Trajectory.from_frames(pairs, label="x")
-        np.testing.assert_array_equal(rebuilt.sensors, straight_traj.sensors[:5])

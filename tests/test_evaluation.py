@@ -14,7 +14,6 @@ from vobs.evaluation import (
     mae,
     read_report_csv,
     segment_label,
-    segment_trajectories,
     write_report_csv,
 )
 from vobs.observer_lstm import EstimateTrace
@@ -110,11 +109,11 @@ class TestSegmentation:
         assert segment_label(_traj_with_ay(0.5 * G_MPS2)) == "near_limits"
 
     def test_exhaustive_and_exclusive(self):
+        # every trajectory gets exactly one of the two segments
         trajs = [_traj_with_ay(p, label=f"t{i}")
                  for i, p in enumerate((1.0, 3.0, 5.0, 6.0, 8.0))]
-        groups = segment_trajectories(trajs)
-        labels = [t.label for g in groups.values() for t in g]
-        assert sorted(labels) == sorted(t.label for t in trajs)
+        assert [segment_label(t) for t in trajs] == [
+            "normal", "normal", "near_limits", "near_limits", "near_limits"]
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

@@ -446,6 +446,18 @@ class TestWeightsIo:
         with pytest.raises(WeightsShapeError):
             load_weights(path)
 
+    def test_bad_header_sizes_are_shape_errors(self, tmp_path):
+        # each edit leaves the payload and its SHA-256 intact
+        for old, new in ((b"\nhidden 3 4\n", b"\nhidden \n"),
+                         (b"\ndense 4 3\n", b"\ndense \n"),
+                         (b"\nin_dim 5\n", b"\nin_dim 0\n"),
+                         (b"\noutput_activation sigmoid\n",
+                          b"\noutput_activation identity\n")):
+            path = self._saved(tmp_path)
+            path.write_bytes(path.read_bytes().replace(old, new, 1))
+            with pytest.raises(WeightsShapeError, match="w.weights"):
+                load_weights(path)
+
     def test_garbage_file_is_corruption(self, tmp_path):
         path = tmp_path / "junk.weights"
         path.write_text("not a weight file\n")

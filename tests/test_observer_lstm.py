@@ -10,7 +10,6 @@ from vobs.neural import RecurrentRegressor, TrainConfig, gru_observer_net, lstm_
 from vobs.observer_lstm import (
     EstimateTrace,
     ObserverConfig,
-    estimate_step,
     read_trace_csv,
     run_closed_loop,
     sharded_loss_and_gradients,
@@ -42,42 +41,51 @@ def _zero_net(window_len=50):
     return net
 
 
+def _sensor_rows(raw):
+    """(N, 6) sensor rows on the 50 Hz grid around an (N, 5) raw matrix."""
+    return np.column_stack([np.arange(len(raw)) * 0.02, raw])
+
+
+def _naive_step(window_rows, prev, net, cfg):
+    """One observer step written out: scale, run the whole net, unscale."""
+    out = net.forward(cfg.scaler.scale_sensors(window_rows[:, 1:6]),
+                      cfg.scaler.scale_state(prev))
+    return cfg.scaler.unscale_state(out[0])
+
+
 class TestEstimateStep:
+    """Single closed-loop steps, through `run_closed_loop`."""
+
     def test_zero_weights_give_channel_midpoints(self):
         cfg = _cfg(window_len=10)
-        net = _zero_net()
-        window = np.zeros((10, 5))
-        out = estimate_step(window, np.array([10.0, 0.0, 0.0]), net, cfg)
+        trace = run_closed_loop(np.zeros((12, 6)), np.array([10.0, 0.0, 0.0]),
+                                _zero_net(), cfg)
         mid = 0.5 * (cfg.scaler.state_min + cfg.scaler.state_max)
-        np.testing.assert_allclose(out, mid, atol=1e-12)
+        np.testing.assert_allclose(trace.estimates[9:], np.tile(mid, (3, 1)), atol=1e-12)
 
     def test_pure_function(self):
         cfg = _cfg(window_len=8)
         net = lstm_observer_net(seed=5, in_dim=5, hidden=(3,), dense=(4,),
                                 out_dim=3, state_dim=3)
-        rng = np.random.default_rng(0)
-        window = rng.normal(0, 1, (8, 5))
+        frames = _sensor_rows(np.random.default_rng(0).normal(0, 1, (12, 5)))
         prev = np.array([12.0, 0.1, 0.05])
-        a = estimate_step(window, prev, net, cfg)
-        b = estimate_step(window, prev, net, cfg)
-        np.testing.assert_array_equal(a, b)
+        a = run_closed_loop(frames, prev, net, cfg)
+        b = run_closed_loop(frames, prev, net, cfg)
+        np.testing.assert_array_equal(a.estimates, b.estimates)
 
     def test_matches_manual_composition(self):
         cfg = _cfg(window_len=8)
         net = lstm_observer_net(seed=5, in_dim=5, hidden=(3,), dense=(4,),
                                 out_dim=3, state_dim=3)
-        rng = np.random.default_rng(1)
-        window = rng.normal(0, 1, (8, 5))
+        frames = _sensor_rows(np.random.default_rng(1).normal(0, 1, (8, 5)))
         prev = np.array([12.0, 0.1, 0.05])
-        manual = cfg.scaler.unscale_state(
-            net.forward(cfg.scaler.scale_sensors(window),
-                        cfg.scaler.scale_state(prev))[0])
-        got = estimate_step(window, prev, net, cfg)
-        assert np.abs(got - manual).max() < 1e-12
+        got = run_closed_loop(frames, prev, net, cfg).estimates[7]
+        assert np.abs(got - _naive_step(frames, prev, net, cfg)).max() < 1e-12
 
     def test_wrong_window_shape_rejected(self):
-        with pytest.raises(ConfigError):
-            estimate_step(np.zeros((7, 5)), np.zeros(3), _zero_net(), _cfg(8))
+        for frames in (np.zeros((7, 6)), np.zeros((20, 5))):
+            with pytest.raises(ConfigError):
+                run_closed_loop(frames, np.zeros(3), _zero_net(), _cfg(8))
 
 
 class TestRunClosedLoop:
@@ -115,7 +123,7 @@ class TestRunClosedLoop:
         trace = run_closed_loop(frames, initial, net, cfg, feature_batch=7)
         prev = initial
         for t in range(19, 60):
-            est = estimate_step(frames[t - 19: t + 1], prev, net, cfg)
+            est = _naive_step(frames[t - 19: t + 1], prev, net, cfg)
             assert np.abs(est - trace.estimates[t]).max() < 1e-9
             prev = trace.estimates[t]
 

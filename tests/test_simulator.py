@@ -10,6 +10,7 @@ from vobs.domain import (
     G_MPS2,
     G_VX,
     G_VY,
+    G_X,
     G_YAWRATE,
     S_WHEEL,
     TireParams,
@@ -23,14 +24,17 @@ from vobs.simulator import (
     SimState,
     builtin_scripts,
     pacejka_lateral_force,
-    pacejka_peak_slip,
     run_maneuver,
-    step_dynamic_bicycle,
     synthesize_sensors,
     _derivatives,
 )
 
 from conftest import circle_script, straight_script
+
+
+def _peak_slip(tire):
+    """Slip angle of the magic formula's maximum: C*atan(B*slip) = pi/2."""
+    return math.tan(math.pi / (2.0 * tire.shape_factor_c)) / tire.stiffness_factor_b
 
 
 class TestPacejka:
@@ -40,7 +44,7 @@ class TestPacejka:
     def test_peak_location_matches_closed_form(self):
         tire = TireParams()
         fz = 6000.0
-        alpha_star = pacejka_peak_slip(tire)
+        alpha_star = _peak_slip(tire)
         res = minimize_scalar(lambda a: -pacejka_lateral_force(a, fz, tire),
                               bounds=(0.0, 0.5), method="bounded",
                               options={"xatol": 1e-12})
@@ -50,7 +54,7 @@ class TestPacejka:
 
     def test_odd_in_slip(self):
         tire = TireParams()
-        alpha_star = pacejka_peak_slip(tire)
+        alpha_star = _peak_slip(tire)
         assert pacejka_lateral_force(-alpha_star, 6000.0, tire) == pytest.approx(
             -pacejka_lateral_force(alpha_star, 6000.0, tire), rel=1e-15)
 
@@ -72,12 +76,14 @@ class TestPacejka:
 
 class TestStepDynamicBicycle:
     def test_straight_rolling(self, params):
-        s = SimState(vx_mps=10.0)
-        out = step_dynamic_bicycle(s, ControlInput(0.0, 0.0), params, 0.01)
-        assert out.vx_mps == pytest.approx(10.0, abs=1e-12)
-        assert out.vy_mps == pytest.approx(0.0, abs=1e-12)
-        assert out.yaw_rate_radps == pytest.approx(0.0, abs=1e-12)
-        assert out.x_m == pytest.approx(0.1, rel=1e-9)
+        # the second sample is 0.02 s of integration from the first
+        traj = run_maneuver(straight_script(duration_s=0.04, speed=10.0), params,
+                            SensorNoiseSpec.zero())
+        end = traj.truth[1]
+        assert end[G_VX] == pytest.approx(10.0, abs=1e-12)
+        assert end[G_VY] == pytest.approx(0.0, abs=1e-12)
+        assert end[G_YAWRATE] == pytest.approx(0.0, abs=1e-12)
+        assert end[G_X] == pytest.approx(0.2, rel=1e-9)
 
     def test_steady_state_yaw_rate_matches_root_solver(self, params):
         # hold speed with a proportional force law, constant steering
@@ -105,16 +111,15 @@ class TestStepDynamicBicycle:
         assert traj.truth[-1, G_VY] == pytest.approx(vy_ss, rel=1e-5, abs=1e-8)
 
     def test_rejects_bad_dt(self, params):
-        s = SimState(vx_mps=10.0)
-        with pytest.raises(ValueError):
-            step_dynamic_bicycle(s, ControlInput(0.0, 0.0), params, 0.0)
-        with pytest.raises(ValueError):
-            step_dynamic_bicycle(s, ControlInput(0.0, 0.0), params, -0.01)
+        for substep in (0.0, -0.01):
+            with pytest.raises(ConfigError):
+                run_maneuver(straight_script(), params, SensorNoiseSpec.zero(),
+                             substep_s=substep)
 
     def test_rejects_nonfinite_state(self, params):
-        s = SimState(vx_mps=float("nan"))
         with pytest.raises(NumericalError):
-            step_dynamic_bicycle(s, ControlInput(0.0, 0.0), params, 0.01)
+            run_maneuver(straight_script(speed=float("nan")), params,
+                         SensorNoiseSpec.zero())
 
 
 class TestRunManeuver:
