@@ -18,11 +18,13 @@ def params():
     return VehicleParams()
 
 
-def straight_script(duration_s=10.0, speed=15.0, name="straight"):
-    """Constant-speed straight line (zero steering, zero net force)."""
+def straight_script(duration_s=10.0, speed=15.0, name="straight", lateral_speed=0.0):
+    """Zero steering and zero net force from the given initial velocity: a
+    constant-speed straight line when `lateral_speed` is 0."""
     def law(t, s):
         return ControlInput(0.0, 0.0)
-    return ManeuverScript(name, duration_s, law, SimState(vx_mps=speed))
+    return ManeuverScript(name, duration_s, law,
+                          SimState(vx_mps=speed, vy_mps=lateral_speed))
 
 
 def circle_script(duration_s=30.0, speed=12.0, radius=40.0, name="circle"):

@@ -16,15 +16,9 @@ from vobs.domain import (
     write_trajectory_csv,
 )
 from vobs.errors import DataFormatError
-from vobs.simulator import (
-    ControlInput,
-    ManeuverScript,
-    SensorNoiseSpec,
-    SimState,
-    run_maneuver,
-)
+from vobs.simulator import SensorNoiseSpec, run_maneuver
 
-from conftest import circle_script
+from conftest import circle_script, straight_script
 
 
 class TestVehicleParams:
@@ -52,11 +46,10 @@ class TestVehicleParams:
         assert total == pytest.approx(p.mass_kg * 9.81, rel=1e-12)
 
 
-def _coasting(params, **initial):
-    """Half a second with zero controls from the given initial state."""
-    script = ManeuverScript("coast", 0.5, lambda t, s: ControlInput(0.0, 0.0),
-                            SimState(**initial))
-    return run_maneuver(script, params, SensorNoiseSpec.zero())
+def _coasting(params, vx, vy=0.0):
+    """Half a second with zero controls from the velocity (vx, vy)."""
+    return run_maneuver(straight_script(0.5, speed=vx, lateral_speed=vy), params,
+                        SensorNoiseSpec.zero())
 
 
 class TestSideSlip:
@@ -66,19 +59,19 @@ class TestSideSlip:
         assert (straight_traj.truth[:, G_BETA] == 0.0).all()
 
     def test_analytic_value(self, params):
-        traj = _coasting(params, vx_mps=10.0, vy_mps=1.0)
+        traj = _coasting(params, 10.0, 1.0)
         assert traj.truth[0, G_BETA] == pytest.approx(0.09967, abs=1e-5)
 
     def test_degenerate_standstill(self, params):
-        traj = _coasting(params, vx_mps=0.0)
+        traj = _coasting(params, 0.0)
         assert (traj.truth[:, G_BETA] == 0.0).all()
 
     @given(st.floats(0.5, 40), st.floats(-5, 5))
     @settings(max_examples=20, deadline=None)
     def test_odd_in_vy(self, params, vx, vy):
         # mirroring the initial lateral velocity mirrors the whole coast
-        beta = _coasting(params, vx_mps=vx, vy_mps=vy).truth[:, G_BETA]
-        mirrored = _coasting(params, vx_mps=vx, vy_mps=-vy).truth[:, G_BETA]
+        beta = _coasting(params, vx, vy).truth[:, G_BETA]
+        mirrored = _coasting(params, vx, -vy).truth[:, G_BETA]
         np.testing.assert_allclose(mirrored, -beta, rtol=0, atol=1e-15)
 
 
