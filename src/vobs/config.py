@@ -5,7 +5,9 @@ keys. All randomness derives from the single master seed.
 
 from __future__ import annotations
 
+import math
 import os
+import re
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -43,6 +45,11 @@ class CorpusEntry:
         return f"{self.kind}@{self.intensity:.2f}"
 
 
+def _positive_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class ObserverSpec:
     """One observer to train and/or evaluate."""
@@ -53,8 +60,23 @@ class ObserverSpec:
     ekf_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        name = self.name  # it becomes a file name and a CSV field
+        if not (isinstance(name, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", name)) \
+                or name in (".", ".."):
+            raise ConfigError(f"observer name {name!r} must be letters, digits, '_', "
+                              f"'.' or '-', and not '.' or '..'")
         if self.type not in OBSERVER_TYPES:
-            raise ConfigError(f"observer '{self.name}': unknown type '{self.type}'")
+            raise ConfigError(f"observer '{name}': unknown type '{self.type}'")
+        o = self.ekf_overrides
+        for key, value in o.items():
+            scalar = key.startswith("cornering_stiffness")
+            if not (_positive_number(value) if scalar else isinstance(value, list)
+                    and len(value) == 3 and all(map(_positive_number, value))):
+                shape = "a positive number" if scalar else "a list of three positive numbers"
+                raise ConfigError(f"observer '{name}': {key} must be {shape}, got {value!r}")
+        if ("cornering_stiffness_front" in o) != ("cornering_stiffness_rear" in o):
+            raise ConfigError(f"observer '{name}': cornering_stiffness_front and "
+                              f"cornering_stiffness_rear must be given together")
 
     @property
     def trainable(self) -> bool:

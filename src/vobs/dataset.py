@@ -9,12 +9,12 @@ scaled to the training corpus; validation/test values may fall outside
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_json, write_file, write_json
 from .domain import SENSOR_CHANNELS, STATE_CHANNELS, Trajectory
 from .errors import ConfigError, DataFormatError
 from .seeding import derived_rng
@@ -245,13 +245,11 @@ _HEADER = struct.Struct("<4sHHHHQ")
 
 def write_cache(ds: WindowedDataset, path) -> None:
     """Record-oriented binary cache: header then little-endian float64 rows."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, ds.window_len,
-                              N_SENSOR, N_STATE, len(ds)))
-        for i in range(len(ds)):
-            fh.write(ds.windows[i].astype("<f8").tobytes())
-            fh.write(ds.prev_state[i].astype("<f8").tobytes())
-            fh.write(ds.target[i].astype("<f8").tobytes())
+    n = len(ds)
+    records = np.concatenate([ds.windows.reshape(n, ds.window_len * N_SENSOR),
+                              ds.prev_state, ds.target], axis=1).astype("<f8", copy=False)
+    write_file(path, (_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, ds.window_len,
+                                   N_SENSOR, N_STATE, n), records))
 
 
 def read_cache(path) -> WindowedDataset:
@@ -294,19 +292,16 @@ def write_sidecar(path, scaler: ScalerParams, split_assignment: dict,
         "scaler": scaler.to_dict(),
         "split_assignment": split_assignment,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def read_sidecar(path) -> dict:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-            doc["scaler"] = ScalerParams.from_dict(doc["scaler"])
-            for key in ("split_assignment", "counts"):
-                if not isinstance(doc[key], dict):
-                    raise TypeError(f"'{key}' must be a mapping")
-        except (ValueError, KeyError, TypeError, ConfigError) as exc:
-            raise DataFormatError(f"{path}: corrupt dataset sidecar ({exc!r})") from None
+    doc = read_json(path, "dataset sidecar")
+    try:
+        doc["scaler"] = ScalerParams.from_dict(doc["scaler"])
+        for key in ("split_assignment", "counts"):
+            if not isinstance(doc[key], dict):
+                raise TypeError(f"'{key}' must be a mapping")
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataFormatError(f"{path}: corrupt dataset sidecar ({exc!r})") from None
     return doc

@@ -10,11 +10,11 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_float_csv, write_csv
 from .errors import DataFormatError
 
 G_MPS2 = 9.81
@@ -28,10 +28,11 @@ S_T, S_AX, S_AY, S_YAWRATE, S_WHEEL, S_STEER = range(6)
 # Column layout of Trajectory.truth
 (G_T, G_X, G_Y, G_YAW, G_VX, G_VY, G_YAWRATE, G_AX, G_AY, G_BETA) = range(10)
 
-CSV_HEADER = (
-    "t,ax,ay,yaw_rate,wheel_speed_rr,steering,"
-    "gt_x,gt_y,gt_yaw,gt_vx,gt_vy,gt_yaw_rate,gt_ax,gt_ay,gt_beta"
-)
+# Columns of a trajectory CSV: the sensor matrix, then the truth matrix
+# without its time column
+CSV_COLUMNS = ("t", "ax", "ay", "yaw_rate", "wheel_speed_rr", "steering",
+               "gt_x", "gt_y", "gt_yaw", "gt_vx", "gt_vy", "gt_yaw_rate",
+               "gt_ax", "gt_ay", "gt_beta")
 
 
 @dataclass(frozen=True)
@@ -120,40 +121,14 @@ class Trajectory:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write one row per 50 Hz sample in the documented 15-column format."""
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for i in range(len(traj)):
-            s = traj.sensors[i]
-            g = traj.truth[i]
-            row = [s[S_T], s[S_AX], s[S_AY], s[S_YAWRATE], s[S_WHEEL], s[S_STEER],
-                   g[G_X], g[G_Y], g[G_YAW], g[G_VX], g[G_VY], g[G_YAWRATE],
-                   g[G_AX], g[G_AY], g[G_BETA]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    rows = np.hstack([traj.sensors, traj.truth[:, G_X:]])
+    write_csv(path, CSV_COLUMNS, map(np.ndarray.tolist, rows))
 
 
 def read_trajectory_csv(path, label: str = "") -> Trajectory:
     """Read a trajectory written by `write_trajectory_csv`."""
-    expected = CSV_HEADER.split(",")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty trajectory file") from None
-        if header != expected:
-            raise DataFormatError(f"{path}: bad header {header!r}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise DataFormatError(f"{path}:{lineno}: expected {len(expected)} columns")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise DataFormatError(f"{path}: no samples")
-    data = np.array(rows, dtype=np.float64)
-    t = data[:, 0:1]
-    sensors = np.hstack([t, data[:, 1:6]])
-    truth = np.hstack([t, data[:, 6:15]])
-    return Trajectory(sensors, truth, label=label or str(path))
+    data = read_float_csv(path, CSV_COLUMNS)
+    if not len(data):
+        raise DataFormatError(f"{path}:2: no samples after the header")
+    return Trajectory(data[:, :6].copy(), np.hstack([data[:, :1], data[:, 6:]]),
+                      label=label or str(path))

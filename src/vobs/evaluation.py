@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_csv, write_csv
 from .domain import G_AY, G_MPS2, Trajectory
 from .errors import ConfigError, DataFormatError
 from .observer_lstm import EstimateTrace
@@ -22,6 +23,7 @@ from .observer_lstm import EstimateTrace
 CHANNELS = ("vx", "vy", "yaw_rate")
 CHANNEL_UNITS = ("m/s", "m/s", "mrad/s")
 SEGMENTS = ("overall", "normal", "near_limits")
+REPORT_COLUMNS = ("observer", "segment", "channel", "mae", "unit", "n_samples")
 
 
 @dataclass(frozen=True)
@@ -145,42 +147,30 @@ class EvalReport:
 
 
 def write_report_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("observer,segment,channel,mae,unit,n_samples\n")
-        for observer in sorted(report.table):
-            for segment in SEGMENTS:
-                if segment not in report.table[observer]:
-                    continue
-                err = report.table[observer][segment]
-                for ci, channel in enumerate(CHANNELS):
-                    fh.write(f"{observer},{segment},{channel},{float(err[ci])!r},"
-                             f"{CHANNEL_UNITS[ci]},{report.counts.get(segment, 0)}\n")
+    write_csv(path, REPORT_COLUMNS, (
+        (observer, segment, channel, float(segs[segment][ci]), CHANNEL_UNITS[ci],
+         report.counts.get(segment, 0))
+        for observer, segs in sorted(report.table.items())
+        for segment in SEGMENTS if segment in segs
+        for ci, channel in enumerate(CHANNELS)))
 
 
 def read_report_csv(path) -> EvalReport:
     """Read a report written by `write_report_csv`."""
     table: dict[str, dict[str, np.ndarray]] = {}
     counts: dict[str, int] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "observer,segment,channel,mae,unit,n_samples":
-            raise DataFormatError(f"{path}:1: not an evaluation report (header {header!r})")
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.strip().split(",")
-            if len(fields) != 6:
-                raise DataFormatError(f"{path}:{lineno}: expected 6 columns")
-            observer, segment, channel, value, _, n = fields
-            if segment not in SEGMENTS or channel not in CHANNELS:
-                raise DataFormatError(
-                    f"{path}:{lineno}: unknown segment or channel '{segment},{channel}'")
-            try:
-                mae_value, n_samples = float(value), int(n)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            segs = table.setdefault(observer, {})
-            err = segs.setdefault(segment, np.zeros(3))
-            err[CHANNELS.index(channel)] = mae_value
-            counts[segment] = n_samples
+    for lineno, (observer, segment, channel, value, _, n) in read_csv(path, REPORT_COLUMNS):
+        if segment not in SEGMENTS or channel not in CHANNELS:
+            raise DataFormatError(
+                f"{path}:{lineno}: unknown segment or channel '{segment},{channel}'")
+        try:
+            mae_value, n_samples = float(value), int(n)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        segs = table.setdefault(observer, {})
+        err = segs.setdefault(segment, np.zeros(3))
+        err[CHANNELS.index(channel)] = mae_value
+        counts[segment] = n_samples
     return EvalReport(table, counts)
 
 

@@ -27,28 +27,3 @@ from .weights_io import (
     load_weights,
     save_weights,
 )
-
-__all__ = [
-    "Adam",
-    "COMPUTE_DTYPE",
-    "DEFAULT_DENSE",
-    "DEFAULT_HIDDEN",
-    "Dense",
-    "GruLayer",
-    "LstmLayer",
-    "RecurrentRegressor",
-    "TrainConfig",
-    "WeightsCorruptionError",
-    "WeightsShapeError",
-    "WeightsVersionError",
-    "gradient_check",
-    "gru_cell_forward",
-    "gru_observer_net",
-    "l2_loss",
-    "load_weights",
-    "lstm_cell_forward",
-    "lstm_observer_net",
-    "save_weights",
-    "sigmoid",
-    "write_gradcheck_csv",
-]

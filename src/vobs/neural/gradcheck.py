@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
+from ..artifacts import write_file
 from ..errors import ConfigError
 from .network import RecurrentRegressor
 
@@ -57,9 +59,8 @@ def gradient_check(net: RecurrentRegressor, windows: np.ndarray,
 
 
 def write_gradcheck_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coordinate", "analytic", "numeric", "rel_error"])
-        for coord, analytic, numeric, rel in rows:
-            writer.writerow([coord, repr(float(analytic)), repr(float(numeric)),
-                             repr(float(rel))])
+    text = io.StringIO()  # csv.writer's dialect: quoted coordinates, \r\n line ends
+    csv.writer(text).writerows([("coordinate", "analytic", "numeric", "rel_error")] + [
+        (coord, repr(float(analytic)), repr(float(numeric)), repr(float(rel)))
+        for coord, analytic, numeric, rel in rows])
+    write_file(path, text.getvalue())

@@ -22,20 +22,18 @@ that quietly predicts garbage. Loading builds the declared architecture with
 `build_net` and requires the array lines to name exactly its tensors, in
 order and shape; the payload then fills them.
 
-Files are written to a temporary file in the same directory and moved into
-place with `os.replace`, so an interrupted save leaves the previous file
-intact. Version 1 files (one text line of repr floats per tensor) are not
-read; `vobs train` rewrites them.
+Files are written atomically (`artifacts.write_file`). Version 1 files (one
+text line of repr floats per tensor) are not read; `vobs train` rewrites them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from itertools import zip_longest
 
 import numpy as np
 
+from ..artifacts import write_file
 from ..errors import DataFormatError
 from .network import RecurrentRegressor, build_net
 
@@ -73,17 +71,7 @@ def save_weights(net: RecurrentRegressor, path) -> None:
     lines.append(f"payload {len(payload)} {hashlib.sha256(payload).hexdigest()}")
     head = ("\n".join(lines) + "\n").encode("ascii")
 
-    tmp = os.path.join(os.path.dirname(path) or ".",
-                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(head)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    write_file(path, (head, payload))
 
 
 def load_weights(path) -> RecurrentRegressor:

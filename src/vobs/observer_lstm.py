@@ -10,14 +10,14 @@ closes and no ground truth is consumed after the provided initial state.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_float_csv, write_csv
 from .dataset import NoiseSpec, ScalerParams, WindowedDataset, inject_state_noise
 from .domain import Trajectory
-from .errors import ConfigError, DataFormatError, NumericalError
+from .errors import ConfigError, NumericalError
 from .neural import COMPUTE_DTYPE, Adam, RecurrentRegressor, TrainConfig, lstm_observer_net
 from .seeding import derived_rng
 
@@ -59,39 +59,23 @@ class EstimateTrace:
         return self.t_s.shape[0]
 
 
+TRACE_COLUMNS = ("t", "vx_est", "vy_est", "yaw_rate_est")
+
+
 def write_trace_csv(trace: EstimateTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,vx_est,vy_est,yaw_rate_est\n")
-        for i in range(len(trace)):
-            row = [trace.t_s[i]] + list(trace.estimates[i])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    rows = np.column_stack([trace.t_s, trace.estimates])
+    write_csv(path, TRACE_COLUMNS, map(np.ndarray.tolist, rows))
 
 
 def read_trace_csv(path, warmup_len: int = 0) -> EstimateTrace:
     """Read a trace written by `write_trace_csv`."""
-    expected = ["t", "vx_est", "vy_est", "yaw_rate_est"]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise DataFormatError(f"{path}:1: not a trace file (header {header!r})")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise DataFormatError(f"{path}:{lineno}: expected {len(expected)} columns")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    data = np.array(rows, dtype=np.float64).reshape(-1, len(expected))
+    data = read_float_csv(path, TRACE_COLUMNS)
     return EstimateTrace(data[:, 0], data[:, 1:4], warmup_len=warmup_len)
 
 
 def write_training_log(log: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for entry in log:
-            fh.write(f"{entry['epoch']},{entry['train_loss']!r},{entry['val_loss']!r}\n")
+    write_csv(path, ("epoch", "train_loss", "val_loss"),
+              ((e["epoch"], e["train_loss"], e["val_loss"]) for e in log))
 
 
 def _shards(lo: int, hi: int) -> list[slice]:

@@ -13,7 +13,6 @@ import ctypes
 import dataclasses
 import functools
 import glob
-import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import evaluation as ev
+from .artifacts import read_json, write_csv, write_file, write_json
 from .baselines import EkfConfig, EkfState, run_ekf, run_gru, train_gru
 from .config import RunConfig
 from .domain import (
@@ -187,35 +187,28 @@ def simulate_corpus(cfg: RunConfig) -> dict:
     traj_dir = os.path.join(cfg.out_dir, "trajectories")
     os.makedirs(traj_dir, exist_ok=True)
     entries = []
-    total_frames = 0
-    has_low = False
-    has_high = False
     for job, traj in zip(jobs, trajectories):
         kind, intensity, _, label, _, noise = job
         fname = label.replace("#", "-") + ".csv"
         write_trajectory_csv(traj, os.path.join(traj_dir, fname))
-        peak_g = float(np.max(np.abs(traj.truth[:, G_AY]))) / G_MPS2
-        has_low = has_low or peak_g < 0.5
-        has_high = has_high or peak_g >= 0.5
-        total_frames += len(traj)
         entries.append({
             "file": f"trajectories/{fname}",
             "label": label,
             "kind": kind,
             "intensity": intensity,
             "n_frames": len(traj),
-            "peak_ay_g": peak_g,
+            "peak_ay_g": float(np.max(np.abs(traj.truth[:, G_AY]))) / G_MPS2,
             "sensor_seed": noise.seed,
         })
+    peaks = [e["peak_ay_g"] for e in entries]
     manifest = {
         "master_seed": cfg.master_seed,
         "trajectories": entries,
-        "totals": {"n_trajectories": len(entries), "n_frames": total_frames},
-        "regimes": {"low_g": has_low, "high_g": has_high},
+        "totals": {"n_trajectories": len(entries),
+                   "n_frames": sum(e["n_frames"] for e in entries)},
+        "regimes": {"low_g": min(peaks) < 0.5, "high_g": max(peaks) >= 0.5},
     }
-    with open(os.path.join(cfg.out_dir, MANIFEST_NAME), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(cfg.out_dir, MANIFEST_NAME), manifest)
     return manifest
 
 
@@ -223,11 +216,7 @@ def _load_manifest(cfg: RunConfig) -> dict:
     path = os.path.join(cfg.out_dir, MANIFEST_NAME)
     if not os.path.exists(path):
         raise DataFormatError(f"no corpus manifest at {path}; run 'simulate' first")
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: corrupt corpus manifest ({exc})") from None
+    manifest = read_json(path, "corpus manifest")
     entries = manifest.get("trajectories") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not all(
             isinstance(e, dict) and isinstance(e.get("file"), str)
@@ -350,15 +339,11 @@ def train_all(cfg: RunConfig) -> list[dict]:
 
 
 def _ekf_config(spec, params: VehicleParams) -> EkfConfig:
-    kwargs = {}
     o = spec.ekf_overrides
-    if "q" in o:
-        kwargs["process_noise_q"] = tuple(float(v) for v in o["q"])
-    if "r" in o:
-        kwargs["measurement_noise_r"] = tuple(float(v) for v in o["r"])
-    if "p0" in o:
-        kwargs["initial_covariance_p0"] = tuple(float(v) for v in o["p0"])
-    if "cornering_stiffness_front" in o and "cornering_stiffness_rear" in o:
+    kwargs = {field: tuple(float(v) for v in o[key])
+              for key, field in (("q", "process_noise_q"), ("r", "measurement_noise_r"),
+                                 ("p0", "initial_covariance_p0")) if key in o}
+    if "cornering_stiffness_front" in o:  # the config requires both or neither
         return EkfConfig(float(o["cornering_stiffness_front"]),
                          float(o["cornering_stiffness_rear"]), **kwargs)
     return EkfConfig.for_vehicle(params, **kwargs)
@@ -445,9 +430,7 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
 
     report = ev.EvalReport(table, counts)
     ev.write_report_csv(report, os.path.join(eval_dir, "report.csv"))
-    with open(os.path.join(eval_dir, "report.txt"), "w") as fh:
-        fh.write(ev.format_report_text(report))
-    _write_rankings(report, os.path.join(eval_dir, "ranking.csv"))
+    _write_tables(report, eval_dir)
     _write_plot_data(cfg, report, test_trajs, seg_of, traces, skip, eval_dir)
     _write_distributions(test_trajs, seg_of, eval_dir)
 
@@ -461,18 +444,19 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     return report
 
 
-def _write_rankings(report: ev.EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("segment,channel,first,second,last\n")
-        for segment in ev.SEGMENTS:
-            named = {n for n, segs in report.table.items() if segment in segs}
-            if len(named) < 2:
-                continue
+def _write_tables(report: ev.EvalReport, eval_dir: str) -> str:
+    """Write `report`'s text tables (report.txt) and rankings; return the text."""
+    text = ev.format_report_text(report)
+    write_file(os.path.join(eval_dir, "report.txt"), text)
+    spots = ("first", "second", "last")
+    rows = []
+    for segment in ev.SEGMENTS:
+        if sum(segment in segs for segs in report.table.values()) >= 2:
             ranking = report.ranking(segment)
-            for channel in ev.CHANNELS:
-                spots = ranking[channel]
-                fh.write(f"{segment},{channel},{spots['first']},"
-                         f"{spots['second']},{spots['last']}\n")
+            rows += [(segment, channel, *(ranking[channel][s] for s in spots))
+                     for channel in ev.CHANNELS]
+    write_csv(os.path.join(eval_dir, "ranking.csv"), ("segment", "channel") + spots, rows)
+    return text
 
 
 def _pick_ours(cfg: RunConfig) -> str:
@@ -504,10 +488,9 @@ def _write_plot_data(cfg, report, test_trajs, seg_of, traces, skip, eval_dir) ->
             t = rep.sensors[skip:, 0]
             ours_est = traces[ours][rep.label].estimates[skip:, ci]
             other_est = traces[other][rep.label].estimates[skip:, ci]
-            with open(os.path.join(plot_dir, f"{segment}_{channel}.csv"), "w") as fh:
-                fh.write(f"t,ref,{ours},{other}\n")
-                for row in zip(t, ref, ours_est, other_est):
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            rows = np.column_stack([t, ref, ours_est, other_est])
+            write_csv(os.path.join(plot_dir, f"{segment}_{channel}.csv"),
+                      ("t", "ref", ours, other), map(np.ndarray.tolist, rows))
 
 
 def _write_distributions(test_trajs, seg_of, eval_dir) -> None:
@@ -515,24 +498,22 @@ def _write_distributions(test_trajs, seg_of, eval_dir) -> None:
               "normal": [t for t in test_trajs if seg_of[t.label] == "normal"],
               "near_limits": [t for t in test_trajs if seg_of[t.label] == "near_limits"]}
     dists = {name: ev.accel_distribution(group) for name, group in groups.items() if group}
-    with open(os.path.join(eval_dir, "accel_distribution.csv"), "w") as fh:
-        fh.write("set,min,q25,median,q75,max\n")
-        for name, q in dists.items():
-            fh.write(f"{name},{q['min']!r},{q['q25']!r},{q['median']!r},"
-                     f"{q['q75']!r},{q['max']!r}\n")
-    with open(os.path.join(eval_dir, "accel_histogram.csv"), "w") as fh:
-        fh.write("set,bin_lo,bin_hi,count\n")
-        for name, q in dists.items():
-            for lo, hi, c in zip(q["edges"][:-1], q["edges"][1:], q["counts"]):
-                fh.write(f"{name},{float(lo)!r},{float(hi)!r},{int(c)}\n")
+    write_csv(os.path.join(eval_dir, "accel_distribution.csv"),
+              ("set", "min", "q25", "median", "q75", "max"),
+              [(name, q["min"], q["q25"], q["median"], q["q75"], q["max"])
+               for name, q in dists.items()])
+    write_csv(os.path.join(eval_dir, "accel_histogram.csv"),
+              ("set", "bin_lo", "bin_hi", "count"),
+              ((name, lo, hi, c) for name, q in dists.items()
+               for lo, hi, c in zip(q["edges"][:-1].tolist(), q["edges"][1:].tolist(),
+                                    q["counts"].tolist())))
     counts, ax_edges, ay_edges = ev.friction_circle_hist(test_trajs)
     ax_centers = 0.5 * (ax_edges[:-1] + ax_edges[1:])
     ay_centers = 0.5 * (ay_edges[:-1] + ay_edges[1:])
-    with open(os.path.join(eval_dir, "friction_circle.csv"), "w") as fh:
-        fh.write("ax_center,ay_center,count\n")
-        for i, axc in enumerate(ax_centers):
-            for j, ayc in enumerate(ay_centers):
-                fh.write(f"{float(axc)!r},{float(ayc)!r},{int(counts[i, j])}\n")
+    write_csv(os.path.join(eval_dir, "friction_circle.csv"),
+              ("ax_center", "ay_center", "count"),
+              ((axc, ayc, int(counts[i, j])) for i, axc in enumerate(ax_centers.tolist())
+               for j, ayc in enumerate(ay_centers.tolist())))
 
 
 def render_report(out_dir: str) -> str:
@@ -540,12 +521,7 @@ def render_report(out_dir: str) -> str:
     path = os.path.join(out_dir, "eval", "report.csv")
     if not os.path.exists(path):
         raise DataFormatError(f"no evaluation report at {path}; run 'evaluate' first")
-    report = ev.read_report_csv(path)
-    text = ev.format_report_text(report)
-    with open(os.path.join(out_dir, "eval", "report.txt"), "w") as fh:
-        fh.write(text)
-    _write_rankings(report, os.path.join(out_dir, "eval", "ranking.csv"))
-    return text
+    return _write_tables(ev.read_report_csv(path), os.path.join(out_dir, "eval"))
 
 
 def run_gradient_check(out_dir: str, corrupt: bool = False,

@@ -422,6 +422,35 @@ class TestUnknownConfigKeys:
             k: v for k, v in ekf.items() if k != "type"}
 
 
+class TestObserverValidation:
+    """Observer names and EKF overrides are checked at config load (exit 1)."""
+
+    @pytest.mark.parametrize("ekf, key", [
+        ({"q": "abc"}, "q"),
+        ({"q": 5}, "q"),
+        ({"r": [1e-3, 0, 1e-2]}, "r"),
+        ({"cornering_stiffness_front": 6e4}, "cornering_stiffness_front"),
+    ], ids=["q_text", "q_number", "r_zero_entry", "front_stiffness_alone"])
+    def test_bad_ekf_override_rejected(self, tmp_path, capsys, ekf, key):
+        cfg = _write_config(tmp_path, overrides={"observers": {"ekf": {"type": "ekf", **ekf}}})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "observer 'ekf'" in err and key in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name", ["../../escape", "a,b", ".", "..", "a b", "", "x/y"],
+                             ids=["escape", "comma", "dot", "dotdot", "space", "empty", "slash"])
+    def test_bad_observer_name_rejected(self, tmp_path, capsys, name):
+        cfg = _write_config(tmp_path, overrides={"observers": {name: {"type": "ekf"}}})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert f"observer name {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_name_alphabet_accepted(self):
+        doc = dict(BASE_CONFIG, observers={"Lstm_v2.1-a": {"type": "ekf"}})
+        assert list(build_config(doc).observers) == ["Lstm_v2.1-a"]
+
+
 class TestCorruptStageMetadata:
     """A corrupt manifest or sidecar is a data error (exit 3) naming the file."""
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vobs.domain import (
+    CSV_COLUMNS,
     DT_S,
     G_BETA,
     G_T,
@@ -100,8 +101,18 @@ class TestTrajectoryCsv:
         np.testing.assert_array_equal(back.sensors, noisy_straight_traj.sensors)
         np.testing.assert_array_equal(back.truth, noisy_straight_traj.truth)
 
-    def test_header_enforced(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(DataFormatError):
+    HEADER = ",".join(CSV_COLUMNS) + "\n"
+    ROW = ",".join(["0.5"] * 15) + "\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,b,c\n1,2,3\n", 1),
+        ("", 1),
+        (HEADER, 2),
+        (HEADER + ROW + ",".join(["0.5"] * 14) + "\n", 3),
+        (HEADER + ",".join(["0.5"] * 14 + ["abc"]) + "\n", 2),
+    ], ids=["bad_header", "empty", "no_samples", "field_count", "non_numeric"])
+    def test_malformed_trajectory_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "traj.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=f"traj.csv:{line}:"):
             read_trajectory_csv(path)

@@ -1,4 +1,3 @@
-import errno
 import hashlib
 import math
 import os
@@ -23,7 +22,7 @@ from vobs.neural import (
     save_weights,
     sigmoid,
 )
-from vobs.neural import layers, weights_io
+from vobs.neural import layers
 from vobs.neural.weights_io import (
     WeightsCorruptionError,
     WeightsShapeError,
@@ -496,38 +495,6 @@ class TestWeightsIo:
         # any change to the layout or the payload encoding changes this digest
         digest = hashlib.sha256(self._saved(tmp_path).read_bytes()).hexdigest()
         assert digest == PINNED_SHA256
-
-    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
-        path = self._saved(tmp_path)
-        old = self._net()
-
-        class _DiskFull:
-            """Writes half of what it is given, then fails."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def write(self, data):
-                self.fh.write(data[:len(data) // 2])
-                raise OSError(errno.ENOSPC, "no space left on device")
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        monkeypatch.setattr(weights_io, "open",
-                            lambda p, mode: _DiskFull(open(p, mode)), raising=False)
-        changed = lstm_observer_net(seed=22, in_dim=5, hidden=(3, 4), dense=(4,),
-                                    out_dim=3, state_dim=3)
-        with pytest.raises(OSError):
-            save_weights(changed, path)
-        monkeypatch.undo()
-        assert os.listdir(tmp_path) == ["w.weights"]
-        back = load_weights(path)
-        for (_, a), (_, b) in zip(old.params(), back.params()):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestDeterminism:
