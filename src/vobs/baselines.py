@@ -7,7 +7,11 @@ with measured longitudinal acceleration and steering as inputs (Euler, with
 the analytic Jacobian of the discrete map); the update assimilates wheel
 speed, gyro yaw rate, and lateral acceleration through a Joseph-form
 covariance update. Process noise is a continuous intensity, discretized as
-Q*dt.
+Q*dt over the 50 Hz sample period `domain.DT_S`.
+
+Both observers take the `Trajectory` whose sensor stream they estimate
+over; neither reads its ground truth. `run_gru` takes the same arguments, in
+the same order, as `observer_lstm.run_closed_loop`.
 """
 
 from __future__ import annotations
@@ -18,16 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import NoiseSpec, ScalerParams, WindowedDataset
-from .domain import VehicleParams
+from .domain import DT_S, Trajectory, VehicleParams
 from .errors import ConfigError, NumericalError
 from .neural import RecurrentRegressor, TrainConfig, gru_observer_net
-from .observer_lstm import (
-    EstimateTrace,
-    ObserverConfig,
-    sensor_stream,
-    train_observer,
-    window_features,
-)
+from .observer_lstm import EstimateTrace, train_observer, window_features
 
 # defaults below were tuned once by grid search on low-acceleration synthetic
 # data with the standard sensor noise; see eval config documentation
@@ -219,15 +217,16 @@ def measurement_jacobian(x, delta, p, cfg) -> np.ndarray:
     return jac
 
 
-def run_ekf(frames, initial: EkfState, p: VehicleParams,
-            cfg: EkfConfig, dt: float = 0.02) -> EstimateTrace:
-    """Alternate predict and update over a 50 Hz sensor stream.
+def run_ekf(traj: Trajectory, initial: EkfState, p: VehicleParams,
+            cfg: EkfConfig) -> EstimateTrace:
+    """Alternate predict and update over the 50 Hz sensor stream of `traj`.
 
     The first frame is assimilated without a prediction (no time has
     passed); afterwards each frame's (ax, steering) drives the prediction
-    into its own timestamp before its measurements are assimilated.
+    over one sample period `DT_S` into its own timestamp before its
+    measurements are assimilated.
     """
-    t, raw = sensor_stream(frames)
+    raw = traj.sensor_channels()
     n = raw.shape[0]
     if n == 0:
         raise ConfigError("empty sensor stream")
@@ -237,10 +236,10 @@ def run_ekf(frames, initial: EkfState, p: VehicleParams,
     for k in range(n):
         ax_k, ay_k, gyro_k, wheel_k, steer_k = raw[k]
         if k > 0:
-            s = ekf_predict(s, (ax_k, steer_k), p, cfg, dt)
+            s = ekf_predict(s, (ax_k, steer_k), p, cfg, DT_S)
         s = ekf_update(s, (wheel_k, gyro_k, ay_k), steer_k, p, cfg)
         estimates[k] = s.x
-    return EstimateTrace(t.copy(), estimates, warmup_len=0)
+    return EstimateTrace(traj.sensors[:, 0].copy(), estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -254,27 +253,21 @@ def train_gru(train_ds: WindowedDataset, val_ds: WindowedDataset,
     input — there is nothing to inject noise into."""
     if net is None:
         net = gru_observer_net(seed=tc.seed)
-    cfg = ObserverConfig(scaler=scaler, noise=NoiseSpec(0.0, 0.0))
-    return train_observer(train_ds, val_ds, cfg, tc, net=net, map_fn=map_fn)
+    return train_observer(train_ds, val_ds, scaler, NoiseSpec(0.0, 0.0), tc,
+                          net=net, map_fn=map_fn)
 
 
-def run_gru(frames, net: RecurrentRegressor, scaler: ScalerParams,
-            initial_state=None, window_len: int = 50,
-            feature_batch: int = 512) -> EstimateTrace:
+def run_gru(traj: Trajectory, initial_state, net: RecurrentRegressor,
+            scaler: ScalerParams, window_len: int) -> EstimateTrace:
     """Per-step estimates from the sensor window alone.
 
     Estimates are a pure function of the window; the first window_len - 1
-    steps carry `initial_state` when provided (the first computed estimate
-    otherwise) purely to keep traces length-aligned.
+    steps carry `initial_state` purely to keep traces length-aligned.
     """
-    t, raw = sensor_stream(frames)
     w = window_len
-    estimates = np.empty((raw.shape[0], 3))
-    for lo, feats in window_features(raw, scaler, net, w, feature_batch):
+    estimates = np.empty((len(traj), 3))
+    for lo, feats in window_features(traj.sensor_channels(), scaler, net, w):
         out = net.head_forward(feats, None)
         estimates[w - 1 + lo: w - 1 + lo + out.shape[0]] = scaler.unscale_state(out)
-    if initial_state is None:
-        estimates[: w - 1] = estimates[w - 1]
-    else:
-        estimates[: w - 1] = np.asarray(initial_state, dtype=np.float64).reshape(3)
-    return EstimateTrace(t.copy(), estimates, warmup_len=w - 1)
+    estimates[: w - 1] = np.asarray(initial_state, dtype=np.float64).reshape(3)
+    return EstimateTrace(traj.sensors[:, 0].copy(), estimates)

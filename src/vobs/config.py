@@ -20,7 +20,11 @@ from .simulator import MANEUVER_KINDS, SensorNoiseSpec
 
 ENV_OUT_ROOT = "VOBS_OUT"
 
-OBSERVER_TYPES = ("lstm", "gru", "ekf")
+EKF_OVERRIDE_KEYS = ("q", "r", "p0", "cornering_stiffness_front", "cornering_stiffness_rear")
+# each observer type and the config keys it reads
+OBSERVER_TYPE_KEYS = {"lstm": ("type", "state_noise"), "gru": ("type",),
+                      "ekf": ("type",) + EKF_OVERRIDE_KEYS}
+OBSERVER_TYPES = tuple(OBSERVER_TYPE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,6 @@ TOP_LEVEL_KEYS = ("master_seed", "out_dir", "workers", "corpus", "sensor_noise",
 CORPUS_ENTRY_TYPES = {"kind": str, "intensity": float, "count": int, "duration_s": float}
 DATASET_TYPES = {"window_len": int, "train_stride": int, "val_stride": int}
 TRAIN_TYPES = {"epochs": int, "batch_size": int, "learning_rate": float, "shuffle": bool}
-EKF_OVERRIDE_KEYS = ("q", "r", "p0", "cornering_stiffness_front", "cornering_stiffness_rear")
 OBSERVER_KEYS = ("type", "state_noise") + EKF_OVERRIDE_KEYS
 
 
@@ -214,12 +217,17 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
     observers = {}
     for name, spec in obs_doc.items():
         spec = _check_keys(spec or {}, OBSERVER_KEYS, f"observer '{name}'", where)
-        observers[name] = ObserverSpec(
+        observer = ObserverSpec(
             name=name,
             type=_require(spec, "type", f"observer '{name}'"),
             state_noise=bool(spec.get("state_noise", True)),
             ekf_overrides={k: v for k, v in spec.items() if k in EKF_OVERRIDE_KEYS},
         )
+        for key in spec:
+            if key not in OBSERVER_TYPE_KEYS[observer.type]:
+                raise ConfigError(f"{where}: key '{key}' in observer '{name}' does not "
+                                  f"apply to type '{observer.type}'")
+        observers[name] = observer
 
     segments = SegmentSpec(**_section(
         doc.get("evaluation", {}), "evaluation", where, _float_fields(SegmentSpec)))

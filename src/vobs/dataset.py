@@ -1,10 +1,10 @@
 """Turns trajectories into scaled, windowed training samples.
 
 The sample layout follows the observer's two inputs: a window of the five
-sensor channels covering the current step and the 49 before it, and the
-ground-truth state at the step before the target. All values are min-max
-scaled to the training corpus; validation/test values may fall outside
-[0, 1] and are deliberately not clipped.
+sensor channels covering the current step and the window_len - 1 before it,
+and the ground-truth state at the step before the target. All values are
+min-max scaled to the training corpus; validation/test values may fall
+outside [0, 1] and are deliberately not clipped.
 """
 
 from __future__ import annotations
@@ -110,13 +110,13 @@ class WindowedDataset:
     windows: np.ndarray
     prev_state: np.ndarray
     target: np.ndarray
-    window_len: int = 50
+    window_len: int
 
     def __len__(self) -> int:
         return self.windows.shape[0]
 
     @classmethod
-    def empty(cls, window_len: int = 50) -> "WindowedDataset":
+    def empty(cls, window_len: int) -> "WindowedDataset":
         return cls(np.zeros((0, window_len, N_SENSOR)), np.zeros((0, N_STATE)),
                    np.zeros((0, N_STATE)), window_len=window_len)
 
@@ -158,13 +158,15 @@ def fit_scaler(trajectories: list[Trajectory]) -> ScalerParams:
     return ScalerParams(s_min, s_max, g_min, g_max)
 
 
-def make_windows(traj: Trajectory, scaler: ScalerParams, w: int = 50,
+def make_windows(traj: Trajectory, scaler: ScalerParams, window_len: int,
                  stride: int = 1) -> WindowedDataset:
     """Slice one trajectory into scaled windowed samples.
 
-    One sample per target index t in [w-1, N-1] (every `stride`-th when
-    stride > 1); a trajectory shorter than w+1 frames yields no samples.
+    One sample per target index t in [window_len-1, N-1] (every `stride`-th
+    when stride > 1); a trajectory shorter than window_len frames yields no
+    samples.
     """
+    w = window_len
     if w < 1:
         raise ConfigError(f"window length must be >= 1, got {w}")
     if stride < 1:

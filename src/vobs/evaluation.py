@@ -4,9 +4,9 @@ for plotting.
 
 Velocity errors are reported in m/s, yaw-rate errors in mrad/s. Segmentation
 is decided per trajectory from the ground-truth peak |ay|: at or above the
-0.5g threshold a maneuver counts as near-limits. Warm-up samples, which
-replicate the provided initial state by construction, are excluded from MAE
-by default.
+0.5g threshold a maneuver counts as near-limits. The caller decides how many
+leading samples `mae` skips; the evaluate stage skips the warm-up, the first
+window_len - 1 samples, which only repeat the provided initial state.
 """
 
 from __future__ import annotations
@@ -38,25 +38,18 @@ class SegmentSpec:
             raise ConfigError("need 0 < normal threshold < near-limits max")
 
 
-def mae(est: EstimateTrace, ref, skip_warmup: bool = True,
-        skip: int | None = None) -> np.ndarray:
+def mae(est: EstimateTrace, truth: np.ndarray, skip: int = 0) -> np.ndarray:
     """Per-channel mean absolute error (vx m/s, vy m/s, yaw rate mrad/s).
 
-    `ref` is a Trajectory or an (N, 3) ground-truth state matrix aligned
-    sample-for-sample with the trace. `skip` overrides the number of leading
-    samples to drop (defaults to the trace's own warm-up length).
+    `truth` is the (N, 3) ground-truth state matrix aligned sample-for-sample
+    with the trace; the first `skip` samples are left out.
     """
-    truth = ref.state_channels() if isinstance(ref, Trajectory) \
-        else np.asarray(ref, dtype=np.float64)
     if truth.shape != est.estimates.shape:
         raise ConfigError(
             f"length mismatch: trace {est.estimates.shape} vs reference {truth.shape}")
-    start = 0
-    if skip_warmup:
-        start = est.warmup_len if skip is None else skip
-    if start >= len(est):
+    if skip >= len(est):
         raise ConfigError("nothing left to evaluate after warm-up exclusion")
-    err = np.abs(est.estimates[start:] - truth[start:]).mean(axis=0)
+    err = np.abs(est.estimates[skip:] - truth[skip:]).mean(axis=0)
     return err * np.array([1.0, 1.0, 1000.0])
 
 

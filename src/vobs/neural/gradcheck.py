@@ -53,8 +53,8 @@ def gradient_check(net: RecurrentRegressor, windows: np.ndarray,
             analytic = gflat[idx]
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
             worst = max(worst, rel)
-            coord = np.unravel_index(idx, arr.shape)
-            rows.append((f"{name}{list(coord)}", analytic, numeric, rel))
+            coord = [int(i) for i in np.unravel_index(idx, arr.shape)]
+            rows.append((f"{name}{coord}", analytic, numeric, rel))
     return worst, rows
 
 

@@ -6,11 +6,14 @@ with fresh Gaussian noise added every epoch (in physical units, before
 scaling), which teaches the network to correct an imperfect fed-back state.
 At test time the observer's own previous estimate is fed back, so the loop
 closes and no ground truth is consumed after the provided initial state.
+
+The scaler, the state-noise spec and the window length are plain arguments;
+the pipeline passes the run config's values, which hold the one default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,31 +28,16 @@ from .seeding import derived_rng
 # order, and with it every output, is the same for any number of workers
 SHARDS = 2
 
-
-@dataclass(frozen=True)
-class ObserverConfig:
-    """Window geometry, state-noise spec, and scaler."""
-
-    scaler: ScalerParams
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    window_len: int = 50
-
-    def __post_init__(self):
-        if self.window_len < 1:
-            raise ConfigError("window_len must be >= 1")
+# the most windows one `net.features` call stacks at test time
+FEATURE_BATCH = 512
 
 
 @dataclass
 class EstimateTrace:
-    """Per-step state estimates in physical units.
-
-    The first `warmup_len` entries replicate the initial state handed to the
-    observer (no full sensor window exists yet).
-    """
+    """Per-step state estimates in physical units, one per sensor frame."""
 
     t_s: np.ndarray
     estimates: np.ndarray  # (N, 3): vx, vy, yaw_rate
-    warmup_len: int = 0
 
     def __post_init__(self):
         if self.estimates.shape != (self.t_s.shape[0], 3):
@@ -67,10 +55,10 @@ def write_trace_csv(trace: EstimateTrace, path) -> None:
     write_csv(path, TRACE_COLUMNS, map(np.ndarray.tolist, rows))
 
 
-def read_trace_csv(path, warmup_len: int = 0) -> EstimateTrace:
+def read_trace_csv(path) -> EstimateTrace:
     """Read a trace written by `write_trace_csv`."""
     data = read_float_csv(path, TRACE_COLUMNS)
-    return EstimateTrace(data[:, 0], data[:, 1:4], warmup_len=warmup_len)
+    return EstimateTrace(data[:, 0], data[:, 1:4])
 
 
 def write_training_log(log: list[dict], path) -> None:
@@ -125,14 +113,16 @@ def _batched_val_loss(net: RecurrentRegressor, ds: WindowedDataset,
 
 
 def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
-                   cfg: ObserverConfig, tc: TrainConfig,
+                   scaler: ScalerParams, noise: NoiseSpec, tc: TrainConfig,
                    net: RecurrentRegressor | None = None, map_fn=map):
     """Train with noise-injected teacher forcing; returns (weights, log).
 
-    Fresh Gaussian noise is drawn for every sample's fed-back state each
-    epoch (stds of 0 reduce to plain teacher forcing). Validation uses
-    noise-free teacher forcing; the weights of the best validation epoch are
-    returned. The log records per-epoch mean train and val loss.
+    Fresh Gaussian noise from `noise` is drawn for every sample's fed-back
+    state each epoch, in physical units: `scaler` unscales the state before
+    and scales it back after (stds of 0 reduce to plain teacher forcing).
+    Validation uses noise-free teacher forcing; the weights of the best
+    validation epoch are returned. The log records per-epoch mean train and
+    val loss.
 
     Mixed precision: `net` is the master and Adam updates its weights. Every
     batch refreshes a `COMPUTE_DTYPE` working copy from the master, which
@@ -154,7 +144,7 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
     params = [arr for _, arr in net.params()]
     adam = Adam(params, lr=tc.learning_rate)
     work = net.astype(COMPUTE_DTYPE)
-    stds = cfg.noise.stds()
+    stds = noise.stds()
     inject = bool((stds > 0).any())
 
     best_val = np.inf
@@ -166,16 +156,16 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
             order = derived_rng(tc.seed, "shuffle", epoch).permutation(n)
         else:
             order = np.arange(n)
-        noise_rng = derived_rng(cfg.noise.seed, "state-noise", epoch)
+        noise_rng = derived_rng(noise.seed, "state-noise", epoch)
 
         epoch_sum = 0.0
         for bidx, lo in enumerate(range(0, n, tc.batch_size)):
             idx = order[lo: lo + tc.batch_size]
             prev = train_ds.prev_state[idx] if net.state_dim else None
             if inject and prev is not None:
-                phys = cfg.scaler.unscale_state(prev)
-                noisy = inject_state_noise(phys, cfg.noise, rng=noise_rng)
-                prev = cfg.scaler.scale_state(noisy)
+                phys = scaler.unscale_state(prev)
+                noisy = inject_state_noise(phys, noise, rng=noise_rng)
+                prev = scaler.scale_state(noisy)
             work.load_flat(params)
             loss, grads = sharded_loss_and_gradients(
                 work, train_ds.windows[idx], prev, train_ds.target[idx], map_fn)
@@ -195,35 +185,24 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
     return net, log
 
 
-def sensor_stream(frames) -> tuple[np.ndarray, np.ndarray]:
-    """(t, raw 5-channel matrix) of a Trajectory or an (N, 6) array of sensor
-    rows."""
-    if isinstance(frames, Trajectory):
-        return frames.sensors[:, 0], frames.sensor_channels()
-    arr = np.asarray(frames, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 6:
-        raise ConfigError(f"expected (N, 6) sensor rows, got {arr.shape}")
-    return arr[:, 0], arr[:, 1:6]
-
-
 def window_features(raw: np.ndarray, scaler: ScalerParams, net: RecurrentRegressor,
-                    window_len: int, feature_batch: int):
+                    window_len: int):
     """(first window index, features) batches over every sliding window of the
     raw sensor matrix, scaled; each batch is one `net.features` call on at
-    most `feature_batch` windows, computed as the batches are consumed."""
+    most `FEATURE_BATCH` windows, computed as the batches are consumed."""
     n = raw.shape[0]
     if n < window_len:
         raise ConfigError(f"need at least {window_len} frames, got {n}")
     scaled = scaler.scale_sensors(raw)
     windows = np.lib.stride_tricks.sliding_window_view(
         scaled, (window_len, scaled.shape[1]))[:, 0]
-    return ((lo, net.features(windows[lo: lo + feature_batch]))
-            for lo in range(0, windows.shape[0], feature_batch))
+    return ((lo, net.features(windows[lo: lo + FEATURE_BATCH]))
+            for lo in range(0, windows.shape[0], FEATURE_BATCH))
 
 
-def run_closed_loop(frames, initial_state, net: RecurrentRegressor,
-                    cfg: ObserverConfig, feature_batch: int = 512) -> EstimateTrace:
-    """Closed-loop estimation over a sensor stream.
+def run_closed_loop(traj: Trajectory, initial_state, net: RecurrentRegressor,
+                    scaler: ScalerParams, window_len: int) -> EstimateTrace:
+    """Closed-loop estimation over the sensor stream of `traj`.
 
     Emits the provided initial state for the first window_len - 1 steps,
     then feeds each estimate back as the next step's state input. Ground
@@ -231,16 +210,15 @@ def run_closed_loop(frames, initial_state, net: RecurrentRegressor,
     the sensors, so its features are precomputed in batches; the recurrent
     feedback runs through the dense head sequentially.
     """
-    t, raw = sensor_stream(frames)
-    w = cfg.window_len
+    w = window_len
     initial = np.asarray(initial_state, dtype=np.float64).reshape(3)
 
-    estimates = np.empty((raw.shape[0], 3))
+    estimates = np.empty((len(traj), 3))
     estimates[: w - 1] = initial
-    prev_scaled = cfg.scaler.scale_state(initial)[None]
-    for lo, feats in window_features(raw, cfg.scaler, net, w, feature_batch):
+    prev_scaled = scaler.scale_state(initial)[None]
+    for lo, feats in window_features(traj.sensor_channels(), scaler, net, w):
         for j in range(feats.shape[0]):
             out = net.head_forward(feats[j: j + 1], prev_scaled)
-            estimates[w - 1 + lo + j] = cfg.scaler.unscale_state(out[0])
+            estimates[w - 1 + lo + j] = scaler.unscale_state(out[0])
             prev_scaled = out
-    return EstimateTrace(t.copy(), estimates, warmup_len=w - 1)
+    return EstimateTrace(traj.sensors[:, 0].copy(), estimates)

@@ -44,7 +44,6 @@ from .neural import (
 )
 from .observer_lstm import (
     SHARDS,
-    ObserverConfig,
     run_closed_loop,
     train_observer,
     write_trace_csv,
@@ -64,9 +63,9 @@ def _jittered_intensity(base: float, index: int, count: int) -> float:
     return min(max(base + offset, 0.05), 1.0)
 
 
-# the (fn, shared) of the pool `_map_tasks` is running; its forked workers
+# the function of the pool `_map_tasks` is running; its forked workers
 # inherit it, so only the tasks and results cross a pipe
-_pool_job: tuple = ()
+_pool_job = None
 
 
 def _set_blas_threads(n: int) -> int | None:
@@ -102,16 +101,16 @@ def _blas_threads(n: int):
 
 
 def _pool_task(task):
-    fn, shared = _pool_job
-    return fn(*shared, task)
+    return _pool_job(task)
 
 
-def _map_tasks(fn, tasks: list, workers: int, shared: tuple = ()) -> list:
-    """`[fn(*shared, t) for t in tasks]`, in task order.
+def _map_tasks(fn, tasks: list, workers: int) -> list:
+    """`[fn(t) for t in tasks]`, in task order.
 
     With more than one worker (capped at the task count) the tasks run in a
-    pool of forked processes. `fn` and `shared` reach the workers by
-    inheritance; a worker that dies is a `VobsError`.
+    pool of forked processes. `fn`, with any inputs bound into it by
+    `functools.partial`, reaches the workers by inheritance; a worker that
+    dies is a `VobsError`.
 
     This process holds numpy's OpenBLAS at one thread while the pool forks,
     so each worker inherits one thread and never starts another; the count
@@ -121,8 +120,8 @@ def _map_tasks(fn, tasks: list, workers: int, shared: tuple = ()) -> list:
     global _pool_job
     n_workers = min(workers, len(tasks))
     if n_workers <= 1:
-        return [fn(*shared, task) for task in tasks]
-    _pool_job = (fn, shared)
+        return [fn(task) for task in tasks]
+    _pool_job = fn
     try:
         with _blas_threads(1):
             pool = ProcessPoolExecutor(max_workers=n_workers,
@@ -134,7 +133,7 @@ def _map_tasks(fn, tasks: list, workers: int, shared: tuple = ()) -> list:
     except BrokenProcessPool as exc:
         raise VobsError("a worker process died before finishing its tasks") from exc
     finally:
-        _pool_job = ()
+        _pool_job = None
 
 
 @contextlib.contextmanager
@@ -200,13 +199,13 @@ def simulate_corpus(cfg: RunConfig) -> dict:
             "peak_ay_g": float(np.max(np.abs(traj.truth[:, G_AY]))) / G_MPS2,
             "sensor_seed": noise.seed,
         })
-    peaks = [e["peak_ay_g"] for e in entries]
+    regimes = {ev.segment_label(traj, cfg.segments) for traj in trajectories}
     manifest = {
         "master_seed": cfg.master_seed,
         "trajectories": entries,
         "totals": {"n_trajectories": len(entries),
                    "n_frames": sum(e["n_frames"] for e in entries)},
-        "regimes": {"low_g": min(peaks) < 0.5, "high_g": max(peaks) >= 0.5},
+        "regimes": {"low_g": "normal" in regimes, "high_g": "near_limits" in regimes},
     }
     write_json(os.path.join(cfg.out_dir, MANIFEST_NAME), manifest)
     return manifest
@@ -248,7 +247,7 @@ def build_dataset(cfg: RunConfig) -> dict:
     for name, group, stride in (("train", train, cfg.train_stride),
                                 ("val", val, cfg.val_stride)):
         windowed = ds.WindowedDataset.concatenate(
-            [ds.make_windows(t, scaler, w=cfg.window_len, stride=stride)
+            [ds.make_windows(t, scaler, cfg.window_len, stride=stride)
              for t in group])
         ds.write_cache(windowed, os.path.join(out_dir, f"{name}.cache"))
         counts[name] = len(windowed)
@@ -319,8 +318,7 @@ def train_observer_model(cfg: RunConfig, name: str) -> dict:
                 cfg.state_noise, seed=derive_seed(cfg.master_seed, "state-noise", name))
         else:
             noise = ds.NoiseSpec(0.0, 0.0)
-        ocfg = ObserverConfig(scaler=scaler, noise=noise, window_len=cfg.window_len)
-        train = functools.partial(train_observer, train_ds, val_ds, ocfg, tc)
+        train = functools.partial(train_observer, train_ds, val_ds, scaler, noise, tc)
     else:
         train = functools.partial(train_gru, train_ds, val_ds, scaler, tc)
     with _shard_map(cfg.workers) as map_fn:
@@ -357,11 +355,9 @@ def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
     traj = trajs[index]
     initial = traj.state_channels()[0]
     if spec.type == "lstm":
-        ocfg = ObserverConfig(scaler=scaler, window_len=cfg.window_len)
-        return run_closed_loop(traj, initial, nets[name], ocfg)
+        return run_closed_loop(traj, initial, nets[name], scaler, cfg.window_len)
     if spec.type == "gru":
-        return run_gru(traj, nets[name], scaler, initial_state=initial,
-                       window_len=cfg.window_len)
+        return run_gru(traj, initial, nets[name], scaler, cfg.window_len)
     ekf_cfg = _ekf_config(spec, params)
     return run_ekf(traj, EkfState(initial, ekf_cfg.p0_matrix()), params, ekf_cfg)
 
@@ -373,6 +369,10 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     Each loaded network is cast once to `COMPUTE_DTYPE`, so the window stacks
     and the closed-loop head run in float32; traces store float64 estimates
     and the EKF stays float64 throughout.
+
+    Warm-up is decided here alone: with a windowed observer configured, every
+    trace is scored without its first `cfg.window_len - 1` samples, so all
+    observers are scored on the same samples.
 
     Each (observer, test trajectory) pair is an independent task. With
     `cfg.workers > 1` the tasks run in forked worker processes, each with a
@@ -412,8 +412,8 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     counts = {seg: n for seg, n in counts.items() if n > 0}
 
     tasks = [(name, i) for name in cfg.observers for i in range(len(test_trajs))]
-    computed = iter(_map_tasks(_trace_task, tasks, cfg.workers,
-                               shared=(cfg, test_trajs, nets, scaler, params)))
+    trace_task = functools.partial(_trace_task, cfg, test_trajs, nets, scaler, params)
+    computed = iter(_map_tasks(trace_task, tasks, cfg.workers))
     traces: dict[str, dict[str, object]] = {name: {} for name in cfg.observers}
     table: dict[str, dict[str, np.ndarray]] = {}
     for name in cfg.observers:
@@ -421,7 +421,7 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
         for traj in test_trajs:
             trace = next(computed)
             traces[name][traj.label] = trace
-            err = ev.mae(trace, traj, skip_warmup=True, skip=skip)
+            err = ev.mae(trace, traj.state_channels(), skip)
             n_eff = len(trace) - skip
             per_segment["overall"].append((err, n_eff))
             per_segment[seg_of[traj.label]].append((err, n_eff))

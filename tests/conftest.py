@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vobs.domain import Trajectory, VehicleParams
+from vobs.domain import DT_S, Trajectory, VehicleParams
 from vobs.simulator import (
     ControlInput,
     ManeuverScript,
@@ -16,6 +16,16 @@ from vobs.simulator import (
 @pytest.fixture(scope="session")
 def params():
     return VehicleParams()
+
+
+def sensor_traj(raw) -> Trajectory:
+    """A trajectory whose sensor stream is the (N, 5) matrix `raw` on the
+    50 Hz grid, with zero ground truth: the observers read only sensors."""
+    raw = np.asarray(raw, dtype=np.float64)
+    t = np.arange(len(raw)) * DT_S
+    truth = np.zeros((len(raw), 10))
+    truth[:, 0] = t
+    return Trajectory(np.column_stack([t, raw]), truth)
 
 
 def straight_script(duration_s=10.0, speed=15.0, name="straight", lateral_speed=0.0):

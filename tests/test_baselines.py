@@ -186,7 +186,7 @@ class TestRunEkf:
                             params, SensorNoiseSpec.zero())
         initial = EkfState(traj.state_channels()[0], ekf_cfg.p0_matrix())
         trace = run_ekf(traj, initial, params, ekf_cfg)
-        err = mae(trace, traj, skip_warmup=False)
+        err = mae(trace, traj.state_channels())
         assert err[1] < 0.02
 
     def test_near_limits_error_grows(self, params, ekf_cfg):
@@ -198,8 +198,8 @@ class TestRunEkf:
         errs = {}
         for name, traj in (("low", low), ("high", high)):
             initial = EkfState(traj.state_channels()[0], ekf_cfg.p0_matrix())
-            errs[name] = mae(run_ekf(traj, initial, params, ekf_cfg), traj,
-                             skip_warmup=False)
+            errs[name] = mae(run_ekf(traj, initial, params, ekf_cfg),
+                             traj.state_channels())
         assert errs["high"][1] > 2.0 * errs["low"][1]
 
     def test_covariance_stays_psd(self, params, ekf_cfg):
@@ -236,10 +236,8 @@ class TestGruObserver:
                             SensorNoiseSpec(seed=6))
         _, _, scaler = _gru_toy()
         net = gru_observer_net(seed=2, in_dim=5, hidden=(3,), dense=(4,), out_dim=3)
-        a = run_gru(traj, net, scaler, initial_state=np.array([0.0, 0.0, 0.0]),
-                    window_len=50)
-        b = run_gru(traj, net, scaler, initial_state=np.array([99.0, 9.0, 9.0]),
-                    window_len=50)
+        a = run_gru(traj, np.array([0.0, 0.0, 0.0]), net, scaler, 50)
+        b = run_gru(traj, np.array([99.0, 9.0, 9.0]), net, scaler, 50)
         # feedback-free: only the warm-up padding can differ
         np.testing.assert_array_equal(a.estimates[49:], b.estimates[49:])
         assert not np.array_equal(a.estimates[:49], b.estimates[:49])
@@ -249,6 +247,7 @@ class TestGruObserver:
                             SensorNoiseSpec(seed=7))
         _, _, scaler = _gru_toy()
         net = gru_observer_net(seed=2, in_dim=5, hidden=(3,), dense=(4,), out_dim=3)
-        trace = run_gru(traj, net, scaler, window_len=50)
+        initial = traj.state_channels()[0]
+        trace = run_gru(traj, initial, net, scaler, 50)
         assert len(trace) == len(traj)
-        assert trace.warmup_len == 49
+        np.testing.assert_array_equal(trace.estimates[:49], np.tile(initial, (49, 1)))

@@ -1,8 +1,11 @@
+import ast
 import ctypes
+import dataclasses
 import glob
 import json
 import multiprocessing
 import os
+import pathlib
 import shutil
 import signal
 import subprocess
@@ -16,7 +19,9 @@ import yaml
 import vobs
 from vobs import pipeline
 from vobs.cli import main
-from vobs.config import build_config, load_config
+from vobs.baselines import EkfConfig
+from vobs.config import DEFAULT_OBSERVERS, build_config, load_config
+from vobs.domain import VehicleParams
 from vobs.neural import RecurrentRegressor, load_weights, save_weights
 
 BASE_CONFIG = {
@@ -105,6 +110,16 @@ class TestSimulate:
         # 16 s at 50 Hz = 800 frames each
         assert manifest["totals"]["n_frames"] == 8 * 800
         assert manifest["regimes"]["low_g"] and manifest["regimes"]["high_g"]
+
+    def test_regimes_follow_the_configured_threshold(self, pipeline_run, tmp_path):
+        src_tmp, _ = pipeline_run
+        manifest = json.loads((src_tmp / "run" / "manifest.json").read_text())
+        peak = max(e["peak_ay_g"] for e in manifest["trajectories"])
+        cfg = _write_config(tmp_path, overrides={"evaluation": {
+            "normal_threshold_g": peak + 0.1, "near_limits_max_g": peak + 0.2}})
+        assert main(["simulate", "--config", cfg, "--workers", "2"]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["regimes"] == {"low_g": True, "high_g": False}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -332,8 +347,8 @@ class TestWorkerPool:
         before = get_threads() if get_threads else None
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _refuse_pool)
         with pytest.raises(_PoolRequested):
-            pipeline._map_tasks(_blas_threads, [0, 1], 2, shared=("big input",))
-        assert pipeline._pool_job == ()
+            pipeline._map_tasks(_blas_threads, [0, 1], 2)
+        assert pipeline._pool_job is None
         assert (get_threads() if get_threads else None) == before
 
 
@@ -341,8 +356,9 @@ class TestGradcheckCommand:
     def test_passes_and_writes_csv(self, tmp_path):
         out = tmp_path / "gc"
         assert main(["gradcheck", "--out", str(out)]) == 0
-        header = (out / "gradcheck.csv").read_text().splitlines()[0]
+        header, first = (out / "gradcheck.csv").read_text().splitlines()[:2]
         assert header == "coordinate,analytic,numeric,rel_error"
+        assert first.startswith('"net0:lstm0.wx[0, 0]",')
 
     def test_corrupt_flag_fails_with_numeric_exit(self, tmp_path):
         assert main(["gradcheck", "--out", str(tmp_path), "--corrupt"]) == 2
@@ -449,6 +465,58 @@ class TestObserverValidation:
     def test_name_alphabet_accepted(self):
         doc = dict(BASE_CONFIG, observers={"Lstm_v2.1-a": {"type": "ekf"}})
         assert list(build_config(doc).observers) == ["Lstm_v2.1-a"]
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"type": "gru", "q": [1, 1, 1]}, "q"),
+        ({"type": "gru", "state_noise": False}, "state_noise"),
+        ({"type": "lstm", "cornering_stiffness_front": 6e4,
+          "cornering_stiffness_rear": 7e4}, "cornering_stiffness_front"),
+        ({"type": "ekf", "state_noise": True}, "state_noise"),
+    ], ids=["gru_q", "gru_state_noise", "lstm_stiffness", "ekf_state_noise"])
+    def test_key_of_another_type_rejected(self, tmp_path, capsys, spec, key):
+        cfg = _write_config(tmp_path, overrides={"observers": {"obs": spec}})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"key '{key}' in observer 'obs' does not apply to type '{spec['type']}'" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_shipped_observer_sets_load(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        reference = load_config(os.path.join(root, "configs", "reference.yaml"))
+        assert list(reference.observers) == ["lstm", "lstm_plain", "gru", "ekf"]
+        # the benchmark's observer set, read from its source without importing it
+        tree = ast.parse(pathlib.Path(root, "perfbench", "run.py").read_text())
+        bench = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and getattr(node.targets[0], "id", None) == "OBSERVERS")
+        for observers in (DEFAULT_OBSERVERS, bench):
+            doc = dict(BASE_CONFIG, observers=observers)
+            assert list(build_config(doc).observers) == list(observers)
+
+
+class TestEkfConfig:
+    """Each configured EKF override reaches the filter's `EkfConfig`."""
+
+    def _ekf_config(self, **overrides):
+        doc = dict(BASE_CONFIG, observers={"ekf": {"type": "ekf", **overrides}})
+        return pipeline._ekf_config(build_config(doc).observers["ekf"], VehicleParams())
+
+    @pytest.mark.parametrize("key, field", [("q", "process_noise_q"),
+                                            ("r", "measurement_noise_r"),
+                                            ("p0", "initial_covariance_p0")])
+    def test_noise_override_lands_in_its_own_field(self, key, field):
+        cfg = self._ekf_config(**{key: [0.1, 0.2, 0.3]})
+        expected = dataclasses.replace(EkfConfig.for_vehicle(VehicleParams()),
+                                       **{field: (0.1, 0.2, 0.3)})
+        assert cfg == expected
+
+    def test_stiffness_pair_used_when_given(self):
+        cfg = self._ekf_config(cornering_stiffness_front=6e4,
+                               cornering_stiffness_rear=7e4, q=[0.1, 0.2, 0.3])
+        assert cfg == EkfConfig(6e4, 7e4, process_noise_q=(0.1, 0.2, 0.3))
+
+    def test_vehicle_stiffnesses_used_otherwise(self):
+        assert self._ekf_config() == EkfConfig.for_vehicle(VehicleParams())
 
 
 class TestCorruptStageMetadata:

@@ -1,7 +1,11 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vobs
 from vobs.dataset import (
     NoiseSpec,
     ScalerParams,
@@ -74,20 +78,20 @@ class TestScaler:
 
 class TestMakeWindows:
     def test_count_formula(self, scaler):
-        assert len(make_windows(_traj(60), scaler, w=50)) == 11
+        assert len(make_windows(_traj(60), scaler, 50)) == 11
 
     def test_single_window(self, scaler):
-        ds = make_windows(_traj(50), scaler, w=50)
+        ds = make_windows(_traj(50), scaler, 50)
         assert len(ds) == 1
 
     def test_too_short_gives_empty(self, scaler):
-        assert len(make_windows(_traj(49), scaler, w=50)) == 0
+        assert len(make_windows(_traj(49), scaler, 50)) == 0
 
     def test_window_alignment(self, scaler):
         # row w-1 of the window is the sensor frame at the target's timestamp;
         # prev_state is the ground truth one step earlier
         traj = _traj(80)
-        ds = make_windows(traj, scaler, w=50)
+        ds = make_windows(traj, scaler, 50)
         scaled_sensors = scaler.scale_sensors(traj.sensor_channels())
         scaled_states = scaler.scale_state(traj.state_channels())
         for i, t in enumerate(range(49, 80)):
@@ -97,13 +101,13 @@ class TestMakeWindows:
             np.testing.assert_array_equal(ds.prev_state[i], scaled_states[t - 1])
 
     def test_stride(self, scaler):
-        ds = make_windows(_traj(100), scaler, w=50, stride=5)
+        ds = make_windows(_traj(100), scaler, 50, stride=5)
         assert len(ds) == len(range(49, 100, 5))
 
     def test_rows_time_ordered(self, scaler):
         traj = _traj(60)
         traj.sensors[:, 1] = np.arange(60)  # ax strictly increasing
-        ds = make_windows(traj, scaler, w=50)
+        ds = make_windows(traj, scaler, 50)
         col = ds.windows[0, :, 0]
         assert (np.diff(col) > 0).all()
 
@@ -178,7 +182,7 @@ class TestInjectStateNoise:
 
 class TestCache:
     def test_round_trip(self, tmp_path, scaler):
-        ds = make_windows(_traj(90), scaler, w=50)
+        ds = make_windows(_traj(90), scaler, 50)
         path = tmp_path / "x.cache"
         write_cache(ds, path)
         back = read_cache(path)
@@ -187,7 +191,7 @@ class TestCache:
         np.testing.assert_array_equal(back.target, ds.target)
 
     def test_truncation_detected(self, tmp_path, scaler):
-        ds = make_windows(_traj(90), scaler, w=50)
+        ds = make_windows(_traj(90), scaler, 50)
         path = tmp_path / "x.cache"
         write_cache(ds, path)
         data = path.read_bytes()
@@ -202,7 +206,7 @@ class TestCache:
             read_cache(path)
 
     def test_version_checked(self, tmp_path, scaler):
-        ds = make_windows(_traj(60), scaler, w=50)
+        ds = make_windows(_traj(60), scaler, 50)
         path = tmp_path / "x.cache"
         write_cache(ds, path)
         data = bytearray(path.read_bytes())
@@ -223,14 +227,41 @@ class TestCache:
 
 class TestConcatenate:
     def test_counts_add(self, scaler):
-        parts = [make_windows(_traj(70, seed=i), scaler, w=50) for i in range(3)]
+        parts = [make_windows(_traj(70, seed=i), scaler, 50) for i in range(3)]
         total = WindowedDataset.concatenate(parts)
         assert len(total) == sum(len(p) for p in parts)
 
     def test_empty_parts_ok(self, scaler):
         # too-short trajectories give no windows, but keep the window length
         for w in (50, 20):
-            ds = WindowedDataset.concatenate([make_windows(_traj(15), scaler, w=w)])
+            ds = WindowedDataset.concatenate([make_windows(_traj(15), scaler, w)])
             assert len(ds) == 0
             assert ds.window_len == w
             assert ds.windows.shape == (0, w, 5)
+
+
+def _window_len_defaults(source: str):
+    """The function or class of every parameter or class field named
+    `window_len` in `source` that has a default."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                arg for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                if default is not None]
+            if any(arg.arg == "window_len" for arg in defaulted):
+                yield getattr(node, "name", "lambda")
+        elif isinstance(node, ast.ClassDef):
+            if any(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                   and getattr(stmt.target, "id", None) == "window_len"
+                   for stmt in node.body):
+                yield node.name
+
+
+def test_only_the_run_config_defaults_the_window_length():
+    src = pathlib.Path(vobs.__file__).parent
+    found = [f"{path.relative_to(src)}:{owner}"
+             for path in sorted(src.rglob("*.py"))
+             for owner in _window_len_defaults(path.read_text())]
+    assert found == ["config.py:RunConfig"]

@@ -19,9 +19,9 @@ from vobs.evaluation import (
 from vobs.observer_lstm import EstimateTrace
 
 
-def _trace(est, warmup=0):
+def _trace(est):
     est = np.asarray(est, dtype=np.float64)
-    return EstimateTrace(np.arange(len(est)) * DT_S, est, warmup_len=warmup)
+    return EstimateTrace(np.arange(len(est)) * DT_S, est)
 
 
 def _traj_with_ay(peak_ay, n=100, label="m"):
@@ -68,15 +68,15 @@ class TestMae:
         est = np.zeros((10, 3))
         ref = np.zeros((10, 3))
         est[:5, 0] = 100.0  # junk inside warm-up
-        trace = _trace(est, warmup=5)
-        assert mae(trace, ref)[0] == 0.0
-        assert mae(trace, ref, skip_warmup=False)[0] == pytest.approx(50.0)
+        trace = _trace(est)
+        assert mae(trace, ref, skip=5)[0] == 0.0
+        assert mae(trace, ref)[0] == pytest.approx(50.0)  # nothing skipped by default
 
     def test_explicit_skip_override(self):
         est = np.zeros((10, 3))
         ref = np.zeros((10, 3))
         est[:8, 0] = 1.0
-        trace = _trace(est, warmup=0)
+        trace = _trace(est)
         assert mae(trace, ref, skip=8)[0] == 0.0
 
     def test_length_mismatch_rejected(self):

@@ -4,12 +4,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from vobs import observer_lstm
 from vobs.dataset import NoiseSpec, ScalerParams, WindowedDataset, fit_scaler, make_windows
 from vobs.errors import ConfigError, DataFormatError, NumericalError
 from vobs.neural import RecurrentRegressor, TrainConfig, gru_observer_net, lstm_observer_net
 from vobs.observer_lstm import (
     EstimateTrace,
-    ObserverConfig,
     read_trace_csv,
     run_closed_loop,
     sharded_loss_and_gradients,
@@ -18,7 +18,7 @@ from vobs.observer_lstm import (
 )
 from vobs.simulator import SensorNoiseSpec, run_maneuver
 
-from conftest import straight_script
+from conftest import sensor_traj, straight_script
 
 
 def _scaler():
@@ -28,12 +28,7 @@ def _scaler():
                         np.array([30.0, 2.0, 1.0]))
 
 
-def _cfg(window_len=50):
-    return ObserverConfig(scaler=_scaler(), noise=NoiseSpec(seed=3),
-                          window_len=window_len)
-
-
-def _zero_net(window_len=50):
+def _zero_net():
     net = lstm_observer_net(seed=0, in_dim=5, hidden=(3,), dense=(4,),
                             out_dim=3, state_dim=3)
     for _, arr in net.params():
@@ -41,89 +36,80 @@ def _zero_net(window_len=50):
     return net
 
 
-def _sensor_rows(raw):
-    """(N, 6) sensor rows on the 50 Hz grid around an (N, 5) raw matrix."""
-    return np.column_stack([np.arange(len(raw)) * 0.02, raw])
-
-
-def _naive_step(window_rows, prev, net, cfg):
+def _naive_step(raw_window, prev, net, scaler):
     """One observer step written out: scale, run the whole net, unscale."""
-    out = net.forward(cfg.scaler.scale_sensors(window_rows[:, 1:6]),
-                      cfg.scaler.scale_state(prev))
-    return cfg.scaler.unscale_state(out[0])
+    out = net.forward(scaler.scale_sensors(raw_window), scaler.scale_state(prev))
+    return scaler.unscale_state(out[0])
 
 
 class TestEstimateStep:
     """Single closed-loop steps, through `run_closed_loop`."""
 
     def test_zero_weights_give_channel_midpoints(self):
-        cfg = _cfg(window_len=10)
-        trace = run_closed_loop(np.zeros((12, 6)), np.array([10.0, 0.0, 0.0]),
-                                _zero_net(), cfg)
-        mid = 0.5 * (cfg.scaler.state_min + cfg.scaler.state_max)
+        scaler = _scaler()
+        trace = run_closed_loop(sensor_traj(np.zeros((12, 5))), np.array([10.0, 0.0, 0.0]),
+                                _zero_net(), scaler, 10)
+        mid = 0.5 * (scaler.state_min + scaler.state_max)
         np.testing.assert_allclose(trace.estimates[9:], np.tile(mid, (3, 1)), atol=1e-12)
 
     def test_pure_function(self):
-        cfg = _cfg(window_len=8)
         net = lstm_observer_net(seed=5, in_dim=5, hidden=(3,), dense=(4,),
                                 out_dim=3, state_dim=3)
-        frames = _sensor_rows(np.random.default_rng(0).normal(0, 1, (12, 5)))
+        traj = sensor_traj(np.random.default_rng(0).normal(0, 1, (12, 5)))
         prev = np.array([12.0, 0.1, 0.05])
-        a = run_closed_loop(frames, prev, net, cfg)
-        b = run_closed_loop(frames, prev, net, cfg)
+        a = run_closed_loop(traj, prev, net, _scaler(), 8)
+        b = run_closed_loop(traj, prev, net, _scaler(), 8)
         np.testing.assert_array_equal(a.estimates, b.estimates)
 
     def test_matches_manual_composition(self):
-        cfg = _cfg(window_len=8)
+        scaler = _scaler()
         net = lstm_observer_net(seed=5, in_dim=5, hidden=(3,), dense=(4,),
                                 out_dim=3, state_dim=3)
-        frames = _sensor_rows(np.random.default_rng(1).normal(0, 1, (8, 5)))
+        raw = np.random.default_rng(1).normal(0, 1, (8, 5))
         prev = np.array([12.0, 0.1, 0.05])
-        got = run_closed_loop(frames, prev, net, cfg).estimates[7]
-        assert np.abs(got - _naive_step(frames, prev, net, cfg)).max() < 1e-12
+        got = run_closed_loop(sensor_traj(raw), prev, net, scaler, 8).estimates[7]
+        assert np.abs(got - _naive_step(raw, prev, net, scaler)).max() < 1e-12
 
     def test_wrong_window_shape_rejected(self):
-        for frames in (np.zeros((7, 6)), np.zeros((20, 5))):
-            with pytest.raises(ConfigError):
-                run_closed_loop(frames, np.zeros(3), _zero_net(), _cfg(8))
+        # one frame short of a full window
+        with pytest.raises(ConfigError):
+            run_closed_loop(sensor_traj(np.zeros((7, 5))), np.zeros(3), _zero_net(),
+                            _scaler(), 8)
 
 
 class TestRunClosedLoop:
-    def _frames(self, n=120, seed=2):
+    def _raw(self, n=120, seed=2):
         rng = np.random.default_rng(seed)
-        arr = np.zeros((n, 6))
-        arr[:, 0] = np.arange(n) * 0.02
-        arr[:, 1:6] = rng.normal(0, 0.3, (n, 5))
-        arr[:, 4] = 15.0 + rng.normal(0, 0.05, n)
-        return arr
+        raw = rng.normal(0, 0.3, (n, 5))
+        raw[:, 3] = 15.0 + rng.normal(0, 0.05, n)
+        return raw
 
     def test_trace_length_and_warmup(self):
-        cfg = _cfg(window_len=50)
         net = lstm_observer_net(seed=6, in_dim=5, hidden=(3,), dense=(4,),
                                 out_dim=3, state_dim=3)
-        frames = self._frames()
         initial = np.array([15.0, 0.0, 0.0])
-        trace = run_closed_loop(frames, initial, net, cfg)
+        trace = run_closed_loop(sensor_traj(self._raw()), initial, net, _scaler(), 50)
         assert len(trace) == 120
-        assert trace.warmup_len == 49
         np.testing.assert_array_equal(trace.estimates[:49],
                                       np.tile(initial, (49, 1)))
 
     def test_too_short_rejected(self):
-        cfg = _cfg(window_len=50)
         with pytest.raises(ConfigError):
-            run_closed_loop(self._frames(n=30), np.zeros(3), _zero_net(), cfg)
+            run_closed_loop(sensor_traj(self._raw(n=30)), np.zeros(3), _zero_net(),
+                            _scaler(), 50)
 
-    def test_matches_naive_stepping(self):
-        cfg = _cfg(window_len=20)
+    def test_matches_naive_stepping(self, monkeypatch):
+        # feature batches of 7 windows, so one batch ends mid-trace
+        monkeypatch.setattr(observer_lstm, "FEATURE_BATCH", 7)
+        scaler = _scaler()
         net = lstm_observer_net(seed=7, in_dim=5, hidden=(3, 4), dense=(4,),
                                 out_dim=3, state_dim=3)
-        frames = self._frames(n=60)
+        raw = self._raw(n=60)
         initial = np.array([15.0, 0.1, 0.02])
-        trace = run_closed_loop(frames, initial, net, cfg, feature_batch=7)
+        trace = run_closed_loop(sensor_traj(raw), initial, net, scaler, 20)
         prev = initial
         for t in range(19, 60):
-            est = _naive_step(frames[t - 19: t + 1], prev, net, cfg)
+            est = _naive_step(raw[t - 19: t + 1], prev, net, scaler)
             assert np.abs(est - trace.estimates[t]).max() < 1e-9
             prev = trace.estimates[t]
 
@@ -131,24 +117,22 @@ class TestRunClosedLoop:
         # the trace depends only on sensors and the provided initial state
         traj = run_maneuver(straight_script(duration_s=4.0), params,
                             SensorNoiseSpec(seed=4))
-        cfg = _cfg(window_len=50)
         net = lstm_observer_net(seed=8, in_dim=5, hidden=(3,), dense=(4,),
                                 out_dim=3, state_dim=3)
         initial = traj.state_channels()[0]
-        full = run_closed_loop(traj, initial, net, cfg)
-        stripped = traj.sensors.copy()  # sensors only, truth discarded
-        again = run_closed_loop(stripped, initial, net, cfg)
+        full = run_closed_loop(traj, initial, net, _scaler(), 50)
+        stripped = sensor_traj(traj.sensor_channels())  # sensors only, truth zeroed
+        again = run_closed_loop(stripped, initial, net, _scaler(), 50)
         np.testing.assert_array_equal(full.estimates, again.estimates)
 
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         trace = EstimateTrace(np.arange(5) * 0.02,
-                              np.random.default_rng(0).normal(size=(5, 3)),
-                              warmup_len=2)
+                              np.random.default_rng(0).normal(size=(5, 3)))
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
-        back = read_trace_csv(path, warmup_len=2)
+        back = read_trace_csv(path)
         np.testing.assert_array_equal(back.t_s, trace.t_s)
         np.testing.assert_array_equal(back.estimates, trace.estimates)
 
@@ -191,20 +175,19 @@ def _toy_dataset(n_traj=6, n=160, seed=0):
         trajs.append(Trajectory(sensors, truth, label=f"toy#{k}"))
     scaler = fit_scaler(trajs[:4])
     train = WindowedDataset.concatenate(
-        [make_windows(t, scaler, w=30) for t in trajs[:4]])
+        [make_windows(t, scaler, 30) for t in trajs[:4]])
     val = WindowedDataset.concatenate(
-        [make_windows(t, scaler, w=30) for t in trajs[4:]])
+        [make_windows(t, scaler, 30) for t in trajs[4:]])
     return train, val, scaler
 
 
 class TestTrainObserver:
     def test_loss_decreases_and_best_epoch_consistent(self):
         train, val, scaler = _toy_dataset()
-        cfg = ObserverConfig(scaler=scaler, noise=NoiseSpec(seed=1), window_len=30)
         tc = TrainConfig(epochs=3, batch_size=64, learning_rate=3e-3, seed=2)
         net = lstm_observer_net(seed=tc.seed, in_dim=5, hidden=(4, 4), dense=(8,),
                                 out_dim=3, state_dim=3)
-        net, log = train_observer(train, val, cfg, tc, net=net)
+        net, log = train_observer(train, val, scaler, NoiseSpec(seed=1), tc, net=net)
         assert len(log) == 3
         assert log[-1]["train_loss"] < log[0]["train_loss"]
         # returned weights reproduce the logged minimum validation loss
@@ -219,8 +202,7 @@ class TestTrainObserver:
         def run(noise):
             net = lstm_observer_net(seed=tc.seed, in_dim=5, hidden=(4,), dense=(8,),
                                     out_dim=3, state_dim=3)
-            cfg = ObserverConfig(scaler=scaler, noise=noise, window_len=30)
-            return train_observer(train, val, cfg, tc, net=net)
+            return train_observer(train, val, scaler, noise, tc, net=net)
 
         _, log_noisy = run(NoiseSpec(seed=1))
         _, log_plain = run(NoiseSpec(0.0, 0.0))
@@ -234,9 +216,8 @@ class TestTrainObserver:
         def run():
             net = lstm_observer_net(seed=tc.seed, in_dim=5, hidden=(4,), dense=(8,),
                                     out_dim=3, state_dim=3)
-            cfg = ObserverConfig(scaler=scaler, noise=NoiseSpec(0.0, 0.0),
-                                 window_len=30)
-            trained, _ = train_observer(train, val, cfg, tc, net=net)
+            trained, _ = train_observer(train, val, scaler, NoiseSpec(0.0, 0.0), tc,
+                                        net=net)
             return trained.copy_weights()
 
         for a, b in zip(run(), run()):
@@ -245,19 +226,18 @@ class TestTrainObserver:
     def test_divergence_reported_with_location(self):
         train, val, scaler = _toy_dataset()
         train.windows[5, 3, 2] = np.nan
-        cfg = ObserverConfig(scaler=scaler, noise=NoiseSpec(0.0, 0.0), window_len=30)
         tc = TrainConfig(epochs=1, batch_size=512, learning_rate=1e-3, seed=1,
                          shuffle=False)
         net = lstm_observer_net(seed=1, in_dim=5, hidden=(3,), dense=(4,),
                                 out_dim=3, state_dim=3)
         with pytest.raises(NumericalError, match="epoch|layer"):
-            train_observer(train, val, cfg, tc, net=net)
+            train_observer(train, val, scaler, NoiseSpec(0.0, 0.0), tc, net=net)
 
     def test_empty_dataset_rejected(self):
         train, val, scaler = _toy_dataset()
-        cfg = ObserverConfig(scaler=scaler, noise=NoiseSpec(), window_len=30)
         with pytest.raises(ConfigError):
-            train_observer(WindowedDataset.empty(30), val, cfg, TrainConfig(epochs=1))
+            train_observer(WindowedDataset.empty(30), val, scaler, NoiseSpec(),
+                           TrainConfig(epochs=1))
 
 
 class TestShards:
@@ -303,10 +283,9 @@ class TestShards:
             return original(self, windows, prev, target)
 
         monkeypatch.setattr(RecurrentRegressor, "loss_and_gradients", spy)
-        cfg = ObserverConfig(scaler=scaler, noise=NoiseSpec(seed=1), window_len=30)
         tc = TrainConfig(epochs=1, batch_size=batch_size, seed=2, shuffle=False)
         net = lstm_observer_net(seed=2, in_dim=5, hidden=(4,), dense=(8,),
                                 out_dim=3, state_dim=3)
-        _, log = train_observer(train, val, cfg, tc, net=net)
+        _, log = train_observer(train, val, scaler, NoiseSpec(seed=1), tc, net=net)
         assert sizes == shard_sizes
         assert np.isfinite([log[0]["train_loss"], log[0]["val_loss"]]).all()

@@ -25,7 +25,7 @@ from vobs.neural import (
     lstm_observer_net,
     save_weights,
 )
-from vobs.observer_lstm import ObserverConfig, run_closed_loop, train_observer
+from vobs.observer_lstm import run_closed_loop, train_observer
 from vobs.simulator import SensorNoiseSpec, run_maneuver
 
 # float32 carries about 7 significant digits; 1e-4 leaves room for the
@@ -55,18 +55,17 @@ class TestInferenceGate:
     def test_closed_loop_lstm_matches_float64(self, maneuver):
         traj, scaler = maneuver
         net = lstm_observer_net(seed=4)
-        cfg = ObserverConfig(scaler=scaler, window_len=50)
         initial = traj.state_channels()[0]
-        trace64 = run_closed_loop(traj, initial, net, cfg)
-        trace32 = run_closed_loop(traj, initial, net.astype(COMPUTE_DTYPE), cfg)
+        trace64 = run_closed_loop(traj, initial, net, scaler, 50)
+        trace32 = run_closed_loop(traj, initial, net.astype(COMPUTE_DTYPE), scaler, 50)
         _assert_traces_close(trace32, trace64, scaler)
 
     def test_gru_matches_float64(self, maneuver):
         traj, scaler = maneuver
         net = gru_observer_net(seed=4)
         initial = traj.state_channels()[0]
-        trace64 = run_gru(traj, net, scaler, initial_state=initial)
-        trace32 = run_gru(traj, net.astype(COMPUTE_DTYPE), scaler, initial_state=initial)
+        trace64 = run_gru(traj, initial, net, scaler, 50)
+        trace32 = run_gru(traj, initial, net.astype(COMPUTE_DTYPE), scaler, 50)
         _assert_traces_close(trace32, trace64, scaler)
 
 
@@ -132,10 +131,10 @@ class TestMixedPrecisionTraining:
 
     def test_losses_match_float64_and_master_round_trips(self, tmp_path):
         train, val, scaler = _toy_dataset()
-        cfg = ObserverConfig(scaler=scaler, noise=NoiseSpec(0.0, 0.0), window_len=30)
         tc = TrainConfig(epochs=self.EPOCHS, batch_size=self.BATCH,
                          learning_rate=3e-3, seed=2, shuffle=False)
-        net, log = train_observer(train, val, cfg, tc, net=self._net())
+        net, log = train_observer(train, val, scaler, NoiseSpec(0.0, 0.0), tc,
+                                  net=self._net())
 
         reference = self._reference_log(train, val)
         for entry, (train_ref, val_ref) in zip(log, reference, strict=True):
