@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from vobs.domain import (
 )
 from vobs.errors import ConfigError, NumericalError
 from vobs.simulator import (
+    MANEUVER_KINDS,
     ControlInput,
     ManeuverScript,
     SensorNoiseSpec,
@@ -159,6 +161,36 @@ class TestRunManeuver:
         with pytest.raises(ConfigError):
             run_maneuver(straight_script(), params, SensorNoiseSpec.zero(),
                          substep_s=0.003)
+
+
+class TestGoldenBits:
+    """SHA-256 of truth + sensor bytes for one short noisy run per maneuver
+    kind. Any reordering of the integrator's float arithmetic changes them;
+    they assume a libm whose sin, cos, atan and atan2 round as glibc's do."""
+
+    DIGESTS = {
+        ("city_mix", 0.002): "545a9adf628888b7b9eb8fdb52e729bc7212116b4b6910296bb5434f14da2f27",
+        ("step_steer", 0.002): "c0d9e421ed06808ccfd0d792bd87444091b4c43385307ed69e4f4d6f604008ce",
+        ("double_lane_change", 0.002):
+            "e6b11922c0b8918b0f7769242c6ffac2ea268cc9c05ba2c4eaa60580654278ca",
+        ("u_turn", 0.002): "b662ae8b9f9c029cad7a1275631cfbdfeb6b8e2f77436595a309b9c0d5c1a9f3",
+        ("slalom", 0.002): "c2c9a1decba3f41f633b7103bdf6adba120d2918f62ca03442759ae47cef78df",
+        ("slalom", 0.001): "da5f6e1eb4424ee898a9ae42e5f4dc2163a0942f021061287147095b3a7983f7",
+        ("constant_radius_ramp", 0.002):
+            "37ce9591436345507d004422a4492e281d8f4abbf083ad4ff8efab7b998122fd",
+    }
+
+    def test_every_kind_is_pinned(self):
+        assert {kind for kind, _ in self.DIGESTS} == set(MANEUVER_KINDS)
+
+    @pytest.mark.parametrize("kind,substep", sorted(DIGESTS))
+    def test_run_is_bit_identical(self, params, kind, substep):
+        script = builtin_scripts(kind, 0.9, duration_s=5.0, seed=7)
+        traj = run_maneuver(script, params,
+                            SensorNoiseSpec(seed=MANEUVER_KINDS.index(kind)),
+                            substep_s=substep)
+        digest = hashlib.sha256(traj.truth.tobytes() + traj.sensors.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[kind, substep]
 
 
 class TestSynthesizeSensors:
