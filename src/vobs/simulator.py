@@ -4,14 +4,15 @@ and synthesis of noisy in-car sensor streams.
 
 Integration runs RK4 at 500 Hz (dt = 0.002 s) on plain Python floats and is
 decimated to the 50 Hz sample grid. Control laws are re-evaluated at the
-integration rate (zero-order hold across one substep).
+integration rate (zero-order hold across one substep). The model is bound
+once per maneuver, with the RK4 stages inline (`bind_dynamics`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,7 @@ MANEUVER_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     """Planar rigid-body state: pose plus body-frame velocities."""
 
     x_m: float = 0.0
@@ -41,13 +41,8 @@ class SimState:
     vy_mps: float = 0.0
     yaw_rate_radps: float = 0.0
 
-    def as_tuple(self):
-        return (self.x_m, self.y_m, self.yaw_rad,
-                self.vx_mps, self.vy_mps, self.yaw_rate_radps)
 
-
-@dataclass(frozen=True)
-class ControlInput:
+class ControlInput(NamedTuple):
     """Road-wheel steering angle and net longitudinal force at the CoG."""
 
     steering_rad: float
@@ -104,52 +99,77 @@ def pacejka_lateral_force(slip_rad: float, vertical_load_n: float,
                        * math.atan(tire.stiffness_factor_b * slip_rad)))
 
 
-def _derivatives(x, y, yaw, vx, vy, r, delta, fx, p: VehicleParams,
-                 fzf: float, fzr: float):
-    """Continuous-time bicycle-model derivatives; returns the 6 state rates
-    plus the body-frame specific forces (accelerometer readings)."""
-    alpha_f = delta - math.atan2(vy + p.lf_m * r, vx)
-    alpha_r = -math.atan2(vy - p.lr_m * r, vx)
-    tf = p.tire_front
-    tr = p.tire_rear
-    fyf = tf.peak_factor_d_per_n * fzf * math.sin(
-        tf.shape_factor_c * math.atan(tf.stiffness_factor_b * alpha_f))
-    fyr = tr.peak_factor_d_per_n * fzr * math.sin(
-        tr.shape_factor_c * math.atan(tr.stiffness_factor_b * alpha_r))
-    cos_d = math.cos(delta)
-    ax_body = (fx - fyf * math.sin(delta)) / p.mass_kg
-    ay_body = (fyf * cos_d + fyr) / p.mass_kg
-    dvx = ax_body + r * vy
-    dvy = ay_body - r * vx
-    dr = (p.lf_m * fyf * cos_d - p.lr_m * fyr) / p.inertia_z_kgm2
-    cos_y = math.cos(yaw)
-    sin_y = math.sin(yaw)
-    dx = vx * cos_y - vy * sin_y
-    dy = vx * sin_y + vy * cos_y
-    return dx, dy, r, dvx, dvy, dr, ax_body, ay_body
+def bind_dynamics(p: VehicleParams, substep_s: float, n_sub: int):
+    """The bicycle model bound once to `p`: returns `(derivatives, advance)`.
 
+    `derivatives(x, y, yaw, vx, vy, r, delta, fx)` gives the six state rates
+    plus the body-frame specific forces (the accelerometer readings).
+    `advance(s, delta, fx)` runs `n_sub` RK4 steps of `substep_s` from the
+    6-tuple `s`. Its stages are `derivatives` inline, operation for operation
+    and in the same order, so its output is bit-identical to RK4 over it.
+    """
+    atan2, atan, sin, cos = math.atan2, math.atan, math.sin, math.cos
+    m, iz, lf, lr = p.mass_kg, p.inertia_z_kgm2, p.lf_m, p.lr_m
+    tf, tr = p.tire_front, p.tire_rear
+    bf, cf, dfzf = (tf.stiffness_factor_b, tf.shape_factor_c,
+                    tf.peak_factor_d_per_n * p.static_load_front_n)
+    br, cr, dfzr = (tr.stiffness_factor_b, tr.shape_factor_c,
+                    tr.peak_factor_d_per_n * p.static_load_rear_n)
+    dt, h, w = substep_s, substep_s * 0.5, substep_s / 6.0
 
-def _rk4_step(s, delta, fx, p, fzf, fzr, dt):
-    """One RK4 step with the control held constant; s is a 6-tuple."""
-    x, y, yaw, vx, vy, r = s
-    k1 = _derivatives(x, y, yaw, vx, vy, r, delta, fx, p, fzf, fzr)[:6]
-    h = dt * 0.5
-    k2 = _derivatives(x + h * k1[0], y + h * k1[1], yaw + h * k1[2],
-                      vx + h * k1[3], vy + h * k1[4], r + h * k1[5],
-                      delta, fx, p, fzf, fzr)[:6]
-    k3 = _derivatives(x + h * k2[0], y + h * k2[1], yaw + h * k2[2],
-                      vx + h * k2[3], vy + h * k2[4], r + h * k2[5],
-                      delta, fx, p, fzf, fzr)[:6]
-    k4 = _derivatives(x + dt * k3[0], y + dt * k3[1], yaw + dt * k3[2],
-                      vx + dt * k3[3], vy + dt * k3[4], r + dt * k3[5],
-                      delta, fx, p, fzf, fzr)[:6]
-    w = dt / 6.0
-    return (x + w * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            y + w * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-            yaw + w * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-            vx + w * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]),
-            vy + w * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4]),
-            r + w * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5]))
+    def derivatives(x, y, yaw, vx, vy, r, delta, fx):
+        fyf = dfzf * sin(cf * atan(bf * (delta - atan2(vy + lf * r, vx))))
+        fyr = dfzr * sin(cr * atan(br * -atan2(vy - lr * r, vx)))
+        cos_d = cos(delta)
+        ax = (fx - fyf * sin(delta)) / m
+        ay = (fyf * cos_d + fyr) / m
+        cy, sy = cos(yaw), sin(yaw)
+        return (vx * cy - vy * sy, vx * sy + vy * cy, r, ax + r * vy, ay - r * vx,
+                (lf * fyf * cos_d - lr * fyr) / iz, ax, ay)
+
+    def advance(s, delta, fx):
+        sin_d, cos_d = sin(delta), cos(delta)
+        x, y, yaw, vx, vy, r = s
+        for _ in range(n_sub):
+            f = dfzf * sin(cf * atan(bf * (delta - atan2(vy + lf * r, vx))))
+            g = dfzr * sin(cr * atan(br * -atan2(vy - lr * r, vx)))
+            c, sn = cos(yaw), sin(yaw)
+            dx1, dy1 = vx * c - vy * sn, vx * sn + vy * c
+            du1 = (fx - f * sin_d) / m + r * vy
+            dv1 = (f * cos_d + g) / m - r * vx
+            dr1 = (lf * f * cos_d - lr * g) / iz
+
+            a2, u, v, r2 = yaw + h * r, vx + h * du1, vy + h * dv1, r + h * dr1
+            f = dfzf * sin(cf * atan(bf * (delta - atan2(v + lf * r2, u))))
+            g = dfzr * sin(cr * atan(br * -atan2(v - lr * r2, u)))
+            c, sn = cos(a2), sin(a2)
+            dx2, dy2 = u * c - v * sn, u * sn + v * c
+            du2 = (fx - f * sin_d) / m + r2 * v
+            dv2 = (f * cos_d + g) / m - r2 * u
+            dr2 = (lf * f * cos_d - lr * g) / iz
+
+            a3, u, v, r3 = yaw + h * r2, vx + h * du2, vy + h * dv2, r + h * dr2
+            f = dfzf * sin(cf * atan(bf * (delta - atan2(v + lf * r3, u))))
+            g = dfzr * sin(cr * atan(br * -atan2(v - lr * r3, u)))
+            c, sn = cos(a3), sin(a3)
+            dx3, dy3 = u * c - v * sn, u * sn + v * c
+            du3 = (fx - f * sin_d) / m + r3 * v
+            dv3 = (f * cos_d + g) / m - r3 * u
+            dr3 = (lf * f * cos_d - lr * g) / iz
+
+            a4, u, v, r4 = yaw + dt * r3, vx + dt * du3, vy + dt * dv3, r + dt * dr3
+            f = dfzf * sin(cf * atan(bf * (delta - atan2(v + lf * r4, u))))
+            g = dfzr * sin(cr * atan(br * -atan2(v - lr * r4, u)))
+            c, sn = cos(a4), sin(a4)
+            x += w * (dx1 + 2 * dx2 + 2 * dx3 + (u * c - v * sn))
+            y += w * (dy1 + 2 * dy2 + 2 * dy3 + (u * sn + v * c))
+            yaw += w * (r + 2 * r2 + 2 * r3 + r4)
+            vx += w * (du1 + 2 * du2 + 2 * du3 + ((fx - f * sin_d) / m + r4 * v))
+            vy += w * (dv1 + 2 * dv2 + 2 * dv3 + ((f * cos_d + g) / m - r4 * u))
+            r += w * (dr1 + 2 * dr2 + 2 * dr3 + (lf * f * cos_d - lr * g) / iz)
+        return x, y, yaw, vx, vy, r
+
+    return derivatives, advance
 
 
 def synthesize_sensors(gt: np.ndarray, steering, p: VehicleParams,
@@ -202,7 +222,8 @@ def run_maneuver(script: ManeuverScript, p: VehicleParams,
     steering at +-0.6 rad before entering the dynamics. The control law
     always runs at the fixed 500 Hz rate (zero-order hold), independent of
     the integration substep, so refining the substep only refines the
-    integration.
+    integration. The dynamics are bound once per call (`bind_dynamics`);
+    the trajectory is bit-identical to that of the unbound formula.
     """
     if substep_s <= 0:
         raise ConfigError(f"substep must be > 0, got {substep_s}")
@@ -213,8 +234,6 @@ def run_maneuver(script: ManeuverScript, p: VehicleParams,
     n_sub = int(round(n_sub))
     ctrl_per_sample = int(round(DT_S / CONTROL_PERIOD_S))
 
-    fzf = p.static_load_front_n
-    fzr = p.static_load_rear_n
     mu = min(p.tire_front.peak_factor_d_per_n, p.tire_rear.peak_factor_d_per_n)
     fx_max = mu * p.mass_kg * G_MPS2
 
@@ -225,31 +244,25 @@ def run_maneuver(script: ManeuverScript, p: VehicleParams,
     truth = np.empty((n_samples, 10), dtype=np.float64)
     steer_trace = np.empty(n_samples, dtype=np.float64)
 
-    s = script.initial.as_tuple()
+    derivatives, advance = bind_dynamics(p, substep_s, n_sub)
+    s = script.initial
     law = script.control_law
     for k in range(n_samples):
         t = k * DT_S
-        u = law(t, SimState(*s))
-        delta = min(max(u.steering_rad, -MAX_STEERING_RAD), MAX_STEERING_RAD)
-        fx = min(max(u.long_force_n, -fx_max), fx_max)
-
-        d = _derivatives(s[0], s[1], s[2], s[3], s[4], s[5], delta, fx, p, fzf, fzr)
-        vx, vy = s[3], s[4]
-        truth[k] = (t, s[0], s[1], s[2], vx, vy, s[5], d[6], d[7],
-                    math.atan2(vy, vx))
-        steer_trace[k] = delta
-        if not (math.isfinite(s[0]) and math.isfinite(s[3])
-                and math.isfinite(s[4]) and math.isfinite(s[5])):
-            raise NumericalError(
-                f"integration diverged in '{script.name}' at t={t:.3f}s")
-
         for j in range(ctrl_per_sample):
-            if j > 0:
-                u = law(t + j * CONTROL_PERIOD_S, SimState(*s))
-                delta = min(max(u.steering_rad, -MAX_STEERING_RAD), MAX_STEERING_RAD)
-                fx = min(max(u.long_force_n, -fx_max), fx_max)
-            for _ in range(n_sub):
-                s = _rk4_step(s, delta, fx, p, fzf, fzr, substep_s)
+            u = law(t + j * CONTROL_PERIOD_S, SimState(*s))
+            delta = min(max(u.steering_rad, -MAX_STEERING_RAD), MAX_STEERING_RAD)
+            fx = min(max(u.long_force_n, -fx_max), fx_max)
+            if j == 0:  # the sample row: state, specific forces, sideslip
+                x, y, yaw, vx, vy, r = s
+                d = derivatives(x, y, yaw, vx, vy, r, delta, fx)
+                truth[k] = (t, x, y, yaw, vx, vy, r, d[6], d[7], math.atan2(vy, vx))
+                steer_trace[k] = delta
+                if not (math.isfinite(x) and math.isfinite(vx)
+                        and math.isfinite(vy) and math.isfinite(r)):
+                    raise NumericalError(
+                        f"integration diverged in '{script.name}' at t={t:.3f}s")
+            s = advance(s, delta, fx)
 
     if not np.isfinite(truth).all():
         raise NumericalError(f"integration produced non-finite output in '{script.name}'")
@@ -434,7 +447,6 @@ def _city_mix(intensity: float, duration: float, p: VehicleParams,
     seg_starts = [0.0] + [s[0] for s in segments[:-1]]
 
     def law(t: float, s: SimState) -> ControlInput:
-        idx = 0
         lo, hi = 0, len(segments) - 1  # binary search over segment ends
         while lo < hi:
             mid = (lo + hi) // 2

@@ -24,11 +24,11 @@ from vobs.simulator import (
     ManeuverScript,
     SensorNoiseSpec,
     SimState,
+    bind_dynamics,
     builtin_scripts,
     pacejka_lateral_force,
     run_maneuver,
     synthesize_sensors,
-    _derivatives,
 )
 
 from conftest import circle_script, straight_script
@@ -100,17 +100,57 @@ class TestStepDynamicBicycle:
         vx_end = traj.truth[-1, G_VX]
         r_end = traj.truth[-1, G_YAWRATE]
 
-        fzf = params.static_load_front_n
-        fzr = params.static_load_rear_n
+        derivatives, _ = bind_dynamics(params, 0.002, 1)
 
         def residual(z):
             vy, r = z
-            d = _derivatives(0, 0, 0, vx_end, vy, r, delta, 0.0, params, fzf, fzr)
+            d = derivatives(0, 0, 0, vx_end, vy, r, delta, 0.0)
             return [d[4], d[5]]  # dvy, dr
 
         vy_ss, r_ss = fsolve(residual, [0.0, 0.07], xtol=1e-13)
         assert r_end == pytest.approx(r_ss, rel=1e-6)
         assert traj.truth[-1, G_VY] == pytest.approx(vy_ss, rel=1e-5, abs=1e-8)
+
+    # (vx, vy, r, delta): slips from zero through past both tires' peaks
+    STATES = [(10.0, 0.0, 0.0, 0.0), (10.0, 0.0, 0.0, 0.02), (15.0, -1.2, 0.4, 0.1),
+              (6.0, 2.0, -0.8, -0.3), (25.0, 0.3, 0.05, -0.6), (3.0, -2.5, 1.5, 0.6)]
+
+    @pytest.mark.parametrize("mass", [900.0, 1578.0, 2600.0])
+    def test_inline_tire_law_is_pacejka_bit_for_bit(self, mass):
+        p = VehicleParams(mass_kg=mass, lf_m=1.3, tire_front=TireParams(8.0, 1.6, 0.9))
+        derivatives, _ = bind_dynamics(p, 0.002, 1)
+        fx = 500.0
+        for vx, vy, r, delta in self.STATES:
+            fyf = pacejka_lateral_force(delta - math.atan2(vy + p.lf_m * r, vx),
+                                        p.static_load_front_n, p.tire_front)
+            fyr = pacejka_lateral_force(-math.atan2(vy - p.lr_m * r, vx),
+                                        p.static_load_rear_n, p.tire_rear)
+            d = derivatives(0.0, 0.0, 0.3, vx, vy, r, delta, fx)
+            assert d[6] == (fx - fyf * math.sin(delta)) / p.mass_kg
+            assert d[7] == (fyf * math.cos(delta) + fyr) / p.mass_kg
+            assert d[5] == ((p.lf_m * fyf * math.cos(delta) - p.lr_m * fyr)
+                            / p.inertia_z_kgm2)
+
+    @pytest.mark.parametrize("n_sub", [1, 2])
+    def test_inline_stages_are_rk4_over_derivatives_bit_for_bit(self, params, n_sub):
+        dt = 0.002 / n_sub
+        derivatives, advance = bind_dynamics(params, dt, n_sub)
+        h, w = dt * 0.5, dt / 6.0
+        for vx, vy, r, delta in self.STATES:
+            s = expected = (1.0, -2.0, 0.7, vx, vy, r)
+            fx = -800.0
+
+            def rates(*state):
+                return derivatives(*state, delta, fx)[:6]
+
+            for _ in range(n_sub):  # RK4 as one formula over `derivatives`
+                k1 = rates(*expected)
+                k2 = rates(*(a + h * k for a, k in zip(expected, k1)))
+                k3 = rates(*(a + h * k for a, k in zip(expected, k2)))
+                k4 = rates(*(a + dt * k for a, k in zip(expected, k3)))
+                expected = tuple(a + w * (b + 2 * c + 2 * d + e)
+                                 for a, b, c, d, e in zip(expected, k1, k2, k3, k4))
+            assert advance(s, delta, fx) == expected
 
     def test_rejects_bad_dt(self, params):
         for substep in (0.0, -0.01):
