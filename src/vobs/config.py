@@ -202,6 +202,9 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
         doc.get("sensor_noise", {}), "sensor_noise", where, _float_fields(SensorNoiseSpec)))
     split = SplitSpec(**_section(doc.get("split", {}), "split", where, _float_fields(SplitSpec)))
     ds_doc = _section(doc.get("dataset", {}), "dataset", where, DATASET_TYPES)
+    for key, value in ds_doc.items():
+        if value < 1:
+            raise ConfigError(f"{where}: dataset.{key} must be >= 1, got {value!r}")
     state_noise = NoiseSpec(**_section(
         doc.get("state_noise", {}), "state_noise", where, _float_fields(NoiseSpec)))
     tr_doc = _section(doc.get("train", {}), "train", where, TRAIN_TYPES)

@@ -382,6 +382,15 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg]) == 1
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("window_len", 0), ("train_stride", -3),
+                                           ("val_stride", 0)])
+    def test_nonpositive_window_key_is_config_error(self, tmp_path, key, value, capsys):
+        cfg = _write_config(tmp_path, overrides={
+            "dataset": dict(BASE_CONFIG["dataset"], **{key: value})})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert f"dataset.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_zero_workers_flag_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         assert main(["simulate", "--config", cfg, "--workers", "0"]) == 1
