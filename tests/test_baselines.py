@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from vobs.baselines import (
     run_gru,
     train_gru,
     _measurement_model,
+    _process_model,
 )
 from vobs.dataset import fit_scaler, make_windows, WindowedDataset
 from vobs.domain import G_MPS2, G_VY, VehicleParams
@@ -131,6 +134,77 @@ class TestEkfUpdate:
         h, jac = _measurement_model(s.x, 0.0, params, cfg)
         with pytest.raises(NumericalError, match="cond"):
             kf_update_joseph(s.x, s.p, h, h, jac, tiny_r)
+
+
+def _ref_slip_terms(x, p):
+    vx, vy, r = x
+    uf = vy + p.lf_m * r
+    ur = vy - p.lr_m * r
+    df = uf * uf + vx * vx
+    dr = ur * ur + vx * vx
+    alpha_f_grad = np.array([uf / df, -vx / df, -p.lf_m * vx / df])
+    alpha_r_grad = np.array([ur / dr, -vx / dr, p.lr_m * vx / dr])
+    return (-math.atan2(uf, vx), -math.atan2(ur, vx), alpha_f_grad, alpha_r_grad)
+
+
+def _ref_process_model(x, ax_meas, delta, p, cfg):
+    vx, vy, r = x
+    alpha_f0, alpha_r, dalpha_f, dalpha_r = _ref_slip_terms(x, p)
+    alpha_f = delta + alpha_f0
+    cf = cfg.cornering_stiffness_front_nprad
+    cr = cfg.cornering_stiffness_rear_nprad
+    cos_d = math.cos(delta)
+    fyf = cf * alpha_f
+    fyr = cr * alpha_r
+    f = np.array([
+        ax_meas + r * vy,
+        (fyf * cos_d + fyr) / p.mass_kg - r * vx,
+        (p.lf_m * fyf * cos_d - p.lr_m * fyr) / p.inertia_z_kgm2,
+    ])
+    lat = (cf * cos_d * dalpha_f + cr * dalpha_r) / p.mass_kg
+    yaw = (p.lf_m * cf * cos_d * dalpha_f - p.lr_m * cr * dalpha_r) / p.inertia_z_kgm2
+    jac = np.array([
+        [0.0, r, vy],
+        [lat[0] - r, lat[1], lat[2] - vx],
+        [yaw[0], yaw[1], yaw[2]],
+    ])
+    return f, jac
+
+
+def _ref_measurement_model(x, delta, p, cfg):
+    vx, vy, r = x
+    alpha_f0, alpha_r, dalpha_f, dalpha_r = _ref_slip_terms(x, p)
+    alpha_f = delta + alpha_f0
+    cf = cfg.cornering_stiffness_front_nprad
+    cr = cfg.cornering_stiffness_rear_nprad
+    cos_d = math.cos(delta)
+    h = np.array([
+        vx + 0.5 * p.track_m * r,
+        r,
+        (cf * alpha_f * cos_d + cr * alpha_r) / p.mass_kg,
+    ])
+    lat = (cf * cos_d * dalpha_f + cr * dalpha_r) / p.mass_kg
+    jac = np.array([
+        [1.0, 0.0, 0.5 * p.track_m],
+        [0.0, 0.0, 1.0],
+        [lat[0], lat[1], lat[2]],
+    ])
+    return h, jac
+
+
+def test_models_are_the_reference_formulas_bit_for_bit(params, ekf_cfg):
+    """The process and measurement models, with their Jacobians, equal the
+    formulas above (each written out on its own) bit for bit."""
+    rng = np.random.default_rng(11)
+    for _ in range(250):
+        x = np.array([rng.uniform(0.6, 40.0), rng.uniform(-3.0, 3.0),
+                      rng.uniform(-1.5, 1.5)])
+        ax, delta = rng.normal(0, 3), rng.uniform(-0.6, 0.6)
+        for got, want in ((_process_model(x, ax, delta, params, ekf_cfg),
+                           _ref_process_model(x, ax, delta, params, ekf_cfg)),
+                          (_measurement_model(x, delta, params, ekf_cfg),
+                           _ref_measurement_model(x, delta, params, ekf_cfg))):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestLinearKfEquivalence:
