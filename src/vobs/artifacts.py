@@ -7,10 +7,10 @@ writing.
     back bit-exact) and an int its digits. `gradcheck.csv` alone is rendered
     by `csv.writer` (quoted coordinates, `\\r\\n` line ends).
   - JSON: `json.dumps(doc, indent=2, sort_keys=True)` and a newline.
-  - Atomic writes: `write_file` writes `.<name>.<pid>.tmp` in the target's
-    directory, then moves it over the target with `os.replace`; on any
-    exception it removes the temporary file, so the target keeps its old
-    bytes and no reader sees a half-written artifact.
+  - Atomic writes: `write_file` creates the target's directory if it is
+    missing, writes `.<name>.<pid>.tmp` there, then moves it over the target
+    with `os.replace`; on any exception it removes the temporary file, so the
+    target keeps its old bytes and no reader sees a half-written artifact.
   - Errors: a malformed artifact raises `DataFormatError` naming the file,
     as `<path>:<line>: ...` for a CSV (the header is line 1) and as
     `<path>: corrupt <what> (...)` for JSON.
@@ -31,8 +31,9 @@ from .errors import DataFormatError
 def write_file(path, data) -> None:
     """Write `data` to `path` atomically: bytes, str (written as UTF-8), or an
     iterable of such chunks, written one by one."""
-    tmp = os.path.join(os.path.dirname(path) or ".",
-                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             for chunk in (data,) if isinstance(data, (bytes, str)) else data:

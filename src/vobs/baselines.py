@@ -2,12 +2,13 @@
 model with linear tires, and an end-to-end GRU observer without state
 feedback.
 
-The EKF state is (vx, vy, yaw_rate). Prediction integrates the bicycle model
-with measured longitudinal acceleration and steering as inputs (Euler, with
-the analytic Jacobian of the discrete map); the update assimilates wheel
-speed, gyro yaw rate, and lateral acceleration through a Joseph-form
-covariance update. Process noise is a continuous intensity, discretized as
-Q*dt over the 50 Hz sample period `domain.DT_S`.
+The EKF state is (vx, vy, yaw_rate). One lateral model, `_lateral`, feeds
+both predict and update. Prediction integrates the bicycle model with
+measured longitudinal acceleration and steering as inputs (Euler, with the
+analytic Jacobian of the discrete map); the update assimilates wheel speed,
+gyro yaw rate, and lateral acceleration through a Joseph-form covariance
+update. Process noise is a continuous intensity, discretized as Q*dt over
+the 50 Hz sample period `domain.DT_S`.
 
 Both observers take the `Trajectory` whose sensor stream they estimate
 over; neither reads its ground truth. `run_gru` takes the same arguments, in
@@ -27,22 +28,17 @@ from .errors import ConfigError, NumericalError
 from .neural import RecurrentRegressor, TrainConfig, gru_observer_net
 from .observer_lstm import EstimateTrace, train_observer, window_features
 
-# defaults below were tuned once by grid search on low-acceleration synthetic
-# data with the standard sensor noise; see eval config documentation
-DEFAULT_PROCESS_NOISE_Q = (0.05, 0.05, 0.02)
-DEFAULT_MEASUREMENT_NOISE_R = (9e-4, 4e-6, 2.5e-3)
-DEFAULT_INITIAL_COVARIANCE_P0 = (0.25, 0.25, 0.01)
-
-
 @dataclass(frozen=True)
 class EkfConfig:
     """Linear-tire stiffnesses plus diagonal noise matrices."""
 
     cornering_stiffness_front_nprad: float
     cornering_stiffness_rear_nprad: float
-    process_noise_q: tuple = DEFAULT_PROCESS_NOISE_Q
-    measurement_noise_r: tuple = DEFAULT_MEASUREMENT_NOISE_R
-    initial_covariance_p0: tuple = DEFAULT_INITIAL_COVARIANCE_P0
+    # the noise defaults were tuned once by grid search on low-acceleration
+    # synthetic data with the standard sensor noise
+    process_noise_q: tuple = (0.05, 0.05, 0.02)
+    measurement_noise_r: tuple = (9e-4, 4e-6, 2.5e-3)
+    initial_covariance_p0: tuple = (0.25, 0.25, 0.01)
     min_speed_mps: float = 0.5
 
     def __post_init__(self):
@@ -73,12 +69,10 @@ class EkfConfig:
 
 @dataclass
 class EkfState:
-    """Filter mean (vx, vy, yaw_rate) and covariance; `held` marks a
-    low-speed step where the prediction was frozen."""
+    """Filter mean (vx, vy, yaw_rate) and covariance."""
 
     x: np.ndarray
     p: np.ndarray
-    held: bool = False
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64).reshape(3)
@@ -115,41 +109,42 @@ def kf_update_joseph(x: np.ndarray, p: np.ndarray, z: np.ndarray,
 # Bicycle-model EKF
 # ---------------------------------------------------------------------------
 
-def _slip_terms(x: np.ndarray, p: VehicleParams):
-    """Axle slip angles and their gradients wrt (vx, vy, r)."""
+def _lateral(x: np.ndarray, delta: float, p: VehicleParams, cfg: EkfConfig):
+    """Lateral and yaw acceleration from the linear tire forces, and the
+    gradient of each with respect to (vx, vy, r)."""
     vx, vy, r = x
     uf = vy + p.lf_m * r
     ur = vy - p.lr_m * r
     df = uf * uf + vx * vx
     dr = ur * ur + vx * vx
-    alpha_f_grad = np.array([uf / df, -vx / df, -p.lf_m * vx / df])
-    alpha_r_grad = np.array([ur / dr, -vx / dr, p.lr_m * vx / dr])
-    return (-math.atan2(uf, vx), -math.atan2(ur, vx), alpha_f_grad, alpha_r_grad)
+    dalpha_f = np.array([uf / df, -vx / df, -p.lf_m * vx / df])
+    dalpha_r = np.array([ur / dr, -vx / dr, p.lr_m * vx / dr])
+    cf = cfg.cornering_stiffness_front_nprad
+    cr = cfg.cornering_stiffness_rear_nprad
+    cos_d = math.cos(delta)
+    fyf = cf * (delta + -math.atan2(uf, vx))
+    fyr = cr * -math.atan2(ur, vx)
+    ay = (fyf * cos_d + fyr) / p.mass_kg
+    yaw_acc = (p.lf_m * fyf * cos_d - p.lr_m * fyr) / p.inertia_z_kgm2
+    ay_grad = (cf * cos_d * dalpha_f + cr * dalpha_r) / p.mass_kg
+    yaw_grad = (p.lf_m * cf * cos_d * dalpha_f - p.lr_m * cr * dalpha_r) / p.inertia_z_kgm2
+    return ay, yaw_acc, ay_grad, yaw_grad
 
 
 def _process_model(x: np.ndarray, ax_meas: float, delta: float,
                    p: VehicleParams, cfg: EkfConfig):
     """Continuous-time rates f(x, u) and their Jacobian wrt the state."""
     vx, vy, r = x
-    alpha_f0, alpha_r, dalpha_f, dalpha_r = _slip_terms(x, p)
-    alpha_f = delta + alpha_f0
-    cf = cfg.cornering_stiffness_front_nprad
-    cr = cfg.cornering_stiffness_rear_nprad
-    cos_d = math.cos(delta)
-    fyf = cf * alpha_f
-    fyr = cr * alpha_r
-
+    ay, yaw_acc, ay_grad, yaw_grad = _lateral(x, delta, p, cfg)
     f = np.array([
         ax_meas + r * vy,
-        (fyf * cos_d + fyr) / p.mass_kg - r * vx,
-        (p.lf_m * fyf * cos_d - p.lr_m * fyr) / p.inertia_z_kgm2,
+        ay - r * vx,
+        yaw_acc,
     ])
-    lat = (cf * cos_d * dalpha_f + cr * dalpha_r) / p.mass_kg
-    yaw = (p.lf_m * cf * cos_d * dalpha_f - p.lr_m * cr * dalpha_r) / p.inertia_z_kgm2
     jac = np.array([
         [0.0, r, vy],
-        [lat[0] - r, lat[1], lat[2] - vx],
-        [yaw[0], yaw[1], yaw[2]],
+        [ay_grad[0] - r, ay_grad[1], ay_grad[2] - vx],
+        yaw_grad,
     ])
     return f, jac
 
@@ -158,22 +153,17 @@ def _measurement_model(x: np.ndarray, delta: float, p: VehicleParams,
                        cfg: EkfConfig):
     """h(x) = (wheel speed at the rear-right patch, yaw rate, lateral
     acceleration from the linear tire forces) and its Jacobian."""
-    vx, vy, r = x
-    alpha_f0, alpha_r, dalpha_f, dalpha_r = _slip_terms(x, p)
-    alpha_f = delta + alpha_f0
-    cf = cfg.cornering_stiffness_front_nprad
-    cr = cfg.cornering_stiffness_rear_nprad
-    cos_d = math.cos(delta)
+    vx, _, r = x
+    ay, _, ay_grad, _ = _lateral(x, delta, p, cfg)
     h = np.array([
         vx + 0.5 * p.track_m * r,
         r,
-        (cf * alpha_f * cos_d + cr * alpha_r) / p.mass_kg,
+        ay,
     ])
-    lat = (cf * cos_d * dalpha_f + cr * dalpha_r) / p.mass_kg
     jac = np.array([
         [1.0, 0.0, 0.5 * p.track_m],
         [0.0, 0.0, 1.0],
-        [lat[0], lat[1], lat[2]],
+        ay_grad,
     ])
     return h, jac
 
@@ -183,13 +173,13 @@ def ekf_predict(s: EkfState, u: tuple[float, float], p: VehicleParams,
     """Euler-discretized prediction with u = (measured ax, steering).
 
     Below the minimum-speed threshold the state is frozen and the
-    covariance inflated (slip angles are not usable), flagged via `held`.
+    covariance inflated (slip angles are not usable).
     """
     if dt < 0:
         raise ConfigError(f"dt must be >= 0, got {dt}")
     q = cfg.q_matrix() * dt
     if s.x[0] <= cfg.min_speed_mps:
-        return EkfState(s.x.copy(), 0.5 * (s.p + s.p.T) + q, held=True)
+        return EkfState(s.x.copy(), 0.5 * (s.p + s.p.T) + q)
     ax_meas, delta = u
     f, jac = _process_model(s.x, ax_meas, delta, p, cfg)
     x_new = s.x + dt * f
@@ -217,9 +207,10 @@ def measurement_jacobian(x, delta, p, cfg) -> np.ndarray:
     return jac
 
 
-def run_ekf(traj: Trajectory, initial: EkfState, p: VehicleParams,
+def run_ekf(traj: Trajectory, initial_state, p: VehicleParams,
             cfg: EkfConfig) -> EstimateTrace:
-    """Alternate predict and update over the 50 Hz sensor stream of `traj`.
+    """Alternate predict and update over the 50 Hz sensor stream of `traj`,
+    from the mean `initial_state` (vx, vy, yaw_rate) and `cfg`'s P0.
 
     The first frame is assimilated without a prediction (no time has
     passed); afterwards each frame's (ax, steering) drives the prediction
@@ -231,7 +222,7 @@ def run_ekf(traj: Trajectory, initial: EkfState, p: VehicleParams,
     if n == 0:
         raise ConfigError("empty sensor stream")
 
-    s = EkfState(initial.x.copy(), initial.p.copy())
+    s = EkfState(np.array(initial_state, dtype=np.float64), cfg.p0_matrix())
     estimates = np.empty((n, 3))
     for k in range(n):
         ax_k, ay_k, gyro_k, wheel_k, steer_k = raw[k]

@@ -23,7 +23,7 @@ import numpy as np
 from . import dataset as ds
 from . import evaluation as ev
 from .artifacts import read_json, write_csv, write_file, write_json
-from .baselines import EkfConfig, EkfState, run_ekf, run_gru, train_gru
+from .baselines import EkfConfig, run_ekf, run_gru, train_gru
 from .config import RunConfig
 from .domain import (
     G_AY,
@@ -150,17 +150,17 @@ def _shard_map(workers: int):
         yield pool.map
 
 
-def _simulate_job(job):
-    """Build and run one maneuver."""
-    kind, intensity, duration_s, label, script_seed, noise = job
-    script = builtin_scripts(kind, intensity, duration_s=duration_s,
-                             seed=script_seed)
+def _simulate_job(jobs: list, index: int) -> Trajectory:
+    """Run maneuver `index` of `jobs`."""
+    _, _, label, script, noise = jobs[index]
     traj = run_maneuver(script, VehicleParams(), noise)
     traj.label = label
     return traj
 
 
-def _corpus_jobs(cfg: RunConfig):
+def _corpus_jobs(cfg: RunConfig) -> list:
+    """(kind, intensity, label, script, sensor noise) of each maneuver of the
+    corpus; building the script validates it."""
     jobs = []
     for entry in cfg.corpus:
         for i in range(entry.count):
@@ -168,28 +168,25 @@ def _corpus_jobs(cfg: RunConfig):
             intensity = _jittered_intensity(entry.intensity, i, entry.count)
             noise = dataclasses.replace(
                 cfg.sensor_noise, seed=derive_seed(cfg.master_seed, "sensors", label))
-            jobs.append((entry.kind, intensity, entry.duration_s, label,
-                         derive_seed(cfg.master_seed, "script", label), noise))
+            script = builtin_scripts(entry.kind, intensity, duration_s=entry.duration_s,
+                                     seed=derive_seed(cfg.master_seed, "script", label))
+            jobs.append((entry.kind, intensity, label, script, noise))
     return jobs
 
 
 def simulate_corpus(cfg: RunConfig) -> dict:
     """Generate every scripted maneuver and write trajectory CSVs plus a
     corpus manifest. Scripts are all constructed (and validated) before any
-    integration starts; outputs are written only after every maneuver ran."""
+    integration starts; outputs are written only after every maneuver ran.
+    Forked workers inherit the scripts, so only a job index crosses a pipe."""
     jobs = _corpus_jobs(cfg)
-    for kind, intensity, duration_s, label, seed, _ in jobs:
-        builtin_scripts(kind, intensity, duration_s=duration_s, seed=seed)
+    trajectories = _map_tasks(functools.partial(_simulate_job, jobs),
+                              list(range(len(jobs))), cfg.workers)
 
-    trajectories = _map_tasks(_simulate_job, jobs, cfg.workers)
-
-    traj_dir = os.path.join(cfg.out_dir, "trajectories")
-    os.makedirs(traj_dir, exist_ok=True)
     entries = []
-    for job, traj in zip(jobs, trajectories):
-        kind, intensity, _, label, _, noise = job
+    for (kind, intensity, label, _, noise), traj in zip(jobs, trajectories):
         fname = label.replace("#", "-") + ".csv"
-        write_trajectory_csv(traj, os.path.join(traj_dir, fname))
+        write_trajectory_csv(traj, os.path.join(cfg.out_dir, "trajectories", fname))
         entries.append({
             "file": f"trajectories/{fname}",
             "label": label,
@@ -241,7 +238,6 @@ def build_dataset(cfg: RunConfig) -> dict:
     scaler = ds.fit_scaler(train)
 
     out_dir = os.path.join(cfg.out_dir, "dataset")
-    os.makedirs(out_dir, exist_ok=True)
     strides = {"train": cfg.train_stride, "val": cfg.val_stride, "test": 1}
     counts = {}
     for name, group, stride in (("train", train, cfg.train_stride),
@@ -324,7 +320,6 @@ def train_observer_model(cfg: RunConfig, name: str) -> dict:
     with _shard_map(cfg.workers) as map_fn:
         net, log = train(map_fn=map_fn)
 
-    os.makedirs(os.path.join(cfg.out_dir, "models"), exist_ok=True)
     save_weights(net, weights_path(cfg, name))
     write_training_log(log, os.path.join(cfg.out_dir, "models", f"{name}.trainlog.csv"))
     best = min(entry["val_loss"] for entry in log)
@@ -358,8 +353,7 @@ def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
         return run_closed_loop(traj, initial, nets[name], scaler, cfg.window_len)
     if spec.type == "gru":
         return run_gru(traj, initial, nets[name], scaler, cfg.window_len)
-    ekf_cfg = _ekf_config(spec, params)
-    return run_ekf(traj, EkfState(initial, ekf_cfg.p0_matrix()), params, ekf_cfg)
+    return run_ekf(traj, initial, params, _ekf_config(spec, params))
 
 
 def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
@@ -402,7 +396,6 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     skip = cfg.window_len - 1 if any_windowed else 0
 
     eval_dir = os.path.join(cfg.out_dir, "eval")
-    os.makedirs(eval_dir, exist_ok=True)
 
     seg_of = {t.label: ev.segment_label(t, cfg.segments) for t in test_trajs}
     counts: dict[str, int] = {"overall": 0, "normal": 0, "near_limits": 0}
@@ -437,7 +430,6 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     if write_traces:
         for name in cfg.observers:
             tdir = os.path.join(eval_dir, "traces", name)
-            os.makedirs(tdir, exist_ok=True)
             for label, trace in traces[name].items():
                 write_trace_csv(trace, os.path.join(
                     tdir, label.replace("#", "-") + ".csv"))
@@ -473,7 +465,6 @@ def _write_plot_data(cfg, report, test_trajs, seg_of, traces, skip, eval_dir) ->
     for the highest-acceleration trajectory of each segment."""
     ours = _pick_ours(cfg)
     plot_dir = os.path.join(eval_dir, "plots")
-    os.makedirs(plot_dir, exist_ok=True)
     for segment in ("normal", "near_limits"):
         candidates = [t for t in test_trajs if seg_of[t.label] == segment]
         if not candidates or len(cfg.observers) < 2 or segment not in report.table.get(ours, {}):
@@ -528,7 +519,6 @@ def run_gradient_check(out_dir: str, corrupt: bool = False,
                        n_networks: int = 5) -> float:
     """Gradient verification on small randomized networks; writes the
     per-coordinate CSV and returns the worst relative error."""
-    os.makedirs(out_dir, exist_ok=True)
     all_rows = []
     worst = 0.0
     group_worst: dict[str, float] = {}

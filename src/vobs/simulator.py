@@ -6,6 +6,9 @@ Integration runs RK4 at 500 Hz (dt = 0.002 s) on plain Python floats and is
 decimated to the 50 Hz sample grid. Control laws are re-evaluated at the
 integration rate (zero-order hold across one substep). The model is bound
 once per maneuver, with the RK4 stages inline (`bind_dynamics`).
+
+The maneuver library is one table, `_MANEUVERS`: each kind's script builder
+and default duration.
 """
 
 from __future__ import annotations
@@ -20,15 +23,6 @@ from .domain import DT_S, G_MPS2, TireParams, Trajectory, VehicleParams
 from .errors import ConfigError, NumericalError
 
 MAX_STEERING_RAD = 0.6
-
-MANEUVER_KINDS = (
-    "city_mix",
-    "step_steer",
-    "double_lane_change",
-    "u_turn",
-    "slalom",
-    "constant_radius_ramp",
-)
 
 
 class SimState(NamedTuple):
@@ -276,15 +270,7 @@ def run_maneuver(script: ManeuverScript, p: VehicleParams,
 
 _SPEED_GAIN_N_PER_MPS = 4000.0
 _YAW_GAIN_RAD_PER_RADPS = 0.4
-
-_DEFAULT_DURATION_S = {
-    "city_mix": 600.0,
-    "step_steer": 30.0,
-    "double_lane_change": 30.0,
-    "u_turn": 40.0,
-    "slalom": 40.0,
-    "constant_radius_ramp": 70.0,
-}
+_WHEELBASE_M = VehicleParams().wheelbase_m  # the scripts steer the default vehicle
 
 
 def _target_ay(intensity: float) -> float:
@@ -302,11 +288,11 @@ def _ramp01(t: float, t0: float, ramp: float) -> float:
     return min(max((t - t0) / ramp, 0.0), 1.0)
 
 
-def _step_steer(intensity: float, duration: float, p: VehicleParams) -> ManeuverScript:
+def _step_steer(intensity: float, duration: float, seed: int) -> ManeuverScript:
     v = 15.0
     ay = _target_ay(intensity)
     radius = v * v / ay
-    delta_ff = p.wheelbase_m / radius
+    delta_ff = _WHEELBASE_M / radius
 
     def law(t: float, s: SimState) -> ControlInput:
         fx = _speed_force(v, s.vx_mps)
@@ -322,12 +308,11 @@ def _step_steer(intensity: float, duration: float, p: VehicleParams) -> Maneuver
                           SimState(vx_mps=v))
 
 
-def _double_lane_change(intensity: float, duration: float,
-                        p: VehicleParams) -> ManeuverScript:
+def _double_lane_change(intensity: float, duration: float, seed: int) -> ManeuverScript:
     v = 16.0
     ay = _target_ay(intensity)
     # sine-steer amplitude; 1.12 compensates the yaw-response lag at this period
-    delta0 = 1.12 * ay * p.wheelbase_m / (v * v)
+    delta0 = 1.12 * ay * _WHEELBASE_M / (v * v)
     period = 12.0
     t_sine = 3.0
 
@@ -346,11 +331,11 @@ def _double_lane_change(intensity: float, duration: float,
                           SimState(vx_mps=v))
 
 
-def _u_turn(intensity: float, duration: float, p: VehicleParams) -> ManeuverScript:
+def _u_turn(intensity: float, duration: float, seed: int) -> ManeuverScript:
     v = 10.0
     ay = _target_ay(intensity)
     radius = max(v * v / ay, 6.0)
-    delta_ff = p.wheelbase_m / radius
+    delta_ff = _WHEELBASE_M / radius
 
     def law(t: float, s: SimState) -> ControlInput:
         fx = _speed_force(v, s.vx_mps)
@@ -366,11 +351,11 @@ def _u_turn(intensity: float, duration: float, p: VehicleParams) -> ManeuverScri
                           SimState(vx_mps=v))
 
 
-def _slalom(intensity: float, duration: float, p: VehicleParams) -> ManeuverScript:
+def _slalom(intensity: float, duration: float, seed: int) -> ManeuverScript:
     v = 17.0
     ay = _target_ay(intensity)
     # 1.09 compensates the yaw-response lag at this period
-    delta0 = 1.09 * ay * p.wheelbase_m / (v * v)
+    delta0 = 1.09 * ay * _WHEELBASE_M / (v * v)
     wave_period = 4.0
 
     def law(t: float, s: SimState) -> ControlInput:
@@ -384,15 +369,14 @@ def _slalom(intensity: float, duration: float, p: VehicleParams) -> ManeuverScri
                           SimState(vx_mps=v))
 
 
-def _constant_radius_ramp(intensity: float, duration: float,
-                          p: VehicleParams) -> ManeuverScript:
+def _constant_radius_ramp(intensity: float, duration: float, seed: int) -> ManeuverScript:
     radius = 40.0
     # aim the end-of-ramp acceleration at ~0.8g for intensity 1.0
     ay_end = _target_ay(intensity) * (0.80 / 0.85)
     v0 = 6.0
     v_max = math.sqrt(ay_end * radius)
     ramp_rate = 1.2
-    delta_ff = p.wheelbase_m / radius
+    delta_ff = _WHEELBASE_M / radius
 
     def law(t: float, s: SimState) -> ControlInput:
         if t < 3.0:
@@ -408,8 +392,7 @@ def _constant_radius_ramp(intensity: float, duration: float,
                           SimState(vx_mps=v0))
 
 
-def _city_mix(intensity: float, duration: float, p: VehicleParams,
-              seed: int) -> ManeuverScript:
+def _city_mix(intensity: float, duration: float, seed: int) -> ManeuverScript:
     """Stylized urban driving: speed changes, gentle turns, lane changes,
     occasional tight corners, all below the script's intensity ceiling."""
     ay_cap = _target_ay(intensity)
@@ -464,13 +447,13 @@ def _city_mix(intensity: float, duration: float, p: VehicleParams,
         elif kind == "turn":
             shape = _ramp01(t, t0, 1.5) * _ramp01(t_end - t, 0.0, 1.5)
             r_ref = shape * param / vx
-            delta = (shape * p.wheelbase_m * param / (vx * vx)
+            delta = (shape * _WHEELBASE_M * param / (vx * vx)
                      + _YAW_GAIN_RAD_PER_RADPS * (r_ref - s.yaw_rate_radps))
         else:  # lane change: one full sine of steering
             t_sine = 3.0
             tp = t - t0
             if tp < t_sine:
-                delta = param * p.wheelbase_m / (vx * vx) * math.sin(
+                delta = param * _WHEELBASE_M / (vx * vx) * math.sin(
                     2.0 * math.pi * tp / t_sine)
             else:
                 delta = 0.0
@@ -480,29 +463,30 @@ def _city_mix(intensity: float, duration: float, p: VehicleParams,
                           SimState(vx_mps=12.0))
 
 
+# kind -> (script builder(intensity, duration_s, seed), default duration_s);
+# only city_mix reads the seed. The order is MANEUVER_KINDS'.
+_MANEUVERS = {
+    "city_mix": (_city_mix, 600.0),
+    "step_steer": (_step_steer, 30.0),
+    "double_lane_change": (_double_lane_change, 30.0),
+    "u_turn": (_u_turn, 40.0),
+    "slalom": (_slalom, 40.0),
+    "constant_radius_ramp": (_constant_radius_ramp, 70.0),
+}
+MANEUVER_KINDS = tuple(_MANEUVERS)
+
+
 def builtin_scripts(kind: str, intensity: float, duration_s: float | None = None,
-                    params: VehicleParams | None = None,
                     seed: int = 0) -> ManeuverScript:
-    """Parameterized maneuver library.
+    """Parameterized maneuver library for the default `VehicleParams`.
 
     `intensity` in (0, 1] scales the targeted peak lateral acceleration from
     roughly 0.1g up to roughly 0.85g. `seed` only affects the city_mix
     segment plan.
     """
-    if kind not in MANEUVER_KINDS:
+    if kind not in _MANEUVERS:
         raise ConfigError(f"unknown maneuver kind '{kind}' (known: {MANEUVER_KINDS})")
     if not 0.0 < intensity <= 1.0:
         raise ConfigError(f"intensity must be in (0, 1], got {intensity}")
-    p = params or VehicleParams()
-    duration = duration_s if duration_s is not None else _DEFAULT_DURATION_S[kind]
-    if kind == "city_mix":
-        return _city_mix(intensity, duration, p, seed)
-    if kind == "step_steer":
-        return _step_steer(intensity, duration, p)
-    if kind == "double_lane_change":
-        return _double_lane_change(intensity, duration, p)
-    if kind == "u_turn":
-        return _u_turn(intensity, duration, p)
-    if kind == "slalom":
-        return _slalom(intensity, duration, p)
-    return _constant_radius_ramp(intensity, duration, p)
+    build, default_duration_s = _MANEUVERS[kind]
+    return build(intensity, default_duration_s if duration_s is None else duration_s, seed)

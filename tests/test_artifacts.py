@@ -133,11 +133,13 @@ class TestCsvFormat:
 
 
 SRC = pathlib.Path(vobs.__file__).parent
+_OS_WRITES = ("replace", "rename", "makedirs", "mkdir")
 
 
 def _writes(source: str):
-    """(line, what) of every call in `source` that opens a file to write or
-    moves one over another; an `open` whose mode is not a literal counts."""
+    """(line, what) of every call in `source` that opens a file to write,
+    moves one over another or creates a directory; an `open` whose mode is
+    not a literal counts."""
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
@@ -148,14 +150,14 @@ def _writes(source: str):
                 if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
                         or set(mode.value) & set("wax"):
                     yield node.lineno, "open for writing"
-        elif isinstance(func, ast.Attribute) and func.attr in ("replace", "rename") \
+        elif isinstance(func, ast.Attribute) and func.attr in _OS_WRITES \
                 and isinstance(func.value, ast.Name) and func.value.id == "os":
             yield node.lineno, f"os.{func.attr}"
 
 
 def test_only_the_artifact_module_writes_files():
     assert sorted(what for _, what in _writes((SRC / "artifacts.py").read_text())) == [
-        "open for writing", "os.replace"]
+        "open for writing", "os.makedirs", "os.replace"]
     found = [f"{path.relative_to(SRC)}:{line}: {what}"
              for path in sorted(SRC.rglob("*.py")) if path != SRC / "artifacts.py"
              for line, what in _writes(path.read_text())]

@@ -57,7 +57,6 @@ class TestEkfPredict:
     def test_low_speed_hold_and_inflate(self, params, ekf_cfg):
         s = EkfState(np.array([0.3, 0.0, 0.0]), np.eye(3) * 0.1)
         out = ekf_predict(s, (1.0, 0.2), params, ekf_cfg, 0.02)
-        assert out.held
         np.testing.assert_array_equal(out.x, s.x)
         np.testing.assert_allclose(out.p, s.p + ekf_cfg.q_matrix() * 0.02)
 
@@ -248,8 +247,7 @@ class TestRunEkf:
     def test_zero_noise_straight_stays_exact(self, params, ekf_cfg):
         traj = run_maneuver(straight_script(duration_s=6.0), params,
                             SensorNoiseSpec.zero())
-        initial = EkfState(traj.state_channels()[0], ekf_cfg.p0_matrix())
-        trace = run_ekf(traj, initial, params, ekf_cfg)
+        trace = run_ekf(traj, traj.state_channels()[0], params, ekf_cfg)
         assert len(trace) == len(traj)
         vx_err = np.abs(trace.estimates[:, 0] - traj.state_channels()[:, 0])
         assert vx_err.max() < 1e-6
@@ -258,8 +256,7 @@ class TestRunEkf:
         # gentle maneuver, zero sensor noise: linear tires are the true model
         traj = run_maneuver(builtin_scripts("slalom", 0.15, duration_s=20.0),
                             params, SensorNoiseSpec.zero())
-        initial = EkfState(traj.state_channels()[0], ekf_cfg.p0_matrix())
-        trace = run_ekf(traj, initial, params, ekf_cfg)
+        trace = run_ekf(traj, traj.state_channels()[0], params, ekf_cfg)
         err = mae(trace, traj.state_channels())
         assert err[1] < 0.02
 
@@ -271,8 +268,7 @@ class TestRunEkf:
                             params, SensorNoiseSpec(seed=2))
         errs = {}
         for name, traj in (("low", low), ("high", high)):
-            initial = EkfState(traj.state_channels()[0], ekf_cfg.p0_matrix())
-            errs[name] = mae(run_ekf(traj, initial, params, ekf_cfg),
+            errs[name] = mae(run_ekf(traj, traj.state_channels()[0], params, ekf_cfg),
                              traj.state_channels())
         assert errs["high"][1] > 2.0 * errs["low"][1]
 
