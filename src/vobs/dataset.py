@@ -40,9 +40,9 @@ class ScalerParams:
                               (self.state_min, self.state_max, STATE_CHANNELS)):
             if lo.shape != (len(names),) or hi.shape != (len(names),):
                 raise ConfigError("scaler shape mismatch")
-            if not (hi > lo).all():
-                bad = [names[i] for i in np.flatnonzero(hi <= lo)]
-                raise ConfigError(f"scaler max must exceed min on channels {bad}")
+            bad = [names[i] for i in np.flatnonzero(~((hi > lo) & np.isfinite(hi - lo)))]
+            if bad:
+                raise ConfigError(f"constant or non-finite channel(s) {bad}: cannot scale")
 
     def scale_sensors(self, x: np.ndarray) -> np.ndarray:
         return (x - self.sensor_min) / (self.sensor_max - self.sensor_min)
@@ -150,11 +150,6 @@ def fit_scaler(trajectories: list[Trajectory]) -> ScalerParams:
         s_max = np.maximum(s_max, sc.max(axis=0))
         g_min = np.minimum(g_min, st.min(axis=0))
         g_max = np.maximum(g_max, st.max(axis=0))
-    for lo, hi, names in ((s_min, s_max, SENSOR_CHANNELS), (g_min, g_max, STATE_CHANNELS)):
-        flat = np.flatnonzero(hi <= lo)
-        if flat.size:
-            raise ConfigError(
-                f"constant channel(s) {[names[i] for i in flat]}: min == max, cannot scale")
     return ScalerParams(s_min, s_max, g_min, g_max)
 
 

@@ -54,6 +54,12 @@ class TestScaler:
         with pytest.raises(ConfigError, match="steering"):
             fit_scaler([t])
 
+    def test_nan_channel_rejected(self):
+        t = _traj(100)
+        t.sensors[7, 4] = np.nan
+        with pytest.raises(ConfigError, match="wheel_speed_rr"):
+            fit_scaler([t])
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             fit_scaler([])
