@@ -49,9 +49,13 @@ class CorpusEntry:
         return f"{self.kind}@{self.intensity:.2f}"
 
 
-def _positive_number(value) -> bool:
+def _finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value) and value > 0
+        and math.isfinite(value)
+
+
+def _positive_number(value) -> bool:
+    return _finite_number(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -138,19 +142,20 @@ def _check_keys(mapping, allowed, section: str, where: str) -> dict:
     return mapping
 
 
+def _typed(value, kind: type, name: str, where: str):
+    """`value`, which must already be of its key's type `kind`, exactly (a
+    bool is no int); a float key takes a finite int or float, as a float."""
+    if not (_finite_number(value) if kind is float else type(value) is kind):
+        raise ConfigError(f"{where}: {name} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _section(mapping, section: str, where: str, types: dict) -> dict:
-    """The keyword arguments of one section: each value converted by the type
-    of its key; a key missing from `types` or a value that does not convert
-    is an error."""
+    """The keyword arguments of one section: each value of the type of its
+    key (`_typed`); a key missing from `types` is an error."""
     _check_keys(mapping, tuple(types), section, where)
-    kwargs = {}
-    for key, value in mapping.items():
-        try:
-            kwargs[key] = types[key](value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: {section}.{key} must be "
-                              f"{types[key].__name__}, got {value!r}") from None
-    return kwargs
+    return {key: _typed(value, types[key], f"{section}.{key}", where)
+            for key, value in mapping.items()}
 
 
 def _float_fields(cls) -> dict:
@@ -181,7 +186,8 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
                  workers: int | None = None, epochs: int | None = None,
                  where: str = "config") -> RunConfig:
     _check_keys(doc, TOP_LEVEL_KEYS, "the top level", where)
-    master_seed = seed if seed is not None else int(doc.get("master_seed", 0))
+    master_seed = seed if seed is not None else _typed(
+        doc.get("master_seed", 0), int, "master_seed", where)
 
     resolved_out = out_dir or doc.get("out_dir")
     if resolved_out is None:
@@ -223,7 +229,8 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
         observer = ObserverSpec(
             name=name,
             type=_require(spec, "type", f"observer '{name}'"),
-            state_noise=bool(spec.get("state_noise", True)),
+            state_noise=_typed(spec.get("state_noise", True), bool,
+                               f"observers.{name}.state_noise", where),
             ekf_overrides={k: v for k, v in spec.items() if k in EKF_OVERRIDE_KEYS},
         )
         for key in spec:

@@ -435,6 +435,28 @@ class TestUnknownConfigKeys:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "train.epochs must be int, got 'many'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, edit", [
+        ("corpus entry 0.count", lambda d: d["corpus"][0].update(count=2.7)),
+        ("corpus entry 0.count", lambda d: d["corpus"][0].update(count=True)),
+        ("dataset.window_len", lambda d: d["dataset"].update(window_len=50.9)),
+        ("train.epochs", lambda d: d["train"].update(epochs=1.5)),
+        ("train.shuffle", lambda d: d["train"].update(shuffle="false")),
+        ("train.learning_rate", lambda d: d["train"].update(learning_rate=float("nan"))),
+        ("split.train", lambda d: d.update(split={"train": float("nan")})),
+        ("master_seed", lambda d: d.update(master_seed=2.9)),
+        ("observers.lstm.state_noise",
+         lambda d: d["observers"]["lstm"].update(state_noise="no")),
+    ])
+    def test_value_of_another_type_rejected(self, tmp_path, capsys, key, edit):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["out_dir"] = str(tmp_path / "run")
+        edit(doc)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert f"{path}: {key} must be " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_every_documented_key_accepted(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         cfg = load_config(os.path.join(root, "configs", "reference.yaml"))
