@@ -117,8 +117,8 @@ def _lateral(x: np.ndarray, delta: float, p: VehicleParams, cfg: EkfConfig):
     ur = vy - p.lr_m * r
     df = uf * uf + vx * vx
     dr = ur * ur + vx * vx
-    dalpha_f = np.array([uf / df, -vx / df, -p.lf_m * vx / df])
-    dalpha_r = np.array([ur / dr, -vx / dr, p.lr_m * vx / dr])
+    dalpha_f = (uf / df, -vx / df, -p.lf_m * vx / df)
+    dalpha_r = (ur / dr, -vx / dr, p.lr_m * vx / dr)
     cf = cfg.cornering_stiffness_front_nprad
     cr = cfg.cornering_stiffness_rear_nprad
     cos_d = math.cos(delta)
@@ -126,8 +126,9 @@ def _lateral(x: np.ndarray, delta: float, p: VehicleParams, cfg: EkfConfig):
     fyr = cr * -math.atan2(ur, vx)
     ay = (fyf * cos_d + fyr) / p.mass_kg
     yaw_acc = (p.lf_m * fyf * cos_d - p.lr_m * fyr) / p.inertia_z_kgm2
-    ay_grad = (cf * cos_d * dalpha_f + cr * dalpha_r) / p.mass_kg
-    yaw_grad = (p.lf_m * cf * cos_d * dalpha_f - p.lr_m * cr * dalpha_r) / p.inertia_z_kgm2
+    ay_grad = [(cf * cos_d * a + cr * b) / p.mass_kg for a, b in zip(dalpha_f, dalpha_r)]
+    yaw_grad = [(p.lf_m * cf * cos_d * a - p.lr_m * cr * b) / p.inertia_z_kgm2
+                for a, b in zip(dalpha_f, dalpha_r)]
     return ay, yaw_acc, ay_grad, yaw_grad
 
 

@@ -104,7 +104,7 @@ def _pool_task(task):
     return _pool_job(task)
 
 
-def _map_tasks(fn, tasks: list, workers: int) -> list:
+def _map_tasks(fn, tasks, workers: int) -> list:
     """`[fn(t) for t in tasks]`, in task order.
 
     With more than one worker (capped at the task count) the tasks run in a
@@ -180,8 +180,8 @@ def simulate_corpus(cfg: RunConfig) -> dict:
     integration starts; outputs are written only after every maneuver ran.
     Forked workers inherit the scripts, so only a job index crosses a pipe."""
     jobs = _corpus_jobs(cfg)
-    trajectories = _map_tasks(functools.partial(_simulate_job, jobs),
-                              list(range(len(jobs))), cfg.workers)
+    trajectories = _map_tasks(functools.partial(_simulate_job, jobs), range(len(jobs)),
+                              cfg.workers)
 
     entries = []
     for (kind, intensity, label, _, noise), traj in zip(jobs, trajectories):
@@ -429,10 +429,9 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
 
     if write_traces:
         for name in cfg.observers:
-            tdir = os.path.join(eval_dir, "traces", name)
             for label, trace in traces[name].items():
                 write_trace_csv(trace, os.path.join(
-                    tdir, label.replace("#", "-") + ".csv"))
+                    eval_dir, "traces", name, label.replace("#", "-") + ".csv"))
     return report
 
 
@@ -464,7 +463,6 @@ def _write_plot_data(cfg, report, test_trajs, seg_of, traces, skip, eval_dir) ->
     """Time-series overlays: reference vs our observer vs the next best,
     for the highest-acceleration trajectory of each segment."""
     ours = _pick_ours(cfg)
-    plot_dir = os.path.join(eval_dir, "plots")
     for segment in ("normal", "near_limits"):
         candidates = [t for t in test_trajs if seg_of[t.label] == segment]
         if not candidates or len(cfg.observers) < 2 or segment not in report.table.get(ours, {}):
@@ -480,7 +478,7 @@ def _write_plot_data(cfg, report, test_trajs, seg_of, traces, skip, eval_dir) ->
             ours_est = traces[ours][rep.label].estimates[skip:, ci]
             other_est = traces[other][rep.label].estimates[skip:, ci]
             rows = np.column_stack([t, ref, ours_est, other_est])
-            write_csv(os.path.join(plot_dir, f"{segment}_{channel}.csv"),
+            write_csv(os.path.join(eval_dir, "plots", f"{segment}_{channel}.csv"),
                       ("t", "ref", ours, other), map(np.ndarray.tolist, rows))
 
 
