@@ -7,6 +7,7 @@ import pytest
 
 from vobs.errors import ConfigError, NumericalError
 from vobs.neural import (
+    COMPUTE_DTYPE,
     Adam,
     Dense,
     GruLayer,
@@ -224,6 +225,53 @@ class TestForwardFull:
         net = gru_observer_net(seed=1, in_dim=5, hidden=(3,), dense=(4,), out_dim=3)
         with pytest.raises(ConfigError):
             net.forward(np.zeros((1, 7, 5)), np.zeros((1, 3)))
+
+
+class TestNetworkGoldenBits:
+    """SHA-256 of what the default float32 nets compute on 50-step windows:
+    `features` at an odd batch width, and the loss plus every gradient at
+    the two training shard widths. Any reordering of the layers' float
+    arithmetic changes them; they assume OpenBLAS GEMMs that round as the
+    ones they were pinned with."""
+
+    T = 50
+    FEATURES = {
+        "lstm": "b6616a5d1021ff669036b6db74acd12e9ef7722d89414cc7d8ab4c7fbf243c82",
+        "gru": "5658bb957d26bb7c2af3304d4a706a47e565517176b831299c0da65a2482b8eb",
+    }
+    GRADIENTS = {
+        ("lstm", 128): "f40ab36c5c3f23aa1492900096b108c9af25b68e03b34aaf05a277a56205444b",
+        ("lstm", 92): "b13ed5a3481363ad6f2ada090cdc9246ac421f812973df7b154c27656ca342ec",
+        ("gru", 128): "f8d99c2d8396998b7b57c4d3b8e6c701673375f197a183d80098450dc5d6c898",
+        ("gru", 92): "c5b5cad9ed81ff0de123acd2234efd582235189b4f5851b558ae84082bb4e3b7",
+    }
+
+    @staticmethod
+    def _net(kind):
+        make = lstm_observer_net if kind == "lstm" else gru_observer_net
+        return make(seed=3).astype(COMPUTE_DTYPE)
+
+    def _inputs(self, bsz):
+        rng = np.random.default_rng(bsz)
+        return (rng.normal(0, 1, (bsz, self.T, 5)), rng.uniform(0, 1, (bsz, 3)),
+                rng.uniform(0, 1, (bsz, 3)))
+
+    @pytest.mark.parametrize("kind", sorted(FEATURES))
+    def test_features(self, kind):
+        windows, _, _ = self._inputs(113)
+        feats = self._net(kind).features(windows)
+        assert hashlib.sha256(feats.tobytes()).hexdigest() == self.FEATURES[kind]
+
+    @pytest.mark.parametrize("kind,bsz", sorted(GRADIENTS))
+    def test_loss_and_gradients(self, kind, bsz):
+        net = self._net(kind)
+        windows, prev, targets = self._inputs(bsz)
+        loss, grads = net.loss_and_gradients(
+            windows, prev if net.state_dim else None, targets)
+        digest = hashlib.sha256(np.float64(loss).tobytes())
+        for g in grads:
+            digest.update(g.tobytes())
+        assert digest.hexdigest() == self.GRADIENTS[kind, bsz]
 
 
 class TestL2Loss:
