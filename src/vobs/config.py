@@ -16,7 +16,7 @@ from .dataset import NoiseSpec, SplitSpec
 from .errors import ConfigError
 from .evaluation import SegmentSpec
 from .neural import TrainConfig
-from .simulator import MANEUVER_KINDS, SensorNoiseSpec
+from .simulator import MANEUVER_KINDS, SensorNoiseSpec, maneuver_frames
 
 ENV_OUT_ROOT = "VOBS_OUT"
 
@@ -211,6 +211,16 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
     for key, value in ds_doc.items():
         if value < 1:
             raise ConfigError(f"{where}: dataset.{key} must be >= 1, got {value!r}")
+    # every trajectory must hold one window, or evaluate fails on it last
+    window_len = ds_doc.get("window_len", RunConfig.window_len)
+    for k, entry in enumerate(corpus):
+        frames = maneuver_frames(entry.kind, entry.duration_s)
+        if frames < window_len:
+            given = f"{entry.duration_s!r}" if entry.duration_s is not None \
+                else f"unset, so the {entry.kind} default"
+            raise ConfigError(
+                f"{where}: corpus[{k}].duration_s ({given}) gives {frames} frames at "
+                f"50 Hz, fewer than dataset.window_len ({window_len})")
     state_noise = NoiseSpec(**_section(
         doc.get("state_noise", {}), "state_noise", where, _float_fields(NoiseSpec)))
     tr_doc = _section(doc.get("train", {}), "train", where, TRAIN_TYPES)

@@ -17,6 +17,17 @@ update: the sequence loop calls it on every step and the single-step cell
 function calls it once, so the cell-level contract and the training path
 cannot drift apart.
 
+Each recurrent layer has one sequence loop, in `forward_seq`, with two
+buffer policies chosen by its `keep_cache`. Training keeps every
+step's gates (and the LSTM cell state and its tanh, or the GRU's r * h_prev)
+in T-long buffers for BPTT. The inference pass, which `features` runs for
+evaluation and the teacher-forced validation loss, hands the same loop one
+gate buffer, two rolling LSTM cell-state buffers and one buffer for the
+rest, so it allocates no (T, 4h, B) stack. Both keep the (T, h, B) hidden
+sequence, which the next layer and the finiteness check read. Each step
+projects its own input, wx @ x_t + b, into its gate buffer; the result is
+bit-identical to projecting all T steps in one batched product.
+
 Each weight gradient is a sum over time steps of one outer product,
 dz_t @ u_t.T. `_sum_over_steps` adds these products one step at a time, in
 ascending t, into the gradient array through one (out, in) scratch product.
@@ -169,21 +180,31 @@ class LstmLayer:
         np.tanh(c, out=tc)
         np.multiply(o, tc, out=h_out)
 
-    def forward_seq(self, x: np.ndarray):
-        """Run the full sequence; x is (T, in, B), returns (T, h, B) + cache."""
+    def forward_seq(self, x: np.ndarray, keep_cache: bool = True):
+        """Run the full sequence; x is (T, in, B). Returns the (T, h, B)
+        hidden sequence and the BPTT cache, or None in its place when
+        `keep_cache` is false.
+
+        Step t writes its gates, cell state and tanh into row t modulo each
+        buffer's length: T-long buffers keep every step, short ones roll."""
         t_len, _, bsz = x.shape
         h = self.hidden
-        gates = np.matmul(self.wx, x)
-        gates += self.b[:, None]
-        cs = np.empty((t_len, h, bsz), dtype=gates.dtype)
-        tcs = np.empty_like(cs)
-        hs = np.empty_like(cs)
-        zero = np.zeros((h, bsz), dtype=gates.dtype)
-        buf = np.empty((4 * h, bsz), dtype=gates.dtype)
+        dtype = np.result_type(self.wx, x)
+        n = t_len if keep_cache else 1
+        gates = np.empty((n, 4 * h, bsz), dtype=dtype)
+        cs = np.empty((t_len if keep_cache else 2, h, bsz), dtype=dtype)
+        tcs = np.empty((n, h, bsz), dtype=dtype)
+        hs = np.empty((t_len, h, bsz), dtype=dtype)
+        zero = np.zeros((h, bsz), dtype=dtype)
+        buf = np.empty((4 * h, bsz), dtype=dtype)
+        b = self.b[:, None]
         for t in range(t_len):
-            h_prev, c_prev = (hs[t - 1], cs[t - 1]) if t else (zero, zero)
-            self.step(gates[t], h_prev, c_prev, cs[t], tcs[t], hs[t], buf)
-        return hs, (x, gates, cs, tcs, hs)
+            z = gates[t % n]
+            np.matmul(self.wx, x[t], out=z)
+            z += b
+            h_prev, c_prev = (hs[t - 1], cs[(t - 1) % len(cs)]) if t else (zero, zero)
+            self.step(z, h_prev, c_prev, cs[t % len(cs)], tcs[t % n], hs[t], buf)
+        return hs, ((x, gates, cs, tcs, hs) if keep_cache else None)
 
     def backward_seq(self, dh_seq: np.ndarray, cache):
         """Exact BPTT; dh_seq (T, h, B) holds the upstream gradients.
@@ -276,19 +297,30 @@ class GruLayer:
         np.multiply(z, h_prev, out=buf[:h])
         h_out += buf[:h]
 
-    def forward_seq(self, x: np.ndarray):
-        """Run the full sequence; x is (T, in, B), returns (T, h, B) + cache."""
+    def forward_seq(self, x: np.ndarray, keep_cache: bool = True):
+        """Run the full sequence; x is (T, in, B). Returns the (T, h, B)
+        hidden sequence and the BPTT cache, or None in its place when
+        `keep_cache` is false.
+
+        Step t writes its gates and r * h_prev into row t modulo each
+        buffer's length: T-long buffers keep every step, one-row ones are
+        reused."""
         t_len, _, bsz = x.shape
         h = self.hidden
-        gates = np.matmul(self.wx, x)
-        gates += self.b[:, None]
-        rhs = np.empty((t_len, h, bsz), dtype=gates.dtype)
-        hs = np.empty_like(rhs)
-        zero = np.zeros((h, bsz), dtype=gates.dtype)
-        buf = np.empty((2 * h, bsz), dtype=gates.dtype)
+        dtype = np.result_type(self.wx, x)
+        n = t_len if keep_cache else 1
+        gates = np.empty((n, 3 * h, bsz), dtype=dtype)
+        rhs = np.empty((n, h, bsz), dtype=dtype)
+        hs = np.empty((t_len, h, bsz), dtype=dtype)
+        zero = np.zeros((h, bsz), dtype=dtype)
+        buf = np.empty((2 * h, bsz), dtype=dtype)
+        b = self.b[:, None]
         for t in range(t_len):
-            self.step(gates[t], hs[t - 1] if t else zero, rhs[t], hs[t], buf)
-        return hs, (x, gates, rhs, hs)
+            a = gates[t % n]
+            np.matmul(self.wx, x[t], out=a)
+            a += b
+            self.step(a, hs[t - 1] if t else zero, rhs[t % n], hs[t], buf)
+        return hs, ((x, gates, rhs, hs) if keep_cache else None)
 
     def backward_seq(self, dh_seq: np.ndarray, cache):
         """Exact BPTT; dh_seq (T, h, B) holds the upstream gradients.

@@ -149,10 +149,14 @@ class RecurrentRegressor:
         return np.ascontiguousarray(seq.transpose(1, 2, 0), dtype=self.dtype)
 
     def features(self, windows: np.ndarray, check_finite: bool = True) -> np.ndarray:
-        """Final-step hidden vector of the last cell layer, (B, h_last)."""
+        """Final-step hidden vector of the last cell layer, (B, h_last).
+
+        Runs the layers' sequence loops without BPTT caches: each layer
+        keeps only its hidden sequence, bit-identical to the training pass's.
+        """
         seq = self._time_major(windows)
         for k, cell in enumerate(self.cells):
-            seq, _ = cell.forward_seq(seq)
+            seq, _ = cell.forward_seq(seq, keep_cache=False)
             if check_finite:
                 self._check_finite(seq, k)
         return np.ascontiguousarray(seq[-1].T)

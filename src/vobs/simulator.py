@@ -231,7 +231,7 @@ def run_maneuver(script: ManeuverScript, p: VehicleParams,
     mu = min(p.tire_front.peak_factor_d_per_n, p.tire_rear.peak_factor_d_per_n)
     fx_max = mu * p.mass_kg * G_MPS2
 
-    n_samples = int(round(script.duration_s / DT_S))
+    n_samples = _frames(script.duration_s)
     if n_samples < 1:
         raise ConfigError(f"script '{script.name}' shorter than one sample period")
 
@@ -474,6 +474,16 @@ _MANEUVERS = {
     "constant_radius_ramp": (_constant_radius_ramp, 70.0),
 }
 MANEUVER_KINDS = tuple(_MANEUVERS)
+
+
+def _frames(duration_s: float) -> int:
+    return int(round(duration_s / DT_S))
+
+
+def maneuver_frames(kind: str, duration_s: float | None = None) -> int:
+    """The number of 50 Hz samples `run_maneuver` produces for a `kind`
+    script of `duration_s`, or of the kind's default duration when None."""
+    return _frames(_MANEUVERS[kind][1] if duration_s is None else duration_s)
 
 
 def builtin_scripts(kind: str, intensity: float, duration_s: float | None = None,

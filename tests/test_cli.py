@@ -391,6 +391,35 @@ class TestExitCodes:
         assert f"dataset.{key}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("frames", [50, 49])
+    def test_corpus_entry_must_hold_one_window(self, tmp_path, capsys, frames):
+        # window_len 50: a 50-frame trajectory is one window through every
+        # stage; a 49-frame one is refused at config load, before simulate
+        cfg = _write_config(tmp_path, overrides={"corpus": [
+            {"kind": "slalom", "intensity": 0.3, "count": 4, "duration_s": 4},
+            {"kind": "step_steer", "intensity": 0.95, "count": 4,
+             "duration_s": frames * 0.02}]})
+        stages = ("simulate", "dataset", "train", "evaluate")
+        if frames == 50:
+            for stage in stages:
+                assert main([stage, "--config", cfg]) == 0, stage
+            return
+        for stage in stages:
+            assert main([stage, "--config", cfg]) == 1, stage
+            err = capsys.readouterr().err
+            assert "corpus[1].duration_s" in err and "dataset.window_len" in err
+            assert "49 frames" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_default_duration_counts_against_window_len(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, overrides={
+            "corpus": [{"kind": "step_steer", "intensity": 0.5}],
+            "dataset": {"window_len": 1501}})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "corpus[0].duration_s (unset, so the step_steer default)" in err
+        assert "1500 frames" in err
+
     def test_zero_workers_flag_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         assert main(["simulate", "--config", cfg, "--workers", "0"]) == 1

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vobs.errors import ConfigError, NumericalError
 from vobs.neural import (
@@ -144,30 +145,59 @@ class TestGruCell:
 
 
 class TestSequenceMatchesCell:
-    """forward_seq over T steps is T calls of the single-step cell function."""
+    """forward_seq over T steps is T calls of the single-step cell function,
+    with the BPTT cache kept and without it; T of 1 and 2 cover the first
+    steps of the rolling cell-state buffers."""
 
-    T, B = 6, 4
+    B = 4
 
-    def test_lstm(self):
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    @pytest.mark.parametrize("t_len", [1, 2, 6])
+    def test_lstm(self, t_len, keep_cache):
         rng = np.random.default_rng(31)
         layer = _random_lstm(in_dim=3, hidden=5, seed=31)
-        x = rng.normal(0, 1, (self.T, self.B, 3))
-        hs, _ = layer.forward_seq(np.ascontiguousarray(x.transpose(0, 2, 1)))
+        x = rng.normal(0, 1, (t_len, self.B, 3))
+        hs, cache = layer.forward_seq(np.ascontiguousarray(x.transpose(0, 2, 1)),
+                                      keep_cache=keep_cache)
+        assert (cache is None) != keep_cache
+        assert hs.shape == (t_len, 5, self.B)
         h = np.zeros((self.B, 5))
         c = np.zeros((self.B, 5))
-        for t in range(self.T):
+        for t in range(t_len):
             h, c = lstm_cell_forward(x[t], h, c, layer)
             np.testing.assert_allclose(hs[t].T, h, rtol=0, atol=1e-12)
 
-    def test_gru(self):
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    @pytest.mark.parametrize("t_len", [1, 2, 6])
+    def test_gru(self, t_len, keep_cache):
         rng = np.random.default_rng(32)
         layer = _random_gru(in_dim=3, hidden=5, seed=32)
-        x = rng.normal(0, 1, (self.T, self.B, 3))
-        hs, _ = layer.forward_seq(np.ascontiguousarray(x.transpose(0, 2, 1)))
+        x = rng.normal(0, 1, (t_len, self.B, 3))
+        hs, cache = layer.forward_seq(np.ascontiguousarray(x.transpose(0, 2, 1)),
+                                      keep_cache=keep_cache)
+        assert (cache is None) != keep_cache
+        assert hs.shape == (t_len, 5, self.B)
         h = np.zeros((self.B, 5))
-        for t in range(self.T):
+        for t in range(t_len):
             h = gru_cell_forward(x[t], h, layer)
             np.testing.assert_allclose(hs[t].T, h, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["lstm", "gru"]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       t_len=st.integers(1, 8), bsz=st.integers(1, 9), seed=st.integers(0, 2**16))
+def test_cache_free_pass_is_bit_identical(kind, dtype, t_len, bsz, seed):
+    make = _random_lstm if kind == "lstm" else _random_gru
+    layer = make(in_dim=3, hidden=6, seed=seed)
+    layer = type(layer)(layer.wx.astype(dtype), layer.wh.astype(dtype),
+                        layer.b.astype(dtype))
+    x = np.random.default_rng(seed).normal(0, 1, (t_len, 3, bsz)).astype(dtype)
+    hs, _ = layer.forward_seq(x)
+    hs_free, cache = layer.forward_seq(x, keep_cache=False)
+    assert cache is None
+    assert hs_free.dtype == dtype
+    assert hs_free.tobytes() == hs.tobytes()
 
 
 class TestForwardFull:

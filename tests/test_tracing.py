@@ -16,3 +16,26 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_features_records_layer_spans():
+    # evaluate's per-layer timing is the tracer's forward_seq spans inside
+    # features; if the inference pass stopped calling forward_seq, the
+    # benchmark's layer metrics would read 0 without any other failure
+    script = "\n".join([
+        "import numpy as np, tracing",
+        "tracer = tracing.Tracer()",
+        "tracing.install(tracer)",
+        "from vobs.neural import lstm_observer_net",
+        "net = lstm_observer_net(seed=0, hidden=(3, 4), dense=(4,))",
+        "net.features(np.zeros((5, 7, 5)))",
+        "spans = tracer.summary()",
+        "print(spans['neural.layers.lstm0.forward_seq']['calls'],",
+        "      spans['neural.layers.lstm1.forward_seq']['calls'],",
+        "      spans['neural.network.features']['calls'])",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, PERFBENCH]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1", "1"]
