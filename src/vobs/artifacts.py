@@ -13,7 +13,7 @@ writing.
     target keeps its old bytes and no reader sees a half-written artifact.
   - Errors: a malformed artifact raises `DataFormatError` naming the file,
     as `<path>:<line>: ...` for a CSV (the header is line 1) and as
-    `<path>: corrupt <what> (...)` for JSON.
+    `<path>: corrupt <what> (...)` for JSON. A float CSV field must be finite.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -73,14 +73,21 @@ def read_csv(path, header):
 
 
 def read_float_csv(path, header) -> np.ndarray:
-    """(rows, columns) float64 matrix of a CSV of floats."""
+    """(rows, columns) float64 matrix of a CSV of finite floats."""
     rows = []
     for lineno, fields in read_csv(path, header):
         try:
             rows.append([float(v) for v in fields])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    return np.array(rows, dtype=np.float64).reshape(-1, len(header))
+    data = np.array(rows, dtype=np.float64).reshape(-1, len(header))
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):  # read the file again, only now, for the offending line's number
+        row, col = bad[0]
+        lineno, fields = next(islice(read_csv(path, header), row, None))
+        raise DataFormatError(f"{path}:{lineno}: non-finite value {fields[col]!r} "
+                              f"in column '{header[col]}'")
+    return data
 
 
 def read_json(path, what: str):

@@ -240,13 +240,12 @@ def run_ekf(traj: Trajectory, initial_state, p: VehicleParams,
 
 def train_gru(train_ds: WindowedDataset, val_ds: WindowedDataset,
               scaler: ScalerParams, tc: TrainConfig,
-              net: RecurrentRegressor | None = None, map_fn=map):
+              net: RecurrentRegressor | None = None):
     """Same optimization loop as the feedback observer, minus the state
     input — there is nothing to inject noise into."""
     if net is None:
         net = gru_observer_net(seed=tc.seed)
-    return train_observer(train_ds, val_ds, scaler, NoiseSpec(0.0, 0.0), tc,
-                          net=net, map_fn=map_fn)
+    return train_observer(train_ds, val_ds, scaler, NoiseSpec(0.0, 0.0), tc, net=net)
 
 
 def run_gru(traj: Trajectory, initial_state, net: RecurrentRegressor,

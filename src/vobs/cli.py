@@ -4,12 +4,9 @@ Subcommands mirror the pipeline stages: simulate, dataset, train, evaluate,
 report, gradcheck. Every flag overrides the corresponding config key; the
 VOBS_OUT environment variable sets the default output root.
 
-`--workers` (config key `workers`, default 1) parallelises three stages.
-`simulate` and `evaluate` run in forked processes with one BLAS thread each:
-one maneuver per task, and one (observer, test trajectory) pair. `train`
-splits every batch into two shards in any case and, with more than one
-worker, runs the shards on two threads in this process with one BLAS thread
-each; the observers still train one after another. Outputs are
+`--workers` (config key `workers`, default 1) runs simulate, train and
+evaluate in forked workers with one BLAS thread each, one maneuver, one
+observer or one (observer, test trajectory) pair per task; outputs are
 byte-identical for any value.
 
 Exit codes: 0 success, 1 validation/config error, 2 numerical failure,
@@ -46,10 +43,9 @@ def _add_common(sub, config_required=True):
                      help=f"output directory (default root from ${'{'}VOBS_OUT{'}'} "
                           f"or '{default_out_root()}')")
     sub.add_argument("--workers", type=int, default=None,
-                     help="forked worker processes, one BLAS thread each, for "
-                          "simulate and evaluate; above 1, train runs each batch's "
-                          "two shards on two threads. Outputs are byte-identical "
-                          "for any value")
+                     help="forked workers with one BLAS thread each: one maneuver, "
+                          "one observer or one (observer, test trajectory) pair per "
+                          "task; outputs are byte-identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:

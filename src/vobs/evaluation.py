@@ -160,6 +160,8 @@ def read_report_csv(path) -> EvalReport:
             mae_value, n_samples = float(value), int(n)
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        if not np.isfinite(mae_value):
+            raise DataFormatError(f"{path}:{lineno}: non-finite MAE {value!r}")
         segs = table.setdefault(observer, {})
         err = segs.setdefault(segment, np.zeros(3))
         err[CHANNELS.index(channel)] = mae_value

@@ -44,13 +44,8 @@ import math
 import numpy as np
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp overflow for very negative inputs saturates to exactly 0.0
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 def _sigmoid_inplace(x: np.ndarray) -> None:
+    # exp overflow for very negative inputs saturates to exactly 0.0
     with np.errstate(over="ignore"):
         np.negative(x, out=x)
         np.exp(x, out=x)

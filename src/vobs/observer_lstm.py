@@ -73,18 +73,16 @@ def _shards(lo: int, hi: int) -> list[slice]:
             for part in np.array_split(np.arange(lo, hi), SHARDS) if len(part)]
 
 
-def sharded_loss_and_gradients(net: RecurrentRegressor, windows, prev, target,
-                               map_fn=map):
-    """`net.loss_and_gradients` of one batch, computed shard by shard through
-    `map_fn` and combined in float64, in shard order, each shard weighted by
-    its share of the batch."""
+def sharded_loss_and_gradients(net: RecurrentRegressor, windows, prev, target):
+    """`net.loss_and_gradients` of one batch, computed shard by shard and
+    combined in float64, in shard order, each shard weighted by its share of
+    the batch."""
     n = len(windows)
-    parts = _shards(0, n)
-    results = map_fn(lambda rows: net.loss_and_gradients(
-        windows[rows], None if prev is None else prev[rows], target[rows]), parts)
     loss = 0.0
     grads = [np.zeros(arr.shape) for _, arr in net.params()]
-    for rows, (part_loss, part_grads) in zip(parts, results):
+    for rows in _shards(0, n):
+        part_loss, part_grads = net.loss_and_gradients(
+            windows[rows], None if prev is None else prev[rows], target[rows])
         weight = (rows.stop - rows.start) / n
         loss += weight * part_loss
         for acc, g in zip(grads, part_grads):
@@ -93,28 +91,23 @@ def sharded_loss_and_gradients(net: RecurrentRegressor, windows, prev, target,
 
 
 def _batched_val_loss(net: RecurrentRegressor, ds: WindowedDataset,
-                      batch_size: int, map_fn=map) -> float:
+                      batch_size: int) -> float:
     """Teacher-forced loss over `ds`, computed on a `COMPUTE_DTYPE` copy of
     `net` and reduced in float64; each batch is sharded like a training
     batch and its per-shard sums of squared errors are added in shard order."""
     net = net.astype(COMPUTE_DTYPE)
-
-    def sse(rows: slice) -> float:
-        prev = ds.prev_state[rows] if net.state_dim else None
-        diff = net.forward(ds.windows[rows], prev, check_finite=False) - ds.target[rows]
-        return float(np.sum(diff * diff))
-
     total = 0.0
     for lo in range(0, len(ds), batch_size):
-        hi = min(lo + batch_size, len(ds))
-        for part in map_fn(sse, _shards(lo, hi)):
-            total += part
+        for rows in _shards(lo, min(lo + batch_size, len(ds))):
+            prev = ds.prev_state[rows] if net.state_dim else None
+            diff = net.forward(ds.windows[rows], prev, check_finite=False) - ds.target[rows]
+            total += float(np.sum(diff * diff))
     return total / (len(ds) * ds.target.shape[1])
 
 
 def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
                    scaler: ScalerParams, noise: NoiseSpec, tc: TrainConfig,
-                   net: RecurrentRegressor | None = None, map_fn=map):
+                   net: RecurrentRegressor | None = None):
     """Train with noise-injected teacher forcing; returns (weights, log).
 
     Fresh Gaussian noise from `noise` is drawn for every sample's fed-back
@@ -132,10 +125,9 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
     Shards: every batch is split into `SHARDS` near-equal row ranges
     (`np.array_split`, empty ones dropped), after the batch's state noise is
     drawn. Each shard's loss and gradients come from the one working copy,
-    through `map_fn`: the builtin `map` runs them one after another, a
-    thread pool's `map` runs them at once. They are combined in float64, in
-    shard order, each weighted by its share of the batch, so the result does
-    not depend on `map_fn`. Validation batches are sharded the same way.
+    one shard after another, and are combined in float64, in shard order,
+    each weighted by its share of the batch. Validation batches are sharded
+    the same way.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ConfigError("training and validation sets must be non-empty")
@@ -168,14 +160,14 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
                 prev = scaler.scale_state(noisy)
             work.load_flat(params)
             loss, grads = sharded_loss_and_gradients(
-                work, train_ds.windows[idx], prev, train_ds.target[idx], map_fn)
+                work, train_ds.windows[idx], prev, train_ds.target[idx])
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"training diverged (non-finite loss) at epoch {epoch}, batch {bidx}")
             adam.step(params, [g.astype(net.dtype, copy=False) for g in grads])
             epoch_sum += loss * len(idx)
 
-        val_loss = _batched_val_loss(net, val_ds, tc.batch_size, map_fn)
+        val_loss = _batched_val_loss(net, val_ds, tc.batch_size)
         log.append({"epoch": epoch, "train_loss": epoch_sum / n, "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss

@@ -15,7 +15,7 @@ import functools
 import glob
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -42,13 +42,7 @@ from .neural import (
     gradient_check,
     write_gradcheck_csv,
 )
-from .observer_lstm import (
-    SHARDS,
-    run_closed_loop,
-    train_observer,
-    write_trace_csv,
-    write_training_log,
-)
+from .observer_lstm import run_closed_loop, train_observer, write_trace_csv, write_training_log
 from .seeding import derive_seed
 from .simulator import builtin_scripts, run_maneuver
 
@@ -134,20 +128,6 @@ def _map_tasks(fn, tasks, workers: int) -> list:
         raise VobsError("a worker process died before finishing its tasks") from exc
     finally:
         _pool_job = None
-
-
-@contextlib.contextmanager
-def _shard_map(workers: int):
-    """The `map` that train runs each batch's shards with: the builtin `map`
-    for one worker, otherwise the `map` of a pool of min(workers, SHARDS)
-    threads. While the pool is open numpy's OpenBLAS is held at one thread:
-    two shard threads on two BLAS threads each would oversubscribe two
-    cores."""
-    if workers <= 1:
-        yield map
-        return
-    with _blas_threads(1), ThreadPoolExecutor(max_workers=min(workers, SHARDS)) as pool:
-        yield pool.map
 
 
 def _simulate_job(jobs: list, index: int) -> Trajectory:
@@ -292,10 +272,7 @@ def weights_path(cfg: RunConfig, name: str) -> str:
 
 
 def train_observer_model(cfg: RunConfig, name: str) -> dict:
-    """Train one configured learned observer and write weights + log.
-
-    With `cfg.workers > 1` the shards of each batch run on a thread pool
-    (see `_shard_map`); the outputs are byte-identical for any `workers`."""
+    """Train one configured learned observer and write weights + log."""
     if name not in cfg.observers:
         raise ConfigError(f"no observer named '{name}' in the config")
     spec = cfg.observers[name]
@@ -314,11 +291,9 @@ def train_observer_model(cfg: RunConfig, name: str) -> dict:
                 cfg.state_noise, seed=derive_seed(cfg.master_seed, "state-noise", name))
         else:
             noise = ds.NoiseSpec(0.0, 0.0)
-        train = functools.partial(train_observer, train_ds, val_ds, scaler, noise, tc)
+        net, log = train_observer(train_ds, val_ds, scaler, noise, tc)
     else:
-        train = functools.partial(train_gru, train_ds, val_ds, scaler, tc)
-    with _shard_map(cfg.workers) as map_fn:
-        net, log = train(map_fn=map_fn)
+        net, log = train_gru(train_ds, val_ds, scaler, tc)
 
     save_weights(net, weights_path(cfg, name))
     write_training_log(log, os.path.join(cfg.out_dir, "models", f"{name}.trainlog.csv"))
@@ -327,8 +302,12 @@ def train_observer_model(cfg: RunConfig, name: str) -> dict:
 
 
 def train_all(cfg: RunConfig) -> list[dict]:
-    return [train_observer_model(cfg, name)
-            for name, spec in cfg.observers.items() if spec.trainable]
+    """Train every trainable observer, in config order, one observer per task
+    of `_map_tasks`; each task writes its own weights and trainlog.
+    `train_observer_model` is looked up here, at call time, so a wrapper set
+    on this module's global (perfbench's tracer) is the one that runs."""
+    names = [name for name, spec in cfg.observers.items() if spec.trainable]
+    return _map_tasks(functools.partial(train_observer_model, cfg), names, cfg.workers)
 
 
 def _ekf_config(spec, params: VehicleParams) -> EkfConfig:

@@ -49,6 +49,13 @@ def _write_config(tmp_path, overrides=None, name="cfg.yaml"):
     return str(path)
 
 
+# two trainable observers, so that train with more than one worker forks
+TWO_TRAINABLE = {
+    "lstm": {"type": "lstm", "state_noise": True},
+    "lstm_plain": {"type": "lstm", "state_noise": False},
+}
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     """One full simulate/dataset/train pass shared by the read-only tests."""
@@ -177,7 +184,8 @@ class TestTrainCommand:
     def test_output_independent_of_blas_threads(self, pipeline_run, tmp_path):
         # batches of 100 windows (shards of 50) fill no BLAS kernel block
         # evenly, where a split across threads could change the last bits of
-        # a product; --workers 2 runs the shards on two threads
+        # a product; --workers 2 trains each observer in a forked worker
+        # with one BLAS thread
         src_tmp, _ = pipeline_run
         models = {}
         for threads, workers in (("1", "1"), ("2", "1"), ("2", "2")):
@@ -187,6 +195,7 @@ class TestTrainCommand:
             doc = json.loads(json.dumps(BASE_CONFIG))
             doc["out_dir"] = str(run)
             doc["train"]["batch_size"] = 100
+            doc["observers"] = TWO_TRAINABLE
             cfg = tmp_path / f"cfg{threads}{workers}.yaml"
             cfg.write_text(yaml.safe_dump(doc))
             subprocess.run([sys.executable, "-m", "vobs.cli", "train", "--config", str(cfg),
@@ -195,8 +204,17 @@ class TestTrainCommand:
                            check=True, capture_output=True, timeout=300)
             models[threads, workers] = {p.name: p.read_bytes()
                                         for p in (run / "models").iterdir()}
-        assert sorted(models["1", "1"]) == ["lstm.trainlog.csv", "lstm.weights"]
+        assert sorted(models["1", "1"]) == ["lstm.trainlog.csv", "lstm.weights",
+                                            "lstm_plain.trainlog.csv", "lstm_plain.weights"]
         assert models["1", "1"] == models["2", "1"] == models["2", "2"]
+
+    def test_pool_capped_at_observer_count(self, run_copy, monkeypatch):
+        tmp_path, _ = run_copy
+        cfg = _write_config(tmp_path, {"observers": {**TWO_TRAINABLE, "ekf": {"type": "ekf"}}})
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _refuse_pool)
+        with pytest.raises(_PoolRequested) as requested:
+            main(["train", "--config", cfg, "--workers", "64"])
+        assert requested.value.args == (len(TWO_TRAINABLE),)
 
 
 class TestEvaluateCommand:
@@ -301,10 +319,13 @@ class TestEvaluateCommand:
 
 class TestWorkerPool:
     @pytest.mark.parametrize("stage, victim", [("simulate", "run_maneuver"),
+                                               ("train", "train_observer"),
                                                ("evaluate", "run_ekf")])
     def test_dead_worker_exits_1(self, run_copy, monkeypatch, capsys, stage, victim):
         # forked workers inherit the patch, so each one dies at its first such task
-        _, cfg = run_copy
+        tmp_path, cfg = run_copy
+        if stage == "train":  # one trainable observer would train in this process
+            cfg = _write_config(tmp_path, {"observers": TWO_TRAINABLE})
         monkeypatch.setattr(pipeline, victim, lambda *args, **kwargs: os._exit(1))
         assert main([stage, "--config", cfg, "--workers", "2"]) == 1
         assert "worker process died" in capsys.readouterr().err
@@ -320,25 +341,32 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("diverge", [False, True])
-    def test_threaded_train_leaves_no_state_behind(self, run_copy, monkeypatch, diverge):
-        _, cfg = run_copy
+    def test_pooled_train_leaves_no_state_behind(self, run_copy, monkeypatch, capsys,
+                                                 diverge):
+        tmp_path, _ = run_copy
+        cfg = _write_config(tmp_path, {"observers": TWO_TRAINABLE})
         get_threads = _openblas_get_num_threads()
         blas_before = get_threads() if get_threads else None
         threads_before = threading.active_count()
-        calls = []
+        calls = tmp_path / "calls.txt"
         original = RecurrentRegressor.loss_and_gradients
 
         def spy(self, *args):
-            calls.append((threading.current_thread() is threading.main_thread(),
-                          get_threads() if get_threads else 1))
+            # the forked workers' appends reach this process through the file
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()} {get_threads() if get_threads else 1}\n")
             loss, grads = original(self, *args)
             return (float("nan") if diverge else loss), grads
 
         monkeypatch.setattr(RecurrentRegressor, "loss_and_gradients", spy)
-        code = main(["train", "--config", cfg, "--observer", "lstm", "--workers", "2"])
+        code = main(["train", "--config", cfg, "--workers", "2"])
         assert code == (2 if diverge else 0)
-        # every shard ran on a pool thread, with OpenBLAS held at one thread
-        assert calls and all(not on_main and n == 1 for on_main, n in calls)
+        if diverge:
+            assert "training diverged" in capsys.readouterr().err
+        # every loss was computed in a forked worker, with OpenBLAS at one thread
+        records = [line.split() for line in calls.read_text().splitlines()]
+        assert records and all(int(pid) != os.getpid() and n == "1" for pid, n in records)
+        assert multiprocessing.active_children() == []
         assert threading.active_count() == threads_before
         assert (get_threads() if get_threads else None) == blas_before
 
@@ -673,6 +701,37 @@ class TestCorruptStageMetadata:
         assert f"{counts[other]} windows" in err and f"{counts[split]} {split}" in err
 
 
+def _snapshot(run):
+    """Bytes and modification time of every file under `run`."""
+    return {p.relative_to(run): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in run.rglob("*") if p.is_file()}
+
+
+class TestNonFiniteTrajectory:
+    """A trajectory CSV holding nan or inf is a data error (exit 3) naming
+    file and line, and the stage reading it writes nothing."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("stage", ["dataset", "evaluate"])
+    def test_exits_3_and_writes_nothing(self, run_copy, capsys, stage, value):
+        tmp_path, cfg = run_copy
+        run = tmp_path / "run"
+        sidecar = json.loads((run / "dataset" / "dataset.json").read_text())
+        label = next(label for label, split in sidecar["split_assignment"].items()
+                     if split == "test")  # evaluate reads only the test split
+        path = run / "trajectories" / (label.replace("#", "-") + ".csv")
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[9].split(",")
+        fields[1] = value  # the ax field of line 10
+        lines[9] = ",".join(fields)
+        path.write_text("".join(lines))
+        before = _snapshot(run)
+        assert main([stage, "--config", cfg]) == 3
+        assert f"{path.name}:10: non-finite value '{value}' in column 'ax'" \
+            in capsys.readouterr().err
+        assert _snapshot(run) == before
+
+
 class TestMalformedReport:
     """A malformed report.csv is a data error (exit 3) naming file and line."""
 
@@ -684,7 +743,9 @@ class TestMalformedReport:
         (HEADER + GOOD + "lstm,overall,vx,0.5,m/s\n", 3),
         (HEADER + GOOD + "lstm,overall,vx,abc,m/s,5\n", 3),
         (HEADER + GOOD + "lstm,overall,vz,0.5,m/s,5\n", 3),
-    ], ids=["bad_header", "field_count", "non_numeric", "unknown_channel"])
+        (HEADER + "ekf,overall,vx,nan,m/s,5\n", 2),
+        (HEADER + GOOD + "lstm,overall,vx,inf,m/s,5\n", 3),
+    ], ids=["bad_header", "field_count", "non_numeric", "unknown_channel", "nan", "inf"])
     def test_malformed_report_exits_3(self, tmp_path, capsys, text, line):
         eval_dir = tmp_path / "run" / "eval"
         eval_dir.mkdir(parents=True)

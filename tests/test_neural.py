@@ -22,7 +22,6 @@ from vobs.neural import (
     lstm_cell_forward,
     lstm_observer_net,
     save_weights,
-    sigmoid,
 )
 from vobs.neural import layers
 from vobs.neural.weights_io import (

@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -141,7 +138,9 @@ class TestTraceCsv:
         ("", 1),
         ("t,vx_est,vy_est,yaw_rate_est\n0.0,1.0,2.0,3.0\n0.02,1.0,2.0\n", 3),
         ("t,vx_est,vy_est,yaw_rate_est\n0.0,1.0,abc,3.0\n", 2),
-    ], ids=["bad_header", "empty", "field_count", "non_numeric"])
+        ("t,vx_est,vy_est,yaw_rate_est\n0.0,1.0,2.0,3.0\n0.02,1.0,nan,3.0\n", 3),
+        ("t,vx_est,vy_est,yaw_rate_est\n0.0,1.0,2.0,-inf\n", 2),
+    ], ids=["bad_header", "empty", "field_count", "non_numeric", "nan", "inf"])
     def test_malformed_trace_names_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "trace.csv"
         path.write_text(text)
@@ -254,18 +253,6 @@ class TestShards:
         assert s_loss == pytest.approx(loss, rel=1e-12)
         for g, sg in zip(grads, s_grads, strict=True):
             np.testing.assert_allclose(sg, g, rtol=0, atol=1e-12 * np.abs(g).max())
-        # shards on threads, switching often, give the same bytes as shards
-        # in turn: the layers keep no per-call state on the shared net
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(2) as pool:
-                t_loss, t_grads = sharded_loss_and_gradients(net, w, p, y, pool.map)
-        finally:
-            sys.setswitchinterval(interval)
-        assert t_loss == s_loss
-        for a, b in zip(s_grads, t_grads, strict=True):
-            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("batch_size, shard_sizes", [(1, [1] * 5), (4, [2, 2, 1])])
     def test_one_window_batch_drops_the_empty_shard(self, monkeypatch, batch_size,
