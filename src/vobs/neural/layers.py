@@ -32,9 +32,8 @@ Each weight gradient is a sum over time steps of one outer product,
 dz_t @ u_t.T. `_sum_over_steps` adds these products one step at a time, in
 ascending t, into the gradient array through one (out, in) scratch product.
 The result is bit-identical to stacking all T products and summing them over
-the time axis, but no (T, out, in) temporary is made: that stack is the
-largest buffer of a backward pass, and with training shards on two threads
-each thread's malloc arena would keep a copy of it.
+the time axis, but no (T, out, in) temporary is made: that stack would be the
+largest buffer of a backward pass.
 """
 
 from __future__ import annotations
