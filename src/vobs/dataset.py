@@ -221,14 +221,9 @@ def split_dataset(trajectories: list[Trajectory],
 
 
 def inject_state_noise(prev_state: np.ndarray, spec: NoiseSpec,
-                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """Add per-channel Gaussian noise to states given in physical units.
-
-    Accepts a single 3-vector or an (N, 3) batch. Draws come from `rng` when
-    given, otherwise from a generator seeded by spec.seed.
-    """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+                       rng: np.random.Generator) -> np.ndarray:
+    """Add per-channel Gaussian noise, drawn from `rng`, to states given in
+    physical units. Accepts a single 3-vector or an (N, 3) batch."""
     prev_state = np.asarray(prev_state, dtype=np.float64)
     return prev_state + rng.normal(0.0, 1.0, prev_state.shape) * spec.stds()
 
@@ -269,6 +264,9 @@ def read_cache(path) -> WindowedDataset:
         raise DataFormatError(
             f"{path}: corrupt cache, expected {expected} payload bytes, found {len(payload)}")
     data = np.frombuffer(payload, dtype="<f8").reshape(count, rec)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}: non-finite value in window {bad[0]}")
     windows = data[:, : w * n_sensor].reshape(count, w, n_sensor).copy()
     prev = data[:, w * n_sensor: w * n_sensor + n_state].copy()
     target = data[:, w * n_sensor + n_state:].copy()

@@ -24,10 +24,6 @@ from .errors import ConfigError, NumericalError
 from .neural import COMPUTE_DTYPE, Adam, RecurrentRegressor, TrainConfig, lstm_observer_net
 from .seeding import derived_rng
 
-# every batch is split into this many shards; a constant, so the reduction
-# order, and with it every output, is the same for any number of workers
-SHARDS = 2
-
 # the most windows one `net.features` call stacks at test time
 FEATURE_BATCH = 512
 
@@ -66,42 +62,18 @@ def write_training_log(log: list[dict], path) -> None:
               ((e["epoch"], e["train_loss"], e["val_loss"]) for e in log))
 
 
-def _shards(lo: int, hi: int) -> list[slice]:
-    """Rows lo..hi-1 of a batch as `np.array_split`'s SHARDS near-equal
-    ranges, empty ones dropped."""
-    return [slice(int(part[0]), int(part[-1]) + 1)
-            for part in np.array_split(np.arange(lo, hi), SHARDS) if len(part)]
-
-
-def sharded_loss_and_gradients(net: RecurrentRegressor, windows, prev, target):
-    """`net.loss_and_gradients` of one batch, computed shard by shard and
-    combined in float64, in shard order, each shard weighted by its share of
-    the batch."""
-    n = len(windows)
-    loss = 0.0
-    grads = [np.zeros(arr.shape) for _, arr in net.params()]
-    for rows in _shards(0, n):
-        part_loss, part_grads = net.loss_and_gradients(
-            windows[rows], None if prev is None else prev[rows], target[rows])
-        weight = (rows.stop - rows.start) / n
-        loss += weight * part_loss
-        for acc, g in zip(grads, part_grads):
-            acc += weight * g.astype(np.float64)
-    return loss, grads
-
-
 def _batched_val_loss(net: RecurrentRegressor, ds: WindowedDataset,
                       batch_size: int) -> float:
     """Teacher-forced loss over `ds`, computed on a `COMPUTE_DTYPE` copy of
-    `net` and reduced in float64; each batch is sharded like a training
-    batch and its per-shard sums of squared errors are added in shard order."""
+    `net` one batch at a time; the batches' sums of squared errors are added
+    in float64."""
     net = net.astype(COMPUTE_DTYPE)
     total = 0.0
     for lo in range(0, len(ds), batch_size):
-        for rows in _shards(lo, min(lo + batch_size, len(ds))):
-            prev = ds.prev_state[rows] if net.state_dim else None
-            diff = net.forward(ds.windows[rows], prev, check_finite=False) - ds.target[rows]
-            total += float(np.sum(diff * diff))
+        rows = slice(lo, lo + batch_size)
+        prev = ds.prev_state[rows] if net.state_dim else None
+        diff = net.forward(ds.windows[rows], prev, check_finite=False) - ds.target[rows]
+        total += float(np.sum(diff * diff))
     return total / (len(ds) * ds.target.shape[1])
 
 
@@ -119,15 +91,9 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
 
     Mixed precision: `net` is the master and Adam updates its weights. Every
     batch refreshes a `COMPUTE_DTYPE` working copy from the master, which
-    computes the loss and the gradients; the gradients are combined in
-    float64 and cast to the master's dtype before the update. Validation runs on a cast copy too.
-
-    Shards: every batch is split into `SHARDS` near-equal row ranges
-    (`np.array_split`, empty ones dropped), after the batch's state noise is
-    drawn. Each shard's loss and gradients come from the one working copy,
-    one shard after another, and are combined in float64, in shard order,
-    each weighted by its share of the batch. Validation batches are sharded
-    the same way.
+    computes the whole batch's loss and gradients in one call; the gradients
+    are cast to the master's dtype before the update. Validation runs on a
+    cast copy too.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ConfigError("training and validation sets must be non-empty")
@@ -159,8 +125,8 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
                 noisy = inject_state_noise(phys, noise, rng=noise_rng)
                 prev = scaler.scale_state(noisy)
             work.load_flat(params)
-            loss, grads = sharded_loss_and_gradients(
-                work, train_ds.windows[idx], prev, train_ds.target[idx])
+            loss, grads = work.loss_and_gradients(
+                train_ds.windows[idx], prev, train_ds.target[idx])
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"training diverged (non-finite loss) at epoch {epoch}, batch {bidx}")

@@ -182,10 +182,10 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--observer", "ekf"]) == 1
 
     def test_output_independent_of_blas_threads(self, pipeline_run, tmp_path):
-        # batches of 100 windows (shards of 50) fill no BLAS kernel block
-        # evenly, where a split across threads could change the last bits of
-        # a product; --workers 2 trains each observer in a forked worker
-        # with one BLAS thread
+        # batches of 113 windows fill no BLAS kernel block evenly, where a
+        # split across threads could change the last bits of a product;
+        # --workers 2 trains each observer in a forked worker with one BLAS
+        # thread
         src_tmp, _ = pipeline_run
         models = {}
         for threads, workers in (("1", "1"), ("2", "1"), ("2", "2")):
@@ -194,7 +194,7 @@ class TestTrainCommand:
             shutil.rmtree(run / "models")
             doc = json.loads(json.dumps(BASE_CONFIG))
             doc["out_dir"] = str(run)
-            doc["train"]["batch_size"] = 100
+            doc["train"]["batch_size"] = 113
             doc["observers"] = TWO_TRAINABLE
             cfg = tmp_path / f"cfg{threads}{workers}.yaml"
             cfg.write_text(yaml.safe_dump(doc))
@@ -729,6 +729,32 @@ class TestNonFiniteTrajectory:
         assert main([stage, "--config", cfg]) == 3
         assert f"{path.name}:10: non-finite value '{value}' in column 'ax'" \
             in capsys.readouterr().err
+        assert _snapshot(run) == before
+
+
+class TestNonFiniteCache:
+    """A window cache holding nan or inf is a data error (exit 3) naming the
+    file and the first bad window, and train writes no weights."""
+
+    RECORD = 50 * 5 + 2 * 3  # float64 fields per window: sensors, prev state, target
+
+    @pytest.mark.parametrize("split, window, field, value", [
+        ("val", 3, 50 * 5 + 3 + 1, "nan"),  # the vy target of window 3
+        ("train", 2, 7, "inf"),             # a sensor field of window 2
+    ], ids=["nan_target", "inf_window_field"])
+    def test_exits_3_and_writes_nothing(self, run_copy, capsys, split, window, field, value):
+        tmp_path, cfg = run_copy
+        run = tmp_path / "run"
+        shutil.rmtree(run / "models")
+        path = run / "dataset" / f"{split}.cache"
+        count = json.loads((run / "dataset" / "dataset.json").read_text())["counts"][split]
+        data = bytearray(path.read_bytes())
+        at = len(data) - 8 * self.RECORD * (count - window) + 8 * field
+        data[at: at + 8] = np.array(float(value), dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+        before = _snapshot(run)
+        assert main(["train", "--config", cfg]) == 3
+        assert f"{path.name}: non-finite value in window {window}" in capsys.readouterr().err
         assert _snapshot(run) == before
 
 

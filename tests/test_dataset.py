@@ -164,22 +164,21 @@ class TestSplitDataset:
 class TestInjectStateNoise:
     def test_zero_std_is_identity(self):
         x = np.array([10.0, 0.5, 0.1])
-        out = inject_state_noise(x, NoiseSpec(0.0, 0.0, seed=1))
+        out = inject_state_noise(x, NoiseSpec(0.0, 0.0), np.random.default_rng(1))
         np.testing.assert_array_equal(out, x)
 
     def test_sample_std_matches_spec(self):
-        spec = NoiseSpec(seed=7)
         base = np.zeros((100_000, 3))
-        out = inject_state_noise(base, spec)
+        out = inject_state_noise(base, NoiseSpec(), np.random.default_rng(7))
         assert out[:, 0].std() == pytest.approx(0.03, rel=0.02)
         assert out[:, 1].std() == pytest.approx(0.03, rel=0.02)
         assert out[:, 2].std() == pytest.approx(0.003, rel=0.02)
 
     def test_seeded_repeatable(self):
-        spec = NoiseSpec(seed=9)
         x = np.ones((10, 3))
-        np.testing.assert_array_equal(inject_state_noise(x, spec),
-                                      inject_state_noise(x, spec))
+        np.testing.assert_array_equal(
+            inject_state_noise(x, NoiseSpec(), np.random.default_rng(9)),
+            inject_state_noise(x, NoiseSpec(), np.random.default_rng(9)))
 
     def test_negative_std_rejected(self):
         with pytest.raises(ConfigError):

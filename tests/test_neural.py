@@ -258,19 +258,27 @@ class TestForwardFull:
 
 class TestNetworkGoldenBits:
     """SHA-256 of what the default float32 nets compute on 50-step windows:
-    `features` at an odd batch width, and the loss plus every gradient at
-    the two training shard widths. Any reordering of the layers' float
+    `features` at two odd batch widths (225 is the bench config's whole
+    validation batch), and the loss plus every gradient at the bench
+    config's two training batch widths (256 and 184, from 440 windows at
+    batch 256) and at two narrower ones. Any reordering of the layers' float
     arithmetic changes them; they assume OpenBLAS GEMMs that round as the
     ones they were pinned with."""
 
     T = 50
     FEATURES = {
-        "lstm": "b6616a5d1021ff669036b6db74acd12e9ef7722d89414cc7d8ab4c7fbf243c82",
-        "gru": "5658bb957d26bb7c2af3304d4a706a47e565517176b831299c0da65a2482b8eb",
+        "lstm": {113: "b6616a5d1021ff669036b6db74acd12e9ef7722d89414cc7d8ab4c7fbf243c82",
+                 225: "62eac83f7c86bc6280494455ea42ef7ebe01bf624c555cf003ce5b5a115cf7f6"},
+        "gru": {113: "5658bb957d26bb7c2af3304d4a706a47e565517176b831299c0da65a2482b8eb",
+                225: "0d48b4ad31b06cdb272a74f70896d7a88baf4e6f1b73f964fd220f5444d1955f"},
     }
     GRADIENTS = {
+        ("lstm", 256): "1db4911de9e09f94ad9cc5ea071d6296b3e518ca862eee0430805b851da0b58a",
+        ("lstm", 184): "6330d53ef108ea57aeccb0ed0d53e16c8051abc13dd0025ee036b5c227682933",
         ("lstm", 128): "f40ab36c5c3f23aa1492900096b108c9af25b68e03b34aaf05a277a56205444b",
         ("lstm", 92): "b13ed5a3481363ad6f2ada090cdc9246ac421f812973df7b154c27656ca342ec",
+        ("gru", 256): "02a46e5fe23407fbdc28615e807709e722096ebf0953154517d671ba453dde2f",
+        ("gru", 184): "682c58a7823b526bdb99e28a1dfb138343d1de3b578d4deb8a47fe03584e6e61",
         ("gru", 128): "f8d99c2d8396998b7b57c4d3b8e6c701673375f197a183d80098450dc5d6c898",
         ("gru", 92): "c5b5cad9ed81ff0de123acd2234efd582235189b4f5851b558ae84082bb4e3b7",
     }
@@ -287,9 +295,10 @@ class TestNetworkGoldenBits:
 
     @pytest.mark.parametrize("kind", sorted(FEATURES))
     def test_features(self, kind):
-        windows, _, _ = self._inputs(113)
-        feats = self._net(kind).features(windows)
-        assert hashlib.sha256(feats.tobytes()).hexdigest() == self.FEATURES[kind]
+        net = self._net(kind)
+        for bsz, want in self.FEATURES[kind].items():
+            windows, _, _ = self._inputs(bsz)
+            assert hashlib.sha256(net.features(windows).tobytes()).hexdigest() == want, bsz
 
     @pytest.mark.parametrize("kind,bsz", sorted(GRADIENTS))
     def test_loss_and_gradients(self, kind, bsz):

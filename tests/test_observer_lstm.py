@@ -4,12 +4,11 @@ import pytest
 from vobs import observer_lstm
 from vobs.dataset import NoiseSpec, ScalerParams, WindowedDataset, fit_scaler, make_windows
 from vobs.errors import ConfigError, DataFormatError, NumericalError
-from vobs.neural import RecurrentRegressor, TrainConfig, gru_observer_net, lstm_observer_net
+from vobs.neural import RecurrentRegressor, TrainConfig, lstm_observer_net
 from vobs.observer_lstm import (
     EstimateTrace,
     read_trace_csv,
     run_closed_loop,
-    sharded_loss_and_gradients,
     train_observer,
     write_trace_csv,
 )
@@ -239,24 +238,10 @@ class TestTrainObserver:
                            TrainConfig(epochs=1))
 
 
-class TestShards:
-    @pytest.mark.parametrize("make, state_dim", [(lstm_observer_net, 3), (gru_observer_net, 0)])
-    def test_sharded_equals_unsharded_float64(self, make, state_dim):
-        rng = np.random.default_rng(8)
-        kwargs = {"state_dim": 3} if state_dim else {}
-        net = make(seed=4, in_dim=5, hidden=(4, 6), dense=(8,), out_dim=3, **kwargs)
-        w = rng.uniform(0, 1, (9, 12, 5))
-        p = rng.uniform(0, 1, (9, 3)) if state_dim else None
-        y = rng.uniform(0, 1, (9, 3))
-        loss, grads = net.loss_and_gradients(w, p, y)
-        s_loss, s_grads = sharded_loss_and_gradients(net, w, p, y)
-        assert s_loss == pytest.approx(loss, rel=1e-12)
-        for g, sg in zip(grads, s_grads, strict=True):
-            np.testing.assert_allclose(sg, g, rtol=0, atol=1e-12 * np.abs(g).max())
-
-    @pytest.mark.parametrize("batch_size, shard_sizes", [(1, [1] * 5), (4, [2, 2, 1])])
-    def test_one_window_batch_drops_the_empty_shard(self, monkeypatch, batch_size,
-                                                    shard_sizes):
+class TestWholeBatches:
+    @pytest.mark.parametrize("batch_size, call_sizes", [(1, [1] * 5), (4, [4, 1]), (8, [5])])
+    def test_one_loss_and_gradients_call_per_batch(self, monkeypatch, batch_size,
+                                                   call_sizes):
         train, val, scaler = _toy_dataset()
         train = WindowedDataset(train.windows[:5], train.prev_state[:5], train.target[:5],
                                 window_len=30)
@@ -274,5 +259,5 @@ class TestShards:
         net = lstm_observer_net(seed=2, in_dim=5, hidden=(4,), dense=(8,),
                                 out_dim=3, state_dim=3)
         _, log = train_observer(train, val, scaler, NoiseSpec(seed=1), tc, net=net)
-        assert sizes == shard_sizes
+        assert sizes == call_sizes
         assert np.isfinite([log[0]["train_loss"], log[0]["val_loss"]]).all()
