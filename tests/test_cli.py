@@ -182,11 +182,16 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--observer", "ekf"]) == 1
 
     def test_output_independent_of_blas_threads(self, pipeline_run, tmp_path):
-        # batches of 113 windows fill no BLAS kernel block evenly, where a
-        # split across threads could change the last bits of a product;
-        # --workers 2 trains each observer in a forked worker with one BLAS
-        # thread
+        # every train and val batch has an odd width, which fills no BLAS
+        # kernel block evenly, where a split across threads could change the
+        # last bits of a product; --workers 2 trains each observer in a
+        # forked worker with one BLAS thread
         src_tmp, _ = pipeline_run
+        batch = 101
+        counts = json.loads((src_tmp / "run" / "dataset" / "dataset.json").read_text())["counts"]
+        widths = [min(batch, counts[split] - lo) for split in ("train", "val")
+                  for lo in range(0, counts[split], batch)]
+        assert all(width % 2 for width in widths), widths
         models = {}
         for threads, workers in (("1", "1"), ("2", "1"), ("2", "2")):
             run = tmp_path / f"run{threads}{workers}"
@@ -194,7 +199,7 @@ class TestTrainCommand:
             shutil.rmtree(run / "models")
             doc = json.loads(json.dumps(BASE_CONFIG))
             doc["out_dir"] = str(run)
-            doc["train"]["batch_size"] = 113
+            doc["train"]["batch_size"] = batch
             doc["observers"] = TWO_TRAINABLE
             cfg = tmp_path / f"cfg{threads}{workers}.yaml"
             cfg.write_text(yaml.safe_dump(doc))
