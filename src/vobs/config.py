@@ -122,7 +122,7 @@ TOP_LEVEL_KEYS = ("master_seed", "out_dir", "workers", "corpus", "sensor_noise",
 CORPUS_ENTRY_TYPES = {"kind": str, "intensity": float, "count": int, "duration_s": float}
 DATASET_TYPES = {"window_len": int, "train_stride": int, "val_stride": int}
 TRAIN_TYPES = {"epochs": int, "batch_size": int, "learning_rate": float, "shuffle": bool}
-OBSERVER_KEYS = ("type", "state_noise") + EKF_OVERRIDE_KEYS
+OBSERVER_KEYS = tuple(dict.fromkeys(k for keys in OBSERVER_TYPE_KEYS.values() for k in keys))
 
 
 def _require(mapping: dict, key: str, where: str):

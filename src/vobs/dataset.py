@@ -77,6 +77,9 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for key, value in (("train", self.train), ("val", self.val), ("test", self.test)):
+            if value < 0:
+                raise ConfigError(f"split.{key} must be >= 0, got {value!r}")
         if abs(self.train + self.val + self.test - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
 

@@ -31,6 +31,8 @@ DEFAULT_DENSE = (64, 128, 64)
 # over a 50-step window of the default stacks the final features differ from
 # float64 by under 1e-7
 COMPUTE_DTYPE = np.float32
+# each cell kind and its layer; a network's tensor names start with its kind
+CELLS = {"lstm": LstmLayer, "gru": GruLayer}
 
 
 @dataclass(frozen=True)
@@ -48,17 +50,20 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 class RecurrentRegressor:
     """Cell stack plus dense head; `state_dim` 0 disables the state input."""
 
-    def __init__(self, kind: str, cells: list, head: list[Dense],
-                 state_dim: int, init_seed: int = 0):
-        if kind not in ("lstm", "gru"):
+    def __init__(self, kind: str, cells: list, head: list[Dense], state_dim: int):
+        if kind not in CELLS:
             raise ConfigError(f"unknown cell kind '{kind}'")
         if not cells or not head:
             raise ConfigError("network needs at least one cell and one dense layer")
+        if state_dim < 0:
+            raise ConfigError(f"state_dim must be >= 0, got {state_dim}")
         feat_dim = cells[-1].hidden
         if head[0].in_dim != feat_dim + state_dim:
             raise ConfigError(
@@ -74,25 +79,6 @@ class RecurrentRegressor:
         self.cells = cells
         self.head = head
         self.state_dim = state_dim
-        self.init_seed = init_seed
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def in_dim(self) -> int:
-        return self.cells[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.head[-1].out_dim
-
-    @property
-    def hidden_sizes(self) -> tuple:
-        return tuple(c.hidden for c in self.cells)
-
-    @property
-    def dense_sizes(self) -> tuple:
-        return tuple(d.out_dim for d in self.head)
 
     def params(self) -> list[tuple[str, np.ndarray]]:
         """Flat, ordered (name, array) view of every trainable tensor."""
@@ -116,8 +102,7 @@ class RecurrentRegressor:
         cells = [type(c)(c.wx.astype(dtype), c.wh.astype(dtype), c.b.astype(dtype))
                  for c in self.cells]
         head = [Dense(d.w.astype(dtype), d.b.astype(dtype)) for d in self.head]
-        return RecurrentRegressor(self.kind, cells, head, self.state_dim,
-                                  init_seed=self.init_seed)
+        return RecurrentRegressor(self.kind, cells, head, self.state_dim)
 
     def copy_weights(self) -> list[np.ndarray]:
         return [arr.copy() for _, arr in self.params()]
@@ -253,16 +238,15 @@ def l2_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 def build_net(kind: str, seed: int, in_dim: int, hidden: tuple, dense: tuple,
               out_dim: int, state_dim: int) -> RecurrentRegressor:
-    """A freshly initialized `kind` ("lstm" or "gru") cell stack of widths
+    """A freshly initialized `kind` (a key of `CELLS`) cell stack of widths
     `hidden` over `in_dim` inputs, then sigmoid dense layers of widths
     `dense` and `out_dim` over the last hidden vector and `state_dim` state
     inputs.
 
-    The only place the network layout is written down: the observer nets
-    and `load_weights` all build through it. Weights are drawn from one
+    Both observer nets build through it. Weights are drawn from one
     generator seeded by `seed`, layer by layer, cells first.
     """
-    cell_cls = {"lstm": LstmLayer, "gru": GruLayer}[kind]
+    cell_cls = CELLS[kind]
     rng = np.random.default_rng(seed)
     cells = []
     d = in_dim
@@ -274,7 +258,7 @@ def build_net(kind: str, seed: int, in_dim: int, hidden: tuple, dense: tuple,
     for width in (*dense, out_dim):
         head.append(Dense.initialize(d, width, rng))
         d = width
-    return RecurrentRegressor(kind, cells, head, state_dim, init_seed=seed)
+    return RecurrentRegressor(kind, cells, head, state_dim)
 
 
 def lstm_observer_net(seed: int, in_dim: int = 5,

@@ -1,43 +1,43 @@
-"""Versioned serialization of network weights (format version 2).
+"""Versioned serialization of network weights (format version 3).
 
 Layout: ASCII header lines, then a raw binary payload.
 
-    vobs-weights 2
-    kind <lstm|gru>
-    init_seed <int>
-    in_dim <int>
-    state_dim <int>
-    hidden <width...>
-    dense <width...>                the dense head's widths, output layer last
-    output_activation sigmoid
+    vobs-weights 3
     array <name> <dims...>          one line per tensor, in `params()` order
     payload <nbytes> <sha256-hex>
     <payload: every tensor's little-endian float64 bytes, row-major, concatenated>
 
-Recurrent tensors keep the documented gate-block row order. The payload is
-the float64 master's exact bytes, so the round trip is bit-exact. Its length
-and SHA-256 are checked before any tensor is read: a truncated or damaged
-payload would otherwise still decode as finite floats and load as a network
-that quietly predicts garbage. Loading builds the declared architecture with
-`build_net` and requires the array lines to name exactly its tensors, in
-order and shape; the payload then fills them.
+The array lines are the architecture. The name prefix of the recurrent
+tensors (`lstm0.wx`, `gru0.wx`) gives the cell kind, the shapes give every
+width, and the state input is what the first dense layer takes beyond the
+last hidden width. Recurrent tensors keep the documented gate-block row
+order. The payload is the float64 master's exact bytes, so the round trip is
+bit-exact. Its length and SHA-256 are checked before any tensor is read: a
+truncated or damaged payload would otherwise still decode as finite floats
+and load as a network that quietly predicts garbage. Loading builds the
+network straight from the stored tensors, whose layer constructors check
+every shape, and requires its `params()` to reproduce the array lines'
+names and shapes, in order.
 
-Files are written atomically (`artifacts.write_file`). Version 1 files (one
-text line of repr floats per tensor) are not read; `vobs train` rewrites them.
+Files are written atomically (`artifacts.write_file`). Versions 1 and 2,
+which restated the architecture in header lines of their own, are not read;
+`vobs train` rewrites them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import zip_longest
+import math
+import os
 
 import numpy as np
 
 from ..artifacts import write_file
-from ..errors import DataFormatError
-from .network import RecurrentRegressor, build_net
+from ..errors import ConfigError, DataFormatError
+from .layers import Dense
+from .network import CELLS, RecurrentRegressor
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MAGIC = b"vobs-weights"
 _F8 = np.dtype("<f8")
 
@@ -47,7 +47,7 @@ class WeightsVersionError(DataFormatError):
 
 
 class WeightsShapeError(DataFormatError):
-    """Declared architecture and stored tensors disagree."""
+    """The stored tensors do not form a network."""
 
 
 class WeightsCorruptionError(DataFormatError):
@@ -57,16 +57,7 @@ class WeightsCorruptionError(DataFormatError):
 def save_weights(net: RecurrentRegressor, path) -> None:
     params = net.params()
     payload = b"".join(arr.astype(_F8, copy=False).tobytes() for _, arr in params)
-    lines = [
-        f"{MAGIC.decode()} {FORMAT_VERSION}",
-        f"kind {net.kind}",
-        f"init_seed {net.init_seed}",
-        f"in_dim {net.in_dim}",
-        f"state_dim {net.state_dim}",
-        f"hidden {' '.join(str(h) for h in net.hidden_sizes)}",
-        f"dense {' '.join(str(d) for d in net.dense_sizes)}",
-        "output_activation sigmoid",
-    ]
+    lines = [f"{MAGIC.decode()} {FORMAT_VERSION}"]
     lines += [f"array {name} {' '.join(str(d) for d in arr.shape)}" for name, arr in params]
     lines.append(f"payload {len(payload)} {hashlib.sha256(payload).hexdigest()}")
     head = ("\n".join(lines) + "\n").encode("ascii")
@@ -77,7 +68,9 @@ def save_weights(net: RecurrentRegressor, path) -> None:
 def load_weights(path) -> RecurrentRegressor:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            # one writable buffer: the loaded tensors are views of its payload
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            fh.readinto(data)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     first = data[:data.find(b"\n")]
@@ -92,38 +85,14 @@ def load_weights(path) -> RecurrentRegressor:
         raise WeightsVersionError(
             f"{path}: weight format version {version} is not supported (this build "
             f"reads version {FORMAT_VERSION}); re-run 'vobs train' to rewrite it")
-    header, arrays_declared, payload_at = _read_header(path, data, len(first) + 1)
+    arrays_declared, payload_line, payload_at = _read_header(path, data, len(first) + 1)
     try:
-        kind = header["kind"]
-        init_seed = int(header["init_seed"])
-        in_dim = int(header["in_dim"])
-        state_dim = int(header["state_dim"])
-        hidden = tuple(int(v) for v in header["hidden"].split())
-        dense = tuple(int(v) for v in header["dense"].split())
-        output_activation = header["output_activation"]
-        nbytes_text, digest = header["payload"].split()
+        nbytes_text, digest = payload_line.split()
         nbytes = int(nbytes_text)
-        if init_seed < 0:
-            raise ValueError(f"negative init_seed {init_seed}")
-    except (KeyError, ValueError) as exc:
-        raise WeightsCorruptionError(f"{path}: bad header ({exc})") from None
-    if kind not in ("lstm", "gru"):
-        raise WeightsShapeError(f"{path}: unknown cell kind '{kind}'")
-    if output_activation != "sigmoid":
-        raise WeightsShapeError(
-            f"{path}: output_activation '{output_activation}' is not supported "
-            f"(the dense head is sigmoid throughout)")
-    # every size of a real network is a dimension of one of its stored
-    # tensors; the bound keeps a damaged size from building a huge network
-    largest = max((n for _, shape in arrays_declared for n in shape), default=0)
-    sizes = (in_dim, *hidden, *dense)
-    if not hidden or not dense or min(sizes) < 1 or max(sizes) > largest \
-            or not 0 <= state_dim <= largest:
-        raise WeightsShapeError(
-            f"{path}: declared sizes do not describe a network (in_dim {in_dim}, "
-            f"state_dim {state_dim}, hidden {list(hidden)}, dense {list(dense)})")
+    except ValueError:
+        raise WeightsCorruptionError(f"{path}: bad payload line {payload_line[:80]!r}") from None
 
-    declared = sum(int(np.prod(shape)) for _, shape in arrays_declared) * _F8.itemsize
+    declared = sum(math.prod(shape) for _, shape in arrays_declared) * _F8.itemsize
     if declared != nbytes:
         raise WeightsCorruptionError(
             f"{path}: array lines declare {declared} payload bytes, header says {nbytes}")
@@ -134,33 +103,49 @@ def load_weights(path) -> RecurrentRegressor:
     if hashlib.sha256(payload).hexdigest() != digest:
         raise WeightsCorruptionError(f"{path}: payload does not match its SHA-256")
 
-    net = build_net(kind, init_seed, in_dim, hidden, dense[:-1], dense[-1], state_dim)
-    expected = [(name, arr.shape) for name, arr in net.params()]
-    if arrays_declared != expected:
-        found, needed = next((a, b) for a, b in zip_longest(arrays_declared, expected)
-                             if a != b)
-        raise WeightsShapeError(
-            f"{path}: array lines do not match the declared architecture "
-            f"(found {found}, expected {needed})")
-    arrays = []
+    tensors = {}
     offset = 0
-    for _, shape in arrays_declared:
-        count = int(np.prod(shape))
-        arrays.append(np.frombuffer(payload, dtype=_F8, count=count,
-                                    offset=offset).reshape(shape))
+    for name, shape in arrays_declared:
+        count = math.prod(shape)
+        tensors[name] = np.frombuffer(payload, dtype=_F8, count=count,
+                                      offset=offset).reshape(shape)
         offset += count * _F8.itemsize
-    net.load_flat(arrays)
+    try:
+        net = _net_of(tensors)
+    except (KeyError, ValueError, ConfigError) as exc:
+        raise WeightsShapeError(f"{path}: array lines do not form a network ({exc})") from None
+    if [(name, arr.shape) for name, arr in net.params()] != arrays_declared:
+        raise WeightsShapeError(
+            f"{path}: array lines are not the tensors of the {net.kind} network "
+            f"they describe, in order")
     return net
 
 
-def _read_header(path, data: bytes, pos: int):
-    """(`key value` mapping, declared (name, shape) arrays, payload offset)
-    of the header lines from offset `pos` on.
+def _net_of(tensors: dict) -> RecurrentRegressor:
+    """The network built from `tensors`, keyed by their `params()` names;
+    the first name's prefix gives the cell kind."""
+    kind = next(iter(tensors), "").partition(".")[0].rstrip("0123456789")
+    if kind not in CELLS:
+        raise ValueError(f"unknown cell kind '{kind}'")
+    cells = []
+    while f"{kind}{len(cells)}.wx" in tensors:
+        key = f"{kind}{len(cells)}"
+        cells.append(CELLS[kind](tensors[f"{key}.wx"], tensors[f"{key}.wh"],
+                                 tensors[f"{key}.b"]))
+    head = []
+    while f"dense{len(head)}.w" in tensors:
+        head.append(Dense(tensors[f"dense{len(head)}.w"], tensors[f"dense{len(head)}.b"]))
+    state_dim = head[0].in_dim - cells[-1].hidden if cells and head else 0
+    return RecurrentRegressor(kind, cells, head, state_dim)
+
+
+def _read_header(path, data: bytearray, pos: int):
+    """(declared (name, shape) arrays, the `payload` line's value, payload
+    offset) of the header lines from offset `pos` on.
 
     The header ends at the `payload` line; the bytes after it are binary."""
-    header: dict[str, str] = {}
     arrays: list[tuple[str, tuple]] = []
-    while "payload" not in header:
+    while True:
         end = data.find(b"\n", pos)
         if end < 0:
             raise WeightsCorruptionError(f"{path}: header ends before the payload line")
@@ -170,16 +155,13 @@ def _read_header(path, data: bytes, pos: int):
             raise WeightsCorruptionError(f"{path}: binary data in the header") from None
         pos = end + 1
         key, _, value = line.partition(" ")
-        if key != "array":
-            header[key] = value
-            continue
+        if key == "payload":
+            return arrays, value, pos
         name, _, dims = value.partition(" ")
         try:
             shape = tuple(int(v) for v in dims.split())
         except ValueError:
             shape = None
-        if not name or shape is None or any(n < 0 for n in shape) \
-                or name in {n for n, _ in arrays}:
-            raise WeightsCorruptionError(f"{path}: bad array line {line[:60]!r}")
+        if key != "array" or not name or shape is None or any(n < 0 for n in shape):
+            raise WeightsCorruptionError(f"{path}: bad header line {line[:60]!r}")
         arrays.append((name, shape))
-    return header, arrays, pos

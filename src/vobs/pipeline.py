@@ -28,6 +28,8 @@ from .config import RunConfig
 from .domain import (
     G_AY,
     G_MPS2,
+    SENSOR_CHANNELS,
+    STATE_CHANNELS,
     VehicleParams,
     Trajectory,
     read_trajectory_csv,
@@ -368,10 +370,19 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
             if not os.path.exists(path):
                 raise DataFormatError(
                     f"observer '{name}': missing weight file {path}; run 'train' first")
-            nets[name] = load_weights(path).astype(COMPUTE_DTYPE)
+            net = load_weights(path)
+            found = (net.kind, net.cells[0].in_dim, net.state_dim, net.head[-1].out_dim)
+            wanted = (spec.type, len(SENSOR_CHANNELS),
+                      len(STATE_CHANNELS) if spec.type == "lstm" else 0, len(STATE_CHANNELS))
+            if found != wanted:
+                raise DataFormatError(
+                    f"observer '{name}': weight file {path} holds a network of (kind, "
+                    f"inputs, state inputs, outputs) {found}, expected {wanted}; "
+                    f"run 'train' for this config")
+            nets[name] = net.astype(COMPUTE_DTYPE)
     params = VehicleParams()
 
-    any_windowed = any(s.type in ("lstm", "gru") for s in cfg.observers.values())
+    any_windowed = any(s.trainable for s in cfg.observers.values())
     skip = cfg.window_len - 1 if any_windowed else 0
 
     eval_dir = os.path.join(cfg.out_dir, "eval")

@@ -22,7 +22,8 @@ from vobs.cli import main
 from vobs.baselines import EkfConfig
 from vobs.config import DEFAULT_OBSERVERS, build_config, load_config
 from vobs.domain import VehicleParams
-from vobs.neural import RecurrentRegressor, load_weights, save_weights
+from vobs.neural import RecurrentRegressor, gru_observer_net, load_weights, save_weights
+from vobs.neural.network import build_net
 
 BASE_CONFIG = {
     "master_seed": 3,
@@ -279,6 +280,32 @@ class TestEvaluateCommand:
         assert "non-finite" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("observer_type, net", [
+        # a GRU file evaluated as the LSTM observer
+        ("lstm", lambda: gru_observer_net(seed=0)),
+        # the trained LSTM file evaluated as a GRU observer
+        ("gru", None),
+        # an LSTM file without the state input the closed loop feeds
+        ("lstm", lambda: build_net("lstm", 0, 5, (4,), (4,), 3, 0)),
+        # windows carry 5 sensor channels, and traces 3 state channels
+        ("lstm", lambda: build_net("lstm", 0, 4, (4,), (4,), 3, 3)),
+        ("gru", lambda: build_net("gru", 0, 5, (4,), (4,), 2, 0)),
+    ], ids=["gru_as_lstm", "lstm_as_gru", "lstm_without_state", "lstm_over_4_inputs",
+            "gru_with_2_outputs"])
+    def test_weights_that_do_not_fit_the_observer_refused(self, run_copy, capsys,
+                                                          observer_type, net):
+        tmp_path, _ = run_copy
+        shutil.rmtree(tmp_path / "run" / "eval", ignore_errors=True)
+        weights = tmp_path / "run" / "models" / "lstm.weights"
+        if net is not None:
+            save_weights(net(), weights)
+        cfg = _write_config(tmp_path, name="swapped.yaml", overrides={"observers": {
+            "lstm": {"type": observer_type}, "ekf": {"type": "ekf"}}})
+        assert main(["evaluate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "observer 'lstm'" in err and str(weights) in err
+        assert not (tmp_path / "run" / "eval").exists()
+
     def test_pool_capped_at_task_count(self, run_copy, monkeypatch):
         tmp_path, cfg = run_copy
         sidecar = json.loads((tmp_path / "run" / "dataset" / "dataset.json").read_text())
@@ -422,6 +449,23 @@ class TestExitCodes:
             "dataset": dict(BASE_CONFIG["dataset"], **{key: value})})
         assert main(["simulate", "--config", cfg]) == 1
         assert f"dataset.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section, value, message", [
+        # each split sums to 1, and used to split every stratum 1/1/1
+        ("split", {"train": 1.2, "val": -0.1, "test": -0.1}, "split.val must be >= 0"),
+        ("split", {"train": -0.2, "val": 0.6, "test": 0.6}, "split.train must be >= 0"),
+        ("split", {"train": 0.7, "val": 0.4, "test": -0.1}, "split.test must be >= 0"),
+        # a negative rate trains uphill
+        ("train", dict(BASE_CONFIG["train"], learning_rate=0), "learning_rate must be > 0"),
+        ("train", dict(BASE_CONFIG["train"], learning_rate=-0.001),
+         "learning_rate must be > 0"),
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, section, value,
+                                                message):
+        cfg = _write_config(tmp_path, overrides={section: value})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("frames", [50, 49])
@@ -652,14 +696,19 @@ class TestCorruptStageMetadata:
         assert main([stage, "--config", cfg]) == 3
         assert os.path.basename(name) in capsys.readouterr().err
 
-    def test_empty_hidden_line_in_weights(self, run_copy, capsys):
+    def test_bad_array_line_in_weights(self, run_copy, capsys):
         tmp_path, cfg = run_copy
+        shutil.rmtree(tmp_path / "run" / "eval", ignore_errors=True)
         path = tmp_path / "run" / "models" / "lstm.weights"
         data = path.read_bytes()
-        start = data.index(b"\nhidden ") + 1
-        path.write_bytes(data[:start] + b"hidden " + data[data.index(b"\n", start):])
+        # swapped dims keep the byte count and the payload's SHA-256
+        start = data.index(b"\narray lstm0.wx ") + 1
+        end = data.index(b"\n", start)
+        rows, cols = data[start:end].split()[2:]
+        path.write_bytes(data[:start] + b"array lstm0.wx " + cols + b" " + rows + data[end:])
         assert main(["evaluate", "--config", cfg]) == 3
         assert "lstm.weights" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "eval").exists()
 
     @pytest.mark.parametrize("stage", ["train", "evaluate"])
     def test_window_len_differs_from_sidecar(self, run_copy, capsys, stage):

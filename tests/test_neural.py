@@ -478,7 +478,7 @@ class TestAdam:
 
 
 # SHA-256 of the weight file of TestWeightsIo's seed-21 network
-PINNED_SHA256 = "92ad5e0aa5435a1e354a5b327444d35fb550d6e0311fa16bed5cba84e6f1ffe9"
+PINNED_SHA256 = "1841610bc05e6fb505d00029e6f5e5da0028a011d327c29d47e11e2469f26a9c"
 
 
 class TestWeightsIo:
@@ -519,28 +519,40 @@ class TestWeightsIo:
 
     def test_future_version_rejected_before_load(self, tmp_path):
         path = self._saved(tmp_path)
-        data = path.read_bytes().replace(b"vobs-weights 2\n", b"vobs-weights 3\n", 1)
+        data = path.read_bytes().replace(b"vobs-weights 3\n", b"vobs-weights 4\n", 1)
         path.write_bytes(data)
         with pytest.raises(WeightsVersionError):
             load_weights(path)
 
     def test_shape_mismatch_detected(self, tmp_path):
+        # the same byte count, so only the layer constructors can catch it
         path = self._saved(tmp_path)
-        data = path.read_bytes().replace(b"\nhidden 3 4\n", b"\nhidden 4 3\n", 1)
+        data = path.read_bytes().replace(b"\narray dense1.w 3 4\n",
+                                         b"\narray dense1.w 4 3\n", 1)
         path.write_bytes(data)
-        with pytest.raises(WeightsShapeError):
+        with pytest.raises(WeightsShapeError, match="w.weights"):
             load_weights(path)
 
-    def test_bad_header_sizes_are_shape_errors(self, tmp_path):
+    def test_array_lines_that_form_no_network_are_shape_errors(self, tmp_path):
         # each edit leaves the payload and its SHA-256 intact
-        for old, new in ((b"\nhidden 3 4\n", b"\nhidden \n"),
-                         (b"\ndense 4 3\n", b"\ndense \n"),
-                         (b"\nin_dim 5\n", b"\nin_dim 0\n"),
-                         (b"\noutput_activation sigmoid\n",
-                          b"\noutput_activation identity\n")):
+        edits = (
+            # a renamed tensor: the stack stops at lstm0, and lstm9.wx is left over
+            ("not the tensors", lambda d: d.replace(b"\narray lstm1.wx ",
+                                                    b"\narray lstm9.wx ", 1)),
+            ("unknown cell kind 'rnn'", lambda d: d.replace(b"\narray lstm", b"\narray rnn")),
+            # the first dense layer takes 2 inputs but the last hidden width is
+            # 4, so the state input would be -2 wide; a third dense layer keeps
+            # the byte count
+            ("state_dim must be >= 0", lambda d: d.replace(
+                b"\narray dense0.w 4 7\n", b"\narray dense0.w 4 2\n", 1).replace(
+                b"\npayload ", b"\narray dense2.w 5 3\narray dense2.b 5\npayload ", 1)),
+        )
+        for reason, edit in edits:
             path = self._saved(tmp_path)
-            path.write_bytes(path.read_bytes().replace(old, new, 1))
-            with pytest.raises(WeightsShapeError, match="w.weights"):
+            data = path.read_bytes()
+            path.write_bytes(edit(data))
+            assert path.read_bytes() != data
+            with pytest.raises(WeightsShapeError, match=f"w.weights.*{reason}"):
                 load_weights(path)
 
     def test_garbage_file_is_corruption(self, tmp_path):
@@ -563,19 +575,33 @@ class TestWeightsIo:
         with pytest.raises(WeightsCorruptionError, match="payload is"):
             load_weights(path)
 
+    def _old_header(self, version):
+        return [f"vobs-weights {version}", "kind lstm", "init_seed 21", "in_dim 5",
+                "state_dim 3", "hidden 3 4", "dense 4 3", "output_activation sigmoid"]
+
+    def _assert_asks_to_retrain(self, path):
+        with pytest.raises(WeightsVersionError) as raised:
+            load_weights(path)
+        assert path.name in str(raised.value)
+        assert "vobs train" in str(raised.value)
+
     def test_text_v1_file_asks_to_retrain(self, tmp_path):
-        net = self._net()
-        lines = ["vobs-weights 1", "kind lstm", "init_seed 21", "in_dim 5",
-                 "state_dim 3", "hidden 3 4", "dense 4 3", "output_activation sigmoid"]
-        for name, arr in net.params():
+        lines = self._old_header(1)
+        for name, arr in self._net().params():
             lines.append(f"array {name} {' '.join(str(d) for d in arr.shape)}")
             lines.append(" ".join(repr(float(v)) for v in arr.ravel()))
         path = tmp_path / "old.weights"
         path.write_text("\n".join(lines + ["end"]) + "\n")
-        with pytest.raises(WeightsVersionError) as raised:
-            load_weights(path)
-        assert "old.weights" in str(raised.value)
-        assert "vobs train" in str(raised.value)
+        self._assert_asks_to_retrain(path)
+
+    def test_v2_file_asks_to_retrain(self, tmp_path):
+        # v2 restated the architecture in header lines above the array lines
+        data = self._saved(tmp_path).read_bytes()
+        first = data.index(b"\n") + 1
+        head = "\n".join(self._old_header(2)) + "\n"
+        path = tmp_path / "v2.weights"
+        path.write_bytes(head.encode() + data[first:])
+        self._assert_asks_to_retrain(path)
 
     def test_file_bytes_are_pinned(self, tmp_path):
         # any change to the layout or the payload encoding changes this digest
