@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -27,6 +28,16 @@ from .domain import DT_S, Trajectory, VehicleParams
 from .errors import ConfigError, NumericalError
 from .neural import RecurrentRegressor, TrainConfig, gru_observer_net
 from .observer_lstm import EstimateTrace, train_observer, window_features
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@cache
+def _identity(n: int) -> np.ndarray:
+    return _read_only(np.eye(n))
+
 
 @dataclass(frozen=True)
 class EkfConfig:
@@ -57,11 +68,14 @@ class EkfConfig:
             * p.static_load_rear_n
         return cls(cf, cr, **kwargs)
 
+    # built once per config: the filter reads them on every sample
+    @cached_property
     def q_matrix(self) -> np.ndarray:
-        return np.diag(self.process_noise_q).astype(np.float64)
+        return _read_only(np.diag(self.process_noise_q).astype(np.float64))
 
+    @cached_property
     def r_matrix(self) -> np.ndarray:
-        return np.diag(self.measurement_noise_r).astype(np.float64)
+        return _read_only(np.diag(self.measurement_noise_r).astype(np.float64))
 
     def p0_matrix(self) -> np.ndarray:
         return np.diag(self.initial_covariance_p0).astype(np.float64)
@@ -88,19 +102,30 @@ def kf_predict_cov(p: np.ndarray, f_jac: np.ndarray, q: np.ndarray) -> np.ndarra
     return 0.5 * (p_new + p_new.T)
 
 
+def _symmetric_cond(s: np.ndarray) -> float:
+    """2-norm condition number of the symmetric matrix `s`, max |eigenvalue|
+    over min |eigenvalue|: inf when an eigenvalue is zero, nan when `s` is
+    not finite."""
+    if not np.isfinite(s).all():
+        return math.nan
+    lam = np.abs(np.linalg.eigvalsh(s))
+    lo = lam.min()
+    return float(lam.max() / lo) if lo > 0 else math.inf
+
+
 def kf_update_joseph(x: np.ndarray, p: np.ndarray, z: np.ndarray,
                      h_of_x: np.ndarray, h_jac: np.ndarray,
                      r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Standard gain + Joseph-form covariance update; raises on an
     ill-conditioned innovation covariance."""
     s = h_jac @ p @ h_jac.T + r
-    cond = np.linalg.cond(s)
+    cond = _symmetric_cond(s)
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalError(
             f"innovation covariance ill-conditioned (cond={cond:.3e}, diag={np.diag(s)})")
     k = np.linalg.solve(s.T, (p @ h_jac.T).T).T
     x_new = x + k @ (z - h_of_x)
-    ikh = np.eye(len(x)) - k @ h_jac
+    ikh = _identity(len(x)) - k @ h_jac
     p_new = ikh @ p @ ikh.T + k @ r @ k.T
     return x_new, 0.5 * (p_new + p_new.T)
 
@@ -178,13 +203,13 @@ def ekf_predict(s: EkfState, u: tuple[float, float], p: VehicleParams,
     """
     if dt < 0:
         raise ConfigError(f"dt must be >= 0, got {dt}")
-    q = cfg.q_matrix() * dt
+    q = cfg.q_matrix * dt
     if s.x[0] <= cfg.min_speed_mps:
         return EkfState(s.x.copy(), 0.5 * (s.p + s.p.T) + q)
     ax_meas, delta = u
     f, jac = _process_model(s.x, ax_meas, delta, p, cfg)
     x_new = s.x + dt * f
-    f_discrete = np.eye(3) + dt * jac
+    f_discrete = _identity(3) + dt * jac
     return EkfState(x_new, kf_predict_cov(s.p, f_discrete, q))
 
 
@@ -193,14 +218,14 @@ def ekf_update(s: EkfState, z, steering_rad: float, p: VehicleParams,
     """Assimilate z = (wheel_speed_rr, yaw_rate_gyro, ay)."""
     z = np.asarray(z, dtype=np.float64).reshape(3)
     h, jac = _measurement_model(s.x, steering_rad, p, cfg)
-    x_new, p_new = kf_update_joseph(s.x, s.p, z, h, jac, cfg.r_matrix())
+    x_new, p_new = kf_update_joseph(s.x, s.p, z, h, jac, cfg.r_matrix)
     return EkfState(x_new, p_new)
 
 
 def process_jacobian(x, ax_meas, delta, p, cfg, dt) -> np.ndarray:
     """Jacobian of the discrete prediction map (for verification)."""
     _, jac = _process_model(np.asarray(x, dtype=np.float64), ax_meas, delta, p, cfg)
-    return np.eye(3) + dt * jac
+    return _identity(3) + dt * jac
 
 
 def measurement_jacobian(x, delta, p, cfg) -> np.ndarray:

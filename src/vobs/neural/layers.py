@@ -6,10 +6,9 @@ run float32 copies; the float64 master weights, the weight file and the
 gradient check stay float64.
 
 Sequence tensors are feature-major, (time, features, batch): step t is one
-contiguous (features, batch) array, its recurrent term is `wh @ h_t` with the
-weights as stored, and every gate is a contiguous row range of the step's
-pre-activation, so each elementwise pass of the loops runs on contiguous
-memory. The network boundary transposes once per call; the dense head keeps
+contiguous (features, batch) array, and every gate is a contiguous row range
+of the step's pre-activation, so each elementwise pass of the loops runs on
+contiguous memory. The network boundary transposes once per call; the dense head keeps
 (batch, features). Gate blocks are stored stacked along the output axis in a
 fixed, documented order — LSTM: input | forget | candidate | output; GRU:
 update | reset | candidate. Each recurrent layer's `step` is its one cell
@@ -24,9 +23,20 @@ in T-long buffers for BPTT. The inference pass, which `features` runs for
 evaluation and the teacher-forced validation loss, hands the same loop one
 gate buffer, two rolling LSTM cell-state buffers and one buffer for the
 rest, so it allocates no (T, 4h, B) stack. Both keep the (T, h, B) hidden
-sequence, which the next layer and the finiteness check read. Each step
-projects its own input, wx @ x_t + b, into its gate buffer; the result is
-bit-identical to projecting all T steps in one batched product.
+sequence, which the next layer and the finiteness check read.
+
+Each call of `forward_seq` stacks the layer's weights once into one matrix
+[wx | wh | b] (`_stacked`), and each step copies x_t and h_{t-1} into one
+stacked column [x_t; h_{t-1}; 1]. One product of the two gives every gate's
+pre-activation wx @ x_t + wh @ h_{t-1} + b. The GRU takes two products over
+the same column: its z | r rows, then its candidate rows after r * h_{t-1}
+is written into the column's h rows. The stacked matrix holds the sigmoid
+gates' rows halved, so one tanh over the gate rows gives tanh(a / 2) there,
+and sigmoid(a) = tanh(a / 2) / 2 + 1 / 2 finishes them in place; the dense
+head's sigmoid takes the same form. Halving is exact in binary floating
+point, and tanh cannot overflow, so no floating-point warning needs
+silencing. The gate buffers keep the documented row order and the activated
+values, which is all that BPTT reads.
 
 Each weight gradient is a sum over time steps of one outer product,
 dz_t @ u_t.T. `_sum_over_steps` adds these products one step at a time, in
@@ -43,13 +53,28 @@ import math
 import numpy as np
 
 
+def _sigmoid_from_half_tanh(t: np.ndarray) -> None:
+    """t = tanh(a / 2) in place into sigmoid(a) = t / 2 + 1 / 2."""
+    t *= 0.5
+    t += 0.5
+
+
 def _sigmoid_inplace(x: np.ndarray) -> None:
-    # exp overflow for very negative inputs saturates to exactly 0.0
-    with np.errstate(over="ignore"):
-        np.negative(x, out=x)
-        np.exp(x, out=x)
-        x += 1.0
-        np.reciprocal(x, out=x)
+    """x = sigmoid(x) in place, as tanh(x / 2) / 2 + 1 / 2."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    _sigmoid_from_half_tanh(x)
+
+
+def _stacked(layer, dtype) -> np.ndarray:
+    """The layer's weights as one (gates, in + h + 1) matrix [wx | wh | b] in
+    `dtype`, for the stacked column [x; h; 1], with the row blocks of its
+    sigmoid gates (`SIGMOID_BLOCKS`, in units of h) halved."""
+    w = np.concatenate([layer.wx, layer.wh, layer.b[:, None]], axis=1).astype(
+        dtype, copy=False)
+    for lo, hi in layer.SIGMOID_BLOCKS:
+        w[lo * layer.hidden: hi * layer.hidden] *= 0.5
+    return w
 
 
 def _mul_sigmoid_grad(d: np.ndarray, s: np.ndarray, tmp: np.ndarray) -> None:
@@ -130,6 +155,8 @@ class Dense:
 class LstmLayer:
     """One LSTM layer; weights wx (4h, in), wh (4h, h), bias (4h,)."""
 
+    SIGMOID_BLOCKS = ((0, 2), (3, 4))  # i | f and o
+
     def __init__(self, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
         wx, wh, b = _as_weights(wx, wh, b)
         h = wh.shape[1]
@@ -154,20 +181,19 @@ class LstmLayer:
         b[hidden: 2 * hidden] = 1.0  # forget-gate bias keeps early memory open
         return cls(wx, wh, b)
 
-    def step(self, z, h_prev, c_prev, c, tc, h_out, buf) -> None:
+    def step(self, w, col, z, c_prev, c, tc, h_out) -> None:
         """One cell update on (features, batch) columns.
 
-        z is the (4h, B) input projection wx @ x + b: the recurrent term is
-        added and the gates are activated in place. The cell state, its tanh
-        and the new hidden state go into the (h, B) arrays c, tc and h_out;
-        buf is (4h, B) scratch.
+        w is the `_stacked` matrix and col the stacked column [x; h_prev; 1];
+        the activated gates go into z, (4h, B). The cell state, its tanh and
+        the new hidden state go into the (h, B) arrays c, tc and h_out.
         """
         h = self.hidden
-        z += np.matmul(self.wh, h_prev, out=buf)
+        np.matmul(w, col, out=z)
+        np.tanh(z, out=z)
+        _sigmoid_from_half_tanh(z[: 2 * h])
+        _sigmoid_from_half_tanh(z[3 * h:])
         i, f, g, o = z[:h], z[h: 2 * h], z[2 * h: 3 * h], z[3 * h:]
-        _sigmoid_inplace(z[: 2 * h])
-        np.tanh(g, out=g)
-        _sigmoid_inplace(o)
         np.multiply(f, c_prev, out=c)
         np.multiply(i, g, out=tc)
         c += tc
@@ -181,7 +207,7 @@ class LstmLayer:
 
         Step t writes its gates, cell state and tanh into row t modulo each
         buffer's length: T-long buffers keep every step, short ones roll."""
-        t_len, _, bsz = x.shape
+        t_len, in_dim, bsz = x.shape
         h = self.hidden
         dtype = np.result_type(self.wx, x)
         n = t_len if keep_cache else 1
@@ -190,14 +216,13 @@ class LstmLayer:
         tcs = np.empty((n, h, bsz), dtype=dtype)
         hs = np.empty((t_len, h, bsz), dtype=dtype)
         zero = np.zeros((h, bsz), dtype=dtype)
-        buf = np.empty((4 * h, bsz), dtype=dtype)
-        b = self.b[:, None]
+        w = _stacked(self, dtype)
+        col = np.ones((in_dim + h + 1, bsz), dtype=dtype)
         for t in range(t_len):
-            z = gates[t % n]
-            np.matmul(self.wx, x[t], out=z)
-            z += b
             h_prev, c_prev = (hs[t - 1], cs[(t - 1) % len(cs)]) if t else (zero, zero)
-            self.step(z, h_prev, c_prev, cs[t % len(cs)], tcs[t % n], hs[t], buf)
+            col[:in_dim] = x[t]
+            col[in_dim: -1] = h_prev
+            self.step(w, col, gates[t % n], c_prev, cs[t % len(cs)], tcs[t % n], hs[t])
         return hs, ((x, gates, cs, tcs, hs) if keep_cache else None)
 
     def backward_seq(self, dh_seq: np.ndarray, cache):
@@ -250,6 +275,8 @@ class GruLayer:
     recurrent product: n = tanh(Wn x + Un (r * h_prev) + bn).
     """
 
+    SIGMOID_BLOCKS = ((0, 2),)  # z | r
+
     def __init__(self, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
         wx, wh, b = _as_weights(wx, wh, b)
         h = wh.shape[1]
@@ -272,24 +299,29 @@ class GruLayer:
         wh = _uniform_fan_in(rng, (3 * hidden, hidden), hidden)
         return cls(wx, wh, np.zeros(3 * hidden))
 
-    def step(self, a, h_prev, rh, h_out, buf) -> None:
+    def step(self, w, col, a, h_prev, rh, h_out) -> None:
         """One cell update on (features, batch) columns.
 
-        a is the (3h, B) input projection wx @ x + b; on return it holds the
-        activated gates z | r | n. r * h_prev goes into rh and the new hidden
-        state into h_out, both (h, B); buf is (2h, B) scratch.
+        w is the `_stacked` matrix and col the stacked column [x; h_prev; 1].
+        The z | r rows multiply col; r * h_prev then goes into rh and over col's
+        h rows, which the n rows multiply, so h_prev must be its own array.
+        On return a (3h, B) holds the activated gates z | r | n and h_out the
+        new (h, B) hidden state; col's h rows are left as scratch.
         """
         h = self.hidden
-        z, r, n = a[:h], a[h: 2 * h], a[2 * h:]
-        a[: 2 * h] += np.matmul(self.wh[: 2 * h], h_prev, out=buf)
-        _sigmoid_inplace(a[: 2 * h])
+        zr, z, r, n = a[: 2 * h], a[:h], a[h: 2 * h], a[2 * h:]
+        col_h = col[-h - 1: -1]
+        np.matmul(w[: 2 * h], col, out=zr)
+        np.tanh(zr, out=zr)
+        _sigmoid_from_half_tanh(zr)
         np.multiply(r, h_prev, out=rh)
-        n += np.matmul(self.wh[2 * h:], rh, out=buf[:h])
+        col_h[...] = rh
+        np.matmul(w[2 * h:], col, out=n)
         np.tanh(n, out=n)
         np.subtract(1.0, z, out=h_out)
         h_out *= n
-        np.multiply(z, h_prev, out=buf[:h])
-        h_out += buf[:h]
+        np.multiply(z, h_prev, out=col_h)
+        h_out += col_h
 
     def forward_seq(self, x: np.ndarray, keep_cache: bool = True):
         """Run the full sequence; x is (T, in, B). Returns the (T, h, B)
@@ -299,7 +331,7 @@ class GruLayer:
         Step t writes its gates and r * h_prev into row t modulo each
         buffer's length: T-long buffers keep every step, one-row ones are
         reused."""
-        t_len, _, bsz = x.shape
+        t_len, in_dim, bsz = x.shape
         h = self.hidden
         dtype = np.result_type(self.wx, x)
         n = t_len if keep_cache else 1
@@ -307,13 +339,13 @@ class GruLayer:
         rhs = np.empty((n, h, bsz), dtype=dtype)
         hs = np.empty((t_len, h, bsz), dtype=dtype)
         zero = np.zeros((h, bsz), dtype=dtype)
-        buf = np.empty((2 * h, bsz), dtype=dtype)
-        b = self.b[:, None]
+        w = _stacked(self, dtype)
+        col = np.ones((in_dim + h + 1, bsz), dtype=dtype)
         for t in range(t_len):
-            a = gates[t % n]
-            np.matmul(self.wx, x[t], out=a)
-            a += b
-            self.step(a, hs[t - 1] if t else zero, rhs[t % n], hs[t], buf)
+            h_prev = hs[t - 1] if t else zero
+            col[:in_dim] = x[t]
+            col[in_dim: -1] = h_prev
+            self.step(w, col, gates[t % n], h_prev, rhs[t % n], hs[t])
         return hs, ((x, gates, rhs, hs) if keep_cache else None)
 
     def backward_seq(self, dh_seq: np.ndarray, cache):
@@ -375,9 +407,10 @@ def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     """Single LSTM step on one vector or a (B, in) batch; returns (h, c) as
     vectors for a single sample and as (B, h) arrays otherwise."""
     x, h_prev, c_prev = _columns(layer, x, h_prev, c_prev)
-    z = layer.wx @ x + layer.b[:, None]
+    z = np.empty((4 * layer.hidden, x.shape[1]), dtype=x.dtype)
     c, tc, h = (np.empty_like(c_prev) for _ in range(3))
-    layer.step(z, h_prev, c_prev, c, tc, h, np.empty_like(z))
+    col = np.vstack([x, h_prev, np.ones_like(x[:1])])
+    layer.step(_stacked(layer, x.dtype), col, z, c_prev, c, tc, h)
     if h.shape[1] == 1:
         return h[:, 0], c[:, 0]
     return h.T, c.T
@@ -387,7 +420,8 @@ def gru_cell_forward(x: np.ndarray, h_prev: np.ndarray, layer: GruLayer):
     """Single GRU step on one vector or a (B, in) batch; returns h as a
     vector for a single sample and as a (B, h) array otherwise."""
     x, h_prev = _columns(layer, x, h_prev)
-    a = layer.wx @ x + layer.b[:, None]
+    a = np.empty((3 * layer.hidden, x.shape[1]), dtype=x.dtype)
     rh, h = np.empty_like(h_prev), np.empty_like(h_prev)
-    layer.step(a, h_prev, rh, h, np.empty((2 * layer.hidden, h.shape[1]), dtype=h.dtype))
+    col = np.vstack([x, h_prev, np.ones_like(x[:1])])
+    layer.step(_stacked(layer, x.dtype), col, a, h_prev, rh, h)
     return h[:, 0] if h.shape[1] == 1 else h.T

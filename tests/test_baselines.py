@@ -17,6 +17,7 @@ from vobs.baselines import (
     train_gru,
     _measurement_model,
     _process_model,
+    _symmetric_cond,
 )
 from vobs.dataset import fit_scaler, make_windows, WindowedDataset
 from vobs.domain import G_MPS2, G_VY, VehicleParams
@@ -42,7 +43,7 @@ class TestEkfPredict:
         s = _straight_state()
         out = ekf_predict(s, (0.0, 0.0), params, ekf_cfg, 0.02)
         np.testing.assert_allclose(out.x, s.x, atol=1e-15)
-        np.testing.assert_allclose(out.p, ekf_cfg.q_matrix() * 0.02, atol=1e-18)
+        np.testing.assert_allclose(out.p, ekf_cfg.q_matrix * 0.02, atol=1e-18)
 
     def test_dt_zero_is_identity(self, params, ekf_cfg):
         s = EkfState(np.array([12.0, 0.3, 0.1]), np.eye(3) * 0.4)
@@ -58,7 +59,7 @@ class TestEkfPredict:
         s = EkfState(np.array([0.3, 0.0, 0.0]), np.eye(3) * 0.1)
         out = ekf_predict(s, (1.0, 0.2), params, ekf_cfg, 0.02)
         np.testing.assert_array_equal(out.x, s.x)
-        np.testing.assert_allclose(out.p, s.p + ekf_cfg.q_matrix() * 0.02)
+        np.testing.assert_allclose(out.p, s.p + ekf_cfg.q_matrix * 0.02)
 
     def test_jacobian_matches_finite_differences(self, params, ekf_cfg):
         rng = np.random.default_rng(1)
@@ -133,6 +134,31 @@ class TestEkfUpdate:
         h, jac = _measurement_model(s.x, 0.0, params, cfg)
         with pytest.raises(NumericalError, match="cond"):
             kf_update_joseph(s.x, s.p, h, h, jac, tiny_r)
+
+    def test_nonfinite_innovation_diagnosed(self, params, ekf_cfg):
+        p = np.eye(3) * 0.1
+        p[1, 1] = np.nan
+        h, jac = _measurement_model(np.array([10.0, 0.0, 0.0]), 0.0, params, ekf_cfg)
+        with pytest.raises(NumericalError, match="cond=nan"):
+            kf_update_joseph(np.array([10.0, 0.0, 0.0]), p, h, h, jac, ekf_cfg.r_matrix)
+
+    def test_condition_number_is_the_svd_one(self):
+        # the eigenvalue form used on the symmetric innovation covariance
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            a = rng.normal(size=(3, 3)) * rng.uniform(1e-3, 1e3, 3)
+            s = a @ a.T
+            assert _symmetric_cond(s) == pytest.approx(np.linalg.cond(s), rel=1e-6)
+        assert _symmetric_cond(np.diag([1.0, 0.0, 2.0])) == math.inf
+        assert _symmetric_cond(np.diag([-4.0, 1.0, 2.0])) == 4.0
+
+    def test_noise_matrices_built_once(self, ekf_cfg):
+        assert ekf_cfg.q_matrix is ekf_cfg.q_matrix
+        assert ekf_cfg.r_matrix is ekf_cfg.r_matrix
+        np.testing.assert_array_equal(ekf_cfg.r_matrix,
+                                      np.diag(ekf_cfg.measurement_noise_r))
+        with pytest.raises(ValueError):
+            ekf_cfg.q_matrix[0, 0] = 1.0
 
 
 def _ref_slip_terms(x, p):
