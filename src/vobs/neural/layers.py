@@ -8,12 +8,12 @@ gradient check stay float64.
 Sequence tensors are feature-major, (time, features, batch): step t is one
 contiguous (features, batch) array, and every gate is a contiguous row range
 of the step's pre-activation, so each elementwise pass of the loops runs on
-contiguous memory. The network boundary transposes once per call; the dense head keeps
-(batch, features). Gate blocks are stored stacked along the output axis in a
-fixed, documented order — LSTM: input | forget | candidate | output; GRU:
-update | reset | candidate. Each recurrent layer's `step` is its one cell
-update: the sequence loop calls it on every step and the single-step cell
-function calls it once, so the cell-level contract and the training path
+contiguous memory. The network boundary transposes once per call; the dense
+head keeps (batch, features). Gate blocks are stored stacked along the output
+axis in a fixed, documented order — LSTM: input | forget | candidate |
+output; GRU: update | reset | candidate. Each recurrent layer's `step` is its
+one cell update: the sequence loop calls it on every step and the single-step
+cell function calls it once, so the cell-level contract and the training path
 cannot drift apart.
 
 Each recurrent layer has one sequence loop, in `forward_seq`, with two

@@ -482,14 +482,6 @@ class TestBackward:
         worst, _ = gradient_check(net, w, p, y, eps=1e-5)
         assert worst < 1e-4
 
-    def test_matches_finite_differences_small_gru_net(self):
-        rng = np.random.default_rng(8)
-        net = gru_observer_net(seed=12, in_dim=5, hidden=(3, 4), dense=(4,), out_dim=3)
-        w = rng.uniform(0, 1, (3, 5, 5))
-        y = rng.uniform(0, 1, (3, 3))
-        worst, _ = gradient_check(net, w, None, y, eps=1e-5)
-        assert worst < 1e-4
-
     def test_unused_input_channel_has_zero_gradient(self):
         # input channel 4 identically zero -> its weight columns get no signal
         rng = np.random.default_rng(4)
