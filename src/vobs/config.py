@@ -189,7 +189,10 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
     master_seed = seed if seed is not None else _typed(
         doc.get("master_seed", 0), int, "master_seed", where)
 
-    resolved_out = out_dir or doc.get("out_dir")
+    doc_out = doc.get("out_dir")
+    if doc_out is not None and not (isinstance(doc_out, str) and doc_out):
+        raise ConfigError(f"{where}: out_dir must be a non-empty string, got {doc_out!r}")
+    resolved_out = out_dir or doc_out
     if resolved_out is None:
         resolved_out = os.path.join(default_out_root(), f"seed{master_seed}")
 
@@ -203,6 +206,13 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
         _require(kwargs, "kind", section)
         _require(kwargs, "intensity", section)
         corpus.append(CorpusEntry(**kwargs))
+    # the label names each entry's trajectories, seeds and split stratum
+    first_of = {}
+    for k, entry in enumerate(corpus):
+        j = first_of.setdefault(entry.label, k)
+        if j != k:
+            raise ConfigError(f"{where}: corpus[{j}] and corpus[{k}] share the label "
+                              f"'{entry.label}' (kind and intensity to 2 decimals)")
 
     sensor_noise = SensorNoiseSpec(**_section(
         doc.get("sensor_noise", {}), "sensor_noise", where, _float_fields(SensorNoiseSpec)))

@@ -9,7 +9,7 @@ finite-difference gradient check runs on it.
 
 from .adam import Adam
 from .gradcheck import gradient_check, write_gradcheck_csv
-from .layers import Dense, GruLayer, LstmLayer, gru_cell_forward, lstm_cell_forward
+from .layers import Dense, GruLayer, LstmLayer
 from .network import (
     COMPUTE_DTYPE,
     DEFAULT_DENSE,

@@ -11,19 +11,18 @@ of the step's pre-activation, so each elementwise pass of the loops runs on
 contiguous memory. The network boundary transposes once per call; the dense
 head keeps (batch, features). Gate blocks are stored stacked along the output
 axis in a fixed, documented order — LSTM: input | forget | candidate |
-output; GRU: update | reset | candidate. Each recurrent layer's `step` is its
-one cell update: the sequence loop calls it on every step and the single-step
-cell function calls it once, so the cell-level contract and the training path
-cannot drift apart.
+output; GRU: update | reset | candidate. Each recurrent layer's cell update
+lives in one place, the loop of its `forward_seq`; `_RecurrentLayer` holds
+what the two layers share besides it.
 
-Each recurrent layer has one sequence loop, in `forward_seq`, with two
-buffer policies chosen by its `keep_cache`. Training keeps every
-step's gates (and the LSTM cell state and its tanh, or the GRU's r * h_prev)
-in T-long buffers for BPTT. The inference pass, which `features` runs for
-evaluation and the teacher-forced validation loss, hands the same loop one
-gate buffer, two rolling LSTM cell-state buffers and one buffer for the
-rest, so it allocates no (T, 4h, B) stack. Both keep the (T, h, B) hidden
-sequence, which the next layer and the finiteness check read.
+That loop has two buffer policies, chosen by its `keep_cache`. Training
+keeps every step's gates (and the LSTM cell state and its tanh, or the
+GRU's r * h_prev) in T-long buffers for BPTT. The inference pass, which
+`features` runs for evaluation and the teacher-forced validation loss,
+hands the same loop one gate buffer, two rolling LSTM cell-state buffers
+and one buffer for the rest, so it allocates no (T, 4h, B) stack. Both
+keep the (T, h, B) hidden sequence, which the next layer and the
+finiteness check read.
 
 Each call of `forward_seq` stacks the layer's weights once into one matrix
 [wx | wh | b] (`_stacked`), and each step copies x_t and h_{t-1} into one
@@ -152,18 +151,23 @@ class Dense:
         return dz @ self.w, grads
 
 
-class LstmLayer:
-    """One LSTM layer; weights wx (4h, in), wh (4h, h), bias (4h,)."""
+class _RecurrentLayer:
+    """What the LSTM and GRU layers share: weights wx (G h, in), wh (G h, h)
+    and bias (G h,) for the class's `GATES` blocks G of h rows, their
+    initialisation, and the weight-gradient tail of BPTT."""
 
-    SIGMOID_BLOCKS = ((0, 2), (3, 4))  # i | f and o
+    GATES: int
+    SIGMOID_BLOCKS: tuple  # the sigmoid gates' row blocks, in units of h
+    UNIT_BIAS_BLOCKS: tuple = ()  # row blocks whose bias starts at 1
 
     def __init__(self, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
         wx, wh, b = _as_weights(wx, wh, b)
         h = wh.shape[1]
-        if wx.ndim != 2 or wx.shape[0] != 4 * h or wh.shape != (4 * h, h) \
-                or b.shape != (4 * h,):
-            raise ValueError(
-                f"lstm shape mismatch: wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+        rows = self.GATES * h
+        if wx.ndim != 2 or wx.shape[0] != rows or wh.shape != (rows, h) \
+                or b.shape != (rows,):
+            raise ValueError(f"{type(self).__name__} shape mismatch: "
+                             f"wx {wx.shape}, wh {wh.shape}, b {b.shape}")
         self.wx = wx
         self.wh = wh
         self.b = b
@@ -174,31 +178,32 @@ class LstmLayer:
         return self.wx.shape[1]
 
     @classmethod
-    def initialize(cls, in_dim: int, hidden: int, rng: np.random.Generator) -> "LstmLayer":
-        wx = _uniform_fan_in(rng, (4 * hidden, in_dim), in_dim)
-        wh = _uniform_fan_in(rng, (4 * hidden, hidden), hidden)
-        b = np.zeros(4 * hidden)
-        b[hidden: 2 * hidden] = 1.0  # forget-gate bias keeps early memory open
+    def initialize(cls, in_dim: int, hidden: int, rng: np.random.Generator):
+        rows = cls.GATES * hidden
+        wx = _uniform_fan_in(rng, (rows, in_dim), in_dim)
+        wh = _uniform_fan_in(rng, (rows, hidden), hidden)
+        b = np.zeros(rows)
+        for lo, hi in cls.UNIT_BIAS_BLOCKS:
+            b[lo * hidden: hi * hidden] = 1.0
         return cls(wx, wh, b)
 
-    def step(self, w, col, z, c_prev, c, tc, h_out) -> None:
-        """One cell update on (features, batch) columns.
+    def _gradients(self, dz_all: np.ndarray, x: np.ndarray, grad_wh: np.ndarray):
+        """dx (T, in, B) and the weight gradients, from the pre-activation
+        gradients dz_all (T, G h, B), the input x and the wh gradient."""
+        grads = {
+            "wx": _sum_over_steps(dz_all, x, np.empty_like(self.wx)),
+            "wh": grad_wh,
+            "b": dz_all.sum(axis=(0, 2)),
+        }
+        return np.matmul(self.wx.T, dz_all), grads
 
-        w is the `_stacked` matrix and col the stacked column [x; h_prev; 1];
-        the activated gates go into z, (4h, B). The cell state, its tanh and
-        the new hidden state go into the (h, B) arrays c, tc and h_out.
-        """
-        h = self.hidden
-        np.matmul(w, col, out=z)
-        np.tanh(z, out=z)
-        _sigmoid_from_half_tanh(z[: 2 * h])
-        _sigmoid_from_half_tanh(z[3 * h:])
-        i, f, g, o = z[:h], z[h: 2 * h], z[2 * h: 3 * h], z[3 * h:]
-        np.multiply(f, c_prev, out=c)
-        np.multiply(i, g, out=tc)
-        c += tc
-        np.tanh(c, out=tc)
-        np.multiply(o, tc, out=h_out)
+
+class LstmLayer(_RecurrentLayer):
+    """One LSTM layer; weights wx (4h, in), wh (4h, h), bias (4h,)."""
+
+    GATES = 4
+    SIGMOID_BLOCKS = ((0, 2), (3, 4))  # i | f and o
+    UNIT_BIAS_BLOCKS = ((1, 2),)  # forget-gate bias keeps early memory open
 
     def forward_seq(self, x: np.ndarray, keep_cache: bool = True):
         """Run the full sequence; x is (T, in, B). Returns the (T, h, B)
@@ -210,10 +215,10 @@ class LstmLayer:
         t_len, in_dim, bsz = x.shape
         h = self.hidden
         dtype = np.result_type(self.wx, x)
-        n = t_len if keep_cache else 1
-        gates = np.empty((n, 4 * h, bsz), dtype=dtype)
+        kept = t_len if keep_cache else 1
+        gates = np.empty((kept, 4 * h, bsz), dtype=dtype)
         cs = np.empty((t_len if keep_cache else 2, h, bsz), dtype=dtype)
-        tcs = np.empty((n, h, bsz), dtype=dtype)
+        tcs = np.empty((kept, h, bsz), dtype=dtype)
         hs = np.empty((t_len, h, bsz), dtype=dtype)
         zero = np.zeros((h, bsz), dtype=dtype)
         w = _stacked(self, dtype)
@@ -222,7 +227,17 @@ class LstmLayer:
             h_prev, c_prev = (hs[t - 1], cs[(t - 1) % len(cs)]) if t else (zero, zero)
             col[:in_dim] = x[t]
             col[in_dim: -1] = h_prev
-            self.step(w, col, gates[t % n], c_prev, cs[t % len(cs)], tcs[t % n], hs[t])
+            z, c, tc = gates[t % kept], cs[t % len(cs)], tcs[t % kept]
+            np.matmul(w, col, out=z)
+            np.tanh(z, out=z)
+            _sigmoid_from_half_tanh(z[: 2 * h])
+            _sigmoid_from_half_tanh(z[3 * h:])
+            i, f, g, o = z[:h], z[h: 2 * h], z[2 * h: 3 * h], z[3 * h:]
+            np.multiply(f, c_prev, out=c)
+            np.multiply(i, g, out=tc)
+            c += tc
+            np.tanh(c, out=tc)
+            np.multiply(o, tc, out=hs[t])
         return hs, ((x, gates, cs, tcs, hs) if keep_cache else None)
 
     def backward_seq(self, dh_seq: np.ndarray, cache):
@@ -260,68 +275,19 @@ class LstmLayer:
             np.matmul(wh_t, dz_all[t], out=dh_next)
             np.multiply(dc, f, out=dc_next)
         # step 0 has h_prev = 0, so it adds nothing to the wh gradient
-        grads = {
-            "wx": _sum_over_steps(dz_all, x, np.empty_like(self.wx)),
-            "wh": _sum_over_steps(dz_all[1:], hs[:-1], np.empty_like(self.wh)),
-            "b": dz_all.sum(axis=(0, 2)),
-        }
-        return np.matmul(self.wx.T, dz_all), grads
+        grad_wh = _sum_over_steps(dz_all[1:], hs[:-1], np.empty_like(self.wh))
+        return self._gradients(dz_all, x, grad_wh)
 
 
-class GruLayer:
+class GruLayer(_RecurrentLayer):
     """One GRU layer; weights wx (3h, in), wh (3h, h), bias (3h,).
 
     Candidate applies the reset gate to the previous hidden state before the
     recurrent product: n = tanh(Wn x + Un (r * h_prev) + bn).
     """
 
+    GATES = 3
     SIGMOID_BLOCKS = ((0, 2),)  # z | r
-
-    def __init__(self, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
-        wx, wh, b = _as_weights(wx, wh, b)
-        h = wh.shape[1]
-        if wx.ndim != 2 or wx.shape[0] != 3 * h or wh.shape != (3 * h, h) \
-                or b.shape != (3 * h,):
-            raise ValueError(
-                f"gru shape mismatch: wx {wx.shape}, wh {wh.shape}, b {b.shape}")
-        self.wx = wx
-        self.wh = wh
-        self.b = b
-        self.hidden = h
-
-    @property
-    def in_dim(self) -> int:
-        return self.wx.shape[1]
-
-    @classmethod
-    def initialize(cls, in_dim: int, hidden: int, rng: np.random.Generator) -> "GruLayer":
-        wx = _uniform_fan_in(rng, (3 * hidden, in_dim), in_dim)
-        wh = _uniform_fan_in(rng, (3 * hidden, hidden), hidden)
-        return cls(wx, wh, np.zeros(3 * hidden))
-
-    def step(self, w, col, a, h_prev, rh, h_out) -> None:
-        """One cell update on (features, batch) columns.
-
-        w is the `_stacked` matrix and col the stacked column [x; h_prev; 1].
-        The z | r rows multiply col; r * h_prev then goes into rh and over col's
-        h rows, which the n rows multiply, so h_prev must be its own array.
-        On return a (3h, B) holds the activated gates z | r | n and h_out the
-        new (h, B) hidden state; col's h rows are left as scratch.
-        """
-        h = self.hidden
-        zr, z, r, n = a[: 2 * h], a[:h], a[h: 2 * h], a[2 * h:]
-        col_h = col[-h - 1: -1]
-        np.matmul(w[: 2 * h], col, out=zr)
-        np.tanh(zr, out=zr)
-        _sigmoid_from_half_tanh(zr)
-        np.multiply(r, h_prev, out=rh)
-        col_h[...] = rh
-        np.matmul(w[2 * h:], col, out=n)
-        np.tanh(n, out=n)
-        np.subtract(1.0, z, out=h_out)
-        h_out *= n
-        np.multiply(z, h_prev, out=col_h)
-        h_out += col_h
 
     def forward_seq(self, x: np.ndarray, keep_cache: bool = True):
         """Run the full sequence; x is (T, in, B). Returns the (T, h, B)
@@ -334,18 +300,32 @@ class GruLayer:
         t_len, in_dim, bsz = x.shape
         h = self.hidden
         dtype = np.result_type(self.wx, x)
-        n = t_len if keep_cache else 1
-        gates = np.empty((n, 3 * h, bsz), dtype=dtype)
-        rhs = np.empty((n, h, bsz), dtype=dtype)
+        kept = t_len if keep_cache else 1
+        gates = np.empty((kept, 3 * h, bsz), dtype=dtype)
+        rhs = np.empty((kept, h, bsz), dtype=dtype)
         hs = np.empty((t_len, h, bsz), dtype=dtype)
         zero = np.zeros((h, bsz), dtype=dtype)
         w = _stacked(self, dtype)
+        w_zr, w_n = w[: 2 * h], w[2 * h:]
         col = np.ones((in_dim + h + 1, bsz), dtype=dtype)
+        col_h = col[in_dim: -1]
         for t in range(t_len):
             h_prev = hs[t - 1] if t else zero
             col[:in_dim] = x[t]
-            col[in_dim: -1] = h_prev
-            self.step(w, col, gates[t % n], h_prev, rhs[t % n], hs[t])
+            col_h[...] = h_prev
+            a, rh, h_out = gates[t % kept], rhs[t % kept], hs[t]
+            zr, z, r, n = a[: 2 * h], a[:h], a[h: 2 * h], a[2 * h:]
+            np.matmul(w_zr, col, out=zr)
+            np.tanh(zr, out=zr)
+            _sigmoid_from_half_tanh(zr)
+            np.multiply(r, h_prev, out=rh)
+            col_h[...] = rh
+            np.matmul(w_n, col, out=n)
+            np.tanh(n, out=n)
+            np.subtract(1.0, z, out=h_out)
+            h_out *= n
+            np.multiply(z, h_prev, out=col_h)
+            h_out += col_h
         return hs, ((x, gates, rhs, hs) if keep_cache else None)
 
     def backward_seq(self, dh_seq: np.ndarray, cache):
@@ -384,44 +364,7 @@ class GruLayer:
             np.multiply(dh, z, out=tmp)
             dh_next += tmp
         # step 0 has h_prev = 0 and so r * h_prev = 0: it adds nothing to wh
-        grads_wh = np.empty_like(self.wh)
-        _sum_over_steps(da_all[1:, : 2 * h], hs[:-1], grads_wh[: 2 * h])
-        _sum_over_steps(da_all[1:, 2 * h:], rhs[1:], grads_wh[2 * h:])
-        grads = {
-            "wx": _sum_over_steps(da_all, x, np.empty_like(self.wx)),
-            "wh": grads_wh,
-            "b": da_all.sum(axis=(0, 2)),
-        }
-        return np.matmul(self.wx.T, da_all), grads
-
-
-def _columns(layer, *arrays: np.ndarray) -> list[np.ndarray]:
-    """Vectors or (B, features) rows as contiguous (features, B) columns in
-    the layer's dtype."""
-    return [np.ascontiguousarray(np.atleast_2d(np.asarray(a)).T, dtype=layer.wx.dtype)
-            for a in arrays]
-
-
-def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-                      layer: LstmLayer):
-    """Single LSTM step on one vector or a (B, in) batch; returns (h, c) as
-    vectors for a single sample and as (B, h) arrays otherwise."""
-    x, h_prev, c_prev = _columns(layer, x, h_prev, c_prev)
-    z = np.empty((4 * layer.hidden, x.shape[1]), dtype=x.dtype)
-    c, tc, h = (np.empty_like(c_prev) for _ in range(3))
-    col = np.vstack([x, h_prev, np.ones_like(x[:1])])
-    layer.step(_stacked(layer, x.dtype), col, z, c_prev, c, tc, h)
-    if h.shape[1] == 1:
-        return h[:, 0], c[:, 0]
-    return h.T, c.T
-
-
-def gru_cell_forward(x: np.ndarray, h_prev: np.ndarray, layer: GruLayer):
-    """Single GRU step on one vector or a (B, in) batch; returns h as a
-    vector for a single sample and as a (B, h) array otherwise."""
-    x, h_prev = _columns(layer, x, h_prev)
-    a = np.empty((3 * layer.hidden, x.shape[1]), dtype=x.dtype)
-    rh, h = np.empty_like(h_prev), np.empty_like(h_prev)
-    col = np.vstack([x, h_prev, np.ones_like(x[:1])])
-    layer.step(_stacked(layer, x.dtype), col, a, h_prev, rh, h)
-    return h[:, 0] if h.shape[1] == 1 else h.T
+        grad_wh = np.empty_like(self.wh)
+        _sum_over_steps(da_all[1:, : 2 * h], hs[:-1], grad_wh[: 2 * h])
+        _sum_over_steps(da_all[1:, 2 * h:], rhs[1:], grad_wh[2 * h:])
+        return self._gradients(da_all, x, grad_wh)

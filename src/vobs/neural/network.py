@@ -133,17 +133,17 @@ class RecurrentRegressor:
             seq = seq[None]
         return np.ascontiguousarray(seq.transpose(1, 2, 0), dtype=self.dtype)
 
-    def features(self, windows: np.ndarray, check_finite: bool = True) -> np.ndarray:
+    def features(self, windows: np.ndarray) -> np.ndarray:
         """Final-step hidden vector of the last cell layer, (B, h_last).
 
         Runs the layers' sequence loops without BPTT caches: each layer
         keeps only its hidden sequence, bit-identical to the training pass's.
+        A non-finite value in it is a `NumericalError` naming layer and step.
         """
         seq = self._time_major(windows)
         for k, cell in enumerate(self.cells):
             seq, _ = cell.forward_seq(seq, keep_cache=False)
-            if check_finite:
-                self._check_finite(seq, k)
+            self._check_finite(seq, k)
         return np.ascontiguousarray(seq[-1].T)
 
     def head_forward(self, feats: np.ndarray, prev_state: np.ndarray | None) -> np.ndarray:
@@ -161,13 +161,13 @@ class RecurrentRegressor:
             raise NumericalError("non-finite value in dense head output")
         return u
 
-    def forward(self, windows: np.ndarray, prev_state: np.ndarray | None = None,
-                check_finite: bool = True) -> np.ndarray:
+    def forward(self, windows: np.ndarray,
+                prev_state: np.ndarray | None = None) -> np.ndarray:
         """Full pass window(s) -> (B, out_dim) predictions in scaled space."""
-        return self.head_forward(self.features(windows, check_finite), prev_state)
+        return self.head_forward(self.features(windows), prev_state)
 
     def loss(self, windows, prev_state, targets) -> float:
-        return l2_loss(self.forward(windows, prev_state, check_finite=False), targets)
+        return l2_loss(self.forward(windows, prev_state), targets)
 
     def loss_and_gradients(self, windows, prev_state, targets):
         """L2 loss plus exact gradients for every parameter, via BPTT.

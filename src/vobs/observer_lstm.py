@@ -72,7 +72,7 @@ def _batched_val_loss(net: RecurrentRegressor, ds: WindowedDataset,
     for lo in range(0, len(ds), batch_size):
         rows = slice(lo, lo + batch_size)
         prev = ds.prev_state[rows] if net.state_dim else None
-        diff = net.forward(ds.windows[rows], prev, check_finite=False) - ds.target[rows]
+        diff = net.forward(ds.windows[rows], prev) - ds.target[rows]
         total += float(np.sum(diff * diff))
     return total / (len(ds) * ds.target.shape[1])
 

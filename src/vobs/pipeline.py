@@ -503,14 +503,17 @@ def render_report(out_dir: str) -> str:
     return _write_tables(ev.read_report_csv(path), os.path.join(out_dir, "eval"))
 
 
-def run_gradient_check(out_dir: str, corrupt: bool = False,
-                       n_networks: int = 5) -> float:
-    """Gradient verification on small randomized networks; writes the
-    per-coordinate CSV and returns the worst relative error."""
+GRADCHECK_NETWORKS = 5
+
+
+def run_gradient_check(out_dir: str, corrupt: bool = False) -> float:
+    """Gradient verification on `GRADCHECK_NETWORKS` small randomized
+    networks; writes the per-coordinate CSV and returns the worst relative
+    error."""
     all_rows = []
     worst = 0.0
     group_worst: dict[str, float] = {}
-    for seed in range(n_networks):
+    for seed in range(GRADCHECK_NETWORKS):
         net = lstm_observer_net(seed=seed, in_dim=5, hidden=(3, 4), dense=(4,),
                                 out_dim=3, state_dim=3)
         rng = np.random.default_rng(derive_seed(seed, "gradcheck-data"))

@@ -78,10 +78,6 @@ class SensorNoiseSpec:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
 
-    @classmethod
-    def zero(cls, seed: int = 0) -> "SensorNoiseSpec":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, seed=seed)
-
 
 def pacejka_lateral_force(slip_rad: float, vertical_load_n: float,
                           tire: TireParams) -> float:

@@ -12,6 +12,9 @@ from vobs.simulator import (
     run_maneuver,
 )
 
+# every sensor channel without noise or bias
+ZERO_NOISE = SensorNoiseSpec(0.0, 0.0, 0.0, 0.0, 0.0)
+
 
 @pytest.fixture(scope="session")
 def params():
@@ -53,7 +56,7 @@ def circle_script(duration_s=30.0, speed=12.0, radius=40.0, name="circle"):
 
 @pytest.fixture(scope="session")
 def straight_traj(params) -> Trajectory:
-    return run_maneuver(straight_script(), params, SensorNoiseSpec.zero())
+    return run_maneuver(straight_script(), params, ZERO_NOISE)
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from vobs.evaluation import mae
 from vobs.neural import TrainConfig, gru_observer_net
 from vobs.simulator import SensorNoiseSpec, builtin_scripts, run_maneuver
 
-from conftest import straight_script
+from conftest import ZERO_NOISE, straight_script
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +272,7 @@ class TestLinearKfEquivalence:
 class TestRunEkf:
     def test_zero_noise_straight_stays_exact(self, params, ekf_cfg):
         traj = run_maneuver(straight_script(duration_s=6.0), params,
-                            SensorNoiseSpec.zero())
+                            ZERO_NOISE)
         trace = run_ekf(traj, traj.state_channels()[0], params, ekf_cfg)
         assert len(trace) == len(traj)
         vx_err = np.abs(trace.estimates[:, 0] - traj.state_channels()[:, 0])
@@ -281,7 +281,7 @@ class TestRunEkf:
     def test_small_slip_regime_vy_accurate(self, params, ekf_cfg):
         # gentle maneuver, zero sensor noise: linear tires are the true model
         traj = run_maneuver(builtin_scripts("slalom", 0.15, duration_s=20.0),
-                            params, SensorNoiseSpec.zero())
+                            params, ZERO_NOISE)
         trace = run_ekf(traj, traj.state_channels()[0], params, ekf_cfg)
         err = mae(trace, traj.state_channels())
         assert err[1] < 0.02

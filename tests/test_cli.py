@@ -488,6 +488,32 @@ class TestExitCodes:
             assert "49 frames" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("corpus", [
+        # intensities 0.351 and 0.349 both print as slalom@0.35
+        [{"kind": "slalom", "intensity": 0.351, "count": 3, "duration_s": 2},
+         {"kind": "slalom", "intensity": 0.349, "count": 3, "duration_s": 3}],
+        [{"kind": "step_steer", "intensity": 0.5, "count": 2},
+         {"kind": "slalom", "intensity": 0.3, "count": 2},
+         {"kind": "step_steer", "intensity": 0.5, "count": 2}],
+    ], ids=["near_duplicate", "exact_duplicate"])
+    def test_corpus_labels_must_differ(self, tmp_path, capsys, corpus):
+        # entries that share a label would share sensor seeds, trajectory
+        # files and a split stratum
+        cfg = _write_config(tmp_path, overrides={"corpus": corpus})
+        assert main(["simulate", "--config", cfg]) == 1
+        label = f"{corpus[0]['kind']}@{corpus[0]['intensity']:.2f}"
+        assert f"corpus[0] and corpus[{len(corpus) - 1}] share the label '{label}'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", [5, ["run"], ""], ids=["int", "list", "empty"])
+    def test_out_dir_must_be_a_nonempty_string(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)  # where a relative out_dir would land
+        cfg = _write_config(tmp_path, overrides={"out_dir": value})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert f"out_dir must be a non-empty string, got {value!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
     def test_default_duration_counts_against_window_len(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, overrides={
             "corpus": [{"kind": "step_steer", "intensity": 0.5}],

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+from collections import defaultdict
 
 import vobs
 
@@ -12,8 +13,11 @@ VERIFICATION_SEAMS = {
     "read_trace_csv": "reads back the traces evaluate writes",
     "process_jacobian": "the EKF prediction Jacobian, against finite differences",
     "measurement_jacobian": "the EKF measurement Jacobian, against finite differences",
-    "lstm_cell_forward": "one LSTM step, the reference for forward_seq",
-    "gru_cell_forward": "one GRU step, the reference for forward_seq",
+}
+
+# class members that nothing in src/ reads by name, called from outside it
+CALLED_FROM_OUTSIDE = {
+    "_Parser.error": "argparse calls it on a usage error",
 }
 
 
@@ -47,3 +51,105 @@ def test_every_module_level_name_is_read():
         if path.name != "__init__.py":
             read.update(_read_names(tree))
     assert sorted(defined - read) == sorted(VERIFICATION_SEAMS)
+
+
+def _class_bodies(trees):
+    """Each class that `trees` define, by name: its base names and the names
+    its body defines as methods, properties and class attributes. A
+    NamedTuple's fields are left out: each is also a tuple position, filled
+    and read by index."""
+    classes = {}
+    for cls in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        bases = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+        members = []
+        for node in cls.body if "NamedTuple" not in bases else ():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members.append(node.name)
+            elif isinstance(node, ast.Assign):
+                members += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                members.append(node.target.id)
+        classes[cls.name] = (bases, members)
+    return classes
+
+
+def _known_classes(func, owner, classes) -> dict:
+    """The class of each name that `func` binds where the source tells it,
+    else None: the first argument of a method of `owner` is of that class,
+    and a name bound only to calls of one class is of that class."""
+    args = [a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs]
+    known = dict.fromkeys(args)
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in func.decorator_list)
+    if owner and args and not static:
+        known[args[0]] = owner
+    bound = defaultdict(set)
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            call = node.value
+            cls = call.func.id if isinstance(call, ast.Call) and isinstance(
+                call.func, ast.Name) and call.func.id in classes else None
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound[target.id].add(cls)
+    for name, kinds in bound.items():
+        known[name] = kinds.pop() if len(kinds) == 1 and name not in args else None
+    return known
+
+
+def _attribute_reads(tree, classes):
+    """(receiver class, name) for each attribute `tree` reads: the class
+    `_known_classes` tells or a class named directly, else None, which
+    stands for any class."""
+    reads = []
+
+    def visit(node, owner, known):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, known)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, None, {**known, **_known_classes(child, owner, classes)})
+            else:
+                if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                    value = child.value
+                    receiver = None
+                    if isinstance(value, ast.Name):
+                        receiver = known[value.id] if value.id in known \
+                            else value.id if value.id in classes else None
+                    reads.append((receiver, child.attr))
+                visit(child, owner, known)
+
+    visit(tree, None, {})
+    return reads
+
+
+def test_every_class_member_is_read():
+    # a member counts as read when an attribute of its name is read in src/
+    # on a receiver that may be of its class, a base or a subclass; dunder
+    # members are called by Python itself
+    trees = [(path, ast.parse(path.read_text())) for path in sorted(SRC.rglob("*.py"))]
+    classes = _class_bodies(tree for _, tree in trees)
+
+    def lineage(name):
+        seen, todo = set(), [name]
+        while todo:
+            cls = todo.pop()
+            if cls in classes and cls not in seen:
+                seen.add(cls)
+                todo += classes[cls][0]
+        return seen
+
+    reads = defaultdict(set)
+    for path, tree in trees:
+        if path.name != "__init__.py":
+            for receiver, name in _attribute_reads(tree, classes):
+                reads[name].add(receiver)
+    unread = set()
+    for cls, (_, members) in classes.items():
+        for name in members:
+            if name.startswith("__"):
+                continue
+            if not any(r is None or r in lineage(cls) or cls in lineage(r)
+                       for r in reads[name]):
+                unread.add(f"{cls}.{name}")
+    assert sorted(unread) == sorted(CALLED_FROM_OUTSIDE)

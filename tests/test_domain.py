@@ -19,7 +19,7 @@ from vobs.domain import (
 from vobs.errors import DataFormatError
 from vobs.simulator import SensorNoiseSpec, run_maneuver
 
-from conftest import circle_script, straight_script
+from conftest import ZERO_NOISE, circle_script, straight_script
 
 
 class TestVehicleParams:
@@ -50,7 +50,7 @@ class TestVehicleParams:
 def _coasting(params, vx, vy=0.0):
     """Half a second with zero controls from the velocity (vx, vy)."""
     return run_maneuver(straight_script(0.5, speed=vx, lateral_speed=vy), params,
-                        SensorNoiseSpec.zero())
+                        ZERO_NOISE)
 
 
 class TestSideSlip:

@@ -16,11 +16,9 @@ from vobs.neural import (
     LstmLayer,
     RecurrentRegressor,
     gradient_check,
-    gru_cell_forward,
     gru_observer_net,
     l2_loss,
     load_weights,
-    lstm_cell_forward,
     lstm_observer_net,
     save_weights,
 )
@@ -75,43 +73,74 @@ def gru_cell_oracle(x, h_prev, wz, wr, wn, uz, ur, un, bz, br, bn):
     return (1.0 - z) * n + z * h_prev
 
 
+def _oracle_seq(layer, x):
+    """The cell oracle stepped over x (T, in, B) from the zero state: the
+    (T, h, B) hidden states, and the cell states for an LSTM (else None)."""
+    h = layer.hidden
+    gates = len(layer.b) // h
+    blocks = [w[k * h: (k + 1) * h] for w in (layer.wx, layer.wh, layer.b[:, None])
+              for k in range(gates)]
+    h_prev = c_prev = np.zeros((h, x.shape[2]))
+    hs, cs = [], []
+    for x_t in x:
+        if gates == 4:
+            h_prev, c_prev = lstm_cell_oracle(x_t, h_prev, c_prev, *blocks)
+            cs.append(c_prev)
+        else:
+            h_prev = gru_cell_oracle(x_t, h_prev, *blocks)
+        assert h_prev.any()  # so each later step starts from a nonzero state
+        hs.append(h_prev)
+    return np.array(hs), (np.array(cs) if cs else None)
+
+
+def _oracle_gap(layer, x, keep_cache):
+    """Largest |forward_seq - oracle| over every hidden state, and over every
+    LSTM cell state when the cache keeps them."""
+    hs, cache = layer.forward_seq(x, keep_cache=keep_cache)
+    assert (cache is None) != keep_cache
+    assert hs.shape == (len(x), layer.hidden, x.shape[2])
+    want_h, want_c = _oracle_seq(layer, x)
+    gap = np.abs(hs - want_h).max()
+    if keep_cache and want_c is not None:
+        gap = max(gap, np.abs(cache[2] - want_c).max())
+    return gap
+
+
+def _oracle_sweep(make, seed, trials, t_lens=(1, 2, 6), keep_caches=(True, False)):
+    """The worst `_oracle_gap` over `trials` float64 layers of random
+    dimensions, cycling through the sequence lengths and cache policies."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for trial in range(trials):
+        in_dim, hidden, bsz = (int(v) for v in rng.integers(1, 6, 3))
+        layer = make(in_dim, hidden, seed=seed + trial)
+        x = rng.normal(0, 1, (t_lens[trial % len(t_lens)], in_dim, bsz))
+        worst = max(worst, _oracle_gap(layer, x, keep_caches[trial % len(keep_caches)]))
+    return worst
+
+
 class TestLstmCell:
     def test_all_zero_weights_zero_cell(self):
         layer = _zero_lstm()
-        h, c = lstm_cell_forward(np.zeros(3), np.zeros(1), np.zeros(1), layer)
-        assert h == pytest.approx(0.0)
-        assert c == pytest.approx(0.0)
+        hs, (_, _, cs, _, _) = layer.forward_seq(np.zeros((3, 3, 1)))
+        assert hs == pytest.approx(0.0)
+        assert cs == pytest.approx(0.0)
 
     def test_zero_weights_unit_cell_state(self):
-        # gates all sigmoid(0)=0.5, candidate tanh(0)=0:
-        # c = 0.5*1 + 0.5*0 = 0.5, h = 0.5*tanh(0.5)
+        # step 0 saturates i and g at 1 through input 0, so c = 1; step 1 has
+        # zero input and zero wh, so gates all sigmoid(0)=0.5, candidate
+        # tanh(0)=0: c = 0.5*1 + 0.5*0 = 0.5, h = 0.5*tanh(0.5)
         layer = _zero_lstm()
-        h, c = lstm_cell_forward(np.zeros(3), np.zeros(1), np.ones(1), layer)
-        assert c == pytest.approx(0.5, abs=1e-15)
-        assert h == pytest.approx(0.5 * math.tanh(0.5), abs=1e-12)
+        layer.wx[[0, 2], 0] = 1.0
+        x = np.zeros((2, 3, 1))
+        x[0, 0] = 40.0
+        hs, (_, _, cs, _, _) = layer.forward_seq(x)
+        assert cs[0, 0, 0] == 1.0
+        assert cs[1] == pytest.approx(0.5, abs=1e-15)
+        assert hs[1] == pytest.approx(0.5 * math.tanh(0.5), abs=1e-12)
 
     def test_matches_independent_transcription(self):
-        rng = np.random.default_rng(1234)
-        worst = 0.0
-        for trial in range(1000):
-            in_dim = int(rng.integers(1, 6))
-            hidden = int(rng.integers(1, 6))
-            layer = _random_lstm(in_dim, hidden, seed=trial)
-            x = rng.normal(0, 1, in_dim)
-            h_prev = rng.normal(0, 1, hidden)
-            c_prev = rng.normal(0, 1, hidden)
-            h, c = lstm_cell_forward(x, h_prev, c_prev, layer)
-            hh = layer.hidden
-            ho, co = lstm_cell_oracle(
-                x, h_prev, c_prev,
-                layer.wx[:hh], layer.wx[hh:2 * hh], layer.wx[2 * hh:3 * hh],
-                layer.wx[3 * hh:],
-                layer.wh[:hh], layer.wh[hh:2 * hh], layer.wh[2 * hh:3 * hh],
-                layer.wh[3 * hh:],
-                layer.b[:hh], layer.b[hh:2 * hh], layer.b[2 * hh:3 * hh],
-                layer.b[3 * hh:])
-            worst = max(worst, np.abs(h - ho).max(), np.abs(c - co).max())
-        assert worst < 1e-12
+        assert _oracle_sweep(_random_lstm, seed=1234, trials=1000) < 1e-12
 
     def test_shape_mismatch_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -121,66 +150,27 @@ class TestLstmCell:
 class TestGruCell:
     def test_zero_weights_zero_input(self):
         layer = GruLayer(np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3))
-        h = gru_cell_forward(np.zeros(2), np.zeros(1), layer)
-        assert h == pytest.approx(0.0)
+        hs, _ = layer.forward_seq(np.zeros((3, 2, 1)))
+        assert hs == pytest.approx(0.0)
 
     def test_matches_independent_transcription(self):
-        rng = np.random.default_rng(777)
-        worst = 0.0
-        for trial in range(1000):
-            in_dim = int(rng.integers(1, 6))
-            hidden = int(rng.integers(1, 6))
-            layer = _random_gru(in_dim, hidden, seed=trial)
-            x = rng.normal(0, 1, in_dim)
-            h_prev = rng.normal(0, 1, hidden)
-            h = gru_cell_forward(x, h_prev, layer)
-            hh = layer.hidden
-            ho = gru_cell_oracle(
-                x, h_prev,
-                layer.wx[:hh], layer.wx[hh:2 * hh], layer.wx[2 * hh:],
-                layer.wh[:hh], layer.wh[hh:2 * hh], layer.wh[2 * hh:],
-                layer.b[:hh], layer.b[hh:2 * hh], layer.b[2 * hh:])
-            worst = max(worst, np.abs(h - ho).max())
-        assert worst < 1e-12
+        assert _oracle_sweep(_random_gru, seed=777, trials=1000) < 1e-12
 
 
 class TestSequenceMatchesCell:
-    """forward_seq over T steps is T calls of the single-step cell function,
-    with the BPTT cache kept and without it; T of 1 and 2 cover the first
-    steps of the rolling cell-state buffers."""
-
-    B = 4
+    """forward_seq over T steps is the cell oracle stepped T times from the
+    zero state, with the BPTT cache kept and without it; T of 1 and 2 cover
+    the first steps of the rolling cell-state buffers."""
 
     @pytest.mark.parametrize("keep_cache", [True, False])
     @pytest.mark.parametrize("t_len", [1, 2, 6])
     def test_lstm(self, t_len, keep_cache):
-        rng = np.random.default_rng(31)
-        layer = _random_lstm(in_dim=3, hidden=5, seed=31)
-        x = rng.normal(0, 1, (t_len, self.B, 3))
-        hs, cache = layer.forward_seq(np.ascontiguousarray(x.transpose(0, 2, 1)),
-                                      keep_cache=keep_cache)
-        assert (cache is None) != keep_cache
-        assert hs.shape == (t_len, 5, self.B)
-        h = np.zeros((self.B, 5))
-        c = np.zeros((self.B, 5))
-        for t in range(t_len):
-            h, c = lstm_cell_forward(x[t], h, c, layer)
-            np.testing.assert_allclose(hs[t].T, h, rtol=0, atol=1e-12)
+        assert _oracle_sweep(_random_lstm, 31, 20, (t_len,), (keep_cache,)) < 1e-12
 
     @pytest.mark.parametrize("keep_cache", [True, False])
     @pytest.mark.parametrize("t_len", [1, 2, 6])
     def test_gru(self, t_len, keep_cache):
-        rng = np.random.default_rng(32)
-        layer = _random_gru(in_dim=3, hidden=5, seed=32)
-        x = rng.normal(0, 1, (t_len, self.B, 3))
-        hs, cache = layer.forward_seq(np.ascontiguousarray(x.transpose(0, 2, 1)),
-                                      keep_cache=keep_cache)
-        assert (cache is None) != keep_cache
-        assert hs.shape == (t_len, 5, self.B)
-        h = np.zeros((self.B, 5))
-        for t in range(t_len):
-            h = gru_cell_forward(x[t], h, layer)
-            np.testing.assert_allclose(hs[t].T, h, rtol=0, atol=1e-12)
+        assert _oracle_sweep(_random_gru, 32, 20, (t_len,), (keep_cache,)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,17 +416,12 @@ def test_saturated_gates_raise_no_warning(kind, dtype):
         feats = net.features(windows)
         outputs = [net.forward(windows, prev), net.head_forward(feats, prev)]
         loss, grads = net.loss_and_gradients(windows, prev, rng.uniform(0, 1, (6, 3)))
-        x, h_prev = windows[:, 0], rng.uniform(-1, 1, (6, 3))
-        if kind == "lstm":
-            cell = lstm_cell_forward(x, h_prev, rng.uniform(-1, 1, (6, 3)), net.cells[0])
-        else:
-            cell = (gru_cell_forward(x, h_prev, net.cells[0]),)
     assert np.abs(feats).max() <= 1.0
     for out in outputs:
         assert ((out >= 0) & (out <= 1)).all()
         assert np.isin(out, [0.0, 1.0]).any()
     assert math.isfinite(loss)
-    for arr in (*grads, *cell):
+    for arr in grads:
         assert np.isfinite(arr).all()
 
 

@@ -193,6 +193,17 @@ class TestTrainObserver:
         from vobs.observer_lstm import _batched_val_loss
         assert _batched_val_loss(net, val, 64) == pytest.approx(best, rel=1e-12)
 
+    def test_nonfinite_validation_pass_names_the_layer(self):
+        # the NaN would reach the head output too; the check after each
+        # layer names where it starts
+        _, val, _ = _toy_dataset()
+        net = lstm_observer_net(seed=0, in_dim=5, hidden=(4, 4), dense=(8,),
+                                out_dim=3, state_dim=3)
+        net.cells[0].wx[0, 0] = np.nan
+        from vobs.observer_lstm import _batched_val_loss
+        with pytest.raises(NumericalError, match="lstm layer 0 at step 0"):
+            _batched_val_loss(net, val, 64)
+
     def test_noise_free_differs_from_noisy(self):
         train, val, scaler = _toy_dataset()
         tc = TrainConfig(epochs=2, batch_size=64, learning_rate=3e-3, seed=2)

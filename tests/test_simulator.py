@@ -31,7 +31,7 @@ from vobs.simulator import (
     synthesize_sensors,
 )
 
-from conftest import circle_script, straight_script
+from conftest import ZERO_NOISE, circle_script, straight_script
 
 
 def _peak_slip(tire):
@@ -80,7 +80,7 @@ class TestStepDynamicBicycle:
     def test_straight_rolling(self, params):
         # the second sample is 0.02 s of integration from the first
         traj = run_maneuver(straight_script(duration_s=0.04, speed=10.0), params,
-                            SensorNoiseSpec.zero())
+                            ZERO_NOISE)
         end = traj.truth[1]
         assert end[G_VX] == pytest.approx(10.0, abs=1e-12)
         assert end[G_VY] == pytest.approx(0.0, abs=1e-12)
@@ -96,7 +96,7 @@ class TestStepDynamicBicycle:
             return ControlInput(delta, 4000.0 * (speed - s.vx_mps))
 
         script = ManeuverScript("ss", 30.0, law, SimState(vx_mps=speed))
-        traj = run_maneuver(script, params, SensorNoiseSpec.zero())
+        traj = run_maneuver(script, params, ZERO_NOISE)
         vx_end = traj.truth[-1, G_VX]
         r_end = traj.truth[-1, G_YAWRATE]
 
@@ -155,13 +155,13 @@ class TestStepDynamicBicycle:
     def test_rejects_bad_dt(self, params):
         for substep in (0.0, -0.01):
             with pytest.raises(ConfigError):
-                run_maneuver(straight_script(), params, SensorNoiseSpec.zero(),
+                run_maneuver(straight_script(), params, ZERO_NOISE,
                              substep_s=substep)
 
     def test_rejects_nonfinite_state(self, params):
         with pytest.raises(NumericalError):
             run_maneuver(straight_script(speed=float("nan")), params,
-                         SensorNoiseSpec.zero())
+                         ZERO_NOISE)
 
 
 class TestRunManeuver:
@@ -174,32 +174,32 @@ class TestRunManeuver:
         assert np.abs(vx - vx[0]).max() < 1e-9
 
     def test_steady_circle_ay_equals_vx_times_r(self, params):
-        traj = run_maneuver(circle_script(), params, SensorNoiseSpec.zero())
+        traj = run_maneuver(circle_script(), params, ZERO_NOISE)
         ay = traj.truth[-1, G_AY]
         vxr = traj.truth[-1, G_VX] * traj.truth[-1, G_YAWRATE]
         assert abs(ay - vxr) / abs(ay) < 0.01
 
     def test_rk4_substep_halving(self, params):
         script = builtin_scripts("slalom", 0.5, duration_s=10.0)
-        coarse = run_maneuver(script, params, SensorNoiseSpec.zero(), substep_s=0.002)
-        fine = run_maneuver(script, params, SensorNoiseSpec.zero(), substep_s=0.001)
+        coarse = run_maneuver(script, params, ZERO_NOISE, substep_s=0.002)
+        fine = run_maneuver(script, params, ZERO_NOISE, substep_s=0.001)
         diff = np.abs(coarse.truth[-1] - fine.truth[-1]).max()
         assert diff < 1e-6
 
     def test_near_limits_ramp_peak(self, params):
         script = builtin_scripts("constant_radius_ramp", 1.0)
-        traj = run_maneuver(script, params, SensorNoiseSpec.zero())
+        traj = run_maneuver(script, params, ZERO_NOISE)
         peak = np.abs(traj.truth[:, G_AY]).max() / G_MPS2
         assert 0.75 <= peak <= 0.85
 
     def test_low_g_slalom_stays_normal(self, params):
         script = builtin_scripts("slalom", 0.22, duration_s=20.0)
-        traj = run_maneuver(script, params, SensorNoiseSpec.zero())
+        traj = run_maneuver(script, params, ZERO_NOISE)
         assert np.abs(traj.truth[:, G_AY]).max() < 0.5 * G_MPS2
 
     def test_invalid_substep_rejected(self, params):
         with pytest.raises(ConfigError):
-            run_maneuver(straight_script(), params, SensorNoiseSpec.zero(),
+            run_maneuver(straight_script(), params, ZERO_NOISE,
                          substep_s=0.003)
 
 
@@ -239,7 +239,7 @@ class TestSynthesizeSensors:
                            straight_traj.truth[:, G_VX], atol=1e-12)
 
     def test_outer_wheel_faster_in_left_turn(self, params):
-        traj = run_maneuver(circle_script(), params, SensorNoiseSpec.zero())
+        traj = run_maneuver(circle_script(), params, ZERO_NOISE)
         # left turn: positive yaw rate; rear-right is the outer wheel
         steady = slice(250, None)
         assert (traj.truth[steady, G_YAWRATE] > 0).all()
@@ -262,7 +262,7 @@ class TestSynthesizeSensors:
 class TestBuiltinScripts:
     def test_u_turn_low_intensity_stays_below_03g(self, params):
         traj = run_maneuver(builtin_scripts("u_turn", 0.2), params,
-                            SensorNoiseSpec.zero())
+                            ZERO_NOISE)
         assert np.abs(traj.truth[:, G_AY]).max() < 0.3 * G_MPS2
 
     def test_city_mix_duration(self):
@@ -274,7 +274,7 @@ class TestBuiltinScripts:
         for intensity in (0.2, 0.6, 1.0):
             traj = run_maneuver(builtin_scripts("step_steer", intensity,
                                                 duration_s=15.0),
-                                params, SensorNoiseSpec.zero())
+                                params, ZERO_NOISE)
             peaks.append(np.abs(traj.truth[:, G_AY]).max())
         assert peaks[0] < peaks[1] < peaks[2]
         assert peaks[2] > 0.75 * G_MPS2
@@ -293,10 +293,10 @@ class TestBuiltinScripts:
         # high-g samples present, mode of the accel distribution near zero
         # (proportions mirror the reference corpus: mostly city driving)
         trajs = [run_maneuver(builtin_scripts("city_mix", 0.3, duration_s=300.0),
-                              params, SensorNoiseSpec.zero()),
+                              params, ZERO_NOISE),
                  run_maneuver(builtin_scripts("constant_radius_ramp", 1.0,
                                               duration_s=30.0),
-                              params, SensorNoiseSpec.zero())]
+                              params, ZERO_NOISE)]
         mag = np.concatenate([np.hypot(t.truth[:, 7], t.truth[:, 8]) for t in trajs])
         assert (mag > 0.7 * G_MPS2).any()
         counts, edges = np.histogram(mag, bins=30, range=(0, G_MPS2))
