@@ -2,17 +2,18 @@
 model with linear tires, and an end-to-end GRU observer without state
 feedback.
 
-The EKF state is (vx, vy, yaw_rate). One lateral model, `_lateral`, feeds
-both predict and update. Prediction integrates the bicycle model with
-measured longitudinal acceleration and steering as inputs (Euler, with the
-analytic Jacobian of the discrete map); the update assimilates wheel speed,
-gyro yaw rate, and lateral acceleration through a Joseph-form covariance
-update. Process noise is a continuous intensity, discretized as Q*dt over
-the 50 Hz sample period `domain.DT_S`.
+The EKF state is the mean (vx, vy, yaw_rate) and its covariance, which both
+filter steps take and return as plain arrays. One lateral model, `_lateral`,
+feeds both predict and update. Prediction integrates the bicycle model over
+one 50 Hz sample period `domain.DT_S` with measured ax and steering as
+inputs (Euler, with the analytic Jacobian of the discrete map); the update
+assimilates wheel speed, gyro yaw rate, and lateral acceleration through a
+Joseph-form update. Process noise Q, a continuous intensity, becomes Q*DT_S.
 
 Both observers take the `Trajectory` whose sensor stream they estimate
-over; neither reads its ground truth. `run_gru` takes the same arguments, in
-the same order, as `observer_lstm.run_closed_loop`.
+over; neither reads its ground truth. Each returns its (N, 3) estimates of
+(vx, vy, yaw_rate). `run_gru` takes the same arguments, in the same order,
+as `observer_lstm.run_closed_loop`.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ from functools import cache, cached_property
 import numpy as np
 
 from .dataset import NoiseSpec, ScalerParams, WindowedDataset
-from .domain import DT_S, Trajectory, VehicleParams
+from .domain import DT_S, S_AX, S_AY, S_STEER, S_WHEEL, S_YAWRATE, Trajectory, VehicleParams
 from .errors import ConfigError, NumericalError
 from .neural import RecurrentRegressor, TrainConfig, gru_observer_net
-from .observer_lstm import EstimateTrace, train_observer, window_features
+from .observer_lstm import train_observer, window_features
+
+MIN_SPEED_MPS = 0.5
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -50,7 +54,6 @@ class EkfConfig:
     process_noise_q: tuple = (0.05, 0.05, 0.02)
     measurement_noise_r: tuple = (9e-4, 4e-6, 2.5e-3)
     initial_covariance_p0: tuple = (0.25, 0.25, 0.01)
-    min_speed_mps: float = 0.5
 
     def __post_init__(self):
         for name in ("process_noise_q", "measurement_noise_r", "initial_covariance_p0"):
@@ -79,18 +82,6 @@ class EkfConfig:
 
     def p0_matrix(self) -> np.ndarray:
         return np.diag(self.initial_covariance_p0).astype(np.float64)
-
-
-@dataclass
-class EkfState:
-    """Filter mean (vx, vy, yaw_rate) and covariance."""
-
-    x: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64).reshape(3)
-        self.p = np.asarray(self.p, dtype=np.float64).reshape(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -194,69 +185,56 @@ def _measurement_model(x: np.ndarray, delta: float, p: VehicleParams,
     return h, jac
 
 
-def ekf_predict(s: EkfState, u: tuple[float, float], p: VehicleParams,
-                cfg: EkfConfig, dt: float) -> EkfState:
-    """Euler-discretized prediction with u = (measured ax, steering).
+def ekf_predict(x: np.ndarray, cov: np.ndarray, u: tuple[float, float],
+                p: VehicleParams, cfg: EkfConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-discretized prediction of the mean `x` and covariance `cov` over
+    one sample period `DT_S`, with u = (measured ax, steering).
 
-    Below the minimum-speed threshold the state is frozen and the
-    covariance inflated (slip angles are not usable).
+    At or below `MIN_SPEED_MPS` the mean is held and the covariance inflated
+    (slip angles are not usable).
     """
-    if dt < 0:
-        raise ConfigError(f"dt must be >= 0, got {dt}")
-    q = cfg.q_matrix * dt
-    if s.x[0] <= cfg.min_speed_mps:
-        return EkfState(s.x.copy(), 0.5 * (s.p + s.p.T) + q)
+    q = cfg.q_matrix * DT_S
+    if x[0] <= MIN_SPEED_MPS:
+        return x, 0.5 * (cov + cov.T) + q
     ax_meas, delta = u
-    f, jac = _process_model(s.x, ax_meas, delta, p, cfg)
-    x_new = s.x + dt * f
-    f_discrete = _identity(3) + dt * jac
-    return EkfState(x_new, kf_predict_cov(s.p, f_discrete, q))
+    f, jac = _process_model(x, ax_meas, delta, p, cfg)
+    f_discrete = _identity(3) + DT_S * jac
+    return x + DT_S * f, kf_predict_cov(cov, f_discrete, q)
 
 
-def ekf_update(s: EkfState, z, steering_rad: float, p: VehicleParams,
-               cfg: EkfConfig) -> EkfState:
-    """Assimilate z = (wheel_speed_rr, yaw_rate_gyro, ay)."""
-    z = np.asarray(z, dtype=np.float64).reshape(3)
-    h, jac = _measurement_model(s.x, steering_rad, p, cfg)
-    x_new, p_new = kf_update_joseph(s.x, s.p, z, h, jac, cfg.r_matrix)
-    return EkfState(x_new, p_new)
-
-
-def process_jacobian(x, ax_meas, delta, p, cfg, dt) -> np.ndarray:
-    """Jacobian of the discrete prediction map (for verification)."""
-    _, jac = _process_model(np.asarray(x, dtype=np.float64), ax_meas, delta, p, cfg)
-    return _identity(3) + dt * jac
-
-
-def measurement_jacobian(x, delta, p, cfg) -> np.ndarray:
-    _, jac = _measurement_model(np.asarray(x, dtype=np.float64), delta, p, cfg)
-    return jac
+def ekf_update(x: np.ndarray, cov: np.ndarray, z: np.ndarray, steering_rad: float,
+               p: VehicleParams, cfg: EkfConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Assimilate z = (wheel_speed_rr, yaw_rate_gyro, ay) into the mean `x`
+    and covariance `cov`."""
+    h, jac = _measurement_model(x, steering_rad, p, cfg)
+    return kf_update_joseph(x, cov, z, h, jac, cfg.r_matrix)
 
 
 def run_ekf(traj: Trajectory, initial_state, p: VehicleParams,
-            cfg: EkfConfig) -> EstimateTrace:
+            cfg: EkfConfig) -> np.ndarray:
     """Alternate predict and update over the 50 Hz sensor stream of `traj`,
-    from the mean `initial_state` (vx, vy, yaw_rate) and `cfg`'s P0.
+    from the mean `initial_state` (vx, vy, yaw_rate) and `cfg`'s P0; returns
+    the (N, 3) posterior means.
 
     The first frame is assimilated without a prediction (no time has
     passed); afterwards each frame's (ax, steering) drives the prediction
     over one sample period `DT_S` into its own timestamp before its
     measurements are assimilated.
     """
-    raw = traj.sensor_channels()
-    n = raw.shape[0]
+    n = len(traj)
     if n == 0:
         raise ConfigError("empty sensor stream")
+    ax, steer = traj.sensors[:, S_AX], traj.sensors[:, S_STEER]
+    z = traj.sensors[:, [S_WHEEL, S_YAWRATE, S_AY]]
 
-    s = EkfState(np.array(initial_state, dtype=np.float64), cfg.p0_matrix())
+    x, cov = np.array(initial_state, dtype=np.float64), cfg.p0_matrix()
     estimates = np.empty((n, 3))
     for k in range(n):
-        ax_k, ay_k, gyro_k, wheel_k, steer_k = raw[k]
         if k > 0:
-            s = ekf_predict(s, (ax_k, steer_k), p, cfg, DT_S)
-        s = ekf_update(s, (wheel_k, gyro_k, ay_k), steer_k, p, cfg)
-        estimates[k] = s.x
-    return EstimateTrace(traj.sensors[:, 0].copy(), estimates)
+            x, cov = ekf_predict(x, cov, (ax[k], steer[k]), p, cfg)
+        x, cov = ekf_update(x, cov, z[k], steer[k], p, cfg)
+        estimates[k] = x
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +252,8 @@ def train_gru(train_ds: WindowedDataset, val_ds: WindowedDataset,
 
 
 def run_gru(traj: Trajectory, initial_state, net: RecurrentRegressor,
-            scaler: ScalerParams, window_len: int) -> EstimateTrace:
-    """Per-step estimates from the sensor window alone.
+            scaler: ScalerParams, window_len: int) -> np.ndarray:
+    """(N, 3) per-step estimates from the sensor window alone.
 
     Estimates are a pure function of the window; the first window_len - 1
     steps carry `initial_state` purely to keep traces length-aligned.
@@ -286,4 +264,4 @@ def run_gru(traj: Trajectory, initial_state, net: RecurrentRegressor,
         out = net.head_forward(feats, None)
         estimates[w - 1 + lo: w - 1 + lo + out.shape[0]] = scaler.unscale_state(out)
     estimates[: w - 1] = np.asarray(initial_state, dtype=np.float64).reshape(3)
-    return EstimateTrace(traj.sensors[:, 0].copy(), estimates)
+    return estimates

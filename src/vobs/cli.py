@@ -34,8 +34,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub, config_required=True):
-    sub.add_argument("--config", required=config_required,
+def _add_common(sub):
+    sub.add_argument("--config", required=True,
                      help="run configuration YAML")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the master seed")

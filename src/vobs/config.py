@@ -192,6 +192,8 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
     doc_out = doc.get("out_dir")
     if doc_out is not None and not (isinstance(doc_out, str) and doc_out):
         raise ConfigError(f"{where}: out_dir must be a non-empty string, got {doc_out!r}")
+    if out_dir == "":
+        raise ConfigError("--out must be a non-empty path, got ''")
     resolved_out = out_dir or doc_out
     if resolved_out is None:
         resolved_out = os.path.join(default_out_root(), f"seed{master_seed}")
@@ -241,8 +243,8 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
     obs_doc = doc.get("observers")
     if obs_doc is None:
         obs_doc = DEFAULT_OBSERVERS
-    if not isinstance(obs_doc, dict):
-        raise ConfigError(f"{where}: observers must be a mapping")
+    if not isinstance(obs_doc, dict) or not obs_doc:
+        raise ConfigError(f"{where}: observers must be a non-empty mapping, got {obs_doc!r}")
     observers = {}
     for name, spec in obs_doc.items():
         spec = _check_keys(spec or {}, OBSERVER_KEYS, f"observer '{name}'", where)

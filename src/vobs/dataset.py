@@ -176,11 +176,11 @@ def make_windows(traj: Trajectory, scaler: ScalerParams, window_len: int,
     states = scaler.scale_state(traj.state_channels())
 
     targets_idx = np.arange(w - 1, n, stride)
-    # window view: rows t-w+1 .. t for each target t
+    # window view: rows t-w+1 .. t for each target t (array indexing copies)
     win_view = np.lib.stride_tricks.sliding_window_view(sensors, (w, N_SENSOR))
-    windows = win_view[targets_idx - (w - 1), 0].copy()
-    prev = states[targets_idx - 1].copy()
-    target = states[targets_idx].copy()
+    windows = win_view[targets_idx - (w - 1), 0]
+    prev = states[targets_idx - 1]
+    target = states[targets_idx]
     return WindowedDataset(windows, prev, target, window_len=w)
 
 

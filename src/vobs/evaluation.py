@@ -2,11 +2,13 @@
 by peak lateral acceleration, ranking tables, and distribution statistics
 for plotting.
 
-Velocity errors are reported in m/s, yaw-rate errors in mrad/s. Segmentation
-is decided per trajectory from the ground-truth peak |ay|: at or above the
-0.5g threshold a maneuver counts as near-limits. The caller decides how many
-leading samples `mae` skips; the evaluate stage skips the warm-up, the first
-window_len - 1 samples, which only repeat the provided initial state.
+Each observer's estimates are an (N, 3) array of (vx, vy, yaw_rate), one row
+per sensor frame. Velocity errors are reported in m/s, yaw-rate errors in
+mrad/s. Segmentation is decided per trajectory from the ground-truth peak
+|ay|: at or above a `SegmentSpec`'s normal threshold (0.5g by default) a
+maneuver counts as near-limits. The caller decides how many leading samples
+`mae` skips; the evaluate stage skips the warm-up, the first window_len - 1
+samples, which only repeat the provided initial state.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .artifacts import read_csv, write_csv
 from .domain import G_AY, G_MPS2, Trajectory
 from .errors import ConfigError, DataFormatError
-from .observer_lstm import EstimateTrace
 
 CHANNELS = ("vx", "vy", "yaw_rate")
 CHANNEL_UNITS = ("m/s", "m/s", "mrad/s")
@@ -38,24 +39,24 @@ class SegmentSpec:
             raise ConfigError("need 0 < normal threshold < near-limits max")
 
 
-def mae(est: EstimateTrace, truth: np.ndarray, skip: int = 0) -> np.ndarray:
+def mae(est: np.ndarray, truth: np.ndarray, skip: int = 0) -> np.ndarray:
     """Per-channel mean absolute error (vx m/s, vy m/s, yaw rate mrad/s).
 
-    `truth` is the (N, 3) ground-truth state matrix aligned sample-for-sample
-    with the trace; the first `skip` samples are left out.
+    `est` and `truth` are (N, 3) state matrices, an observer's estimates and
+    the ground truth, aligned sample-for-sample; the first `skip` samples
+    are left out.
     """
-    if truth.shape != est.estimates.shape:
+    if truth.shape != est.shape:
         raise ConfigError(
-            f"length mismatch: trace {est.estimates.shape} vs reference {truth.shape}")
+            f"length mismatch: trace {est.shape} vs reference {truth.shape}")
     if skip >= len(est):
         raise ConfigError("nothing left to evaluate after warm-up exclusion")
-    err = np.abs(est.estimates[skip:] - truth[skip:]).mean(axis=0)
+    err = np.abs(est[skip:] - truth[skip:]).mean(axis=0)
     return err * np.array([1.0, 1.0, 1000.0])
 
 
-def segment_label(traj: Trajectory, spec: SegmentSpec | None = None) -> str:
-    """`near_limits` iff the ground-truth peak |ay| reaches 0.5g (inclusive)."""
-    spec = spec or SegmentSpec()
+def segment_label(traj: Trajectory, spec: SegmentSpec) -> str:
+    """`near_limits` iff the ground-truth peak |ay| reaches `spec.normal_threshold_g`."""
     peak = float(np.max(np.abs(traj.truth[:, G_AY])))
     return "near_limits" if peak >= spec.normal_threshold_g * G_MPS2 else "normal"
 

@@ -13,11 +13,9 @@ the pipeline passes the run config's values, which hold the one default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .artifacts import read_float_csv, write_csv
+from .artifacts import write_csv
 from .dataset import NoiseSpec, ScalerParams, WindowedDataset, inject_state_noise
 from .domain import Trajectory
 from .errors import ConfigError, NumericalError
@@ -28,33 +26,13 @@ from .seeding import derived_rng
 FEATURE_BATCH = 512
 
 
-@dataclass
-class EstimateTrace:
-    """Per-step state estimates in physical units, one per sensor frame."""
-
-    t_s: np.ndarray
-    estimates: np.ndarray  # (N, 3): vx, vy, yaw_rate
-
-    def __post_init__(self):
-        if self.estimates.shape != (self.t_s.shape[0], 3):
-            raise ConfigError("trace shape mismatch")
-
-    def __len__(self) -> int:
-        return self.t_s.shape[0]
-
-
 TRACE_COLUMNS = ("t", "vx_est", "vy_est", "yaw_rate_est")
 
 
-def write_trace_csv(trace: EstimateTrace, path) -> None:
-    rows = np.column_stack([trace.t_s, trace.estimates])
+def write_trace_csv(estimates: np.ndarray, path, t_s: np.ndarray) -> None:
+    """Write (N, 3) `estimates`, one row per frame, after its time in `t_s`."""
+    rows = np.column_stack([t_s, estimates])
     write_csv(path, TRACE_COLUMNS, map(np.ndarray.tolist, rows))
-
-
-def read_trace_csv(path) -> EstimateTrace:
-    """Read a trace written by `write_trace_csv`."""
-    data = read_float_csv(path, TRACE_COLUMNS)
-    return EstimateTrace(data[:, 0], data[:, 1:4])
 
 
 def write_training_log(log: list[dict], path) -> None:
@@ -159,8 +137,8 @@ def window_features(raw: np.ndarray, scaler: ScalerParams, net: RecurrentRegress
 
 
 def run_closed_loop(traj: Trajectory, initial_state, net: RecurrentRegressor,
-                    scaler: ScalerParams, window_len: int) -> EstimateTrace:
-    """Closed-loop estimation over the sensor stream of `traj`.
+                    scaler: ScalerParams, window_len: int) -> np.ndarray:
+    """(N, 3) closed-loop estimates over the sensor stream of `traj`.
 
     Emits the provided initial state for the first window_len - 1 steps,
     then feeds each estimate back as the next step's state input. Ground
@@ -179,4 +157,4 @@ def run_closed_loop(traj: Trajectory, initial_state, net: RecurrentRegressor,
             out = net.head_forward(feats[j: j + 1], prev_scaled)
             estimates[w - 1 + lo + j] = scaler.unscale_state(out[0])
             prev_scaled = out
-    return EstimateTrace(traj.sensors[:, 0].copy(), estimates)
+    return estimates

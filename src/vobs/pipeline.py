@@ -325,7 +325,7 @@ def _ekf_config(spec, params: VehicleParams) -> EkfConfig:
 
 def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
                 scaler: ds.ScalerParams, params: VehicleParams, task):
-    """Estimate trace of one (observer name, test trajectory index) pair."""
+    """(N, 3) estimates of one (observer name, test trajectory index) pair."""
     name, index = task
     spec = cfg.observers[name]
     traj = trajs[index]
@@ -397,7 +397,7 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     tasks = [(name, i) for name in cfg.observers for i in range(len(test_trajs))]
     trace_task = functools.partial(_trace_task, cfg, test_trajs, nets, scaler, params)
     computed = iter(_map_tasks(trace_task, tasks, cfg.workers))
-    traces: dict[str, dict[str, object]] = {name: {} for name in cfg.observers}
+    traces: dict[str, dict[str, np.ndarray]] = {name: {} for name in cfg.observers}
     table: dict[str, dict[str, np.ndarray]] = {}
     for name in cfg.observers:
         per_segment: dict[str, list] = {"overall": [], "normal": [], "near_limits": []}
@@ -419,9 +419,10 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
 
     if write_traces:
         for name in cfg.observers:
-            for label, trace in traces[name].items():
-                write_trace_csv(trace, os.path.join(
-                    eval_dir, "traces", name, label.replace("#", "-") + ".csv"))
+            for traj in test_trajs:
+                write_trace_csv(traces[name][traj.label], os.path.join(
+                    eval_dir, "traces", name, traj.label.replace("#", "-") + ".csv"),
+                    traj.sensors[:, 0])
     return report
 
 
@@ -465,8 +466,8 @@ def _write_plot_data(cfg, report, test_trajs, seg_of, traces, skip, eval_dir) ->
             other = spots["second"] if spots["first"] == ours else spots["first"]
             ref = rep.state_channels()[skip:, ci]
             t = rep.sensors[skip:, 0]
-            ours_est = traces[ours][rep.label].estimates[skip:, ci]
-            other_est = traces[other][rep.label].estimates[skip:, ci]
+            ours_est = traces[ours][rep.label][skip:, ci]
+            other_est = traces[other][rep.label][skip:, ci]
             rows = np.column_stack([t, ref, ours_est, other_est])
             write_csv(os.path.join(eval_dir, "plots", f"{segment}_{channel}.csv"),
                       ("t", "ref", ours, other), map(np.ndarray.tolist, rows))

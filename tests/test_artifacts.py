@@ -13,7 +13,7 @@ from vobs.domain import Trajectory, read_trajectory_csv, write_trajectory_csv
 from vobs.errors import DataFormatError
 from vobs.evaluation import EvalReport, read_report_csv, write_report_csv
 from vobs.neural import load_weights, lstm_observer_net, save_weights
-from vobs.observer_lstm import EstimateTrace, read_trace_csv, write_trace_csv
+from vobs.observer_lstm import TRACE_COLUMNS, write_trace_csv
 
 
 class _DiskFull:
@@ -40,9 +40,8 @@ def _trajectory(seed):
                       np.column_stack([t, rng.normal(size=(8, 9))]))
 
 
-def _trace(seed):
-    return EstimateTrace(np.arange(6) * 0.02,
-                         np.random.default_rng(seed).normal(size=(6, 3)))
+def _estimates(seed):
+    return np.random.default_rng(seed).normal(size=(6, 3))
 
 
 def _report(seed):
@@ -68,7 +67,8 @@ WRITERS = {
     "write_trajectory_csv": ("traj.csv", lambda seed, path: write_trajectory_csv(
         _trajectory(seed), path), read_trajectory_csv),
     "write_trace_csv": ("trace.csv", lambda seed, path: write_trace_csv(
-        _trace(seed), path), read_trace_csv),
+        _estimates(seed), path, np.arange(6) * 0.02),
+        lambda path: artifacts.read_float_csv(path, TRACE_COLUMNS)),
     "write_report_csv": ("report.csv", lambda seed, path: write_report_csv(
         _report(seed), path), read_report_csv),
     "manifest": ("manifest.json", lambda seed, path: artifacts.write_json(

@@ -20,10 +20,12 @@ import vobs
 from vobs import pipeline
 from vobs.cli import main
 from vobs.baselines import EkfConfig
+from vobs.artifacts import read_float_csv
 from vobs.config import DEFAULT_OBSERVERS, build_config, load_config
-from vobs.domain import VehicleParams
+from vobs.domain import VehicleParams, read_trajectory_csv
 from vobs.neural import RecurrentRegressor, gru_observer_net, load_weights, save_weights
 from vobs.neural.network import build_net
+from vobs.observer_lstm import TRACE_COLUMNS
 
 BASE_CONFIG = {
     "master_seed": 3,
@@ -224,15 +226,32 @@ class TestTrainCommand:
 
 
 class TestEvaluateCommand:
-    def test_report_bundle_written(self, pipeline_run):
-        tmp_path, cfg = pipeline_run
+    def test_report_bundle_written(self, run_copy):
+        tmp_path, _ = run_copy
+        run = tmp_path / "run"
+        # an untrained GRU, so that every observer type writes traces
+        save_weights(gru_observer_net(seed=0), run / "models" / "gru.weights")
+        cfg = _write_config(tmp_path, name="three.yaml", overrides={"observers": {
+            **BASE_CONFIG["observers"], "gru": {"type": "gru"}}})
         assert main(["evaluate", "--config", cfg]) == 0
-        eval_dir = tmp_path / "run" / "eval"
+        eval_dir = run / "eval"
         for name in ("report.csv", "report.txt", "ranking.csv",
                      "accel_distribution.csv", "friction_circle.csv"):
             assert (eval_dir / name).exists(), name
-        assert (eval_dir / "traces" / "lstm").is_dir()
-        assert (eval_dir / "traces" / "ekf").is_dir()
+        manifest = json.loads((run / "manifest.json").read_text())
+        split = json.loads((run / "dataset" / "dataset.json").read_text())["split_assignment"]
+        test_files = [e["file"] for e in manifest["trajectories"]
+                      if split[e["label"]] == "test"]
+        assert test_files
+        for observer in ("lstm", "gru", "ekf"):
+            traces = eval_dir / "traces" / observer
+            assert sorted(p.name for p in traces.iterdir()) == sorted(
+                pathlib.Path(f).name for f in test_files)
+            for f in test_files:
+                t_s = read_trajectory_csv(run / f).sensors[:, 0]
+                trace = read_float_csv(traces / pathlib.Path(f).name, TRACE_COLUMNS)
+                assert trace.shape == (len(t_s), 4)
+                np.testing.assert_array_equal(trace[:, 0], t_s)
 
     def test_missing_weights_names_observer(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -513,6 +532,30 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg]) == 1
         assert f"out_dir must be a non-empty string, got {value!r}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("file_out_dir", [True, False], ids=["file_out_dir", "default"])
+    def test_empty_out_flag_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                            file_out_dir):
+        # an empty --out used to fall back to the file's out_dir or runs/seed<N>
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("VOBS_OUT", raising=False)
+        cfg = _write_config(tmp_path)
+        if not file_out_dir:
+            doc = yaml.safe_load(pathlib.Path(cfg).read_text())
+            del doc["out_dir"]
+            pathlib.Path(cfg).write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--config", cfg, "--out", ""]) == 1
+        assert "--out must be a non-empty path" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "evaluate"])
+    def test_empty_observers_is_config_error(self, tmp_path, capsys, command):
+        # train used to exit 0 having trained nothing, and evaluate to die
+        # after writing part of the report
+        cfg = _write_config(tmp_path, overrides={"observers": {}})
+        assert main([command, "--config", cfg]) == 1
+        assert "observers must be a non-empty mapping" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_default_duration_counts_against_window_len(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, overrides={

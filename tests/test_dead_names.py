@@ -10,9 +10,6 @@ SRC = pathlib.Path(vobs.__file__).parent
 # reference a test checks the program against
 VERIFICATION_SEAMS = {
     "pacejka_lateral_force": "the tyre formula the simulator's bound dynamics inline",
-    "read_trace_csv": "reads back the traces evaluate writes",
-    "process_jacobian": "the EKF prediction Jacobian, against finite differences",
-    "measurement_jacobian": "the EKF measurement Jacobian, against finite differences",
 }
 
 # class members that nothing in src/ reads by name, called from outside it

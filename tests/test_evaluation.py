@@ -16,12 +16,6 @@ from vobs.evaluation import (
     segment_label,
     write_report_csv,
 )
-from vobs.observer_lstm import EstimateTrace
-
-
-def _trace(est):
-    est = np.asarray(est, dtype=np.float64)
-    return EstimateTrace(np.arange(len(est)) * DT_S, est)
 
 
 def _traj_with_ay(peak_ay, n=100, label="m"):
@@ -37,22 +31,21 @@ def _traj_with_ay(peak_ay, n=100, label="m"):
 class TestMae:
     def test_exact_match_is_zero(self):
         est = np.random.default_rng(0).normal(size=(10, 3))
-        trace = _trace(est)
-        np.testing.assert_array_equal(mae(trace, est.copy()), np.zeros(3))
+        np.testing.assert_array_equal(mae(est, est.copy()), np.zeros(3))
 
     def test_single_channel_example(self):
         est = np.zeros((3, 3))
         ref = np.zeros((3, 3))
         est[:, 0] = [1.0, 2.0, 3.0]
         ref[:, 0] = [1.0, 1.0, 5.0]
-        err = mae(_trace(est), ref)
+        err = mae(est, ref)
         assert err[0] == pytest.approx(1.0)
 
     def test_yaw_rate_in_mrad(self):
         est = np.zeros((4, 3))
         ref = np.zeros((4, 3))
         est[:, 2] = 0.005  # 5 mrad/s offset
-        err = mae(_trace(est), ref)
+        err = mae(est, ref)
         assert err[2] == pytest.approx(5.0)
 
     def test_permutation_invariant(self):
@@ -60,28 +53,26 @@ class TestMae:
         est = rng.normal(size=(50, 3))
         ref = rng.normal(size=(50, 3))
         perm = rng.permutation(50)
-        a = mae(_trace(est), ref)
-        b = mae(_trace(est[perm]), ref[perm])
+        a = mae(est, ref)
+        b = mae(est[perm], ref[perm])
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_warmup_excluded(self):
         est = np.zeros((10, 3))
         ref = np.zeros((10, 3))
         est[:5, 0] = 100.0  # junk inside warm-up
-        trace = _trace(est)
-        assert mae(trace, ref, skip=5)[0] == 0.0
-        assert mae(trace, ref)[0] == pytest.approx(50.0)  # nothing skipped by default
+        assert mae(est, ref, skip=5)[0] == 0.0
+        assert mae(est, ref)[0] == pytest.approx(50.0)  # nothing skipped by default
 
     def test_explicit_skip_override(self):
         est = np.zeros((10, 3))
         ref = np.zeros((10, 3))
         est[:8, 0] = 1.0
-        trace = _trace(est)
-        assert mae(trace, ref, skip=8)[0] == 0.0
+        assert mae(est, ref, skip=8)[0] == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            mae(_trace(np.zeros((5, 3))), np.zeros((6, 3)))
+            mae(np.zeros((5, 3)), np.zeros((6, 3)))
 
     def test_concatenation_additivity(self):
         rng = np.random.default_rng(2)
@@ -91,28 +82,28 @@ class TestMae:
         for n in (30, 50, 20):
             est = rng.normal(size=(n, 3))
             ref = rng.normal(size=(n, 3))
-            parts.append((mae(_trace(est), ref), n))
+            parts.append((mae(est, ref), n))
             all_est.append(est)
             all_ref.append(ref)
-        concat = mae(_trace(np.concatenate(all_est)), np.concatenate(all_ref))
+        concat = mae(np.concatenate(all_est), np.concatenate(all_ref))
         np.testing.assert_allclose(aggregate_mae(parts), concat, rtol=1e-12)
 
 
 class TestSegmentation:
     def test_low_dynamic_peak_is_normal(self):
-        assert segment_label(_traj_with_ay(2.10)) == "normal"
+        assert segment_label(_traj_with_ay(2.10), SegmentSpec()) == "normal"
 
     def test_08g_is_near_limits(self):
-        assert segment_label(_traj_with_ay(0.8 * G_MPS2)) == "near_limits"
+        assert segment_label(_traj_with_ay(0.8 * G_MPS2), SegmentSpec()) == "near_limits"
 
     def test_boundary_inclusive(self):
-        assert segment_label(_traj_with_ay(0.5 * G_MPS2)) == "near_limits"
+        assert segment_label(_traj_with_ay(0.5 * G_MPS2), SegmentSpec()) == "near_limits"
 
     def test_exhaustive_and_exclusive(self):
         # every trajectory gets exactly one of the two segments
         trajs = [_traj_with_ay(p, label=f"t{i}")
                  for i, p in enumerate((1.0, 3.0, 5.0, 6.0, 8.0))]
-        assert [segment_label(t) for t in trajs] == [
+        assert [segment_label(t, SegmentSpec()) for t in trajs] == [
             "normal", "normal", "near_limits", "near_limits", "near_limits"]
 
     def test_spec_validation(self):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from vobs import observer_lstm
+from vobs.artifacts import read_float_csv
 from vobs.dataset import NoiseSpec, ScalerParams, WindowedDataset, fit_scaler, make_windows
 from vobs.errors import ConfigError, DataFormatError, NumericalError
 from vobs.neural import RecurrentRegressor, TrainConfig, lstm_observer_net
 from vobs.observer_lstm import (
-    EstimateTrace,
-    read_trace_csv,
+    TRACE_COLUMNS,
     run_closed_loop,
     train_observer,
     write_trace_csv,
@@ -43,10 +43,10 @@ class TestEstimateStep:
 
     def test_zero_weights_give_channel_midpoints(self):
         scaler = _scaler()
-        trace = run_closed_loop(sensor_traj(np.zeros((12, 5))), np.array([10.0, 0.0, 0.0]),
-                                _zero_net(), scaler, 10)
+        est = run_closed_loop(sensor_traj(np.zeros((12, 5))), np.array([10.0, 0.0, 0.0]),
+                              _zero_net(), scaler, 10)
         mid = 0.5 * (scaler.state_min + scaler.state_max)
-        np.testing.assert_allclose(trace.estimates[9:], np.tile(mid, (3, 1)), atol=1e-12)
+        np.testing.assert_allclose(est[9:], np.tile(mid, (3, 1)), atol=1e-12)
 
     def test_pure_function(self):
         net = lstm_observer_net(seed=5, in_dim=5, hidden=(3,), dense=(4,),
@@ -55,7 +55,7 @@ class TestEstimateStep:
         prev = np.array([12.0, 0.1, 0.05])
         a = run_closed_loop(traj, prev, net, _scaler(), 8)
         b = run_closed_loop(traj, prev, net, _scaler(), 8)
-        np.testing.assert_array_equal(a.estimates, b.estimates)
+        np.testing.assert_array_equal(a, b)
 
     def test_matches_manual_composition(self):
         scaler = _scaler()
@@ -63,7 +63,7 @@ class TestEstimateStep:
                                 out_dim=3, state_dim=3)
         raw = np.random.default_rng(1).normal(0, 1, (8, 5))
         prev = np.array([12.0, 0.1, 0.05])
-        got = run_closed_loop(sensor_traj(raw), prev, net, scaler, 8).estimates[7]
+        got = run_closed_loop(sensor_traj(raw), prev, net, scaler, 8)[7]
         assert np.abs(got - _naive_step(raw, prev, net, scaler)).max() < 1e-12
 
     def test_wrong_window_shape_rejected(self):
@@ -84,10 +84,9 @@ class TestRunClosedLoop:
         net = lstm_observer_net(seed=6, in_dim=5, hidden=(3,), dense=(4,),
                                 out_dim=3, state_dim=3)
         initial = np.array([15.0, 0.0, 0.0])
-        trace = run_closed_loop(sensor_traj(self._raw()), initial, net, _scaler(), 50)
-        assert len(trace) == 120
-        np.testing.assert_array_equal(trace.estimates[:49],
-                                      np.tile(initial, (49, 1)))
+        est = run_closed_loop(sensor_traj(self._raw()), initial, net, _scaler(), 50)
+        assert est.shape == (120, 3)
+        np.testing.assert_array_equal(est[:49], np.tile(initial, (49, 1)))
 
     def test_too_short_rejected(self):
         with pytest.raises(ConfigError):
@@ -102,12 +101,12 @@ class TestRunClosedLoop:
                                 out_dim=3, state_dim=3)
         raw = self._raw(n=60)
         initial = np.array([15.0, 0.1, 0.02])
-        trace = run_closed_loop(sensor_traj(raw), initial, net, scaler, 20)
+        got = run_closed_loop(sensor_traj(raw), initial, net, scaler, 20)
         prev = initial
         for t in range(19, 60):
             est = _naive_step(raw[t - 19: t + 1], prev, net, scaler)
-            assert np.abs(est - trace.estimates[t]).max() < 1e-9
-            prev = trace.estimates[t]
+            assert np.abs(est - got[t]).max() < 1e-9
+            prev = got[t]
 
     def test_no_ground_truth_leakage(self, params):
         # the trace depends only on sensors and the provided initial state
@@ -119,18 +118,18 @@ class TestRunClosedLoop:
         full = run_closed_loop(traj, initial, net, _scaler(), 50)
         stripped = sensor_traj(traj.sensor_channels())  # sensors only, truth zeroed
         again = run_closed_loop(stripped, initial, net, _scaler(), 50)
-        np.testing.assert_array_equal(full.estimates, again.estimates)
+        np.testing.assert_array_equal(full, again)
 
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
-        trace = EstimateTrace(np.arange(5) * 0.02,
-                              np.random.default_rng(0).normal(size=(5, 3)))
+        t_s = np.arange(5) * 0.02
+        est = np.random.default_rng(0).normal(size=(5, 3))
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        back = read_trace_csv(path)
-        np.testing.assert_array_equal(back.t_s, trace.t_s)
-        np.testing.assert_array_equal(back.estimates, trace.estimates)
+        write_trace_csv(est, path, t_s)
+        back = read_float_csv(path, TRACE_COLUMNS)
+        np.testing.assert_array_equal(back[:, 0], t_s)
+        np.testing.assert_array_equal(back[:, 1:], est)
 
     @pytest.mark.parametrize("text, line", [
         ("t,vx,vy,yaw_rate\n0.0,1.0,2.0,3.0\n", 1),
@@ -144,7 +143,7 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         path.write_text(text)
         with pytest.raises(DataFormatError, match=f"trace.csv:{line}:"):
-            read_trace_csv(path)
+            read_float_csv(path, TRACE_COLUMNS)
 
 
 def _toy_dataset(n_traj=6, n=160, seed=0):
