@@ -2,6 +2,10 @@
 model with linear tires, and an end-to-end GRU observer without state
 feedback.
 
+The EKF models the one test vehicle of `domain`, the vehicle every simulated
+maneuver drives: its mass, geometry and yaw inertia, and by default each
+axle's cornering stiffness linearized from its tire at the static load.
+
 The EKF state is the mean (vx, vy, yaw_rate) and its covariance, which both
 filter steps take and return as plain arrays. One lateral model, `_lateral`,
 feeds both predict and update. Prediction integrates the bicycle model over
@@ -25,7 +29,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from .dataset import NoiseSpec, ScalerParams, WindowedDataset
-from .domain import DT_S, S_AX, S_AY, S_STEER, S_WHEEL, S_YAWRATE, Trajectory, VehicleParams
+from .domain import (DT_S, INERTIA_Z_KGM2, LF_M, LR_M, MASS_KG, S_AX, S_AY, S_STEER, S_WHEEL,
+                     S_YAWRATE, STATIC_LOAD_FRONT_N, STATIC_LOAD_REAR_N, TIRE_B, TIRE_C,
+                     TIRE_D_PER_N, TRACK_M, Trajectory)
 from .errors import ConfigError, NumericalError
 from .neural import RecurrentRegressor, TrainConfig, gru_observer_net
 from .observer_lstm import train_observer, window_features
@@ -45,43 +51,31 @@ def _identity(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EkfConfig:
-    """Linear-tire stiffnesses plus diagonal noise matrices."""
+    """Linear-tire stiffnesses plus diagonal noise matrices. The fields are
+    the `ekf` observer's config keys; the config checks their values."""
 
-    cornering_stiffness_front_nprad: float
-    cornering_stiffness_rear_nprad: float
-    # the noise defaults were tuned once by grid search on low-acceleration
-    # synthetic data with the standard sensor noise
-    process_noise_q: tuple = (0.05, 0.05, 0.02)
-    measurement_noise_r: tuple = (9e-4, 4e-6, 2.5e-3)
-    initial_covariance_p0: tuple = (0.25, 0.25, 0.01)
-
-    def __post_init__(self):
-        for name in ("process_noise_q", "measurement_noise_r", "initial_covariance_p0"):
-            vals = getattr(self, name)
-            if len(vals) != 3 or any(v <= 0 for v in vals):
-                raise ConfigError(f"{name} must be 3 positive diagonal entries")
-
-    @classmethod
-    def for_vehicle(cls, p: VehicleParams, **kwargs) -> "EkfConfig":
-        """Stiffnesses from the tire model's linearization B*C*D*Fz per axle."""
-        tf, tr = p.tire_front, p.tire_rear
-        cf = tf.stiffness_factor_b * tf.shape_factor_c * tf.peak_factor_d_per_n \
-            * p.static_load_front_n
-        cr = tr.stiffness_factor_b * tr.shape_factor_c * tr.peak_factor_d_per_n \
-            * p.static_load_rear_n
-        return cls(cf, cr, **kwargs)
+    # N/rad; the tire's linearization B*C*D*Fz at each axle's static load
+    cornering_stiffness_front: float = TIRE_B * TIRE_C * TIRE_D_PER_N * STATIC_LOAD_FRONT_N
+    cornering_stiffness_rear: float = TIRE_B * TIRE_C * TIRE_D_PER_N * STATIC_LOAD_REAR_N
+    # diagonals of the process noise intensity Q (per second), the noise R of
+    # (wheel speed, yaw rate, ay) and the initial covariance P0, in squared SI
+    # units; tuned once by grid search on low-acceleration synthetic data
+    # with the standard sensor noise
+    q: tuple = (0.05, 0.05, 0.02)
+    r: tuple = (9e-4, 4e-6, 2.5e-3)
+    p0: tuple = (0.25, 0.25, 0.01)
 
     # built once per config: the filter reads them on every sample
     @cached_property
     def q_matrix(self) -> np.ndarray:
-        return _read_only(np.diag(self.process_noise_q).astype(np.float64))
+        return _read_only(np.diag(self.q).astype(np.float64))
 
     @cached_property
     def r_matrix(self) -> np.ndarray:
-        return _read_only(np.diag(self.measurement_noise_r).astype(np.float64))
+        return _read_only(np.diag(self.r).astype(np.float64))
 
     def p0_matrix(self) -> np.ndarray:
-        return np.diag(self.initial_covariance_p0).astype(np.float64)
+        return np.diag(self.p0).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -125,34 +119,33 @@ def kf_update_joseph(x: np.ndarray, p: np.ndarray, z: np.ndarray,
 # Bicycle-model EKF
 # ---------------------------------------------------------------------------
 
-def _lateral(x: np.ndarray, delta: float, p: VehicleParams, cfg: EkfConfig):
+def _lateral(x: np.ndarray, delta: float, cfg: EkfConfig):
     """Lateral and yaw acceleration from the linear tire forces, and the
     gradient of each with respect to (vx, vy, r)."""
     vx, vy, r = x
-    uf = vy + p.lf_m * r
-    ur = vy - p.lr_m * r
+    uf = vy + LF_M * r
+    ur = vy - LR_M * r
     df = uf * uf + vx * vx
     dr = ur * ur + vx * vx
-    dalpha_f = (uf / df, -vx / df, -p.lf_m * vx / df)
-    dalpha_r = (ur / dr, -vx / dr, p.lr_m * vx / dr)
-    cf = cfg.cornering_stiffness_front_nprad
-    cr = cfg.cornering_stiffness_rear_nprad
+    dalpha_f = (uf / df, -vx / df, -LF_M * vx / df)
+    dalpha_r = (ur / dr, -vx / dr, LR_M * vx / dr)
+    cf = cfg.cornering_stiffness_front
+    cr = cfg.cornering_stiffness_rear
     cos_d = math.cos(delta)
     fyf = cf * (delta + -math.atan2(uf, vx))
     fyr = cr * -math.atan2(ur, vx)
-    ay = (fyf * cos_d + fyr) / p.mass_kg
-    yaw_acc = (p.lf_m * fyf * cos_d - p.lr_m * fyr) / p.inertia_z_kgm2
-    ay_grad = [(cf * cos_d * a + cr * b) / p.mass_kg for a, b in zip(dalpha_f, dalpha_r)]
-    yaw_grad = [(p.lf_m * cf * cos_d * a - p.lr_m * cr * b) / p.inertia_z_kgm2
+    ay = (fyf * cos_d + fyr) / MASS_KG
+    yaw_acc = (LF_M * fyf * cos_d - LR_M * fyr) / INERTIA_Z_KGM2
+    ay_grad = [(cf * cos_d * a + cr * b) / MASS_KG for a, b in zip(dalpha_f, dalpha_r)]
+    yaw_grad = [(LF_M * cf * cos_d * a - LR_M * cr * b) / INERTIA_Z_KGM2
                 for a, b in zip(dalpha_f, dalpha_r)]
     return ay, yaw_acc, ay_grad, yaw_grad
 
 
-def _process_model(x: np.ndarray, ax_meas: float, delta: float,
-                   p: VehicleParams, cfg: EkfConfig):
+def _process_model(x: np.ndarray, ax_meas: float, delta: float, cfg: EkfConfig):
     """Continuous-time rates f(x, u) and their Jacobian wrt the state."""
     vx, vy, r = x
-    ay, yaw_acc, ay_grad, yaw_grad = _lateral(x, delta, p, cfg)
+    ay, yaw_acc, ay_grad, yaw_grad = _lateral(x, delta, cfg)
     f = np.array([
         ax_meas + r * vy,
         ay - r * vx,
@@ -166,19 +159,18 @@ def _process_model(x: np.ndarray, ax_meas: float, delta: float,
     return f, jac
 
 
-def _measurement_model(x: np.ndarray, delta: float, p: VehicleParams,
-                       cfg: EkfConfig):
+def _measurement_model(x: np.ndarray, delta: float, cfg: EkfConfig):
     """h(x) = (wheel speed at the rear-right patch, yaw rate, lateral
     acceleration from the linear tire forces) and its Jacobian."""
     vx, _, r = x
-    ay, _, ay_grad, _ = _lateral(x, delta, p, cfg)
+    ay, _, ay_grad, _ = _lateral(x, delta, cfg)
     h = np.array([
-        vx + 0.5 * p.track_m * r,
+        vx + 0.5 * TRACK_M * r,
         r,
         ay,
     ])
     jac = np.array([
-        [1.0, 0.0, 0.5 * p.track_m],
+        [1.0, 0.0, 0.5 * TRACK_M],
         [0.0, 0.0, 1.0],
         ay_grad,
     ])
@@ -186,7 +178,7 @@ def _measurement_model(x: np.ndarray, delta: float, p: VehicleParams,
 
 
 def ekf_predict(x: np.ndarray, cov: np.ndarray, u: tuple[float, float],
-                p: VehicleParams, cfg: EkfConfig) -> tuple[np.ndarray, np.ndarray]:
+                cfg: EkfConfig) -> tuple[np.ndarray, np.ndarray]:
     """Euler-discretized prediction of the mean `x` and covariance `cov` over
     one sample period `DT_S`, with u = (measured ax, steering).
 
@@ -197,21 +189,20 @@ def ekf_predict(x: np.ndarray, cov: np.ndarray, u: tuple[float, float],
     if x[0] <= MIN_SPEED_MPS:
         return x, 0.5 * (cov + cov.T) + q
     ax_meas, delta = u
-    f, jac = _process_model(x, ax_meas, delta, p, cfg)
+    f, jac = _process_model(x, ax_meas, delta, cfg)
     f_discrete = _identity(3) + DT_S * jac
     return x + DT_S * f, kf_predict_cov(cov, f_discrete, q)
 
 
 def ekf_update(x: np.ndarray, cov: np.ndarray, z: np.ndarray, steering_rad: float,
-               p: VehicleParams, cfg: EkfConfig) -> tuple[np.ndarray, np.ndarray]:
+               cfg: EkfConfig) -> tuple[np.ndarray, np.ndarray]:
     """Assimilate z = (wheel_speed_rr, yaw_rate_gyro, ay) into the mean `x`
     and covariance `cov`."""
-    h, jac = _measurement_model(x, steering_rad, p, cfg)
+    h, jac = _measurement_model(x, steering_rad, cfg)
     return kf_update_joseph(x, cov, z, h, jac, cfg.r_matrix)
 
 
-def run_ekf(traj: Trajectory, initial_state, p: VehicleParams,
-            cfg: EkfConfig) -> np.ndarray:
+def run_ekf(traj: Trajectory, initial_state, cfg: EkfConfig) -> np.ndarray:
     """Alternate predict and update over the 50 Hz sensor stream of `traj`,
     from the mean `initial_state` (vx, vy, yaw_rate) and `cfg`'s P0; returns
     the (N, 3) posterior means.
@@ -231,8 +222,8 @@ def run_ekf(traj: Trajectory, initial_state, p: VehicleParams,
     estimates = np.empty((n, 3))
     for k in range(n):
         if k > 0:
-            x, cov = ekf_predict(x, cov, (ax[k], steer[k]), p, cfg)
-        x, cov = ekf_update(x, cov, z[k], steer[k], p, cfg)
+            x, cov = ekf_predict(x, cov, (ax[k], steer[k]), cfg)
+        x, cov = ekf_update(x, cov, z[k], steer[k], cfg)
         estimates[k] = x
     return estimates
 

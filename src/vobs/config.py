@@ -8,10 +8,11 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import yaml
 
+from .baselines import EkfConfig
 from .dataset import NoiseSpec, SplitSpec
 from .errors import ConfigError
 from .evaluation import SegmentSpec
@@ -60,31 +61,12 @@ def _positive_number(value) -> bool:
 
 @dataclass(frozen=True)
 class ObserverSpec:
-    """One observer to train and/or evaluate."""
+    """One observer to train and/or evaluate, as `_observer` checked it."""
 
     name: str
     type: str
     state_noise: bool = True        # lstm only: inject state noise in training
-    ekf_overrides: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        name = self.name  # it becomes a file name and a CSV field
-        if not (isinstance(name, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", name)) \
-                or name in (".", ".."):
-            raise ConfigError(f"observer name {name!r} must be letters, digits, '_', "
-                              f"'.' or '-', and not '.' or '..'")
-        if self.type not in OBSERVER_TYPES:
-            raise ConfigError(f"observer '{name}': unknown type '{self.type}'")
-        o = self.ekf_overrides
-        for key, value in o.items():
-            scalar = key.startswith("cornering_stiffness")
-            if not (_positive_number(value) if scalar else isinstance(value, list)
-                    and len(value) == 3 and all(map(_positive_number, value))):
-                shape = "a positive number" if scalar else "a list of three positive numbers"
-                raise ConfigError(f"observer '{name}': {key} must be {shape}, got {value!r}")
-        if ("cornering_stiffness_front" in o) != ("cornering_stiffness_rear" in o):
-            raise ConfigError(f"observer '{name}': cornering_stiffness_front and "
-                              f"cornering_stiffness_rear must be given together")
+    ekf: EkfConfig | None = None    # ekf only: the filter's settings
 
     @property
     def trainable(self) -> bool:
@@ -158,9 +140,57 @@ def _section(mapping, section: str, where: str, types: dict) -> dict:
             for key, value in mapping.items()}
 
 
-def _float_fields(cls) -> dict:
-    """Every settable field of a float-valued spec; the seed is derived."""
-    return {f.name: float for f in fields(cls) if f.name != "seed"}
+def _built(cls, kwargs: dict, source: str):
+    """`cls(**kwargs)`; its range error is prefixed by `source`, the file and
+    section (or the flag) the values came from."""
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
+def _observer(name, spec, where: str) -> ObserverSpec:
+    """Observer `name` of the `observers` section, checked; an `ekf` one gets
+    its `EkfConfig`."""
+    spec = _check_keys(spec or {}, OBSERVER_KEYS, f"observer '{name}'", where)
+    kind = _require(spec, "type", f"observer '{name}'")
+    state_noise = _typed(spec.get("state_noise", True), bool,
+                         f"observers.{name}.state_noise", where)
+    # the name becomes a file name and a CSV field
+    if not (isinstance(name, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", name)) \
+            or name in (".", ".."):
+        raise ConfigError(f"{where}: observer name {name!r} must be letters, digits, '_', "
+                          f"'.' or '-', and not '.' or '..'")
+    if kind not in OBSERVER_TYPES:
+        raise ConfigError(f"{where}: observer '{name}': unknown type '{kind}'")
+    overrides = {}  # each converted once its check passed
+    for key, value in spec.items():
+        if key not in EKF_OVERRIDE_KEYS:
+            continue
+        scalar = key.startswith("cornering_stiffness")
+        if not (_positive_number(value) if scalar else isinstance(value, list)
+                and len(value) == 3 and all(map(_positive_number, value))):
+            shape = "a positive number" if scalar else "a list of three positive numbers"
+            raise ConfigError(f"{where}: observer '{name}': {key} must be {shape}, "
+                              f"got {value!r}")
+        overrides[key] = float(value) if scalar else tuple(map(float, value))
+    if ("cornering_stiffness_front" in overrides) != ("cornering_stiffness_rear" in overrides):
+        raise ConfigError(f"{where}: observer '{name}': cornering_stiffness_front and "
+                          f"cornering_stiffness_rear must be given together")
+    for key in spec:
+        if key not in OBSERVER_TYPE_KEYS[kind]:
+            raise ConfigError(f"{where}: key '{key}' in observer '{name}' does not "
+                              f"apply to type '{kind}'")
+    ekf = EkfConfig(**overrides) if kind == "ekf" else None
+    return ObserverSpec(name, kind, state_noise, ekf)
+
+
+def _float_spec(cls, doc: dict, section: str, where: str):
+    """The float-valued spec `cls` that `section` of `doc` sets; each field
+    is a float key but the seed, which is derived."""
+    types = {f.name: float for f in fields(cls) if f.name != "seed"}
+    return _built(cls, _section(doc.get(section, {}), section, where, types),
+                  f"{where}: {section}")
 
 
 def default_out_root() -> str:
@@ -196,7 +226,10 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
         raise ConfigError("--out must be a non-empty path, got ''")
     resolved_out = out_dir or doc_out
     if resolved_out is None:
-        resolved_out = os.path.join(default_out_root(), f"seed{master_seed}")
+        root = default_out_root()
+        if not root:  # would write into the working directory
+            raise ConfigError(f"{ENV_OUT_ROOT} must be a non-empty path, got ''")
+        resolved_out = os.path.join(root, f"seed{master_seed}")
 
     corpus_doc = _require(doc, "corpus", where)
     if not isinstance(corpus_doc, list) or not corpus_doc:
@@ -207,7 +240,7 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
         kwargs = _section(entry, section, where, CORPUS_ENTRY_TYPES)
         _require(kwargs, "kind", section)
         _require(kwargs, "intensity", section)
-        corpus.append(CorpusEntry(**kwargs))
+        corpus.append(_built(CorpusEntry, kwargs, f"{where}: {section}"))
     # the label names each entry's trajectories, seeds and split stratum
     first_of = {}
     for k, entry in enumerate(corpus):
@@ -216,9 +249,8 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
             raise ConfigError(f"{where}: corpus[{j}] and corpus[{k}] share the label "
                               f"'{entry.label}' (kind and intensity to 2 decimals)")
 
-    sensor_noise = SensorNoiseSpec(**_section(
-        doc.get("sensor_noise", {}), "sensor_noise", where, _float_fields(SensorNoiseSpec)))
-    split = SplitSpec(**_section(doc.get("split", {}), "split", where, _float_fields(SplitSpec)))
+    sensor_noise = _float_spec(SensorNoiseSpec, doc, "sensor_noise", where)
+    split = _float_spec(SplitSpec, doc, "split", where)
     ds_doc = _section(doc.get("dataset", {}), "dataset", where, DATASET_TYPES)
     for key, value in ds_doc.items():
         if value < 1:
@@ -233,36 +265,21 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
             raise ConfigError(
                 f"{where}: corpus[{k}].duration_s ({given}) gives {frames} frames at "
                 f"50 Hz, fewer than dataset.window_len ({window_len})")
-    state_noise = NoiseSpec(**_section(
-        doc.get("state_noise", {}), "state_noise", where, _float_fields(NoiseSpec)))
+    state_noise = _float_spec(NoiseSpec, doc, "state_noise", where)
     tr_doc = _section(doc.get("train", {}), "train", where, TRAIN_TYPES)
     if epochs is not None:
+        _built(TrainConfig, {"epochs": epochs}, "--epochs")  # the flag's value alone
         tr_doc["epochs"] = epochs
-    train = TrainConfig(**tr_doc)
+    train = _built(TrainConfig, tr_doc, f"{where}: train")
 
     obs_doc = doc.get("observers")
     if obs_doc is None:
         obs_doc = DEFAULT_OBSERVERS
     if not isinstance(obs_doc, dict) or not obs_doc:
         raise ConfigError(f"{where}: observers must be a non-empty mapping, got {obs_doc!r}")
-    observers = {}
-    for name, spec in obs_doc.items():
-        spec = _check_keys(spec or {}, OBSERVER_KEYS, f"observer '{name}'", where)
-        observer = ObserverSpec(
-            name=name,
-            type=_require(spec, "type", f"observer '{name}'"),
-            state_noise=_typed(spec.get("state_noise", True), bool,
-                               f"observers.{name}.state_noise", where),
-            ekf_overrides={k: v for k, v in spec.items() if k in EKF_OVERRIDE_KEYS},
-        )
-        for key in spec:
-            if key not in OBSERVER_TYPE_KEYS[observer.type]:
-                raise ConfigError(f"{where}: key '{key}' in observer '{name}' does not "
-                                  f"apply to type '{observer.type}'")
-        observers[name] = observer
+    observers = {name: _observer(name, spec, where) for name, spec in obs_doc.items()}
 
-    segments = SegmentSpec(**_section(
-        doc.get("evaluation", {}), "evaluation", where, _float_fields(SegmentSpec)))
+    segments = _float_spec(SegmentSpec, doc, "evaluation", where)
 
     n_workers = workers if workers is not None else doc.get("workers", 1)
     if isinstance(n_workers, bool) or not isinstance(n_workers, int) or n_workers < 1:

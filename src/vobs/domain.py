@@ -1,5 +1,8 @@
 """Core physical types, constants, and trajectory containers.
 
+The test vehicle is one set of module constants: the simulator drives it in
+every maneuver and the bicycle-model EKF models it.
+
 Conventions used everywhere in the package:
   - SI units, angles in radians (yaw rate in mrad/s appears only in
     evaluation reports).
@@ -9,8 +12,6 @@ Conventions used everywhere in the package:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,54 +36,21 @@ CSV_COLUMNS = ("t", "ax", "ay", "yaw_rate", "wheel_speed_rr", "steering",
                "gt_ax", "gt_ay", "gt_beta")
 
 
-@dataclass(frozen=True)
-class TireParams:
-    """Magic-formula lateral coefficients; D multiplies the static vertical load."""
-
-    stiffness_factor_b: float = 10.0
-    shape_factor_c: float = 1.9
-    peak_factor_d_per_n: float = 1.0
-
-    def __post_init__(self):
-        if self.stiffness_factor_b <= 0:
-            raise ValueError(f"tire B must be > 0, got {self.stiffness_factor_b}")
-        if not 1.0 < self.shape_factor_c < 2.0:
-            raise ValueError(f"tire C must be in (1, 2), got {self.shape_factor_c}")
-        if self.peak_factor_d_per_n <= 0:
-            raise ValueError(f"tire D must be > 0, got {self.peak_factor_d_per_n}")
-
-
-@dataclass(frozen=True)
-class VehicleParams:
-    """Physical constants of the test vehicle plus tire coefficients.
-
-    Defaults describe the mid-size sedan used for all built-in maneuvers.
-    """
-
-    mass_kg: float = 1578.0
-    lf_m: float = 1.134
-    lr_m: float = 1.578
-    track_m: float = 1.513
-    inertia_z_kgm2: float = 2924.0
-    tire_front: TireParams = field(default_factory=TireParams)
-    tire_rear: TireParams = field(default_factory=TireParams)
-
-    def __post_init__(self):
-        for name in ("mass_kg", "lf_m", "lr_m", "track_m", "inertia_z_kgm2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-    @property
-    def wheelbase_m(self) -> float:
-        return self.lf_m + self.lr_m
-
-    @property
-    def static_load_front_n(self) -> float:
-        return self.mass_kg * G_MPS2 * self.lr_m / self.wheelbase_m
-
-    @property
-    def static_load_rear_n(self) -> float:
-        return self.mass_kg * G_MPS2 * self.lf_m / self.wheelbase_m
+# The one test vehicle, a mid-size sedan: every maneuver drives it and the
+# EKF models it
+MASS_KG = 1578.0
+LF_M = 1.134  # CoG to front axle
+LR_M = 1.578  # CoG to rear axle
+TRACK_M = 1.513
+INERTIA_Z_KGM2 = 2924.0
+# its one tire, on both axles: magic-formula lateral coefficients B, C and D,
+# where D multiplies the static vertical load
+TIRE_B = 10.0
+TIRE_C = 1.9
+TIRE_D_PER_N = 1.0
+WHEELBASE_M = LF_M + LR_M
+STATIC_LOAD_FRONT_N = MASS_KG * G_MPS2 * LR_M / WHEELBASE_M
+STATIC_LOAD_REAR_N = MASS_KG * G_MPS2 * LF_M / WHEELBASE_M
 
 
 class Trajectory:

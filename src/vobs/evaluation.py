@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import read_csv, write_csv
-from .domain import G_AY, G_MPS2, Trajectory
+from .domain import G_AX, G_AY, G_MPS2, STATE_CHANNELS, Trajectory
 from .errors import ConfigError, DataFormatError
 
-CHANNELS = ("vx", "vy", "yaw_rate")
 CHANNEL_UNITS = ("m/s", "m/s", "mrad/s")
 SEGMENTS = ("overall", "normal", "near_limits")
 REPORT_COLUMNS = ("observer", "segment", "channel", "mae", "unit", "n_samples")
@@ -70,7 +69,7 @@ def compare_observers(reports: dict[str, np.ndarray]) -> dict[str, dict[str, str
     if len(reports) < 2:
         raise ConfigError("ranking needs at least 2 observers")
     ranking: dict[str, dict[str, str]] = {}
-    for ci, channel in enumerate(CHANNELS):
+    for ci, channel in enumerate(STATE_CHANNELS):
         order = sorted(reports, key=lambda name: (float(reports[name][ci]), name))
         ranking[channel] = {"first": order[0], "second": order[1], "last": order[-1]}
     return ranking
@@ -84,8 +83,8 @@ def friction_circle_hist(trajs: list[Trajectory], bins: int = 41,
     """
     if bins < 2:
         raise ConfigError("need at least 2 bins per axis")
-    ax = np.concatenate([t.truth[:, 7] for t in trajs])
-    ay = np.concatenate([t.truth[:, 8] for t in trajs])
+    ax = np.concatenate([t.truth[:, G_AX] for t in trajs])
+    ay = np.concatenate([t.truth[:, G_AY] for t in trajs])
     lim = range_g * G_MPS2
     counts, ax_edges, ay_edges = np.histogram2d(
         ax, ay, bins=bins, range=[[-lim, lim], [-lim, lim]])
@@ -146,7 +145,7 @@ def write_report_csv(report: EvalReport, path) -> None:
          report.counts.get(segment, 0))
         for observer, segs in sorted(report.table.items())
         for segment in SEGMENTS if segment in segs
-        for ci, channel in enumerate(CHANNELS)))
+        for ci, channel in enumerate(STATE_CHANNELS)))
 
 
 def read_report_csv(path) -> EvalReport:
@@ -154,7 +153,7 @@ def read_report_csv(path) -> EvalReport:
     table: dict[str, dict[str, np.ndarray]] = {}
     counts: dict[str, int] = {}
     for lineno, (observer, segment, channel, value, _, n) in read_csv(path, REPORT_COLUMNS):
-        if segment not in SEGMENTS or channel not in CHANNELS:
+        if segment not in SEGMENTS or channel not in STATE_CHANNELS:
             raise DataFormatError(
                 f"{path}:{lineno}: unknown segment or channel '{segment},{channel}'")
         try:
@@ -165,7 +164,7 @@ def read_report_csv(path) -> EvalReport:
             raise DataFormatError(f"{path}:{lineno}: non-finite MAE {value!r}")
         segs = table.setdefault(observer, {})
         err = segs.setdefault(segment, np.zeros(3))
-        err[CHANNELS.index(channel)] = mae_value
+        err[STATE_CHANNELS.index(channel)] = mae_value
         counts[segment] = n_samples
     return EvalReport(table, counts)
 
@@ -185,10 +184,10 @@ def format_report_text(report: EvalReport) -> str:
                 for spot, name in spots.items():
                     marks[(channel, name)] = {"first": "*", "second": "+", "last": "-"}[spot]
         width = max(max(len(n) for n in observers), 9) + 3
-        label_w = max(len(f"{c} ({u})") for c, u in zip(CHANNELS, CHANNEL_UNITS)) + 2
+        label_w = max(len(f"{c} ({u})") for c, u in zip(STATE_CHANNELS, CHANNEL_UNITS)) + 2
         lines.append(f"== {segment} ({report.counts.get(segment, 0)} samples) ==")
         lines.append("state".ljust(label_w) + "".join(n.rjust(width) for n in observers))
-        for ci, channel in enumerate(CHANNELS):
+        for ci, channel in enumerate(STATE_CHANNELS):
             row = f"{channel} ({CHANNEL_UNITS[ci]})".ljust(label_w)
             for name in observers:
                 mark = marks.get((channel, name), " ")

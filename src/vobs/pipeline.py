@@ -23,14 +23,13 @@ import numpy as np
 from . import dataset as ds
 from . import evaluation as ev
 from .artifacts import read_json, write_csv, write_file, write_json
-from .baselines import EkfConfig, run_ekf, run_gru, train_gru
+from .baselines import run_ekf, run_gru, train_gru
 from .config import RunConfig
 from .domain import (
     G_AY,
     G_MPS2,
     SENSOR_CHANNELS,
     STATE_CHANNELS,
-    VehicleParams,
     Trajectory,
     read_trajectory_csv,
     write_trajectory_csv,
@@ -135,7 +134,7 @@ def _map_tasks(fn, tasks, workers: int) -> list:
 def _simulate_job(jobs: list, index: int) -> Trajectory:
     """Run maneuver `index` of `jobs`."""
     _, _, label, script, noise = jobs[index]
-    traj = run_maneuver(script, VehicleParams(), noise)
+    traj = run_maneuver(script, noise)
     traj.label = label
     return traj
 
@@ -312,19 +311,8 @@ def train_all(cfg: RunConfig) -> list[dict]:
     return _map_tasks(functools.partial(train_observer_model, cfg), names, cfg.workers)
 
 
-def _ekf_config(spec, params: VehicleParams) -> EkfConfig:
-    o = spec.ekf_overrides
-    kwargs = {field: tuple(float(v) for v in o[key])
-              for key, field in (("q", "process_noise_q"), ("r", "measurement_noise_r"),
-                                 ("p0", "initial_covariance_p0")) if key in o}
-    if "cornering_stiffness_front" in o:  # the config requires both or neither
-        return EkfConfig(float(o["cornering_stiffness_front"]),
-                         float(o["cornering_stiffness_rear"]), **kwargs)
-    return EkfConfig.for_vehicle(params, **kwargs)
-
-
 def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
-                scaler: ds.ScalerParams, params: VehicleParams, task):
+                scaler: ds.ScalerParams, task):
     """(N, 3) estimates of one (observer name, test trajectory index) pair."""
     name, index = task
     spec = cfg.observers[name]
@@ -334,7 +322,7 @@ def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
         return run_closed_loop(traj, initial, nets[name], scaler, cfg.window_len)
     if spec.type == "gru":
         return run_gru(traj, initial, nets[name], scaler, cfg.window_len)
-    return run_ekf(traj, initial, params, _ekf_config(spec, params))
+    return run_ekf(traj, initial, spec.ekf)
 
 
 def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
@@ -380,7 +368,6 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
                     f"inputs, state inputs, outputs) {found}, expected {wanted}; "
                     f"run 'train' for this config")
             nets[name] = net.astype(COMPUTE_DTYPE)
-    params = VehicleParams()
 
     any_windowed = any(s.trainable for s in cfg.observers.values())
     skip = cfg.window_len - 1 if any_windowed else 0
@@ -395,7 +382,7 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     counts = {seg: n for seg, n in counts.items() if n > 0}
 
     tasks = [(name, i) for name in cfg.observers for i in range(len(test_trajs))]
-    trace_task = functools.partial(_trace_task, cfg, test_trajs, nets, scaler, params)
+    trace_task = functools.partial(_trace_task, cfg, test_trajs, nets, scaler)
     computed = iter(_map_tasks(trace_task, tasks, cfg.workers))
     traces: dict[str, dict[str, np.ndarray]] = {name: {} for name in cfg.observers}
     table: dict[str, dict[str, np.ndarray]] = {}
@@ -436,7 +423,7 @@ def _write_tables(report: ev.EvalReport, eval_dir: str) -> str:
         if sum(segment in segs for segs in report.table.values()) >= 2:
             ranking = report.ranking(segment)
             rows += [(segment, channel, *(ranking[channel][s] for s in spots))
-                     for channel in ev.CHANNELS]
+                     for channel in STATE_CHANNELS]
     write_csv(os.path.join(eval_dir, "ranking.csv"), ("segment", "channel") + spots, rows)
     return text
 
@@ -461,7 +448,7 @@ def _write_plot_data(cfg, report, test_trajs, seg_of, traces, skip, eval_dir) ->
         rep = max(candidates,
                   key=lambda t: float(np.max(np.abs(t.truth[:, G_AY]))))
         ranking = report.ranking(segment)
-        for ci, channel in enumerate(ev.CHANNELS):
+        for ci, channel in enumerate(STATE_CHANNELS):
             spots = ranking[channel]
             other = spots["second"] if spots["first"] == ours else spots["first"]
             ref = rep.state_channels()[skip:, ci]

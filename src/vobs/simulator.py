@@ -2,6 +2,9 @@
 magic-formula tires, scripted maneuvers from city driving up to ~0.8g,
 and synthesis of noisy in-car sensor streams.
 
+Every maneuver drives the one test vehicle of `domain` (its mass, geometry
+and tire constants); the EKF in `baselines` models the same vehicle.
+
 Integration runs RK4 at 500 Hz (dt = 0.002 s) on plain Python floats and is
 decimated to the 50 Hz sample grid. Control laws are re-evaluated at the
 integration rate (zero-order hold across one substep). The model is bound
@@ -19,7 +22,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import DT_S, G_MPS2, TireParams, Trajectory, VehicleParams
+from .domain import (DT_S, G_AX, G_AY, G_MPS2, G_T, G_VX, G_YAWRATE, INERTIA_Z_KGM2, LF_M,
+                     LR_M, MASS_KG, S_AX, S_AY, S_STEER, S_T, S_WHEEL, S_YAWRATE,
+                     STATIC_LOAD_FRONT_N, STATIC_LOAD_REAR_N, TIRE_B, TIRE_C, TIRE_D_PER_N,
+                     TRACK_M, WHEELBASE_M, Trajectory)
 from .errors import ConfigError, NumericalError
 
 MAX_STEERING_RAD = 0.6
@@ -79,18 +85,17 @@ class SensorNoiseSpec:
                 raise ConfigError(f"{name} must be >= 0")
 
 
-def pacejka_lateral_force(slip_rad: float, vertical_load_n: float,
-                          tire: TireParams) -> float:
-    """Lateral tire force D*Fz*sin(C*atan(B*slip)); odd in slip."""
+def pacejka_lateral_force(slip_rad: float, vertical_load_n: float) -> float:
+    """Lateral force D*Fz*sin(C*atan(B*slip)) of the test vehicle's tire;
+    odd in slip."""
     if vertical_load_n <= 0:
         raise ValueError(f"vertical load must be > 0, got {vertical_load_n}")
-    return (tire.peak_factor_d_per_n * vertical_load_n
-            * math.sin(tire.shape_factor_c
-                       * math.atan(tire.stiffness_factor_b * slip_rad)))
+    return TIRE_D_PER_N * vertical_load_n * math.sin(TIRE_C * math.atan(TIRE_B * slip_rad))
 
 
-def bind_dynamics(p: VehicleParams, substep_s: float, n_sub: int):
-    """The bicycle model bound once to `p`: returns `(derivatives, advance)`.
+def bind_dynamics(substep_s: float, n_sub: int):
+    """The test vehicle's bicycle model, bound once: returns
+    `(derivatives, advance)`.
 
     `derivatives(x, y, yaw, vx, vy, r, delta, fx)` gives the six state rates
     plus the body-frame specific forces (the accelerometer readings).
@@ -99,12 +104,9 @@ def bind_dynamics(p: VehicleParams, substep_s: float, n_sub: int):
     and in the same order, so its output is bit-identical to RK4 over it.
     """
     atan2, atan, sin, cos = math.atan2, math.atan, math.sin, math.cos
-    m, iz, lf, lr = p.mass_kg, p.inertia_z_kgm2, p.lf_m, p.lr_m
-    tf, tr = p.tire_front, p.tire_rear
-    bf, cf, dfzf = (tf.stiffness_factor_b, tf.shape_factor_c,
-                    tf.peak_factor_d_per_n * p.static_load_front_n)
-    br, cr, dfzr = (tr.stiffness_factor_b, tr.shape_factor_c,
-                    tr.peak_factor_d_per_n * p.static_load_rear_n)
+    m, iz, lf, lr = MASS_KG, INERTIA_Z_KGM2, LF_M, LR_M
+    bf, cf, dfzf = TIRE_B, TIRE_C, TIRE_D_PER_N * STATIC_LOAD_FRONT_N
+    br, cr, dfzr = TIRE_B, TIRE_C, TIRE_D_PER_N * STATIC_LOAD_REAR_N
     dt, h, w = substep_s, substep_s * 0.5, substep_s / 6.0
 
     def derivatives(x, y, yaw, vx, vy, r, delta, fx):
@@ -162,8 +164,7 @@ def bind_dynamics(p: VehicleParams, substep_s: float, n_sub: int):
     return derivatives, advance
 
 
-def synthesize_sensors(gt: np.ndarray, steering, p: VehicleParams,
-                       noise: SensorNoiseSpec) -> np.ndarray:
+def synthesize_sensors(gt: np.ndarray, steering, noise: SensorNoiseSpec) -> np.ndarray:
     """Build the in-car sensor stream from the (N, 10) ground truth, in
     Trajectory.truth layout, and the steering trace.
 
@@ -179,32 +180,31 @@ def synthesize_sensors(gt: np.ndarray, steering, p: VehicleParams,
     if steering.shape != (gt.shape[0],):
         raise ValueError("steering trace length must match ground truth")
 
-    t = gt[:, 0]
-    ax = gt[:, 7]
-    ay = gt[:, 8]
-    yaw_rate = gt[:, 6]
-    wheel = gt[:, 4] + 0.5 * p.track_m * yaw_rate
+    ax = gt[:, G_AX]
+    ay = gt[:, G_AY]
+    yaw_rate = gt[:, G_YAWRATE]
+    wheel = gt[:, G_VX] + 0.5 * TRACK_M * yaw_rate
 
     n = gt.shape[0]
     rng = np.random.default_rng(noise.seed)
     sensors = np.empty((n, 6), dtype=np.float64)
-    sensors[:, 0] = t
-    sensors[:, 1] = ax + noise.bias_ax + rng.normal(0.0, 1.0, n) * noise.std_ax
-    sensors[:, 2] = ay + noise.bias_ay + rng.normal(0.0, 1.0, n) * noise.std_ay
-    sensors[:, 3] = (yaw_rate + noise.bias_yaw_rate
-                     + rng.normal(0.0, 1.0, n) * noise.std_yaw_rate)
-    sensors[:, 4] = (wheel + noise.bias_wheel_speed
-                     + rng.normal(0.0, 1.0, n) * noise.std_wheel_speed)
-    sensors[:, 5] = (steering + noise.bias_steering
-                     + rng.normal(0.0, 1.0, n) * noise.std_steering)
+    sensors[:, S_T] = gt[:, G_T]
+    sensors[:, S_AX] = ax + noise.bias_ax + rng.normal(0.0, 1.0, n) * noise.std_ax
+    sensors[:, S_AY] = ay + noise.bias_ay + rng.normal(0.0, 1.0, n) * noise.std_ay
+    sensors[:, S_YAWRATE] = (yaw_rate + noise.bias_yaw_rate
+                             + rng.normal(0.0, 1.0, n) * noise.std_yaw_rate)
+    sensors[:, S_WHEEL] = (wheel + noise.bias_wheel_speed
+                           + rng.normal(0.0, 1.0, n) * noise.std_wheel_speed)
+    sensors[:, S_STEER] = (steering + noise.bias_steering
+                           + rng.normal(0.0, 1.0, n) * noise.std_steering)
     return sensors
 
 
 CONTROL_PERIOD_S = 0.002
 
 
-def run_maneuver(script: ManeuverScript, p: VehicleParams,
-                 noise: SensorNoiseSpec, substep_s: float = 0.002) -> Trajectory:
+def run_maneuver(script: ManeuverScript, noise: SensorNoiseSpec,
+                 substep_s: float = 0.002) -> Trajectory:
     """Integrate a scripted maneuver and return the 50 Hz trajectory.
 
     Ground truth comes straight from the integrator; sensors from
@@ -224,8 +224,7 @@ def run_maneuver(script: ManeuverScript, p: VehicleParams,
     n_sub = int(round(n_sub))
     ctrl_per_sample = int(round(DT_S / CONTROL_PERIOD_S))
 
-    mu = min(p.tire_front.peak_factor_d_per_n, p.tire_rear.peak_factor_d_per_n)
-    fx_max = mu * p.mass_kg * G_MPS2
+    fx_max = TIRE_D_PER_N * MASS_KG * G_MPS2
 
     n_samples = _frames(script.duration_s)
     if n_samples < 1:
@@ -234,7 +233,7 @@ def run_maneuver(script: ManeuverScript, p: VehicleParams,
     truth = np.empty((n_samples, 10), dtype=np.float64)
     steer_trace = np.empty(n_samples, dtype=np.float64)
 
-    derivatives, advance = bind_dynamics(p, substep_s, n_sub)
+    derivatives, advance = bind_dynamics(substep_s, n_sub)
     s = script.initial
     law = script.control_law
     for k in range(n_samples):
@@ -256,7 +255,7 @@ def run_maneuver(script: ManeuverScript, p: VehicleParams,
 
     if not np.isfinite(truth).all():
         raise NumericalError(f"integration produced non-finite output in '{script.name}'")
-    sensors = synthesize_sensors(truth, steer_trace, p, noise)
+    sensors = synthesize_sensors(truth, steer_trace, noise)
     return Trajectory(sensors, truth, label=script.name)
 
 
@@ -266,7 +265,6 @@ def run_maneuver(script: ManeuverScript, p: VehicleParams,
 
 _SPEED_GAIN_N_PER_MPS = 4000.0
 _YAW_GAIN_RAD_PER_RADPS = 0.4
-_WHEELBASE_M = VehicleParams().wheelbase_m  # the scripts steer the default vehicle
 
 
 def _target_ay(intensity: float) -> float:
@@ -288,7 +286,7 @@ def _step_steer(intensity: float, duration: float, seed: int) -> ManeuverScript:
     v = 15.0
     ay = _target_ay(intensity)
     radius = v * v / ay
-    delta_ff = _WHEELBASE_M / radius
+    delta_ff = WHEELBASE_M / radius
 
     def law(t: float, s: SimState) -> ControlInput:
         fx = _speed_force(v, s.vx_mps)
@@ -308,7 +306,7 @@ def _double_lane_change(intensity: float, duration: float, seed: int) -> Maneuve
     v = 16.0
     ay = _target_ay(intensity)
     # sine-steer amplitude; 1.12 compensates the yaw-response lag at this period
-    delta0 = 1.12 * ay * _WHEELBASE_M / (v * v)
+    delta0 = 1.12 * ay * WHEELBASE_M / (v * v)
     period = 12.0
     t_sine = 3.0
 
@@ -331,7 +329,7 @@ def _u_turn(intensity: float, duration: float, seed: int) -> ManeuverScript:
     v = 10.0
     ay = _target_ay(intensity)
     radius = max(v * v / ay, 6.0)
-    delta_ff = _WHEELBASE_M / radius
+    delta_ff = WHEELBASE_M / radius
 
     def law(t: float, s: SimState) -> ControlInput:
         fx = _speed_force(v, s.vx_mps)
@@ -351,7 +349,7 @@ def _slalom(intensity: float, duration: float, seed: int) -> ManeuverScript:
     v = 17.0
     ay = _target_ay(intensity)
     # 1.09 compensates the yaw-response lag at this period
-    delta0 = 1.09 * ay * _WHEELBASE_M / (v * v)
+    delta0 = 1.09 * ay * WHEELBASE_M / (v * v)
     wave_period = 4.0
 
     def law(t: float, s: SimState) -> ControlInput:
@@ -372,7 +370,7 @@ def _constant_radius_ramp(intensity: float, duration: float, seed: int) -> Maneu
     v0 = 6.0
     v_max = math.sqrt(ay_end * radius)
     ramp_rate = 1.2
-    delta_ff = _WHEELBASE_M / radius
+    delta_ff = WHEELBASE_M / radius
 
     def law(t: float, s: SimState) -> ControlInput:
         if t < 3.0:
@@ -443,13 +441,13 @@ def _city_mix(intensity: float, duration: float, seed: int) -> ManeuverScript:
         elif kind == "turn":
             shape = _ramp01(t, t0, 1.5) * _ramp01(t_end - t, 0.0, 1.5)
             r_ref = shape * param / vx
-            delta = (shape * _WHEELBASE_M * param / (vx * vx)
+            delta = (shape * WHEELBASE_M * param / (vx * vx)
                      + _YAW_GAIN_RAD_PER_RADPS * (r_ref - s.yaw_rate_radps))
         else:  # lane change: one full sine of steering
             t_sine = 3.0
             tp = t - t0
             if tp < t_sine:
-                delta = param * _WHEELBASE_M / (vx * vx) * math.sin(
+                delta = param * WHEELBASE_M / (vx * vx) * math.sin(
                     2.0 * math.pi * tp / t_sine)
             else:
                 delta = 0.0
@@ -484,7 +482,7 @@ def maneuver_frames(kind: str, duration_s: float | None = None) -> int:
 
 def builtin_scripts(kind: str, intensity: float, duration_s: float | None = None,
                     seed: int = 0) -> ManeuverScript:
-    """Parameterized maneuver library for the default `VehicleParams`.
+    """Parameterized maneuver library for the test vehicle.
 
     `intensity` in (0, 1] scales the targeted peak lateral acceleration from
     roughly 0.1g up to roughly 0.85g. `seed` only affects the city_mix

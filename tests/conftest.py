@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vobs.domain import DT_S, Trajectory, VehicleParams
+from vobs.domain import DT_S, WHEELBASE_M, Trajectory
 from vobs.simulator import (
     ControlInput,
     ManeuverScript,
@@ -14,11 +14,6 @@ from vobs.simulator import (
 
 # every sensor channel without noise or bias
 ZERO_NOISE = SensorNoiseSpec(0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-@pytest.fixture(scope="session")
-def params():
-    return VehicleParams()
 
 
 def sensor_traj(raw) -> Trajectory:
@@ -42,24 +37,22 @@ def straight_script(duration_s=10.0, speed=15.0, name="straight", lateral_speed=
 
 def circle_script(duration_s=30.0, speed=12.0, radius=40.0, name="circle"):
     """Constant-radius turn with a speed hold and shaped entry."""
-    wheelbase = VehicleParams().wheelbase_m
-
     def law(t, s):
         fx = 4000.0 * (speed - s.vx_mps)
         shape = min(max((t - 1.0) / 2.0, 0.0), 1.0)
         r_ref = shape * s.vx_mps / radius
-        delta = shape * wheelbase / radius + 0.4 * (r_ref - s.yaw_rate_radps)
+        delta = shape * WHEELBASE_M / radius + 0.4 * (r_ref - s.yaw_rate_radps)
         return ControlInput(delta, fx)
 
     return ManeuverScript(name, duration_s, law, SimState(vx_mps=speed))
 
 
 @pytest.fixture(scope="session")
-def straight_traj(params) -> Trajectory:
-    return run_maneuver(straight_script(), params, ZERO_NOISE)
+def straight_traj() -> Trajectory:
+    return run_maneuver(straight_script(), ZERO_NOISE)
 
 
 @pytest.fixture(scope="session")
-def noisy_straight_traj(params) -> Trajectory:
-    return run_maneuver(straight_script(duration_s=20.0), params,
+def noisy_straight_traj() -> Trajectory:
+    return run_maneuver(straight_script(duration_s=20.0),
                         SensorNoiseSpec(seed=11))

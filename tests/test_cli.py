@@ -21,8 +21,8 @@ from vobs import pipeline
 from vobs.cli import main
 from vobs.baselines import EkfConfig
 from vobs.artifacts import read_float_csv
-from vobs.config import DEFAULT_OBSERVERS, build_config, load_config
-from vobs.domain import VehicleParams, read_trajectory_csv
+from vobs.config import DEFAULT_OBSERVERS, EKF_OVERRIDE_KEYS, build_config, load_config
+from vobs.domain import read_trajectory_csv
 from vobs.neural import RecurrentRegressor, gru_observer_net, load_weights, save_weights
 from vobs.neural.network import build_net
 from vobs.observer_lstm import TRACE_COLUMNS
@@ -487,6 +487,35 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"state_noise": {"std_v_mps": -1}}, "state_noise: noise stds must be >= 0"),
+        ({"corpus": [BASE_CONFIG["corpus"][0], {"kind": "slalom", "intensity": 1.5}]},
+         "corpus entry 1: intensity must be in (0, 1], got 1.5"),
+        ({"corpus": [{"kind": "slalom", "intensity": 0.3, "count": 0}]},
+         "corpus entry 0: count must be >= 1, got 0"),
+        ({"sensor_noise": {"std_ay": -0.1}}, "sensor_noise: std_ay must be >= 0"),
+        ({"train": {"batch_size": 0}}, "train: batch_size must be >= 1, got 0"),
+        ({"evaluation": {"normal_threshold_g": 0.9}},
+         "evaluation: need 0 < normal threshold < near-limits max"),
+        ({"split": {"train": 0.5, "val": 0.2, "test": 0.2}},
+         "split: split fractions must sum to 1"),
+    ], ids=["state_noise", "corpus_intensity", "corpus_count", "sensor_noise", "train",
+            "evaluation", "split"])
+    def test_range_error_names_file_and_section(self, tmp_path, capsys, overrides, message):
+        cfg = _write_config(tmp_path, overrides=overrides)
+        assert main(["simulate", "--config", cfg]) == 1
+        assert f"error: {cfg}: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_epochs_flag_named_when_it_set_the_value(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, overrides={"train": {"epochs": 0, "batch_size": 128}})
+        assert load_config(cfg, epochs=2).train.epochs == 2  # the flag wins, as before
+        assert main(["train", "--config", cfg, "--epochs", "0"]) == 1
+        assert "error: --epochs: epochs must be >= 1, got 0\n" in capsys.readouterr().err
+        cfg = _write_config(tmp_path, overrides={"train": {"batch_size": 0}})
+        assert main(["train", "--config", cfg, "--epochs", "2"]) == 1
+        assert f"error: {cfg}: train: batch_size must be >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("frames", [50, 49])
     def test_corpus_entry_must_hold_one_window(self, tmp_path, capsys, frames):
         # window_len 50: a 50-frame trajectory is one window through every
@@ -640,8 +669,14 @@ class TestUnknownConfigKeys:
                "p0": [1, 1, 1], "cornering_stiffness_front": 6e4,
                "cornering_stiffness_rear": 7e4}
         doc = dict(BASE_CONFIG, observers={"ekf": ekf})
-        assert build_config(doc).observers["ekf"].ekf_overrides == {
-            k: v for k, v in ekf.items() if k != "type"}
+        assert build_config(doc).observers["ekf"].ekf == EkfConfig(
+            q=(0.1, 0.1, 0.1), r=(1e-3, 1e-5, 1e-2), p0=(1.0, 1.0, 1.0),
+            cornering_stiffness_front=6e4, cornering_stiffness_rear=7e4)
+
+    def test_reference_documents_every_ekf_key(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        text = pathlib.Path(root, "configs", "reference.yaml").read_text()
+        assert [key for key in EKF_OVERRIDE_KEYS if f"\n  #   {key}: " not in text] == []
 
 
 class TestObserverValidation:
@@ -701,28 +736,31 @@ class TestObserverValidation:
 
 
 class TestEkfConfig:
-    """Each configured EKF override reaches the filter's `EkfConfig`."""
+    """Each configured EKF override reaches the `EkfConfig` that config load
+    builds."""
 
     def _ekf_config(self, **overrides):
         doc = dict(BASE_CONFIG, observers={"ekf": {"type": "ekf", **overrides}})
-        return pipeline._ekf_config(build_config(doc).observers["ekf"], VehicleParams())
+        return build_config(doc).observers["ekf"].ekf
 
-    @pytest.mark.parametrize("key, field", [("q", "process_noise_q"),
-                                            ("r", "measurement_noise_r"),
-                                            ("p0", "initial_covariance_p0")])
-    def test_noise_override_lands_in_its_own_field(self, key, field):
-        cfg = self._ekf_config(**{key: [0.1, 0.2, 0.3]})
-        expected = dataclasses.replace(EkfConfig.for_vehicle(VehicleParams()),
-                                       **{field: (0.1, 0.2, 0.3)})
-        assert cfg == expected
+    def test_fields_are_the_config_keys(self):
+        assert {f.name for f in dataclasses.fields(EkfConfig)} == set(EKF_OVERRIDE_KEYS)
+
+    @pytest.mark.parametrize("key", ["q", "r", "p0"])
+    def test_noise_override_lands_in_its_own_field(self, key):
+        cfg = self._ekf_config(**{key: [1, 0.2, 0.3]})
+        assert cfg == dataclasses.replace(EkfConfig(), **{key: (1.0, 0.2, 0.3)})
+        assert all(type(v) is float for v in getattr(cfg, key))
 
     def test_stiffness_pair_used_when_given(self):
-        cfg = self._ekf_config(cornering_stiffness_front=6e4,
+        cfg = self._ekf_config(cornering_stiffness_front=60000,
                                cornering_stiffness_rear=7e4, q=[0.1, 0.2, 0.3])
-        assert cfg == EkfConfig(6e4, 7e4, process_noise_q=(0.1, 0.2, 0.3))
+        assert cfg == EkfConfig(cornering_stiffness_front=6e4, cornering_stiffness_rear=7e4,
+                                q=(0.1, 0.2, 0.3))
+        assert type(cfg.cornering_stiffness_front) is float
 
     def test_vehicle_stiffnesses_used_otherwise(self):
-        assert self._ekf_config() == EkfConfig.for_vehicle(VehicleParams())
+        assert self._ekf_config() == EkfConfig()
 
 
 class TestCorruptStageMetadata:
@@ -914,3 +952,16 @@ class TestEnvDefaultRoot:
         path.write_text(yaml.safe_dump(doc))
         assert main(["simulate", "--config", str(path)]) == 0
         assert (tmp_path / "envroot" / "seed3" / "manifest.json").exists()
+
+    def test_empty_environment_root_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # it used to put the run in seed<N> under the working directory
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("VOBS_OUT", "")
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "VOBS_OUT must be a non-empty path, got ''" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+        # the variable is only read when neither out_dir nor --out is given
+        assert load_config(path, out_dir="run").out_dir == "run"

@@ -11,8 +11,15 @@ from vobs.domain import (
     G_T,
     G_VX,
     G_VY,
+    INERTIA_Z_KGM2,
+    LF_M,
+    LR_M,
+    MASS_KG,
     S_T,
-    VehicleParams,
+    STATIC_LOAD_FRONT_N,
+    STATIC_LOAD_REAR_N,
+    TRACK_M,
+    WHEELBASE_M,
     read_trajectory_csv,
     write_trajectory_csv,
 )
@@ -23,33 +30,26 @@ from conftest import ZERO_NOISE, circle_script, straight_script
 
 
 class TestVehicleParams:
+    """The test vehicle's constants."""
+
     def test_defaults_match_reference_vehicle(self):
-        p = VehicleParams()
-        assert p.mass_kg == 1578.0
-        assert p.lf_m == 1.134
-        assert p.lr_m == 1.578
-        assert p.track_m == 1.513
-        assert p.inertia_z_kgm2 == 2924.0
+        assert MASS_KG == 1578.0
+        assert LF_M == 1.134
+        assert LR_M == 1.578
+        assert TRACK_M == 1.513
+        assert INERTIA_Z_KGM2 == 2924.0
 
     def test_wheelbase_is_lf_plus_lr(self):
-        p = VehicleParams()
-        assert p.wheelbase_m == pytest.approx(p.lf_m + p.lr_m, abs=0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            VehicleParams(mass_kg=0.0)
-        with pytest.raises(ValueError):
-            VehicleParams(lf_m=-1.0)
+        assert WHEELBASE_M == pytest.approx(LF_M + LR_M, abs=0)
 
     def test_static_loads_sum_to_weight(self):
-        p = VehicleParams()
-        total = p.static_load_front_n + p.static_load_rear_n
-        assert total == pytest.approx(p.mass_kg * 9.81, rel=1e-12)
+        total = STATIC_LOAD_FRONT_N + STATIC_LOAD_REAR_N
+        assert total == pytest.approx(MASS_KG * 9.81, rel=1e-12)
 
 
-def _coasting(params, vx, vy=0.0):
+def _coasting(vx, vy=0.0):
     """Half a second with zero controls from the velocity (vx, vy)."""
-    return run_maneuver(straight_script(0.5, speed=vx, lateral_speed=vy), params,
+    return run_maneuver(straight_script(0.5, speed=vx, lateral_speed=vy),
                         ZERO_NOISE)
 
 
@@ -59,29 +59,29 @@ class TestSideSlip:
     def test_zero_lateral(self, straight_traj):
         assert (straight_traj.truth[:, G_BETA] == 0.0).all()
 
-    def test_analytic_value(self, params):
-        traj = _coasting(params, 10.0, 1.0)
+    def test_analytic_value(self):
+        traj = _coasting(10.0, 1.0)
         assert traj.truth[0, G_BETA] == pytest.approx(0.09967, abs=1e-5)
 
-    def test_degenerate_standstill(self, params):
-        traj = _coasting(params, 0.0)
+    def test_degenerate_standstill(self):
+        traj = _coasting(0.0)
         assert (traj.truth[:, G_BETA] == 0.0).all()
 
     @given(st.floats(0.5, 40), st.floats(-5, 5))
     @settings(max_examples=20, deadline=None)
-    def test_odd_in_vy(self, params, vx, vy):
+    def test_odd_in_vy(self, vx, vy):
         # mirroring the initial lateral velocity mirrors the whole coast
-        beta = _coasting(params, vx, vy).truth[:, G_BETA]
-        mirrored = _coasting(params, vx, -vy).truth[:, G_BETA]
+        beta = _coasting(vx, vy).truth[:, G_BETA]
+        mirrored = _coasting(vx, -vy).truth[:, G_BETA]
         np.testing.assert_allclose(mirrored, -beta, rtol=0, atol=1e-15)
 
 
 class TestValidateTrajectory:
-    def test_simulated_trajectory_is_valid(self, params, straight_traj,
+    def test_simulated_trajectory_is_valid(self, straight_traj,
                                            noisy_straight_traj):
         # finite, on the 0.02 s grid, sensor and truth time aligned, and
         # gt_beta = atan2(vy, vx) at every sample
-        circle = run_maneuver(circle_script(duration_s=8.0), params,
+        circle = run_maneuver(circle_script(duration_s=8.0),
                               SensorNoiseSpec(seed=5))
         for traj in (straight_traj, noisy_straight_traj, circle):
             assert np.isfinite(traj.sensors).all() and np.isfinite(traj.truth).all()

@@ -108,9 +108,9 @@ class TestRunClosedLoop:
             assert np.abs(est - got[t]).max() < 1e-9
             prev = got[t]
 
-    def test_no_ground_truth_leakage(self, params):
+    def test_no_ground_truth_leakage(self):
         # the trace depends only on sensors and the provided initial state
-        traj = run_maneuver(straight_script(duration_s=4.0), params,
+        traj = run_maneuver(straight_script(duration_s=4.0),
                             SensorNoiseSpec(seed=4))
         net = lstm_observer_net(seed=8, in_dim=5, hidden=(3,), dense=(4,),
                                 out_dim=3, state_dim=3)

@@ -34,9 +34,9 @@ RTOL = 1e-4
 
 
 @pytest.fixture(scope="module")
-def maneuver(params):
+def maneuver():
     """A 600-frame noisy constant-radius turn and a scaler fitted to it."""
-    traj = run_maneuver(circle_script(duration_s=12.0), params, SensorNoiseSpec(seed=7))
+    traj = run_maneuver(circle_script(duration_s=12.0), SensorNoiseSpec(seed=7))
     assert len(traj) >= 400
     return traj, fit_scaler([traj])
 
