@@ -107,9 +107,9 @@ TRAIN_TYPES = {"epochs": int, "batch_size": int, "learning_rate": float, "shuffl
 OBSERVER_KEYS = tuple(dict.fromkeys(k for keys in OBSERVER_TYPE_KEYS.values() for k in keys))
 
 
-def _require(mapping: dict, key: str, where: str):
+def _require(mapping: dict, key: str, where: str, section: str = "the config"):
     if key not in mapping:
-        raise ConfigError(f"missing '{key}' in {where}")
+        raise ConfigError(f"{where}: missing '{key}' in {section}")
     return mapping[key]
 
 
@@ -153,7 +153,7 @@ def _observer(name, spec, where: str) -> ObserverSpec:
     """Observer `name` of the `observers` section, checked; an `ekf` one gets
     its `EkfConfig`."""
     spec = _check_keys(spec or {}, OBSERVER_KEYS, f"observer '{name}'", where)
-    kind = _require(spec, "type", f"observer '{name}'")
+    kind = _require(spec, "type", where, f"observer '{name}'")
     state_noise = _typed(spec.get("state_noise", True), bool,
                          f"observers.{name}.state_noise", where)
     # the name becomes a file name and a CSV field
@@ -238,8 +238,8 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
     for k, entry in enumerate(corpus_doc):
         section = f"corpus entry {k}"
         kwargs = _section(entry, section, where, CORPUS_ENTRY_TYPES)
-        _require(kwargs, "kind", section)
-        _require(kwargs, "intensity", section)
+        _require(kwargs, "kind", where, section)
+        _require(kwargs, "intensity", where, section)
         corpus.append(_built(CorpusEntry, kwargs, f"{where}: {section}"))
     # the label names each entry's trajectories, seeds and split stratum
     first_of = {}

@@ -1,10 +1,13 @@
 """Turns trajectories into scaled, windowed training samples.
 
-The sample layout follows the observer's two inputs: a window of the five
-sensor channels covering the current step and the window_len - 1 before it,
-and the ground-truth state at the step before the target. All values are
-min-max scaled to the training corpus; validation/test values may fall
-outside [0, 1] and are deliberately not clipped.
+Each split is stored as its frames once, the split's trajectories end to
+end, plus the target frame of every window. A sample follows the observer's
+two inputs: the window of the five sensor channels covering the target
+frame and the window_len - 1 frames before it, and the ground-truth state
+at the frame before the target; `WindowedDataset.batch` gathers them from
+the frames on demand. All values are min-max scaled to the training corpus;
+validation/test values may fall outside [0, 1] and are deliberately not
+clipped.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import ConfigError, DataFormatError
 from .seeding import derived_rng
 
 CACHE_MAGIC = b"VOBS"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 N_SENSOR = len(SENSOR_CHANNELS)
 N_STATE = len(STATE_CHANNELS)
@@ -100,88 +103,74 @@ class NoiseSpec:
         return np.array([self.std_v_mps, self.std_v_mps, self.std_yaw_rate_radps])
 
 
+def sliding_windows(frames: np.ndarray, window_len: int) -> np.ndarray:
+    """Read-only (F - w + 1, w, C) view of the (F, C) `frames` whose window i
+    holds rows i .. i + w - 1, oldest first."""
+    return np.lib.stride_tricks.sliding_window_view(
+        frames, (window_len, frames.shape[1]))[:, 0]
+
+
 @dataclass
 class WindowedDataset:
-    """Column-stacked windowed samples, all scaled.
+    """One split's scaled frames, each stored once with the split's
+    trajectories end to end, and the target frame of each window.
 
-    windows:    (N, w, 5) sensor channels, rows oldest-first; row w-1 is the
-                sensor frame at the target's timestamp.
-    prev_state: (N, 3) ground-truth (vx, vy, yaw_rate) one step before target.
-    target:     (N, 3) ground-truth state at the target step.
+    sensors: (F, 5) sensor channels; states: (F, 3) ground-truth (vx, vy,
+    yaw_rate). targets: (N,) increasing frame index t of each window's target:
+    its window is sensor frames t-w+1 .. t, oldest first, its previous state
+    states[t-1] and its target states[t], all in t's own trajectory.
     """
 
-    windows: np.ndarray
-    prev_state: np.ndarray
-    target: np.ndarray
+    sensors: np.ndarray
+    states: np.ndarray
+    targets: np.ndarray
     window_len: int
 
     def __len__(self) -> int:
-        return self.windows.shape[0]
+        return self.targets.shape[0]
 
-    @classmethod
-    def empty(cls, window_len: int) -> "WindowedDataset":
-        return cls(np.zeros((0, window_len, N_SENSOR)), np.zeros((0, N_STATE)),
-                   np.zeros((0, N_STATE)), window_len=window_len)
+    def batch(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(windows (B, w, 5), prev_state (B, 3), target (B, 3)) of the
+        windows that the index array or slice `idx` selects."""
+        t = self.targets[idx]
+        windows = sliding_windows(self.sensors, self.window_len)[t - (self.window_len - 1)]
+        return windows, self.states[t - 1], self.states[t]
 
-    @classmethod
-    def concatenate(cls, parts: list["WindowedDataset"]) -> "WindowedDataset":
-        """The parts' windows stacked in order; every part, empty ones
-        included, must carry the same window length, which the result keeps."""
-        if not parts:
-            raise ConfigError("cannot concatenate an empty list of datasets")
-        w = parts[0].window_len
-        if any(p.window_len != w for p in parts):
-            raise ConfigError("cannot concatenate datasets with different window lengths")
-        return cls(np.concatenate([p.windows for p in parts]),
-                   np.concatenate([p.prev_state for p in parts]),
-                   np.concatenate([p.target for p in parts]),
-                   window_len=w)
+
+def _frames(trajectories: list[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
+    """The raw (F, 5) sensor and (F, 3) state channels of `trajectories`,
+    end to end."""
+    if not trajectories:
+        raise ConfigError("cannot scale or window an empty trajectory list")
+    return (np.concatenate([traj.sensor_channels() for traj in trajectories]),
+            np.concatenate([traj.state_channels() for traj in trajectories]))
 
 
 def fit_scaler(trajectories: list[Trajectory]) -> ScalerParams:
     """Per-channel min/max over all frames; fit on the training split only."""
-    if not trajectories:
-        raise ConfigError("cannot fit scaler on an empty trajectory list")
-    s_min = np.full(N_SENSOR, np.inf)
-    s_max = np.full(N_SENSOR, -np.inf)
-    g_min = np.full(N_STATE, np.inf)
-    g_max = np.full(N_STATE, -np.inf)
-    for traj in trajectories:
-        sc = traj.sensor_channels()
-        st = traj.state_channels()
-        s_min = np.minimum(s_min, sc.min(axis=0))
-        s_max = np.maximum(s_max, sc.max(axis=0))
-        g_min = np.minimum(g_min, st.min(axis=0))
-        g_max = np.maximum(g_max, st.max(axis=0))
-    return ScalerParams(s_min, s_max, g_min, g_max)
+    sensors, states = _frames(trajectories)
+    return ScalerParams(sensors.min(axis=0), sensors.max(axis=0),
+                        states.min(axis=0), states.max(axis=0))
 
 
-def make_windows(traj: Trajectory, scaler: ScalerParams, window_len: int,
+def make_windows(trajectories: list[Trajectory], scaler: ScalerParams, window_len: int,
                  stride: int = 1) -> WindowedDataset:
-    """Slice one trajectory into scaled windowed samples.
+    """The scaled frames of `trajectories`, end to end, and their windows.
 
-    One sample per target index t in [window_len-1, N-1] (every `stride`-th
-    when stride > 1); a trajectory shorter than window_len frames yields no
-    samples.
+    Each trajectory has one window per target index t in [max(window_len-1, 1),
+    N-1] of its own frames (every `stride`-th when stride > 1), so no window
+    or previous state reaches into another trajectory.
     """
-    w = window_len
-    if w < 1:
-        raise ConfigError(f"window length must be >= 1, got {w}")
+    if window_len < 1:
+        raise ConfigError(f"window length must be >= 1, got {window_len}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    n = len(traj)
-    if n < w:
-        return WindowedDataset.empty(w)
-    sensors = scaler.scale_sensors(traj.sensor_channels())
-    states = scaler.scale_state(traj.state_channels())
-
-    targets_idx = np.arange(w - 1, n, stride)
-    # window view: rows t-w+1 .. t for each target t (array indexing copies)
-    win_view = np.lib.stride_tricks.sliding_window_view(sensors, (w, N_SENSOR))
-    windows = win_view[targets_idx - (w - 1), 0]
-    prev = states[targets_idx - 1]
-    target = states[targets_idx]
-    return WindowedDataset(windows, prev, target, window_len=w)
+    sensors, states = _frames(trajectories)
+    starts = np.cumsum([0] + [len(traj) for traj in trajectories])
+    targets = np.concatenate([np.arange(lo + max(window_len - 1, 1), hi, stride)
+                              for lo, hi in zip(starts[:-1], starts[1:])])
+    return WindowedDataset(scaler.scale_sensors(sensors), scaler.scale_state(states),
+                           targets, window_len=window_len)
 
 
 def split_dataset(trajectories: list[Trajectory],
@@ -235,45 +224,53 @@ def inject_state_noise(prev_state: np.ndarray, spec: NoiseSpec,
 # Binary sample cache + sidecar metadata
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<4sHHHHQ")
+_HEADER = struct.Struct("<4sHHHHQQ")
 
 
 def write_cache(ds: WindowedDataset, path) -> None:
-    """Record-oriented binary cache: header then little-endian float64 rows."""
-    n = len(ds)
-    records = np.concatenate([ds.windows.reshape(n, ds.window_len * N_SENSOR),
-                              ds.prev_state, ds.target], axis=1).astype("<f8", copy=False)
-    write_file(path, (_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, ds.window_len,
-                                   N_SENSOR, N_STATE, n), records))
+    """Binary cache of `ds`, all little-endian: a header of the magic b"VOBS",
+    then uint16 version (2), window_len, sensor and state channel counts
+    (5, 3), then uint64 window count N and frame count F; then N int64
+    target frame indices; then F frames of float64, each its 5 sensor then
+    its 3 state values."""
+    frames = np.column_stack([ds.sensors, ds.states]).astype("<f8", copy=False)
+    write_file(path, (_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, ds.window_len, N_SENSOR,
+                                   N_STATE, len(ds), len(frames)),
+                      ds.targets.astype("<i8", copy=False), frames))
 
 
 def read_cache(path) -> WindowedDataset:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
+        if head[:4] != CACHE_MAGIC:
+            raise DataFormatError(f"{path}: not a sample cache (bad magic {head[:4]!r})")
+        version = int.from_bytes(head[4:6], "little")
+        if version != CACHE_VERSION:
+            raise DataFormatError(f"{path}: cache format version {version} unsupported "
+                                  f"(expected {CACHE_VERSION}); rerun 'dataset'")
         if len(head) < _HEADER.size:
             raise DataFormatError(f"{path}: truncated cache header")
-        magic, version, w, n_sensor, n_state, count = _HEADER.unpack(head)
-        if magic != CACHE_MAGIC:
-            raise DataFormatError(f"{path}: not a sample cache (bad magic {magic!r})")
-        if version != CACHE_VERSION:
-            raise DataFormatError(
-                f"{path}: cache format version {version} unsupported (expected {CACHE_VERSION})")
+        _, _, w, n_sensor, n_state, count, n_frames = _HEADER.unpack(head)
         if n_sensor != N_SENSOR or n_state != N_STATE:
             raise DataFormatError(f"{path}: channel layout mismatch")
-        rec = w * n_sensor + 2 * n_state
         payload = fh.read()
-    expected = count * rec * 8
+    expected = 8 * (count + n_frames * (n_sensor + n_state))
     if len(payload) != expected:
         raise DataFormatError(
             f"{path}: corrupt cache, expected {expected} payload bytes, found {len(payload)}")
-    data = np.frombuffer(payload, dtype="<f8").reshape(count, rec)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    targets = np.frombuffer(payload, dtype="<i8", count=count)
+    first = max(w - 1, 1)
+    if count and (targets[0] < first or targets[-1] >= n_frames
+                  or (np.diff(targets) <= 0).any()):
+        raise DataFormatError(f"{path}: window targets must increase within frames "
+                              f"{first} .. {n_frames - 1}")
+    frames = np.frombuffer(payload, dtype="<f8", offset=8 * count).reshape(
+        n_frames, n_sensor + n_state)
+    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
     if bad.size:
-        raise DataFormatError(f"{path}: non-finite value in window {bad[0]}")
-    windows = data[:, : w * n_sensor].reshape(count, w, n_sensor).copy()
-    prev = data[:, w * n_sensor: w * n_sensor + n_state].copy()
-    target = data[:, w * n_sensor + n_state:].copy()
-    return WindowedDataset(windows, prev, target, window_len=w)
+        raise DataFormatError(f"{path}: non-finite value in frame {bad[0]}")
+    return WindowedDataset(frames[:, :n_sensor].copy(), frames[:, n_sensor:].copy(),
+                           targets.astype(np.int64), window_len=w)
 
 
 def write_sidecar(path, scaler: ScalerParams, split_assignment: dict,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .artifacts import write_csv
-from .dataset import NoiseSpec, ScalerParams, WindowedDataset, inject_state_noise
+from .dataset import NoiseSpec, ScalerParams, WindowedDataset, inject_state_noise, sliding_windows
 from .domain import Trajectory
 from .errors import ConfigError, NumericalError
 from .neural import COMPUTE_DTYPE, Adam, RecurrentRegressor, TrainConfig, lstm_observer_net
@@ -48,11 +48,10 @@ def _batched_val_loss(net: RecurrentRegressor, ds: WindowedDataset,
     net = net.astype(COMPUTE_DTYPE)
     total = 0.0
     for lo in range(0, len(ds), batch_size):
-        rows = slice(lo, lo + batch_size)
-        prev = ds.prev_state[rows] if net.state_dim else None
-        diff = net.forward(ds.windows[rows], prev) - ds.target[rows]
+        windows, prev, target = ds.batch(slice(lo, lo + batch_size))
+        diff = net.forward(windows, prev if net.state_dim else None) - target
         total += float(np.sum(diff * diff))
-    return total / (len(ds) * ds.target.shape[1])
+    return total / (len(ds) * ds.states.shape[1])
 
 
 def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
@@ -97,14 +96,14 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
         epoch_sum = 0.0
         for bidx, lo in enumerate(range(0, n, tc.batch_size)):
             idx = order[lo: lo + tc.batch_size]
-            prev = train_ds.prev_state[idx] if net.state_dim else None
+            windows, prev, target = train_ds.batch(idx)
+            prev = prev if net.state_dim else None
             if inject and prev is not None:
                 phys = scaler.unscale_state(prev)
                 noisy = inject_state_noise(phys, noise, rng=noise_rng)
                 prev = scaler.scale_state(noisy)
             work.load_flat(params)
-            loss, grads = work.loss_and_gradients(
-                train_ds.windows[idx], prev, train_ds.target[idx])
+            loss, grads = work.loss_and_gradients(windows, prev, target)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"training diverged (non-finite loss) at epoch {epoch}, batch {bidx}")
@@ -129,9 +128,7 @@ def window_features(raw: np.ndarray, scaler: ScalerParams, net: RecurrentRegress
     n = raw.shape[0]
     if n < window_len:
         raise ConfigError(f"need at least {window_len} frames, got {n}")
-    scaled = scaler.scale_sensors(raw)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        scaled, (window_len, scaled.shape[1]))[:, 0]
+    windows = sliding_windows(scaler.scale_sensors(raw), window_len)
     return ((lo, net.features(windows[lo: lo + FEATURE_BATCH]))
             for lo in range(0, windows.shape[0], FEATURE_BATCH))
 

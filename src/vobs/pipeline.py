@@ -223,9 +223,7 @@ def build_dataset(cfg: RunConfig) -> dict:
     counts = {}
     for name, group, stride in (("train", train, cfg.train_stride),
                                 ("val", val, cfg.val_stride)):
-        windowed = ds.WindowedDataset.concatenate(
-            [ds.make_windows(t, scaler, cfg.window_len, stride=stride)
-             for t in group])
+        windowed = ds.make_windows(group, scaler, cfg.window_len, stride=stride)
         ds.write_cache(windowed, os.path.join(out_dir, f"{name}.cache"))
         counts[name] = len(windowed)
     counts["test_trajectories"] = len(test)

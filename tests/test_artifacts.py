@@ -51,8 +51,8 @@ def _report(seed):
 
 def _windows(seed):
     rng = np.random.default_rng(seed)
-    return WindowedDataset(rng.uniform(size=(4, 5, 5)), rng.uniform(size=(4, 3)),
-                           rng.uniform(size=(4, 3)), window_len=5)
+    return WindowedDataset(rng.uniform(size=(8, 5)), rng.uniform(size=(8, 3)),
+                           np.arange(4, 8), window_len=5)
 
 
 def _net(seed):

@@ -19,7 +19,6 @@ from vobs.baselines import (
     _process_model,
     _symmetric_cond,
 )
-from vobs.dataset import fit_scaler, make_windows, WindowedDataset
 from vobs.domain import (DT_S, G_AY, G_MPS2, G_VX, G_VY, INERTIA_Z_KGM2, LF_M, LR_M, MASS_KG,
                          STATIC_LOAD_FRONT_N, STATIC_LOAD_REAR_N, TRACK_M)
 from vobs.errors import NumericalError

@@ -22,10 +22,14 @@ from vobs.cli import main
 from vobs.baselines import EkfConfig
 from vobs.artifacts import read_float_csv
 from vobs.config import DEFAULT_OBSERVERS, EKF_OVERRIDE_KEYS, build_config, load_config
+from vobs.dataset import read_cache, write_cache
+from vobs.errors import ConfigError
 from vobs.domain import read_trajectory_csv
 from vobs.neural import RecurrentRegressor, gru_observer_net, load_weights, save_weights
 from vobs.neural.network import build_net
 from vobs.observer_lstm import TRACE_COLUMNS
+
+from test_dataset import _v1_cache
 
 BASE_CONFIG = {
     "master_seed": 3,
@@ -679,6 +683,23 @@ class TestUnknownConfigKeys:
         assert [key for key in EKF_OVERRIDE_KEYS if f"\n  #   {key}: " not in text] == []
 
 
+class TestMissingRequiredKey:
+    """A missing required key is a config error that names the file first,
+    like every other config error."""
+
+    @pytest.mark.parametrize("key, section, edit", [
+        ("type", "observer 'e'", lambda d: d.update(observers={"e": {}})),
+        ("kind", "corpus entry 0", lambda d: d["corpus"][0].pop("kind")),
+        ("intensity", "corpus entry 0", lambda d: d["corpus"][0].pop("intensity")),
+    ], ids=["observer_type", "corpus_kind", "corpus_intensity"])
+    def test_message_names_the_file(self, key, section, edit):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        edit(doc)
+        with pytest.raises(ConfigError) as err:
+            build_config(doc, where="cfg.yaml")
+        assert str(err.value) == f"cfg.yaml: missing '{key}' in {section}"
+
+
 class TestObserverValidation:
     """Observer names and EKF overrides are checked at config load (exit 1)."""
 
@@ -894,29 +915,64 @@ class TestNonFiniteTrajectory:
 
 
 class TestNonFiniteCache:
-    """A window cache holding nan or inf is a data error (exit 3) naming the
-    file and the first bad window, and train writes no weights."""
+    """A cache holding nan or inf is a data error (exit 3) naming the file and
+    the first bad frame, and train writes no weights."""
 
-    RECORD = 50 * 5 + 2 * 3  # float64 fields per window: sensors, prev state, target
+    FRAME = 5 + 3  # float64 fields per frame: sensors, state
 
-    @pytest.mark.parametrize("split, window, field, value", [
-        ("val", 3, 50 * 5 + 3 + 1, "nan"),  # the vy target of window 3
-        ("train", 2, 7, "inf"),             # a sensor field of window 2
+    @pytest.mark.parametrize("split, window, lag, field, value", [
+        ("val", 3, 0, 5 + 1, "nan"),  # the vy target of window 3
+        ("train", 2, 7, 2, "inf"),    # a sensor field of window 2
     ], ids=["nan_target", "inf_window_field"])
-    def test_exits_3_and_writes_nothing(self, run_copy, capsys, split, window, field, value):
+    def test_exits_3_and_writes_nothing(self, run_copy, capsys, split, window, lag, field,
+                                        value):
         tmp_path, cfg = run_copy
         run = tmp_path / "run"
         shutil.rmtree(run / "models")
         path = run / "dataset" / f"{split}.cache"
-        count = json.loads((run / "dataset" / "dataset.json").read_text())["counts"][split]
+        store = read_cache(path)
+        frame = store.targets[window] - lag
         data = bytearray(path.read_bytes())
-        at = len(data) - 8 * self.RECORD * (count - window) + 8 * field
+        at = len(data) - 8 * self.FRAME * (len(store.states) - frame) + 8 * field
         data[at: at + 8] = np.array(float(value), dtype="<f8").tobytes()
         path.write_bytes(bytes(data))
         before = _snapshot(run)
         assert main(["train", "--config", cfg]) == 3
-        assert f"{path.name}: non-finite value in window {window}" in capsys.readouterr().err
+        assert f"{path.name}: non-finite value in frame {frame}" in capsys.readouterr().err
         assert _snapshot(run) == before
+
+
+class TestCacheLayout:
+    """A cache that train cannot index is a data error (exit 3) naming the
+    file, and train writes no weights."""
+
+    @staticmethod
+    def _train_fails(run, cfg, capsys, path):
+        shutil.rmtree(run / "models")
+        before = _snapshot(run)
+        assert main(["train", "--config", cfg]) == 3
+        assert _snapshot(run) == before
+        err = capsys.readouterr().err
+        assert f"{path}:" in err
+        return err
+
+    def test_version_1_cache_asks_for_dataset(self, run_copy, capsys):
+        tmp_path, cfg = run_copy
+        run = tmp_path / "run"
+        path = run / "dataset" / "train.cache"
+        path.write_bytes(_v1_cache(read_cache(path)))
+        err = self._train_fails(run, cfg, capsys, path)
+        assert "cache format version 1 unsupported" in err and "rerun 'dataset'" in err
+
+    def test_target_past_the_frames(self, run_copy, capsys):
+        tmp_path, cfg = run_copy
+        run = tmp_path / "run"
+        path = run / "dataset" / "val.cache"
+        store = read_cache(path)
+        store.targets[-1] = len(store.states)
+        write_cache(store, path)
+        err = self._train_fails(run, cfg, capsys, path)
+        assert f"window targets must increase within frames 49 .. {len(store.states) - 1}" in err
 
 
 class TestMalformedReport:

@@ -1,16 +1,16 @@
 import ast
 import pathlib
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import vobs
 from vobs.dataset import (
     NoiseSpec,
     ScalerParams,
     SplitSpec,
-    WindowedDataset,
     fit_scaler,
     inject_state_noise,
     make_windows,
@@ -84,38 +84,92 @@ class TestScaler:
 
 class TestMakeWindows:
     def test_count_formula(self, scaler):
-        assert len(make_windows(_traj(60), scaler, 50)) == 11
+        assert len(make_windows([_traj(60)], scaler, 50)) == 11
 
     def test_single_window(self, scaler):
-        ds = make_windows(_traj(50), scaler, 50)
+        ds = make_windows([_traj(50)], scaler, 50)
         assert len(ds) == 1
 
     def test_too_short_gives_empty(self, scaler):
-        assert len(make_windows(_traj(49), scaler, 50)) == 0
+        ds = make_windows([_traj(49)], scaler, 50)
+        assert len(ds) == 0
+        assert ds.window_len == 50
+        assert ds.sensors.shape == (49, 5)  # the frames are stored all the same
 
     def test_window_alignment(self, scaler):
         # row w-1 of the window is the sensor frame at the target's timestamp;
         # prev_state is the ground truth one step earlier
         traj = _traj(80)
-        ds = make_windows(traj, scaler, 50)
+        windows, prev_state, target = make_windows([traj], scaler, 50).batch(slice(None))
         scaled_sensors = scaler.scale_sensors(traj.sensor_channels())
         scaled_states = scaler.scale_state(traj.state_channels())
+        assert len(windows) == 31
         for i, t in enumerate(range(49, 80)):
-            np.testing.assert_array_equal(ds.windows[i, -1], scaled_sensors[t])
-            np.testing.assert_array_equal(ds.windows[i, 0], scaled_sensors[t - 49])
-            np.testing.assert_array_equal(ds.target[i], scaled_states[t])
-            np.testing.assert_array_equal(ds.prev_state[i], scaled_states[t - 1])
+            np.testing.assert_array_equal(windows[i, -1], scaled_sensors[t])
+            np.testing.assert_array_equal(windows[i, 0], scaled_sensors[t - 49])
+            np.testing.assert_array_equal(target[i], scaled_states[t])
+            np.testing.assert_array_equal(prev_state[i], scaled_states[t - 1])
 
     def test_stride(self, scaler):
-        ds = make_windows(_traj(100), scaler, 50, stride=5)
+        ds = make_windows([_traj(100)], scaler, 50, stride=5)
         assert len(ds) == len(range(49, 100, 5))
 
     def test_rows_time_ordered(self, scaler):
         traj = _traj(60)
         traj.sensors[:, 1] = np.arange(60)  # ax strictly increasing
-        ds = make_windows(traj, scaler, 50)
-        col = ds.windows[0, :, 0]
-        assert (np.diff(col) > 0).all()
+        windows, _, _ = make_windows([traj], scaler, 50).batch(np.array([0]))
+        assert (np.diff(windows[0, :, 0]) > 0).all()
+
+    def test_window_len_1_reads_its_own_previous_frame(self, scaler):
+        # the first frame has no previous state, so it is no target; the
+        # second trajectory's first window must not read the first one's end
+        trajs = [_traj(10, seed=4), _traj(6, seed=5)]
+        _, prev_state, target = make_windows(trajs, scaler, 1).batch(slice(None))
+        states = [scaler.scale_state(t.state_channels()) for t in trajs]
+        np.testing.assert_array_equal(prev_state, np.concatenate([s[:-1] for s in states]))
+        np.testing.assert_array_equal(target, np.concatenate([s[1:] for s in states]))
+
+    def test_empty_list_rejected(self, scaler):
+        with pytest.raises(ConfigError, match="empty"):
+            make_windows([], scaler, 50)
+
+
+class TestWindowStore:
+    """Every batch row against a window cut straight from its own trajectory."""
+
+    @given(lengths=st.lists(st.integers(1, 120), min_size=1, max_size=4),
+           window_len=st.integers(1, 60), stride=st.integers(1, 7))
+    @example(lengths=[70, 12, 55], window_len=50, stride=3)
+    @example(lengths=[1, 2, 1], window_len=1, stride=1)
+    @settings(max_examples=60, deadline=None)
+    def test_batches_match_their_own_trajectory(self, lengths, window_len, stride):
+        scaler = fit_scaler([_traj(300, seed=1), _traj(300, seed=2)])
+        trajs = [_traj(n, seed=10 + k) for k, n in enumerate(lengths)]
+        ds = make_windows(trajs, scaler, window_len, stride=stride)
+
+        ref_windows, ref_prev, ref_target, owner = [], [], [], []
+        for k, traj in enumerate(trajs):
+            sensors = scaler.scale_sensors(traj.sensor_channels())
+            states = scaler.scale_state(traj.state_channels())
+            for t in range(max(window_len - 1, 1), len(traj), stride):
+                ref_windows.append(sensors[t - window_len + 1: t + 1])
+                ref_prev.append(states[t - 1])
+                ref_target.append(states[t])
+            owner += [k] * len(traj)
+        # counts add over the trajectories, and an empty store keeps window_len
+        assert len(ds) == len(ref_target) == sum(
+            len(make_windows([t], scaler, window_len, stride=stride)) for t in trajs)
+        assert ds.window_len == window_len
+        if not len(ds):
+            return
+        windows, prev_state, target = ds.batch(np.arange(len(ds)))
+        np.testing.assert_array_equal(windows, np.array(ref_windows))
+        np.testing.assert_array_equal(prev_state, np.array(ref_prev))
+        np.testing.assert_array_equal(target, np.array(ref_target))
+        owner = np.array(owner)
+        for t in ds.targets:
+            assert (owner[t - window_len + 1: t + 1] == owner[t]).all()
+            assert owner[t - 1] == owner[t]
 
 
 class TestSplitDataset:
@@ -185,18 +239,38 @@ class TestInjectStateNoise:
             NoiseSpec(std_v_mps=-0.1)
 
 
+def _v1_cache(ds) -> bytes:
+    """`ds` in the version 1 layout: one record of the window, the previous
+    state and the target per window."""
+    records = np.zeros((0, ds.window_len * 5 + 6))
+    if len(ds):  # a store of no windows may hold fewer frames than a window
+        windows, prev_state, target = ds.batch(slice(None))
+        records = np.concatenate([windows.reshape(len(ds), -1), prev_state, target], axis=1)
+    return struct.pack("<4sHHHHQ", b"VOBS", 1, ds.window_len, 5, 3, len(ds)) + \
+        records.astype("<f8").tobytes()
+
+
 class TestCache:
     def test_round_trip(self, tmp_path, scaler):
-        ds = make_windows(_traj(90), scaler, 50)
+        ds = make_windows([_traj(90), _traj(70, seed=3)], scaler, 50, stride=2)
         path = tmp_path / "x.cache"
         write_cache(ds, path)
         back = read_cache(path)
-        np.testing.assert_array_equal(back.windows, ds.windows)
-        np.testing.assert_array_equal(back.prev_state, ds.prev_state)
-        np.testing.assert_array_equal(back.target, ds.target)
+        assert back.window_len == 50
+        np.testing.assert_array_equal(back.sensors, ds.sensors)
+        np.testing.assert_array_equal(back.states, ds.states)
+        np.testing.assert_array_equal(back.targets, ds.targets)
+        for got, want in zip(back.batch(slice(None)), ds.batch(slice(None))):
+            np.testing.assert_array_equal(got, want)
+
+    def test_empty_round_trip(self, tmp_path, scaler):
+        path = tmp_path / "x.cache"
+        write_cache(make_windows([_traj(15)], scaler, 50), path)
+        back = read_cache(path)
+        assert len(back) == 0 and back.window_len == 50 and back.sensors.shape == (15, 5)
 
     def test_truncation_detected(self, tmp_path, scaler):
-        ds = make_windows(_traj(90), scaler, 50)
+        ds = make_windows([_traj(90)], scaler, 50)
         path = tmp_path / "x.cache"
         write_cache(ds, path)
         data = path.read_bytes()
@@ -211,13 +285,47 @@ class TestCache:
             read_cache(path)
 
     def test_version_checked(self, tmp_path, scaler):
-        ds = make_windows(_traj(60), scaler, 50)
+        ds = make_windows([_traj(60)], scaler, 50)
         path = tmp_path / "x.cache"
         write_cache(ds, path)
         data = bytearray(path.read_bytes())
         data[4:6] = (99).to_bytes(2, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError, match="version"):
+            read_cache(path)
+
+    @pytest.mark.parametrize("n", [60, 49], ids=["windows", "no_windows"])
+    def test_version_1_asks_for_dataset(self, tmp_path, scaler, n):
+        # an empty version 1 cache is shorter than a version 2 header
+        path = tmp_path / "x.cache"
+        path.write_bytes(_v1_cache(make_windows([_traj(n)], scaler, 50)))
+        with pytest.raises(DataFormatError, match=r"x\.cache: cache format version 1 "
+                                                  r".*rerun 'dataset'"):
+            read_cache(path)
+
+    @pytest.mark.parametrize("i, value", [
+        (0, 48),   # below the first target frame of window_len 50
+        (1, 49),   # not after its predecessor
+        (-1, 150),  # past the last of 150 frames
+        (-1, -1),
+    ], ids=["below_window", "out_of_order", "past_frames", "negative"])
+    def test_target_it_cannot_index_rejected(self, tmp_path, scaler, i, value):
+        ds = make_windows([_traj(90), _traj(60, seed=3)], scaler, 50)
+        ds.targets[i] = value
+        path = tmp_path / "x.cache"
+        write_cache(ds, path)
+        with pytest.raises(DataFormatError, match=r"x\.cache: window targets must increase "
+                                                  r"within frames 49 \.\. 149"):
+            read_cache(path)
+
+    @pytest.mark.parametrize("frame, column, value", [
+        (0, 0, np.nan), (37, 6, np.inf), (149, 7, -np.inf)])
+    def test_non_finite_value_names_its_frame(self, tmp_path, scaler, frame, column, value):
+        ds = make_windows([_traj(90), _traj(60, seed=3)], scaler, 50)
+        (ds.sensors if column < 5 else ds.states)[frame, column % 5] = value
+        path = tmp_path / "x.cache"
+        write_cache(ds, path)
+        with pytest.raises(DataFormatError, match=rf"x\.cache: non-finite value in frame {frame}$"):
             read_cache(path)
 
     def test_sidecar_round_trip(self, tmp_path, scaler):
@@ -228,21 +336,6 @@ class TestCache:
         assert doc["window_len"] == 50
         assert doc["split_assignment"] == {"a#0": "train"}
         np.testing.assert_array_equal(doc["scaler"].sensor_min, scaler.sensor_min)
-
-
-class TestConcatenate:
-    def test_counts_add(self, scaler):
-        parts = [make_windows(_traj(70, seed=i), scaler, 50) for i in range(3)]
-        total = WindowedDataset.concatenate(parts)
-        assert len(total) == sum(len(p) for p in parts)
-
-    def test_empty_parts_ok(self, scaler):
-        # too-short trajectories give no windows, but keep the window length
-        for w in (50, 20):
-            ds = WindowedDataset.concatenate([make_windows(_traj(15), scaler, w)])
-            assert len(ds) == 0
-            assert ds.window_len == w
-            assert ds.windows.shape == (0, w, 5)
 
 
 def _window_len_defaults(source: str):

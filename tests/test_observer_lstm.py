@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vobs import observer_lstm
 from vobs.artifacts import read_float_csv
-from vobs.dataset import NoiseSpec, ScalerParams, WindowedDataset, fit_scaler, make_windows
+from vobs.dataset import NoiseSpec, ScalerParams, fit_scaler, make_windows
 from vobs.errors import ConfigError, DataFormatError, NumericalError
 from vobs.neural import RecurrentRegressor, TrainConfig, lstm_observer_net
 from vobs.observer_lstm import (
@@ -171,10 +173,8 @@ def _toy_dataset(n_traj=6, n=160, seed=0):
         from vobs.domain import Trajectory
         trajs.append(Trajectory(sensors, truth, label=f"toy#{k}"))
     scaler = fit_scaler(trajs[:4])
-    train = WindowedDataset.concatenate(
-        [make_windows(t, scaler, 30) for t in trajs[:4]])
-    val = WindowedDataset.concatenate(
-        [make_windows(t, scaler, 30) for t in trajs[4:]])
+    train = make_windows(trajs[:4], scaler, 30)
+    val = make_windows(trajs[4:], scaler, 30)
     return train, val, scaler
 
 
@@ -233,7 +233,7 @@ class TestTrainObserver:
 
     def test_divergence_reported_with_location(self):
         train, val, scaler = _toy_dataset()
-        train.windows[5, 3, 2] = np.nan
+        train.sensors[train.targets[5] - 29 + 3, 2] = np.nan  # row 3 of window 5
         tc = TrainConfig(epochs=1, batch_size=512, learning_rate=1e-3, seed=1,
                          shuffle=False)
         net = lstm_observer_net(seed=1, in_dim=5, hidden=(3,), dense=(4,),
@@ -244,8 +244,8 @@ class TestTrainObserver:
     def test_empty_dataset_rejected(self):
         train, val, scaler = _toy_dataset()
         with pytest.raises(ConfigError):
-            train_observer(WindowedDataset.empty(30), val, scaler, NoiseSpec(),
-                           TrainConfig(epochs=1))
+            train_observer(dataclasses.replace(train, targets=train.targets[:0]), val,
+                           scaler, NoiseSpec(), TrainConfig(epochs=1))
 
 
 class TestWholeBatches:
@@ -253,10 +253,8 @@ class TestWholeBatches:
     def test_one_loss_and_gradients_call_per_batch(self, monkeypatch, batch_size,
                                                    call_sizes):
         train, val, scaler = _toy_dataset()
-        train = WindowedDataset(train.windows[:5], train.prev_state[:5], train.target[:5],
-                                window_len=30)
-        val = WindowedDataset(val.windows[:5], val.prev_state[:5], val.target[:5],
-                              window_len=30)
+        train = dataclasses.replace(train, targets=train.targets[:5])
+        val = dataclasses.replace(val, targets=val.targets[:5])
         sizes = []
         original = RecurrentRegressor.loss_and_gradients
 

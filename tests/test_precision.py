@@ -120,12 +120,12 @@ class TestMixedPrecisionTraining:
         for _ in range(self.EPOCHS):
             total = 0.0
             for lo in range(0, len(train), self.BATCH):
-                sl = slice(lo, lo + self.BATCH)
-                loss, grads = net.loss_and_gradients(
-                    train.windows[sl], train.prev_state[sl], train.target[sl])
+                windows, prev_state, target = train.batch(slice(lo, lo + self.BATCH))
+                loss, grads = net.loss_and_gradients(windows, prev_state, target)
                 adam.step(params, grads)
-                total += loss * train.windows[sl].shape[0]
-            val_loss = l2_loss(net.forward(val.windows, val.prev_state), val.target)
+                total += loss * windows.shape[0]
+            windows, prev_state, target = val.batch(slice(None))
+            val_loss = l2_loss(net.forward(windows, prev_state), target)
             log.append((total / len(train), val_loss))
         return log
 
