@@ -133,7 +133,10 @@ class WindowedDataset:
         """(windows (B, w, 5), prev_state (B, 3), target (B, 3)) of the
         windows that the index array or slice `idx` selects."""
         t = self.targets[idx]
-        windows = sliding_windows(self.sensors, self.window_len)[t - (self.window_len - 1)]
+        if not len(self.targets):  # the frames may be fewer than one window
+            windows = np.empty((0, self.window_len, self.sensors.shape[1]), self.sensors.dtype)
+        else:
+            windows = sliding_windows(self.sensors, self.window_len)[t - (self.window_len - 1)]
         return windows, self.states[t - 1], self.states[t]
 
 

@@ -172,6 +172,31 @@ class TestWindowStore:
             assert owner[t - 1] == owner[t]
 
 
+class TestConcatenate:
+    """One store over several trajectories joins their windows."""
+
+    def test_counts_add(self, scaler):
+        trajs = [_traj(70, seed=i) for i in range(3)]
+        total = make_windows(trajs, scaler, 50)
+        assert len(total) == sum(len(make_windows([t], scaler, 50)) for t in trajs)
+
+    def test_empty_parts_ok(self, scaler):
+        # too-short trajectories give no windows, but keep the window length
+        for w in (50, 20):
+            ds = make_windows([_traj(15)], scaler, w)
+            assert len(ds) == 0
+            assert ds.window_len == w
+            windows, prev_state, target = ds.batch(slice(None))
+            assert windows.shape == (0, w, 5)
+            assert prev_state.shape == target.shape == (0, 3)
+        # and add nothing next to a long one
+        long_only = make_windows([_traj(70)], scaler, 20)
+        mixed = make_windows([_traj(15, seed=1), _traj(70), _traj(15, seed=2)], scaler, 20)
+        assert len(mixed) == len(long_only)
+        for got, want in zip(mixed.batch(slice(None)), long_only.batch(slice(None))):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestSplitDataset:
     def _corpus(self, per_stratum=5):
         trajs = []
@@ -242,10 +267,9 @@ class TestInjectStateNoise:
 def _v1_cache(ds) -> bytes:
     """`ds` in the version 1 layout: one record of the window, the previous
     state and the target per window."""
-    records = np.zeros((0, ds.window_len * 5 + 6))
-    if len(ds):  # a store of no windows may hold fewer frames than a window
-        windows, prev_state, target = ds.batch(slice(None))
-        records = np.concatenate([windows.reshape(len(ds), -1), prev_state, target], axis=1)
+    windows, prev_state, target = ds.batch(slice(None))
+    records = np.concatenate([windows.reshape(len(ds), ds.window_len * 5), prev_state, target],
+                             axis=1)
     return struct.pack("<4sHHHHQ", b"VOBS", 1, ds.window_len, 5, 3, len(ds)) + \
         records.astype("<f8").tobytes()
 
