@@ -4,8 +4,16 @@ writing.
   - CSV: a header line of column names, then one line per row, `\\n` line
     ends, fields joined with "," and never quoted. Each field is written
     with `str`, so a float is its shortest round-trip repr (`float` reads it
-    back bit-exact) and an int its digits. `gradcheck.csv` alone is rendered
-    by `csv.writer` (quoted coordinates, `\\r\\n` line ends).
+    back bit-exact) and an int its digits. `write_csv` renders the whole
+    file to one string and writes it in one call. `gradcheck.csv` alone is
+    rendered by `csv.writer` (quoted coordinates, `\\r\\n` line ends).
+  - Float CSV reads: `read_float_csv` reads the file once and, when it is
+    plain (the exact header line, no `"` and no `\\r` anywhere, every line
+    with one field per column), converts all fields in one
+    `np.array(..., dtype=np.float64)`, which accepts and rounds each string
+    as `float` does. Any other file, and a plain one holding a field that
+    does not parse or is not finite, goes to the line-by-line `csv` reader,
+    which accepts what `csv` and `float` accept and raises the errors below.
   - JSON: `json.dumps(doc, indent=2, sort_keys=True)` and a newline.
   - Atomic writes: `write_file` creates the target's directory if it is
     missing, writes `.<name>.<pid>.tmp` there, then moves it over the target
@@ -47,8 +55,8 @@ def write_file(path, data) -> None:
 
 def write_csv(path, header, rows) -> None:
     """The `header` names, then each row of `rows` (Python floats, ints or
-    strings), written line by line."""
-    write_file(path, (",".join(map(str, row)) + "\n" for row in chain([header], rows)))
+    strings), rendered to one string and written at once."""
+    write_file(path, "".join([",".join(map(str, row)) + "\n" for row in chain([header], rows)]))
 
 
 def write_json(path, doc) -> None:
@@ -73,7 +81,29 @@ def read_csv(path, header):
 
 
 def read_float_csv(path, header) -> np.ndarray:
-    """(rows, columns) float64 matrix of a CSV of finite floats."""
+    """(rows, columns) float64 matrix of a CSV of finite floats: parsed in
+    bulk when the file is plain, else by `_read_float_lines`."""
+    header = list(header)
+    with open(path, newline="") as fh:
+        text = fh.read()
+    first = ",".join(header) + "\n"
+    if text.startswith(first) and '"' not in text and "\r" not in text:
+        lines = text[len(first):].split("\n")
+        if not lines[-1]:  # the final line end
+            lines.pop()
+        try:
+            data = np.array([line.split(",") for line in lines], dtype=np.float64)
+        except ValueError:  # a field `float` rejects, or lines of unequal width
+            pass
+        else:
+            if data.shape == (len(lines), len(header)) and np.isfinite(data).all():
+                return data
+    return _read_float_lines(path, header)
+
+
+def _read_float_lines(path, header) -> np.ndarray:
+    """`read_float_csv` line by line, through `read_csv`: each error names its
+    line."""
     rows = []
     for lineno, fields in read_csv(path, header):
         try:

@@ -90,7 +90,7 @@ class Trajectory:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write one row per 50 Hz sample in the documented 15-column format."""
     rows = np.hstack([traj.sensors, traj.truth[:, G_X:]])
-    write_csv(path, CSV_COLUMNS, map(np.ndarray.tolist, rows))
+    write_csv(path, CSV_COLUMNS, rows.tolist())
 
 
 def read_trajectory_csv(path, label: str = "") -> Trajectory:

@@ -221,9 +221,8 @@ def build_dataset(cfg: RunConfig) -> dict:
     out_dir = os.path.join(cfg.out_dir, "dataset")
     strides = {"train": cfg.train_stride, "val": cfg.val_stride, "test": 1}
     counts = {}
-    for name, group, stride in (("train", train, cfg.train_stride),
-                                ("val", val, cfg.val_stride)):
-        windowed = ds.make_windows(group, scaler, cfg.window_len, stride=stride)
+    for name, group in (("train", train), ("val", val)):
+        windowed = ds.make_windows(group, scaler, cfg.window_len, stride=strides[name])
         ds.write_cache(windowed, os.path.join(out_dir, f"{name}.cache"))
         counts[name] = len(windowed)
     counts["test_trajectories"] = len(test)

@@ -10,6 +10,13 @@ decimated to the 50 Hz sample grid. Control laws are re-evaluated at the
 integration rate (zero-order hold across one substep). The model is bound
 once per maneuver, with the RK4 stages inline (`bind_dynamics`).
 
+A control law is `law(t, s) -> (steering_rad, long_force_n)`: `t` is the
+time in seconds and `s` the plain 6-tuple state in `SimState`'s field order,
+`(x_m, y_m, yaw_rad, vx_mps, vy_mps, yaw_rate_radps)`, so a law reads
+`s[3]` for vx, `s[5]` for the yaw rate. It returns a plain pair and must be
+a pure function of its arguments: `run_maneuver` calls it 500 times a
+simulated second and builds no tuple type around either side.
+
 The maneuver library is one table, `_MANEUVERS`: each kind's script builder
 and default duration.
 """
@@ -32,7 +39,8 @@ MAX_STEERING_RAD = 0.6
 
 
 class SimState(NamedTuple):
-    """Planar rigid-body state: pose plus body-frame velocities."""
+    """Planar rigid-body state: pose plus body-frame velocities. A script's
+    initial state; control laws see the same fields as a plain tuple."""
 
     x_m: float = 0.0
     y_m: float = 0.0
@@ -42,20 +50,18 @@ class SimState(NamedTuple):
     yaw_rate_radps: float = 0.0
 
 
-class ControlInput(NamedTuple):
-    """Road-wheel steering angle and net longitudinal force at the CoG."""
-
-    steering_rad: float
-    long_force_n: float
-
-
 @dataclass(frozen=True)
 class ManeuverScript:
-    """Named control law over a fixed horizon, starting from `initial`."""
+    """Named control law over a fixed horizon, starting from `initial`.
+
+    `control_law(t, s)` takes the time and the plain 6-tuple state, in
+    `SimState`'s field order, and returns the plain pair `(steering_rad,
+    long_force_n)`: the road-wheel steering angle and the net longitudinal
+    force at the CoG, before `run_maneuver` saturates them."""
 
     name: str
     duration_s: float
-    control_law: Callable[[float, SimState], ControlInput]
+    control_law: Callable[[float, tuple], tuple[float, float]]
     initial: SimState
 
     def __post_init__(self):
@@ -214,6 +220,7 @@ def run_maneuver(script: ManeuverScript, noise: SensorNoiseSpec,
     the integration substep, so refining the substep only refines the
     integration. The dynamics are bound once per call (`bind_dynamics`);
     the trajectory is bit-identical to that of the unbound formula.
+    Integration stops at the last sample row: no state past it is computed.
     """
     if substep_s <= 0:
         raise ConfigError(f"substep must be > 0, got {substep_s}")
@@ -234,14 +241,21 @@ def run_maneuver(script: ManeuverScript, noise: SensorNoiseSpec,
     steer_trace = np.empty(n_samples, dtype=np.float64)
 
     derivatives, advance = bind_dynamics(substep_s, n_sub)
-    s = script.initial
+    s = tuple(script.initial)
     law = script.control_law
+    last = n_samples - 1
     for k in range(n_samples):
         t = k * DT_S
         for j in range(ctrl_per_sample):
-            u = law(t + j * CONTROL_PERIOD_S, SimState(*s))
-            delta = min(max(u.steering_rad, -MAX_STEERING_RAD), MAX_STEERING_RAD)
-            fx = min(max(u.long_force_n, -fx_max), fx_max)
+            delta, fx = law(t + j * CONTROL_PERIOD_S, s)
+            if delta < -MAX_STEERING_RAD:
+                delta = -MAX_STEERING_RAD
+            elif delta > MAX_STEERING_RAD:
+                delta = MAX_STEERING_RAD
+            if fx < -fx_max:
+                fx = -fx_max
+            elif fx > fx_max:
+                fx = fx_max
             if j == 0:  # the sample row: state, specific forces, sideslip
                 x, y, yaw, vx, vy, r = s
                 d = derivatives(x, y, yaw, vx, vy, r, delta, fx)
@@ -251,6 +265,8 @@ def run_maneuver(script: ManeuverScript, noise: SensorNoiseSpec,
                         and math.isfinite(vy) and math.isfinite(r)):
                     raise NumericalError(
                         f"integration diverged in '{script.name}' at t={t:.3f}s")
+                if k == last:  # no row reads the state past the last one
+                    break
             s = advance(s, delta, fx)
 
     if not np.isfinite(truth).all():
@@ -288,15 +304,15 @@ def _step_steer(intensity: float, duration: float, seed: int) -> ManeuverScript:
     radius = v * v / ay
     delta_ff = WHEELBASE_M / radius
 
-    def law(t: float, s: SimState) -> ControlInput:
-        fx = _speed_force(v, s.vx_mps)
+    def law(t: float, s: tuple) -> tuple[float, float]:
+        fx = _speed_force(v, s[3])
         if t < 3.0:
-            return ControlInput(0.0, fx)
+            return 0.0, fx
         shape = _ramp01(t, 3.0, 1.0)
-        r_ref = shape * s.vx_mps / radius
+        r_ref = shape * s[3] / radius
         delta = (shape * delta_ff
-                 + _YAW_GAIN_RAD_PER_RADPS * (r_ref - s.yaw_rate_radps))
-        return ControlInput(delta, fx)
+                 + _YAW_GAIN_RAD_PER_RADPS * (r_ref - s[5]))
+        return delta, fx
 
     return ManeuverScript(f"step_steer@{intensity:.2f}", duration, law,
                           SimState(vx_mps=v))
@@ -310,8 +326,8 @@ def _double_lane_change(intensity: float, duration: float, seed: int) -> Maneuve
     period = 12.0
     t_sine = 3.0
 
-    def law(t: float, s: SimState) -> ControlInput:
-        fx = _speed_force(v, s.vx_mps)
+    def law(t: float, s: tuple) -> tuple[float, float]:
+        fx = _speed_force(v, s[3])
         tp = (t - 2.0) % period if t >= 2.0 else -1.0
         if 0.0 <= tp < t_sine:
             delta = delta0 * math.sin(2.0 * math.pi * tp / t_sine)
@@ -319,7 +335,7 @@ def _double_lane_change(intensity: float, duration: float, seed: int) -> Maneuve
             delta = -delta0 * math.sin(2.0 * math.pi * (tp - t_sine - 1.0) / t_sine)
         else:
             delta = 0.0
-        return ControlInput(delta, fx)
+        return delta, fx
 
     return ManeuverScript(f"double_lane_change@{intensity:.2f}", duration, law,
                           SimState(vx_mps=v))
@@ -331,15 +347,15 @@ def _u_turn(intensity: float, duration: float, seed: int) -> ManeuverScript:
     radius = max(v * v / ay, 6.0)
     delta_ff = WHEELBASE_M / radius
 
-    def law(t: float, s: SimState) -> ControlInput:
-        fx = _speed_force(v, s.vx_mps)
-        if t < 3.0 or s.yaw_rad >= math.pi:
-            return ControlInput(0.0, fx)
-        shape = _ramp01(t, 3.0, 2.0) * _ramp01(math.pi - s.yaw_rad, 0.0, 0.3)
-        r_ref = shape * s.vx_mps / radius
+    def law(t: float, s: tuple) -> tuple[float, float]:
+        fx = _speed_force(v, s[3])
+        if t < 3.0 or s[2] >= math.pi:
+            return 0.0, fx
+        shape = _ramp01(t, 3.0, 2.0) * _ramp01(math.pi - s[2], 0.0, 0.3)
+        r_ref = shape * s[3] / radius
         delta = (shape * delta_ff
-                 + _YAW_GAIN_RAD_PER_RADPS * (r_ref - s.yaw_rate_radps))
-        return ControlInput(delta, fx)
+                 + _YAW_GAIN_RAD_PER_RADPS * (r_ref - s[5]))
+        return delta, fx
 
     return ManeuverScript(f"u_turn@{intensity:.2f}", duration, law,
                           SimState(vx_mps=v))
@@ -352,12 +368,12 @@ def _slalom(intensity: float, duration: float, seed: int) -> ManeuverScript:
     delta0 = 1.09 * ay * WHEELBASE_M / (v * v)
     wave_period = 4.0
 
-    def law(t: float, s: SimState) -> ControlInput:
-        fx = _speed_force(v, s.vx_mps)
+    def law(t: float, s: tuple) -> tuple[float, float]:
+        fx = _speed_force(v, s[3])
         if t < 3.0:
-            return ControlInput(0.0, fx)
+            return 0.0, fx
         delta = delta0 * math.sin(2.0 * math.pi * (t - 3.0) / wave_period)
-        return ControlInput(delta, fx)
+        return delta, fx
 
     return ManeuverScript(f"slalom@{intensity:.2f}", duration, law,
                           SimState(vx_mps=v))
@@ -372,15 +388,15 @@ def _constant_radius_ramp(intensity: float, duration: float, seed: int) -> Maneu
     ramp_rate = 1.2
     delta_ff = WHEELBASE_M / radius
 
-    def law(t: float, s: SimState) -> ControlInput:
+    def law(t: float, s: tuple) -> tuple[float, float]:
         if t < 3.0:
             v_ref = v0
         else:
             v_ref = min(v0 + ramp_rate * (t - 3.0), v_max)
-        fx = _speed_force(v_ref, s.vx_mps)
-        r_ref = s.vx_mps / radius
-        delta = delta_ff + _YAW_GAIN_RAD_PER_RADPS * (r_ref - s.yaw_rate_radps)
-        return ControlInput(delta, fx)
+        fx = _speed_force(v_ref, s[3])
+        r_ref = s[3] / radius
+        delta = delta_ff + _YAW_GAIN_RAD_PER_RADPS * (r_ref - s[5])
+        return delta, fx
 
     return ManeuverScript(f"constant_radius_ramp@{intensity:.2f}", duration, law,
                           SimState(vx_mps=v0))
@@ -423,7 +439,7 @@ def _city_mix(intensity: float, duration: float, seed: int) -> ManeuverScript:
         t_acc += seg_len
     seg_starts = [0.0] + [s[0] for s in segments[:-1]]
 
-    def law(t: float, s: SimState) -> ControlInput:
+    def law(t: float, s: tuple) -> tuple[float, float]:
         lo, hi = 0, len(segments) - 1  # binary search over segment ends
         while lo < hi:
             mid = (lo + hi) // 2
@@ -434,15 +450,15 @@ def _city_mix(intensity: float, duration: float, seed: int) -> ManeuverScript:
         idx = lo
         t_end, v_ref, kind, param = segments[idx]
         t0 = seg_starts[idx]
-        fx = _speed_force(v_ref, s.vx_mps)
-        vx = max(s.vx_mps, 3.0)
+        fx = _speed_force(v_ref, s[3])
+        vx = max(s[3], 3.0)
         if kind == "straight":
             delta = 0.0
         elif kind == "turn":
             shape = _ramp01(t, t0, 1.5) * _ramp01(t_end - t, 0.0, 1.5)
             r_ref = shape * param / vx
             delta = (shape * WHEELBASE_M * param / (vx * vx)
-                     + _YAW_GAIN_RAD_PER_RADPS * (r_ref - s.yaw_rate_radps))
+                     + _YAW_GAIN_RAD_PER_RADPS * (r_ref - s[5]))
         else:  # lane change: one full sine of steering
             t_sine = 3.0
             tp = t - t0
@@ -451,7 +467,7 @@ def _city_mix(intensity: float, duration: float, seed: int) -> ManeuverScript:
                     2.0 * math.pi * tp / t_sine)
             else:
                 delta = 0.0
-        return ControlInput(delta, fx)
+        return delta, fx
 
     return ManeuverScript(f"city_mix@{intensity:.2f}", duration, law,
                           SimState(vx_mps=12.0))

@@ -1,10 +1,14 @@
 import ast
+import csv
 import errno
+import hashlib
 import os
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import vobs
 from vobs import artifacts
@@ -14,6 +18,7 @@ from vobs.errors import DataFormatError
 from vobs.evaluation import EvalReport, read_report_csv, write_report_csv
 from vobs.neural import load_weights, lstm_observer_net, save_weights
 from vobs.observer_lstm import TRACE_COLUMNS, write_trace_csv
+from vobs.simulator import SensorNoiseSpec, builtin_scripts, run_maneuver
 
 
 class _DiskFull:
@@ -130,6 +135,107 @@ class TestCsvFormat:
         path.write_text('{"a": ')
         with pytest.raises(DataFormatError, match="d.json: corrupt sidecar"):
             artifacts.read_json(path, "sidecar")
+
+    def test_trajectory_csv_bytes_are_pinned(self, tmp_path):
+        # the rendering rule (str fields, "," separators, "\n" line ends) for
+        # one noisy 4 s slalom; TestGoldenBits pins the arrays behind it
+        traj = run_maneuver(builtin_scripts("slalom", 0.9, duration_s=4.0),
+                            SensorNoiseSpec(seed=5))
+        path = tmp_path / "slalom.csv"
+        write_trajectory_csv(traj, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "0f645b4fdc5129dc43187acb5c66cdfddc187d25247984dd49c679df9dfa1a6c"
+
+
+def _float_per_field(path, header):
+    """The matrix a per-field `float` parse of CSV `path` gives."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(header)
+    return np.array([[float(v) for v in row] for row in rows[1:]],
+                    dtype=np.float64).reshape(-1, len(header))
+
+
+# the values at the edges of float64 and of its shortest repr: signed zero,
+# the smallest subnormal, near the largest finite, integral values and both
+# sides of 1e16, where repr switches to an exponent
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+               1.7976931348623157e308, 1.0, -3.0, 123456789.0, 9999999999999998.0, 1e16,
+               1.0000000000000002e16, -1e16, 0.1, 1e-7, 1e22)
+
+
+def _matrices():
+    return st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(EDGE_FLOATS)), min_size=cols, max_size=cols),
+        min_size=1, max_size=8).map(lambda rows: (cols, rows)))
+
+
+class TestReadFloatCsv:
+    @given(_matrices())
+    @example((3, [list(EDGE_FLOATS[i:i + 3]) for i in range(0, len(EDGE_FLOATS), 3)]))
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_parse_is_bit_equal_to_float(self, tmp_path_factory, matrix):
+        cols, rows = matrix
+        header = tuple(f"c{i}" for i in range(cols))
+        path = tmp_path_factory.mktemp("float_csv") / "m.csv"
+        artifacts.write_csv(path, header, rows)
+        # rows written by write_csv never take the line-by-line reader
+        with mock.patch.object(artifacts, "_read_float_lines",
+                               side_effect=AssertionError("line reader used")):
+            data = artifacts.read_float_csv(path, header)
+        expected = _float_per_field(path, header)
+        assert data.shape == expected.shape == (len(rows), cols)
+        assert data.tobytes() == expected.tobytes()
+
+    # name -> (file text, the parent reader's message or matrix); each file
+    # that is not plain goes to the line-by-line reader
+    CASES = {
+        "bad_header": ("a,c\n1.0,2.0\n",
+                       ":1: expected the header 'a,b', found ['a', 'c']"),
+        "empty_file": ("", ":1: expected the header 'a,b', found None"),
+        "short_row": ("a,b\n1.0,2.0\n3.0\n", ":3: expected 2 fields, found 1"),
+        "long_row": ("a,b\n1.0,2.0\n3.0,4.0,5.0\n", ":3: expected 2 fields, found 3"),
+        "every_row_long": ("a,b\n1.0,2.0,0.0\n3.0,4.0,5.0\n",
+                           ":2: expected 2 fields, found 3"),
+        "blank_line": ("a,b\n1.0,2.0\n\n3.0,4.0\n", ":3: expected 2 fields, found 0"),
+        "non_numeric": ("a,b\n1.0,2.0\n3.0,x\n", ":3: could not convert string to float: 'x'"),
+        "empty_field": ("a,b\n1.0,2.0\n3.0,\n", ":3: could not convert string to float: ''"),
+        "hex": ("a,b\n0x10,2.0\n", ":2: could not convert string to float: '0x10'"),
+        "nan": ("a,b\n1.0,2.0\nnan,4.0\n", ":3: non-finite value 'nan' in column 'a'"),
+        "inf": ("a,b\n1.0,2.0\n3.0,-inf\n", ":3: non-finite value '-inf' in column 'b'"),
+        "overflow": ("a,b\n1.0,2.0\n3.0,1e500\n",
+                     ":3: non-finite value '1e500' in column 'b'"),
+        "quoted_comma": ('a,b\n1.0,2.0\n"3.0,4.0"\n', ":3: expected 2 fields, found 1"),
+        "quoted": ('a,b\n1.0,2.0\n"3.0",4.0\n', [[1.0, 2.0], [3.0, 4.0]]),
+        "crlf": ("a,b\r\n1.0,2.0\r\n3.0,4.0\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        "crlf_in_body": ("a,b\n1.0,2.0\r\n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
+        "cr_ends_a_row": ("a,b\n1.0\r,2.0\n", ":2: expected 2 fields, found 1"),
+        "lone_cr": ("a,b\n1.0,2.0\r3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
+        "no_final_newline": ("a,b\n1.0,2.0\n3.0,4.0", [[1.0, 2.0], [3.0, 4.0]]),
+        "header_only_no_newline": ("a,b", np.empty((0, 2))),
+        "padded": ("a,b\n1.0,2.0\n 3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
+        "underscore": ("a,b\n1_0,2.0\n", [[10.0, 2.0]]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_malformed_input_reads_as_before(self, tmp_path, case):
+        text, expected = self.CASES[case]
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(DataFormatError) as raised:
+                artifacts.read_float_csv(path, ("a", "b"))
+            assert str(raised.value) == f"{path}{expected}"
+        else:
+            data = artifacts.read_float_csv(path, ("a", "b"))
+            np.testing.assert_array_equal(data, np.asarray(expected).reshape(-1, 2))
+
+    def test_one_column_blank_line_is_a_short_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a\n1.0\n\n2.0\n")
+        with pytest.raises(DataFormatError, match=r"m.csv:3: expected 1 fields, found 0"):
+            artifacts.read_float_csv(path, ("a",))
 
 
 SRC = pathlib.Path(vobs.__file__).parent

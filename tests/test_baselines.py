@@ -25,7 +25,6 @@ from vobs.errors import NumericalError
 from vobs.evaluation import mae
 from vobs.neural import TrainConfig, gru_observer_net
 from vobs.simulator import (
-    ControlInput,
     ManeuverScript,
     SensorNoiseSpec,
     SimState,
@@ -317,7 +316,7 @@ def _creep_script():
     steering, so the filter's mean crosses `MIN_SPEED_MPS`."""
     def law(t, s):
         v_ref = max(1.5 - 0.25 * t, 0.2)
-        return ControlInput(0.05 * math.sin(0.8 * t), 1500.0 * (v_ref - s.vx_mps))
+        return 0.05 * math.sin(0.8 * t), 1500.0 * (v_ref - s[3])  # s[3] is vx
     return ManeuverScript("creep", 8.0, law, SimState(vx_mps=1.5))
 
 

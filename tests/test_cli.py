@@ -116,6 +116,11 @@ def _blas_threads(_task):
     return _openblas_get_num_threads()()
 
 
+def _file_bytes(run):
+    """The bytes of every file under `run`, by path relative to it."""
+    return {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()}
+
+
 class TestSimulate:
     def test_manifest_totals(self, pipeline_run):
         tmp_path, _ = pipeline_run
@@ -138,19 +143,18 @@ class TestSimulate:
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path)
         assert main(["simulate", "--config", cfg]) == 0
-        first = (tmp_path / "run" / "manifest.json").read_bytes()
-        files = sorted((tmp_path / "run" / "trajectories").iterdir())
-        first_traj = files[0].read_bytes()
+        first = _file_bytes(tmp_path / "run")
+        assert len(first) == 9  # the manifest and 8 trajectories
         assert main(["simulate", "--config", cfg]) == 0
-        assert (tmp_path / "run" / "manifest.json").read_bytes() == first
-        assert files[0].read_bytes() == first_traj
+        assert _file_bytes(tmp_path / "run") == first
 
     def test_workers_flag_gives_same_output(self, tmp_path):
         cfg1 = _write_config(tmp_path, name="w1.yaml")
         assert main(["simulate", "--config", cfg1]) == 0
-        serial = (tmp_path / "run" / "manifest.json").read_bytes()
+        serial = _file_bytes(tmp_path / "run")
+        assert len(serial) == 9  # the manifest and 8 trajectories
         assert main(["simulate", "--config", cfg1, "--workers", "2"]) == 0
-        assert (tmp_path / "run" / "manifest.json").read_bytes() == serial
+        assert _file_bytes(tmp_path / "run") == serial
 
     def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path)

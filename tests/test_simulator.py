@@ -12,11 +12,14 @@ from vobs.domain import (
     G_AY,
     G_MPS2,
     G_VX,
+    G_T,
     G_VY,
     G_X,
     G_YAWRATE,
     INERTIA_Z_KGM2,
     LR_M,
+    MASS_KG,
+    S_STEER,
     S_WHEEL,
     TIRE_B,
     TIRE_C,
@@ -25,7 +28,6 @@ from vobs.domain import (
 from vobs.errors import ConfigError, NumericalError
 from vobs.simulator import (
     MANEUVER_KINDS,
-    ControlInput,
     ManeuverScript,
     SensorNoiseSpec,
     SimState,
@@ -93,8 +95,8 @@ class TestStepDynamicBicycle:
         delta = 0.02
         speed = 10.0
 
-        def law(t, s):
-            return ControlInput(delta, 4000.0 * (speed - s.vx_mps))
+        def law(t, s):  # s[3] is vx
+            return delta, 4000.0 * (speed - s[3])
 
         script = ManeuverScript("ss", 30.0, law, SimState(vx_mps=speed))
         traj = run_maneuver(script, ZERO_NOISE)
@@ -203,6 +205,24 @@ class TestRunManeuver:
         script = builtin_scripts("slalom", 0.22, duration_s=20.0)
         traj = run_maneuver(script, ZERO_NOISE)
         assert np.abs(traj.truth[:, G_AY]).max() < 0.5 * G_MPS2
+
+    def test_controls_saturate(self):
+        # steering beyond +-0.6 rad and force beyond mu*M*g, both signs, reach
+        # the dynamics and the steering trace clamped
+        def law(t, s):
+            return (3.0, 2e4) if t < 0.09 else (-3.0, -2e4)
+
+        traj = run_maneuver(ManeuverScript("saturate", 0.2, law, SimState(vx_mps=10.0)),
+                            ZERO_NOISE)
+        early = traj.truth[:, G_T] < 0.09
+        assert early.sum() == 5 and len(traj) == 10
+        delta = np.where(early, simulator.MAX_STEERING_RAD, -simulator.MAX_STEERING_RAD)
+        np.testing.assert_array_equal(traj.sensors[:, S_STEER], delta)
+        fx_max = TIRE_D_PER_N * MASS_KG * G_MPS2
+        derivatives, _ = bind_dynamics(0.002, 1)
+        ax = [derivatives(*row[1:7], d, fx_max if d > 0 else -fx_max)[6]
+              for row, d in zip(traj.truth, delta)]
+        np.testing.assert_array_equal(traj.truth[:, G_AX], ax)
 
     def test_invalid_substep_rejected(self):
         with pytest.raises(ConfigError):
