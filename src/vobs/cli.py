@@ -1,13 +1,13 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages: simulate, dataset, train, evaluate,
-report, gradcheck. Every flag overrides the corresponding config key; the
-VOBS_OUT environment variable sets the default output root.
+Subcommands mirror the pipeline stages: {commands}.
+Every flag overrides the corresponding config key; the VOBS_OUT environment
+variable sets the default output root. `COMMANDS` is the one table of them.
 
-`--workers` (config key `workers`, default 1) runs simulate, train and
-evaluate in forked workers with one BLAS thread each, one maneuver, one
-observer or one (observer, test trajectory) pair per task; outputs are
-byte-identical for any value.
+`--workers` (config key `workers`, default 1) runs {forked} in
+forked workers with one BLAS thread each, with
+{fan_outs} per task;
+outputs are byte-identical for any value.
 
 Exit codes: 0 success, 1 validation/config error, 2 numerical failure,
 3 I/O or data-format error.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from . import pipeline
 from .config import default_out_root, load_config
@@ -34,114 +35,119 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True,
-                     help="run configuration YAML")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the master seed")
-    sub.add_argument("--out", default=None,
-                     help=f"output directory (default root from ${'{'}VOBS_OUT{'}'} "
-                          f"or '{default_out_root()}')")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="forked workers with one BLAS thread each: one maneuver, "
-                          "one observer or one (observer, test trajectory) pair per "
-                          "task; outputs are byte-identical for any value")
+def _load(args, epochs=None):
+    return load_config(args.config, seed=args.seed, out_dir=args.out,
+                       workers=args.workers, epochs=epochs)
+
+
+# Each runner looks its stage up on `pipeline` when it runs, so a wrapper set
+# on that module's global (perfbench's tracer) is the one that runs.
+
+def _simulate(args) -> None:
+    manifest = pipeline.simulate_corpus(_load(args))
+    totals = manifest["totals"]
+    regimes = manifest["regimes"]
+    print(f"simulated {totals['n_trajectories']} trajectories, "
+          f"{totals['n_frames']} frames "
+          f"(low-g: {regimes['low_g']}, high-g: {regimes['high_g']})")
+
+
+def _dataset(args) -> None:
+    c = pipeline.build_dataset(_load(args))
+    print(f"dataset built: {c['train']} train / {c['val']} val windows, "
+          f"{c['test_trajectories']} test trajectories")
+
+
+def _train(args) -> None:
+    names = None if args.observer is None else [args.observer]
+    for res in pipeline.train_all(_load(args, epochs=args.epochs), names):
+        print(f"trained '{res['observer']}': {res['epochs']} epochs, "
+              f"best val loss {res['best_val_loss']:.6g}")
+
+
+def _evaluate(args) -> None:
+    print(pipeline.evaluate_run(_load(args), write_traces=not args.no_traces), end="")
+
+
+def _report(args) -> None:
+    print(pipeline.render_report(args.out), end="")
+
+
+def _gradcheck(args) -> None:
+    worst = pipeline.run_gradient_check(args.out, corrupt=args.corrupt)
+    print(f"max relative gradient error: {worst:.3e}")
+    if worst >= 1e-4:
+        raise NumericalError(f"gradient check failed: {worst:.3e} >= 1e-4")
+    print("gradient check passed")
+
+
+class Command(NamedTuple):
+    help: str
+    run: Callable[[argparse.Namespace], None]
+    flags: tuple = ()    # (flag, `add_argument` keywords) of each option of its own
+    stage: bool = True   # reads a run config, so takes --config, --seed, --out, --workers
+    fan_out: str = ""    # one task of its forked workers, if it forks any
+
+
+COMMANDS = {
+    "simulate": Command("generate the maneuver corpus", _simulate, fan_out="one maneuver"),
+    "dataset": Command("split, scale, and window the corpus", _dataset),
+    "train": Command("train learned observers", _train, fan_out="one observer", flags=(
+        ("--observer", dict(default=None, help="train only this configured observer")),
+        ("--epochs", dict(type=int, default=None, help="override the epoch count")))),
+    "evaluate": Command(
+        "run observers on the test split", _evaluate,
+        fan_out="one (observer, test trajectory) pair", flags=(
+            ("--no-traces", dict(action="store_true",
+                                 help="skip writing per-trajectory estimate traces")),)),
+    "report": Command("re-render tables from a stored report", _report, stage=False, flags=(
+        ("--out", dict(required=True, help="run directory holding eval/report.csv")),)),
+    "gradcheck": Command(
+        "verify gradients against finite differences", _gradcheck, stage=False, flags=(
+            ("--out", dict(default=".", help="directory for gradcheck.csv")),
+            ("--corrupt", dict(action="store_true",
+                               help="deliberately corrupt one gradient block (self-test)")))),
+}
+
+
+def _series(words, conjunction: str) -> str:
+    """`words` as an English list: "a, b and c"."""
+    *rest, last = words
+    return f"{', '.join(rest)} {conjunction} {last}" if rest else last
+
+
+_FAN_OUTS = {name: c.fan_out for name, c in COMMANDS.items() if c.fan_out}
+__doc__ = __doc__.format(commands=", ".join(COMMANDS), forked=_series(_FAN_OUTS, "and"),
+                         fan_outs=_series(_FAN_OUTS.values(), "or"))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vobs",
                      description="vehicle velocity/yaw-rate observer workbench")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="generate the maneuver corpus")
-    _add_common(sim)
-
-    data = subs.add_parser("dataset", help="split, scale, and window the corpus")
-    _add_common(data)
-
-    train = subs.add_parser("train", help="train learned observers")
-    _add_common(train)
-    train.add_argument("--observer", default=None,
-                       help="train only this configured observer")
-    train.add_argument("--epochs", type=int, default=None,
-                       help="override the epoch count")
-
-    ev = subs.add_parser("evaluate", help="run observers on the test split")
-    _add_common(ev)
-    ev.add_argument("--no-traces", action="store_true",
-                    help="skip writing per-trajectory estimate traces")
-
-    rep = subs.add_parser("report", help="re-render tables from a stored report")
-    rep.add_argument("--out", required=True, help="run directory holding eval/report.csv")
-
-    grad = subs.add_parser("gradcheck", help="verify gradients against finite differences")
-    grad.add_argument("--out", default=".", help="directory for gradcheck.csv")
-    grad.add_argument("--corrupt", action="store_true",
-                      help="deliberately corrupt one gradient block (self-test)")
+    stage_flags = (
+        ("--config", dict(required=True, help="run configuration YAML")),
+        ("--seed", dict(type=int, default=None, help="override the master seed")),
+        ("--out", dict(default=None, help="output directory (default root from ${VOBS_OUT} "
+                                          f"or '{default_out_root()}')")),
+        ("--workers", dict(type=int, default=None, help=(
+            f"forked workers with one BLAS thread each: "
+            f"{_series(_FAN_OUTS.values(), 'or')} per task; outputs are byte-identical "
+            f"for any value"))),
+    )
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for flag, options in (stage_flags if command.stage else ()) + command.flags:
+            sub.add_argument(flag, **options)
     return parser
-
-
-def _load(args, epochs=None):
-    return load_config(args.config, seed=args.seed, out_dir=args.out,
-                       workers=args.workers, epochs=epochs)
-
-
-def _dispatch(args) -> int:
-    if args.command == "simulate":
-        manifest = pipeline.simulate_corpus(_load(args))
-        totals = manifest["totals"]
-        regimes = manifest["regimes"]
-        print(f"simulated {totals['n_trajectories']} trajectories, "
-              f"{totals['n_frames']} frames "
-              f"(low-g: {regimes['low_g']}, high-g: {regimes['high_g']})")
-        return EXIT_OK
-
-    if args.command == "dataset":
-        info = pipeline.build_dataset(_load(args))
-        c = info["counts"]
-        print(f"dataset built: {c['train']} train / {c['val']} val windows, "
-              f"{c['test_trajectories']} test trajectories")
-        return EXIT_OK
-
-    if args.command == "train":
-        cfg = _load(args, epochs=args.epochs)
-        if args.observer is not None:
-            results = [pipeline.train_observer_model(cfg, args.observer)]
-        else:
-            results = pipeline.train_all(cfg)
-        for res in results:
-            print(f"trained '{res['observer']}': {res['epochs']} epochs, "
-                  f"best val loss {res['best_val_loss']:.6g}")
-        return EXIT_OK
-
-    if args.command == "evaluate":
-        cfg = _load(args)
-        report = pipeline.evaluate_run(cfg, write_traces=not args.no_traces)
-        from .evaluation import format_report_text
-        print(format_report_text(report), end="")
-        return EXIT_OK
-
-    if args.command == "report":
-        print(pipeline.render_report(args.out), end="")
-        return EXIT_OK
-
-    if args.command == "gradcheck":
-        worst = pipeline.run_gradient_check(args.out, corrupt=args.corrupt)
-        print(f"max relative gradient error: {worst:.3e}")
-        if worst >= 1e-4:
-            raise NumericalError(
-                f"gradient check failed: {worst:.3e} >= 1e-4")
-        print("gradient check passed")
-        return EXIT_OK
-
-    raise ConfigError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _dispatch(args)
+        COMMANDS[args.command].run(args)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -149,7 +149,9 @@ def write_report_csv(report: EvalReport, path) -> None:
 
 
 def read_report_csv(path) -> EvalReport:
-    """Read a report written by `write_report_csv`."""
+    """Read a report written by `write_report_csv`: one row for each channel
+    of each observer in each segment it holds, and one sample count per
+    segment."""
     table: dict[str, dict[str, np.ndarray]] = {}
     counts: dict[str, int] = {}
     for lineno, (observer, segment, channel, value, _, n) in read_csv(path, REPORT_COLUMNS):
@@ -162,10 +164,25 @@ def read_report_csv(path) -> EvalReport:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
         if not np.isfinite(mae_value):
             raise DataFormatError(f"{path}:{lineno}: non-finite MAE {value!r}")
-        segs = table.setdefault(observer, {})
-        err = segs.setdefault(segment, np.zeros(3))
-        err[STATE_CHANNELS.index(channel)] = mae_value
-        counts[segment] = n_samples
+        err = table.setdefault(observer, {}).setdefault(segment, np.full(3, np.nan))
+        ci = STATE_CHANNELS.index(channel)
+        if not np.isnan(err[ci]):
+            raise DataFormatError(
+                f"{path}:{lineno}: repeated row '{observer},{segment},{channel}'")
+        err[ci] = mae_value
+        if counts.setdefault(segment, n_samples) != n_samples:
+            raise DataFormatError(
+                f"{path}:{lineno}: n_samples {n_samples} for segment '{segment}', but "
+                f"an earlier row gives {counts[segment]}")
+    if not table:
+        raise DataFormatError(f"{path}: no rows after the header")
+    segments = {segment for segs in table.values() for segment in segs}
+    missing = [f"{observer},{segment},{channel}" for observer, segs in table.items()
+               for segment in sorted(segments)
+               for channel, value in zip(STATE_CHANNELS, segs.get(segment, [np.nan] * 3))
+               if np.isnan(value)]
+    if missing:
+        raise DataFormatError(f"{path}: no row '{missing[0]}'")
     return EvalReport(table, counts)
 
 

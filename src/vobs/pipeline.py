@@ -8,15 +8,9 @@ rerun with the same config produces byte-identical outputs.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import dataclasses
 import functools
-import glob
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -34,7 +28,7 @@ from .domain import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from .errors import ConfigError, DataFormatError, VobsError
+from .errors import ConfigError, DataFormatError
 from .neural import (
     COMPUTE_DTYPE,
     load_weights,
@@ -44,6 +38,7 @@ from .neural import (
     write_gradcheck_csv,
 )
 from .observer_lstm import run_closed_loop, train_observer, write_trace_csv, write_training_log
+from .pool import map_tasks
 from .seeding import derive_seed
 from .simulator import builtin_scripts, run_maneuver
 
@@ -56,79 +51,6 @@ def _jittered_intensity(base: float, index: int, count: int) -> float:
     ground-truth identical across splits."""
     offset = (index - (count - 1) / 2.0) * 0.02
     return min(max(base + offset, 0.05), 1.0)
-
-
-# the function of the pool `_map_tasks` is running; its forked workers
-# inherit it, so only the tasks and results cross a pipe
-_pool_job = None
-
-
-def _set_blas_threads(n: int) -> int | None:
-    """Set numpy's bundled OpenBLAS to `n` threads; return the previous
-    count, or None, changing nothing, without the library or its symbols.
-    Outputs do not depend on the BLAS thread count, only the speed does."""
-    libs = os.path.dirname(os.path.abspath(np.__file__)) + ".libs"
-    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        previous = get()
-        put(n)
-        return previous
-    return None
-
-
-@contextlib.contextmanager
-def _blas_threads(n: int):
-    """Hold numpy's bundled OpenBLAS at `n` threads inside the block; the
-    previous count is restored on the way out, also on an exception."""
-    previous = _set_blas_threads(n)
-    try:
-        yield
-    finally:
-        if previous is not None:
-            _set_blas_threads(previous)
-
-
-def _pool_task(task):
-    return _pool_job(task)
-
-
-def _map_tasks(fn, tasks, workers: int) -> list:
-    """`[fn(t) for t in tasks]`, in task order.
-
-    With more than one worker (capped at the task count) the tasks run in a
-    pool of forked processes. `fn`, with any inputs bound into it by
-    `functools.partial`, reaches the workers by inheritance; a worker that
-    dies is a `VobsError`.
-
-    This process holds numpy's OpenBLAS at one thread while the pool forks,
-    so each worker inherits one thread and never starts another; the count
-    is restored afterwards. Setting it inside a forked worker instead would
-    restart OpenBLAS's thread pool there, whose idle thread spins for about
-    0.1 s of CPU time."""
-    global _pool_job
-    n_workers = min(workers, len(tasks))
-    if n_workers <= 1:
-        return [fn(task) for task in tasks]
-    _pool_job = fn
-    try:
-        with _blas_threads(1):
-            pool = ProcessPoolExecutor(max_workers=n_workers,
-                                       mp_context=multiprocessing.get_context("fork"))
-            try:
-                return list(pool.map(_pool_task, tasks))
-            finally:
-                pool.shutdown(cancel_futures=True)
-    except BrokenProcessPool as exc:
-        raise VobsError("a worker process died before finishing its tasks") from exc
-    finally:
-        _pool_job = None
 
 
 def _simulate_job(jobs: list, index: int) -> Trajectory:
@@ -161,8 +83,8 @@ def simulate_corpus(cfg: RunConfig) -> dict:
     integration starts; outputs are written only after every maneuver ran.
     Forked workers inherit the scripts, so only a job index crosses a pipe."""
     jobs = _corpus_jobs(cfg)
-    trajectories = _map_tasks(functools.partial(_simulate_job, jobs), range(len(jobs)),
-                              cfg.workers)
+    trajectories = map_tasks(functools.partial(_simulate_job, jobs), range(len(jobs)),
+                             cfg.workers)
 
     entries = []
     for (kind, intensity, label, _, noise), traj in zip(jobs, trajectories):
@@ -211,29 +133,27 @@ def _load_trajectories(cfg: RunConfig, entries: list[dict]) -> list[Trajectory]:
 
 def build_dataset(cfg: RunConfig) -> dict:
     """Split the corpus, fit the scaler on the training split, window all
-    three splits, and write caches plus the sidecar metadata file."""
+    three splits, and write caches plus the sidecar metadata file; returns
+    the sidecar's counts."""
     manifest = _load_manifest(cfg)
     trajectories = _load_trajectories(cfg, manifest["trajectories"])
     split_spec = dataclasses.replace(cfg.split, seed=derive_seed(cfg.master_seed, "split"))
-    train, val, test = ds.split_dataset(trajectories, split_spec)
-    scaler = ds.fit_scaler(train)
+    splits = dict(zip(("train", "val", "test"), ds.split_dataset(trajectories, split_spec)))
+    scaler = ds.fit_scaler(splits["train"])
 
     out_dir = os.path.join(cfg.out_dir, "dataset")
     strides = {"train": cfg.train_stride, "val": cfg.val_stride, "test": 1}
     counts = {}
-    for name, group in (("train", train), ("val", val)):
-        windowed = ds.make_windows(group, scaler, cfg.window_len, stride=strides[name])
+    for name in ("train", "val"):
+        windowed = ds.make_windows(splits[name], scaler, cfg.window_len, stride=strides[name])
         ds.write_cache(windowed, os.path.join(out_dir, f"{name}.cache"))
         counts[name] = len(windowed)
-    counts["test_trajectories"] = len(test)
+    counts["test_trajectories"] = len(splits["test"])
 
-    assignment = {}
-    for name, group in (("train", train), ("val", val), ("test", test)):
-        for t in group:
-            assignment[t.label] = name
+    assignment = {t.label: name for name, group in splits.items() for t in group}
     ds.write_sidecar(os.path.join(cfg.out_dir, SIDECAR_NAME), scaler, assignment,
                      counts, cfg.window_len, strides, cfg.state_noise, cfg.master_seed)
-    return {"counts": counts, "assignment": assignment}
+    return counts
 
 
 def _load_sidecar(cfg: RunConfig) -> dict:
@@ -299,13 +219,15 @@ def train_observer_model(cfg: RunConfig, name: str) -> dict:
     return {"observer": name, "epochs": len(log), "best_val_loss": best}
 
 
-def train_all(cfg: RunConfig) -> list[dict]:
-    """Train every trainable observer, in config order, one observer per task
-    of `_map_tasks`; each task writes its own weights and trainlog.
-    `train_observer_model` is looked up here, at call time, so a wrapper set
-    on this module's global (perfbench's tracer) is the one that runs."""
-    names = [name for name, spec in cfg.observers.items() if spec.trainable]
-    return _map_tasks(functools.partial(train_observer_model, cfg), names, cfg.workers)
+def train_all(cfg: RunConfig, names: list[str] | None = None) -> list[dict]:
+    """Train the observers `names`, by default every trainable one in config
+    order, one observer per task of `map_tasks`; each task writes its own
+    weights and trainlog. `train_observer_model` is looked up here, at call
+    time, so a wrapper set on this module's global (perfbench's tracer) is
+    the one that runs."""
+    if names is None:
+        names = [name for name, spec in cfg.observers.items() if spec.trainable]
+    return map_tasks(functools.partial(train_observer_model, cfg), names, cfg.workers)
 
 
 def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
@@ -322,9 +244,10 @@ def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
     return run_ekf(traj, initial, spec.ekf)
 
 
-def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
-    """Run every configured observer over the test split and write the
-    report bundle (CSV + text tables + rankings + plot data).
+def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> str:
+    """Run every configured observer over the test split, write the report
+    bundle (CSV + text tables + rankings + plot data) and return the text
+    tables.
 
     Each loaded network is cast once to `COMPUTE_DTYPE`, so the window stacks
     and the closed-loop head run in float32; traces store float64 estimates
@@ -334,19 +257,19 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
     trace is scored without its first `cfg.window_len - 1` samples, so all
     observers are scored on the same samples.
 
-    Each (observer, test trajectory) pair is an independent task. With
-    `cfg.workers > 1` the tasks run in forked worker processes, each with a
-    single BLAS thread, which inherit the trajectories and nets this process
-    read; scoring and every file write stay in this process, and the outputs
-    are byte-identical for any number of workers."""
+    Each (observer, test trajectory) pair is one `map_tasks` task, which
+    inherits the trajectories and nets this process read; scoring and every
+    file write stay in this process."""
     manifest = _load_manifest(cfg)
     sidecar = _load_sidecar(cfg)
     scaler: ds.ScalerParams = sidecar["scaler"]
     assignment = sidecar["split_assignment"]
-    test_entries = [e for e in manifest["trajectories"]
-                    if assignment.get(e["label"]) == "test"]
-    if not test_entries:
-        raise ConfigError("test split is empty")
+    if {e["label"] for e in manifest["trajectories"]} != assignment.keys():
+        raise DataFormatError(
+            f"{os.path.join(cfg.out_dir, MANIFEST_NAME)} and "
+            f"{os.path.join(cfg.out_dir, SIDECAR_NAME)} list different trajectory "
+            f"labels: the corpus changed after the dataset was built; rerun 'dataset'")
+    test_entries = [e for e in manifest["trajectories"] if assignment[e["label"]] == "test"]
     test_trajs = _load_trajectories(cfg, test_entries)
     nets = {}
     for name, spec in cfg.observers.items():
@@ -366,21 +289,14 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
                     f"run 'train' for this config")
             nets[name] = net.astype(COMPUTE_DTYPE)
 
-    any_windowed = any(s.trainable for s in cfg.observers.values())
-    skip = cfg.window_len - 1 if any_windowed else 0
+    skip = cfg.window_len - 1 if nets else 0  # a windowed observer is configured
 
     eval_dir = os.path.join(cfg.out_dir, "eval")
 
     seg_of = {t.label: ev.segment_label(t, cfg.segments) for t in test_trajs}
-    counts: dict[str, int] = {"overall": 0, "normal": 0, "near_limits": 0}
-    for traj in test_trajs:
-        counts["overall"] += len(traj) - skip
-        counts[seg_of[traj.label]] += len(traj) - skip
-    counts = {seg: n for seg, n in counts.items() if n > 0}
-
     tasks = [(name, i) for name in cfg.observers for i in range(len(test_trajs))]
     trace_task = functools.partial(_trace_task, cfg, test_trajs, nets, scaler)
-    computed = iter(_map_tasks(trace_task, tasks, cfg.workers))
+    computed = iter(map_tasks(trace_task, tasks, cfg.workers))
     traces: dict[str, dict[str, np.ndarray]] = {name: {} for name in cfg.observers}
     table: dict[str, dict[str, np.ndarray]] = {}
     for name in cfg.observers:
@@ -388,16 +304,17 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
         for traj in test_trajs:
             trace = next(computed)
             traces[name][traj.label] = trace
-            err = ev.mae(trace, traj.state_channels(), skip)
-            n_eff = len(trace) - skip
-            per_segment["overall"].append((err, n_eff))
-            per_segment[seg_of[traj.label]].append((err, n_eff))
+            item = (ev.mae(trace, traj.state_channels(), skip), len(trace) - skip)
+            per_segment["overall"].append(item)
+            per_segment[seg_of[traj.label]].append(item)
         table[name] = {seg: ev.aggregate_mae(items)
                        for seg, items in per_segment.items() if items}
+    # every observer scores the same samples, so the last one's counts serve
+    counts = {seg: sum(n for _, n in items) for seg, items in per_segment.items() if items}
 
     report = ev.EvalReport(table, counts)
     ev.write_report_csv(report, os.path.join(eval_dir, "report.csv"))
-    _write_tables(report, eval_dir)
+    text = _write_tables(report, eval_dir)
     _write_plot_data(cfg, report, test_trajs, seg_of, traces, skip, eval_dir)
     _write_distributions(test_trajs, seg_of, eval_dir)
 
@@ -407,7 +324,7 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> ev.EvalReport:
                 write_trace_csv(traces[name][traj.label], os.path.join(
                     eval_dir, "traces", name, traj.label.replace("#", "-") + ".csv"),
                     traj.sensors[:, 0])
-    return report
+    return text
 
 
 def _write_tables(report: ev.EvalReport, eval_dir: str) -> str:
@@ -496,7 +413,6 @@ def run_gradient_check(out_dir: str, corrupt: bool = False) -> float:
     networks; writes the per-coordinate CSV and returns the worst relative
     error."""
     all_rows = []
-    worst = 0.0
     group_worst: dict[str, float] = {}
     for seed in range(GRADCHECK_NETWORKS):
         net = lstm_observer_net(seed=seed, in_dim=5, hidden=(3, 4), dense=(4,),
@@ -505,9 +421,8 @@ def run_gradient_check(out_dir: str, corrupt: bool = False) -> float:
         windows = rng.uniform(0, 1, (2, 5, 5))
         prev = rng.uniform(0, 1, (2, 3))
         targets = rng.uniform(0, 1, (2, 3))
-        err, rows = gradient_check(net, windows, prev, targets,
-                                   corrupt_forget_gate=corrupt)
-        worst = max(worst, err)
+        _, rows = gradient_check(net, windows, prev, targets,
+                                 corrupt_forget_gate=corrupt)
         for coord, analytic, numeric, rel in rows:
             all_rows.append((f"net{seed}:{coord}", analytic, numeric, rel))
             group = coord.split("[")[0]
@@ -516,4 +431,4 @@ def run_gradient_check(out_dir: str, corrupt: bool = False) -> float:
     print("worst relative error per parameter group:")
     for group in sorted(group_worst, key=group_worst.get, reverse=True):
         print(f"  {group:12s} {group_worst[group]:.3e}")
-    return worst
+    return max(group_worst.values())

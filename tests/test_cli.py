@@ -1,3 +1,4 @@
+import argparse
 import ast
 import ctypes
 import dataclasses
@@ -17,8 +18,8 @@ import pytest
 import yaml
 
 import vobs
-from vobs import pipeline
-from vobs.cli import main
+from vobs import pipeline, pool
+from vobs.cli import build_parser, main
 from vobs.baselines import EkfConfig
 from vobs.artifacts import read_float_csv
 from vobs.config import DEFAULT_OBSERVERS, EKF_OVERRIDE_KEYS, build_config, load_config
@@ -158,7 +159,7 @@ class TestSimulate:
 
     def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path)
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _refuse_pool)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", _refuse_pool)
         with pytest.raises(_PoolRequested) as requested:
             main(["simulate", "--config", cfg, "--workers", "64"])
         assert requested.value.args == (8,)  # 2 corpus blocks x 4 repeats
@@ -224,10 +225,18 @@ class TestTrainCommand:
                                             "lstm_plain.trainlog.csv", "lstm_plain.weights"]
         assert models["1", "1"] == models["2", "1"] == models["2", "2"]
 
+    def test_one_observer_trains_in_this_process(self, run_copy, monkeypatch):
+        tmp_path, _ = run_copy
+        cfg = _write_config(tmp_path, {"observers": TWO_TRAINABLE})
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", _refuse_pool)
+        assert main(["train", "--config", cfg, "--observer", "lstm_plain",
+                     "--workers", "2"]) == 0
+        assert (tmp_path / "run" / "models" / "lstm_plain.weights").exists()
+
     def test_pool_capped_at_observer_count(self, run_copy, monkeypatch):
         tmp_path, _ = run_copy
         cfg = _write_config(tmp_path, {"observers": {**TWO_TRAINABLE, "ekf": {"type": "ekf"}}})
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _refuse_pool)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", _refuse_pool)
         with pytest.raises(_PoolRequested) as requested:
             main(["train", "--config", cfg, "--workers", "64"])
         assert requested.value.args == (len(TWO_TRAINABLE),)
@@ -333,10 +342,24 @@ class TestEvaluateCommand:
         assert "observer 'lstm'" in err and str(weights) in err
         assert not (tmp_path / "run" / "eval").exists()
 
+    def test_corpus_changed_after_dataset_refused(self, run_copy, capsys):
+        # it used to score the test trajectories whose labels survived
+        tmp_path, _ = run_copy
+        corpus = json.loads(json.dumps(BASE_CONFIG["corpus"]))
+        corpus[0]["intensity"] = 0.31
+        cfg = _write_config(tmp_path, {"corpus": corpus})
+        assert main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'run' / 'manifest.json'} and " \
+               f"{tmp_path / 'run' / 'dataset' / 'dataset.json'}" in err
+        assert "rerun 'dataset'" in err
+
     def test_pool_capped_at_task_count(self, run_copy, monkeypatch):
         tmp_path, cfg = run_copy
         sidecar = json.loads((tmp_path / "run" / "dataset" / "dataset.json").read_text())
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _refuse_pool)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", _refuse_pool)
         with pytest.raises(_PoolRequested) as requested:
             main(["evaluate", "--config", cfg, "--workers", "64"])
         n_observers = len(BASE_CONFIG["observers"])
@@ -395,7 +418,7 @@ class TestWorkerPool:
         if get_threads is None:
             pytest.skip("numpy has no bundled OpenBLAS exposing its thread count")
         before = get_threads()
-        assert pipeline._map_tasks(_blas_threads, [0, 1], 2) == [1, 1]
+        assert pool.map_tasks(_blas_threads, [0, 1], 2) == [1, 1]
         assert get_threads() == before
         assert multiprocessing.active_children() == []
 
@@ -432,10 +455,10 @@ class TestWorkerPool:
     def test_pool_that_fails_to_start_restores_state(self, monkeypatch):
         get_threads = _openblas_get_num_threads()
         before = get_threads() if get_threads else None
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _refuse_pool)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", _refuse_pool)
         with pytest.raises(_PoolRequested):
-            pipeline._map_tasks(_blas_threads, [0, 1], 2)
-        assert pipeline._pool_job is None
+            pool.map_tasks(_blas_threads, [0, 1], 2)
+        assert pool._job is None
         assert (get_threads() if get_threads else None) == before
 
 
@@ -999,6 +1022,57 @@ class TestMalformedReport:
         (eval_dir / "report.csv").write_text(text)
         assert main(["report", "--out", str(tmp_path / "run")]) == 3
         assert f"report.csv:{line}:" in capsys.readouterr().err
+
+    FULL = "".join(f"ekf,overall,{c},0.25,m/s,5\n" for c in ("vx", "vy", "yaw_rate"))
+
+    @pytest.mark.parametrize("text, message", [
+        (HEADER + GOOD + "ekf,overall,yaw_rate,0.5,mrad/s,5\n",
+         "report.csv: no row 'ekf,overall,vy'"),
+        (HEADER + FULL + FULL.replace("ekf", "lstm") + FULL.replace("overall", "normal"),
+         "report.csv: no row 'lstm,normal,vx'"),
+        (HEADER + FULL + "ekf,overall,vy,0.5,m/s,5\n",
+         "report.csv:5: repeated row 'ekf,overall,vy'"),
+        (HEADER + FULL + "lstm,overall,vx,0.5,m/s,4\n",
+         "report.csv:5: n_samples 4 for segment 'overall', but an earlier row gives 5"),
+        (HEADER, "report.csv: no rows after the header"),
+    ], ids=["missing_channel", "missing_segment", "repeated_row", "mixed_n_samples", "header_only"])
+    def test_inconsistent_report_exits_3(self, tmp_path, capsys, text, message):
+        # a missing row used to read as an MAE of 0 and rank first
+        eval_dir = tmp_path / "run" / "eval"
+        eval_dir.mkdir(parents=True)
+        (eval_dir / "report.csv").write_text(text)
+        assert main(["report", "--out", str(tmp_path / "run")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (eval_dir / "report.txt").exists()
+
+
+class TestCliSurface:
+    """Every subcommand's options: (flag, default, required, type, action)."""
+
+    STAGE = [("--config", None, True, None, "_StoreAction"),
+             ("--seed", None, False, int, "_StoreAction"),
+             ("--out", None, False, None, "_StoreAction"),
+             ("--workers", None, False, int, "_StoreAction")]
+    SURFACE = {
+        "simulate": STAGE,
+        "dataset": STAGE,
+        "train": STAGE + [("--observer", None, False, None, "_StoreAction"),
+                          ("--epochs", None, False, int, "_StoreAction")],
+        "evaluate": STAGE + [("--no-traces", False, False, None, "_StoreTrueAction")],
+        "report": [("--out", None, True, None, "_StoreAction")],
+        "gradcheck": [("--out", ".", False, None, "_StoreAction"),
+                      ("--corrupt", False, False, None, "_StoreTrueAction")],
+    }
+
+    def test_options_of_every_subcommand(self):
+        subs, = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert subs.required
+        surface = {name: [(*a.option_strings, a.default, a.required, a.type,
+                           type(a).__name__)
+                          for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+                   for name, sub in subs.choices.items()}
+        assert surface == self.SURFACE
 
 
 class TestEnvDefaultRoot:
