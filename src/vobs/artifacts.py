@@ -1,19 +1,16 @@
 """Reading and writing of run artifacts; the only module that opens one for
 writing.
 
-  - CSV: a header line of column names, then one line per row, `\\n` line
-    ends, fields joined with "," and never quoted. Each field is written
-    with `str`, so a float is its shortest round-trip repr (`float` reads it
-    back bit-exact) and an int its digits. `write_csv` renders the whole
-    file to one string and writes it in one call. `gradcheck.csv` alone is
-    rendered by `csv.writer` (quoted coordinates, `\\r\\n` line ends).
-  - Float CSV reads: `read_float_csv` reads the file once and, when it is
-    plain (the exact header line, no `"` and no `\\r` anywhere, every line
-    with one field per column), converts all fields in one
+  - CSV, one dialect: a header line of column names, then one line per row,
+    `\\n` line ends, fields joined with "," and never quoted. Each field is
+    written with `str`, so a float is its shortest round-trip repr (`float`
+    reads it back bit-exact) and an int its digits. `write_csv` renders the
+    whole file to one string and writes it in one call.
+  - CSV reads: `read_csv` reads the file once, refuses any `"` or `\\r` and
+    splits it on `\\n` and ","; `read_float_csv` converts all its fields in one
     `np.array(..., dtype=np.float64)`, which accepts and rounds each string
-    as `float` does. Any other file, and a plain one holding a field that
-    does not parse or is not finite, goes to the line-by-line `csv` reader,
-    which accepts what `csv` and `float` accept and raises the errors below.
+    as `float` does, and only when that fails or gives a non-finite value
+    looks through the rows for the line of the first such field.
   - JSON: `json.dumps(doc, indent=2, sort_keys=True)` and a newline.
   - Atomic writes: `write_file` creates the target's directory if it is
     missing, writes `.<name>.<pid>.tmp` there, then moves it over the target
@@ -26,10 +23,11 @@ writing.
 
 from __future__ import annotations
 
-import csv
+import hashlib
 import json
+import math
 import os
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -63,61 +61,57 @@ def write_json(path, doc) -> None:
     write_file(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_csv(path, header):
-    """(line number, fields) of each line of CSV `path` after its header,
-    which must be the `header` names; every line must have as many fields."""
-    header = list(header)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise DataFormatError(f"{path}:1: expected the header "
-                                  f"{','.join(header)!r}, found {found!r}")
-        for fields in reader:
-            if len(fields) != len(header):
-                raise DataFormatError(f"{path}:{reader.line_num}: expected "
-                                      f"{len(header)} fields, found {len(fields)}")
-            yield reader.line_num, fields
-
-
-def read_float_csv(path, header) -> np.ndarray:
-    """(rows, columns) float64 matrix of a CSV of finite floats: parsed in
-    bulk when the file is plain, else by `_read_float_lines`."""
+def read_csv(path, header) -> list[list[str]]:
+    """The fields of each line after the header line of CSV `path`, which must
+    hold the `header` names; row i is line i + 2. An empty line has no fields."""
     header = list(header)
     with open(path, newline="") as fh:
         text = fh.read()
-    first = ",".join(header) + "\n"
-    if text.startswith(first) and '"' not in text and "\r" not in text:
-        lines = text[len(first):].split("\n")
-        if not lines[-1]:  # the final line end
-            lines.pop()
-        try:
-            data = np.array([line.split(",") for line in lines], dtype=np.float64)
-        except ValueError:  # a field `float` rejects, or lines of unequal width
-            pass
-        else:
-            if data.shape == (len(lines), len(header)) and np.isfinite(data).all():
-                return data
-    return _read_float_lines(path, header)
+    if '"' in text or "\r" in text:
+        at = min(i for i in (text.find('"'), text.find("\r")) if i >= 0)
+        lineno = text.count("\n", 0, at) + 1
+        raise DataFormatError(f"{path}:{lineno}: found {text[at]!r}, but fields are "
+                              f"never quoted and lines end in '\\n'")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final line end, or all of an empty file
+    rows = [line.split(",") if line else [] for line in lines]
+    found = rows.pop(0) if rows else None
+    if found != header:
+        raise DataFormatError(f"{path}:1: expected the header {','.join(header)!r}, "
+                              f"found {found!r}")
+    for lineno, fields in enumerate(rows, 2):
+        if len(fields) != len(header):
+            raise DataFormatError(f"{path}:{lineno}: expected {len(header)} fields, "
+                                  f"found {len(fields)}")
+    return rows
 
 
-def _read_float_lines(path, header) -> np.ndarray:
-    """`read_float_csv` line by line, through `read_csv`: each error names its
-    line."""
-    rows = []
-    for lineno, fields in read_csv(path, header):
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    data = np.array(rows, dtype=np.float64).reshape(-1, len(header))
-    bad = np.argwhere(~np.isfinite(data))
-    if len(bad):  # read the file again, only now, for the offending line's number
-        row, col = bad[0]
-        lineno, fields = next(islice(read_csv(path, header), row, None))
-        raise DataFormatError(f"{path}:{lineno}: non-finite value {fields[col]!r} "
-                              f"in column '{header[col]}'")
-    return data
+def read_float_csv(path, header) -> np.ndarray:
+    """(rows, columns) float64 matrix of a CSV of finite floats."""
+    rows = read_csv(path, header)
+    try:
+        data = np.array(rows, dtype=np.float64).reshape(-1, len(header))
+        if np.isfinite(data).all():
+            return data
+    except ValueError:  # a field `float` rejects
+        pass
+    for lineno, fields in enumerate(rows, 2):  # only now, name the first bad field's line
+        for name, field in zip(header, fields):
+            try:
+                if math.isfinite(float(field)):
+                    continue
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            raise DataFormatError(f"{path}:{lineno}: non-finite value {field!r} "
+                                  f"in column '{name}'")
+    raise AssertionError(f"{path}: numpy rejects a field that float accepts")
+
+
+def sha256_file(path) -> str:
+    """Hex SHA-256 of the bytes of the file at `path`."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def read_json(path, what: str):

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands mirror the pipeline stages: {commands}.
-Every flag overrides the corresponding config key; the VOBS_OUT environment
-variable sets the default output root. `COMMANDS` is the one table of them.
+`COMMANDS` is the one table of them. `--seed`, `--out`, `--workers` and
+`--epochs` override the config keys `master_seed`, `out_dir`, `workers` and
+`train.epochs`; `--observer`, `--no-traces` and `--corrupt` only select
+work. The VOBS_OUT environment variable sets the default output root.
 
 `--workers` (config key `workers`, default 1) runs {forked} in
 forked workers with one BLAS thread each, with

@@ -278,8 +278,8 @@ def read_cache(path) -> WindowedDataset:
 
 def write_sidecar(path, scaler: ScalerParams, split_assignment: dict,
                   counts: dict, window_len: int, strides: dict,
-                  noise: NoiseSpec, seed: int) -> None:
-    """Human-readable companion to the caches."""
+                  noise: NoiseSpec, seed: int, trajectory_sha256: dict) -> None:
+    """Human-readable companion to the caches, with each trajectory file's SHA-256."""
     doc = {
         "window_len": window_len,
         "strides": strides,
@@ -289,6 +289,7 @@ def write_sidecar(path, scaler: ScalerParams, split_assignment: dict,
         "counts": counts,
         "scaler": scaler.to_dict(),
         "split_assignment": split_assignment,
+        "trajectory_sha256": trajectory_sha256,
     }
     write_json(path, doc)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .artifacts import read_float_csv, write_csv
+from .artifacts import read_float_csv, sha256_file, write_csv
 from .errors import DataFormatError
 
 G_MPS2 = 9.81
@@ -58,9 +58,11 @@ class Trajectory:
 
     Stored as two float64 matrices (rows are 50 Hz samples, column layout in
     the S_*/G_* constants) so windowing and evaluation stay vectorized.
+    `sha256` is the SHA-256 of the file it was read from, "" if none.
     """
 
-    def __init__(self, sensors: np.ndarray, truth: np.ndarray, label: str = ""):
+    def __init__(self, sensors: np.ndarray, truth: np.ndarray, label: str = "",
+                 sha256: str = ""):
         sensors = np.asarray(sensors, dtype=np.float64)
         truth = np.asarray(truth, dtype=np.float64)
         if sensors.ndim != 2 or sensors.shape[1] != 6:
@@ -74,6 +76,7 @@ class Trajectory:
         self.sensors = sensors
         self.truth = truth
         self.label = label
+        self.sha256 = sha256
 
     def __len__(self) -> int:
         return self.sensors.shape[0]
@@ -99,4 +102,4 @@ def read_trajectory_csv(path, label: str = "") -> Trajectory:
     if not len(data):
         raise DataFormatError(f"{path}:2: no samples after the header")
     return Trajectory(data[:, :6].copy(), np.hstack([data[:, :1], data[:, 6:]]),
-                      label=label or str(path))
+                      label=label or str(path), sha256=sha256_file(path))

@@ -154,7 +154,8 @@ def read_report_csv(path) -> EvalReport:
     segment."""
     table: dict[str, dict[str, np.ndarray]] = {}
     counts: dict[str, int] = {}
-    for lineno, (observer, segment, channel, value, _, n) in read_csv(path, REPORT_COLUMNS):
+    for lineno, (observer, segment, channel, value, _, n) in enumerate(
+            read_csv(path, REPORT_COLUMNS), 2):
         if segment not in SEGMENTS or channel not in STATE_CHANNELS:
             raise DataFormatError(
                 f"{path}:{lineno}: unknown segment or channel '{segment},{channel}'")

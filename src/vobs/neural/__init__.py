@@ -8,7 +8,7 @@ finite-difference gradient check runs on it.
 """
 
 from .adam import Adam
-from .gradcheck import gradient_check, write_gradcheck_csv
+from .gradcheck import gradient_check
 from .layers import Dense, GruLayer, LstmLayer
 from .network import (
     COMPUTE_DTYPE,

@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-import csv
-import io
-
 import numpy as np
 
-from ..artifacts import write_file
 from ..errors import ConfigError
 from .network import RecurrentRegressor
 
@@ -19,8 +15,8 @@ def gradient_check(net: RecurrentRegressor, windows: np.ndarray,
 
     Relative error uses max(|analytic|, |numeric|, 1e-6) as the denominator,
     so coordinates where both sides are tiny are judged on absolute terms.
-    Returns (max_rel_error, rows) where rows are
-    (coordinate, analytic, numeric, rel_error).
+    Returns (max_rel_error, rows) where rows are (coordinate, analytic,
+    numeric, rel_error), a coordinate such as `lstm0.wx[0][1]`.
 
     `corrupt_forget_gate` deliberately scales the first cell layer's
     recurrent forget-gate gradient block — a self-test that the check can
@@ -53,14 +49,7 @@ def gradient_check(net: RecurrentRegressor, windows: np.ndarray,
             analytic = gflat[idx]
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
             worst = max(worst, rel)
-            coord = [int(i) for i in np.unravel_index(idx, arr.shape)]
-            rows.append((f"{name}{coord}", analytic, numeric, rel))
+            coord = "".join(f"[{i}]" for i in np.unravel_index(idx, arr.shape))
+            rows.append((f"{name}{coord}", float(analytic), float(numeric), float(rel)))
     return worst, rows
 
-
-def write_gradcheck_csv(rows, path) -> None:
-    text = io.StringIO()  # csv.writer's dialect: quoted coordinates, \r\n line ends
-    csv.writer(text).writerows([("coordinate", "analytic", "numeric", "rel_error")] + [
-        (coord, repr(float(analytic)), repr(float(numeric)), repr(float(rel)))
-        for coord, analytic, numeric, rel in rows])
-    write_file(path, text.getvalue())

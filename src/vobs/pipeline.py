@@ -35,7 +35,6 @@ from .neural import (
     lstm_observer_net,
     save_weights,
     gradient_check,
-    write_gradcheck_csv,
 )
 from .observer_lstm import run_closed_loop, train_observer, write_trace_csv, write_training_log
 from .pool import map_tasks
@@ -152,7 +151,8 @@ def build_dataset(cfg: RunConfig) -> dict:
 
     assignment = {t.label: name for name, group in splits.items() for t in group}
     ds.write_sidecar(os.path.join(cfg.out_dir, SIDECAR_NAME), scaler, assignment,
-                     counts, cfg.window_len, strides, cfg.state_noise, cfg.master_seed)
+                     counts, cfg.window_len, strides, cfg.state_noise, cfg.master_seed,
+                     {t.label: t.sha256 for t in trajectories})
     return counts
 
 
@@ -257,6 +257,7 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> str:
     trace is scored without its first `cfg.window_len - 1` samples, so all
     observers are scored on the same samples.
 
+    Each test trajectory file must hash to the SHA-256 the sidecar records.
     Each (observer, test trajectory) pair is one `map_tasks` task, which
     inherits the trajectories and nets this process read; scoring and every
     file write stay in this process."""
@@ -271,6 +272,13 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> str:
             f"labels: the corpus changed after the dataset was built; rerun 'dataset'")
     test_entries = [e for e in manifest["trajectories"] if assignment[e["label"]] == "test"]
     test_trajs = _load_trajectories(cfg, test_entries)
+    digests = sidecar.get("trajectory_sha256")
+    for e, traj in zip(test_entries, test_trajs):
+        if not isinstance(digests, dict) or digests.get(traj.label) != traj.sha256:
+            raise DataFormatError(
+                f"{os.path.join(cfg.out_dir, e['file'])} is not the file that "
+                f"{os.path.join(cfg.out_dir, SIDECAR_NAME)} records the SHA-256 of: "
+                f"the trajectory changed after the dataset was built; rerun 'dataset'")
     nets = {}
     for name, spec in cfg.observers.items():
         if spec.trainable:
@@ -427,7 +435,8 @@ def run_gradient_check(out_dir: str, corrupt: bool = False) -> float:
             all_rows.append((f"net{seed}:{coord}", analytic, numeric, rel))
             group = coord.split("[")[0]
             group_worst[group] = max(group_worst.get(group, 0.0), rel)
-    write_gradcheck_csv(all_rows, os.path.join(out_dir, "gradcheck.csv"))
+    write_csv(os.path.join(out_dir, "gradcheck.csv"),
+              ("coordinate", "analytic", "numeric", "rel_error"), all_rows)
     print("worst relative error per parameter group:")
     for group in sorted(group_worst, key=group_worst.get, reverse=True):
         print(f"  {group:12s} {group_worst[group]:.3e}")

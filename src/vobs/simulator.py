@@ -24,6 +24,7 @@ and default duration.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -437,17 +438,12 @@ def _city_mix(intensity: float, duration: float, seed: int) -> ManeuverScript:
             sign = 1.0 if rng.random() < 0.5 else -1.0
             segments.append((t_acc + seg_len, v_corner, "turn", sign * ay_cap * 0.9))
         t_acc += seg_len
-    seg_starts = [0.0] + [s[0] for s in segments[:-1]]
+    seg_ends = [s[0] for s in segments]
+    seg_starts = [0.0] + seg_ends[:-1]
+    last = len(segments) - 1
 
     def law(t: float, s: tuple) -> tuple[float, float]:
-        lo, hi = 0, len(segments) - 1  # binary search over segment ends
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if segments[mid][0] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        idx = lo
+        idx = min(bisect_right(seg_ends, t), last)  # the first to end after t, or the last
         t_end, v_ref, kind, param = segments[idx]
         t0 = seg_starts[idx]
         fx = _speed_force(v_ref, s[3])

@@ -4,7 +4,6 @@ import errno
 import hashlib
 import os
 import pathlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,6 +170,9 @@ def _matrices():
         min_size=1, max_size=8).map(lambda rows: (cols, rows)))
 
 
+_DIALECT = ", but fields are never quoted and lines end in '\\n'"
+
+
 class TestReadFloatCsv:
     @given(_matrices())
     @example((3, [list(EDGE_FLOATS[i:i + 3]) for i in range(0, len(EDGE_FLOATS), 3)]))
@@ -180,16 +182,13 @@ class TestReadFloatCsv:
         header = tuple(f"c{i}" for i in range(cols))
         path = tmp_path_factory.mktemp("float_csv") / "m.csv"
         artifacts.write_csv(path, header, rows)
-        # rows written by write_csv never take the line-by-line reader
-        with mock.patch.object(artifacts, "_read_float_lines",
-                               side_effect=AssertionError("line reader used")):
-            data = artifacts.read_float_csv(path, header)
+        data = artifacts.read_float_csv(path, header)
         expected = _float_per_field(path, header)
         assert data.shape == expected.shape == (len(rows), cols)
         assert data.tobytes() == expected.tobytes()
 
-    # name -> (file text, the parent reader's message or matrix); each file
-    # that is not plain goes to the line-by-line reader
+    # name -> (file text, the message or matrix); a `"` or `\r` is refused
+    # on the line that holds it
     CASES = {
         "bad_header": ("a,c\n1.0,2.0\n",
                        ":1: expected the header 'a,b', found ['a', 'c']"),
@@ -206,12 +205,12 @@ class TestReadFloatCsv:
         "inf": ("a,b\n1.0,2.0\n3.0,-inf\n", ":3: non-finite value '-inf' in column 'b'"),
         "overflow": ("a,b\n1.0,2.0\n3.0,1e500\n",
                      ":3: non-finite value '1e500' in column 'b'"),
-        "quoted_comma": ('a,b\n1.0,2.0\n"3.0,4.0"\n', ":3: expected 2 fields, found 1"),
-        "quoted": ('a,b\n1.0,2.0\n"3.0",4.0\n', [[1.0, 2.0], [3.0, 4.0]]),
-        "crlf": ("a,b\r\n1.0,2.0\r\n3.0,4.0\r\n", [[1.0, 2.0], [3.0, 4.0]]),
-        "crlf_in_body": ("a,b\n1.0,2.0\r\n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
-        "cr_ends_a_row": ("a,b\n1.0\r,2.0\n", ":2: expected 2 fields, found 1"),
-        "lone_cr": ("a,b\n1.0,2.0\r3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
+        "quoted_comma": ('a,b\n1.0,2.0\n"3.0,4.0"\n', f":3: found '\"'{_DIALECT}"),
+        "quoted": ('a,b\n1.0,2.0\n"3.0",4.0\n', f":3: found '\"'{_DIALECT}"),
+        "crlf": ("a,b\r\n1.0,2.0\r\n3.0,4.0\r\n", f":1: found '\\r'{_DIALECT}"),
+        "crlf_in_body": ("a,b\n1.0,2.0\r\n3.0,4.0\n", f":2: found '\\r'{_DIALECT}"),
+        "cr_ends_a_row": ("a,b\n1.0\r,2.0\n", f":2: found '\\r'{_DIALECT}"),
+        "lone_cr": ("a,b\n1.0,2.0\r3.0,4.0\n", f":2: found '\\r'{_DIALECT}"),
         "no_final_newline": ("a,b\n1.0,2.0\n3.0,4.0", [[1.0, 2.0], [3.0, 4.0]]),
         "header_only_no_newline": ("a,b", np.empty((0, 2))),
         "padded": ("a,b\n1.0,2.0\n 3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),

@@ -21,7 +21,7 @@ import vobs
 from vobs import pipeline, pool
 from vobs.cli import build_parser, main
 from vobs.baselines import EkfConfig
-from vobs.artifacts import read_float_csv
+from vobs.artifacts import read_csv, read_float_csv
 from vobs.config import DEFAULT_OBSERVERS, EKF_OVERRIDE_KEYS, build_config, load_config
 from vobs.dataset import read_cache, write_cache
 from vobs.errors import ConfigError
@@ -29,6 +29,7 @@ from vobs.domain import read_trajectory_csv
 from vobs.neural import RecurrentRegressor, gru_observer_net, load_weights, save_weights
 from vobs.neural.network import build_net
 from vobs.observer_lstm import TRACE_COLUMNS
+from vobs.simulator import SensorNoiseSpec
 
 from test_dataset import _v1_cache
 
@@ -356,6 +357,29 @@ class TestEvaluateCommand:
                f"{tmp_path / 'run' / 'dataset' / 'dataset.json'}" in err
         assert "rerun 'dataset'" in err
 
+    @pytest.mark.parametrize("change", ["resimulate", "sidecar_without_hashes"])
+    def test_trajectories_changed_after_dataset_refused(self, run_copy, capsys, change):
+        # same labels, new sensor noise: it used to score them with the old
+        # scaler and models
+        tmp_path, cfg = run_copy
+        run = tmp_path / "run"
+        shutil.rmtree(run / "eval", ignore_errors=True)
+        sidecar = run / "dataset" / "dataset.json"
+        if change == "resimulate":
+            cfg = _write_config(tmp_path, {"sensor_noise": {
+                "std_ax": 3 * SensorNoiseSpec().std_ax}})
+            assert main(["simulate", "--config", cfg]) == 0
+        else:
+            doc = json.loads(sidecar.read_text())
+            del doc["trajectory_sha256"]
+            sidecar.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"{run / 'trajectories'}" in err and str(sidecar) in err
+        assert "rerun 'dataset'" in err
+        assert not (run / "eval").exists()
+
     def test_pool_capped_at_task_count(self, run_copy, monkeypatch):
         tmp_path, cfg = run_copy
         sidecar = json.loads((tmp_path / "run" / "dataset" / "dataset.json").read_text())
@@ -462,13 +486,29 @@ class TestWorkerPool:
         assert (get_threads() if get_threads else None) == before
 
 
+class TestCsvDialect:
+    def test_every_csv_of_a_run_is_plain(self, run_copy):
+        # no quotes, no "\r", and each reads back under its own header line
+        tmp_path, cfg = run_copy
+        run = tmp_path / "run"
+        assert main(["evaluate", "--config", cfg]) == 0
+        assert main(["gradcheck", "--out", str(run)]) == 0
+        texts = {p.relative_to(run): p.read_bytes().decode() for p in run.rglob("*.csv")}
+        assert {p.parts[0] for p in texts} == {
+            "trajectories", "models", "eval", "gradcheck.csv"}
+        assert [str(p) for p, text in texts.items() if '"' in text or "\r" in text] == []
+        for path, text in texts.items():
+            rows = read_csv(run / path, text.split("\n", 1)[0].split(","))
+            assert len(rows) == text.count("\n") - 1
+
+
 class TestGradcheckCommand:
     def test_passes_and_writes_csv(self, tmp_path):
         out = tmp_path / "gc"
         assert main(["gradcheck", "--out", str(out)]) == 0
         header, first = (out / "gradcheck.csv").read_text().splitlines()[:2]
         assert header == "coordinate,analytic,numeric,rel_error"
-        assert first.startswith('"net0:lstm0.wx[0, 0]",')
+        assert first.startswith("net0:lstm0.wx[0][0],")
 
     def test_corrupt_flag_fails_with_numeric_exit(self, tmp_path):
         assert main(["gradcheck", "--out", str(tmp_path), "--corrupt"]) == 2

@@ -355,10 +355,11 @@ class TestCache:
     def test_sidecar_round_trip(self, tmp_path, scaler):
         path = tmp_path / "meta.json"
         write_sidecar(path, scaler, {"a#0": "train"}, {"train": 11}, 50,
-                      {"train": 1}, NoiseSpec(), seed=5)
+                      {"train": 1}, NoiseSpec(), seed=5, trajectory_sha256={"a#0": "ab12"})
         doc = read_sidecar(path)
         assert doc["window_len"] == 50
         assert doc["split_assignment"] == {"a#0": "train"}
+        assert doc["trajectory_sha256"] == {"a#0": "ab12"}
         np.testing.assert_array_equal(doc["scaler"].sensor_min, scaler.sensor_min)
 
 
