@@ -7,7 +7,8 @@ writing.
     reads it back bit-exact) and an int its digits. `write_csv` renders the
     whole file to one string and writes it in one call.
   - CSV reads: `read_csv` reads the file once, refuses any `"` or `\\r` and
-    splits it on `\\n` and ","; `read_float_csv` converts all its fields in one
+    splits it on `\\n` and ","; `read_float_csv` does the same, hashes the
+    bytes of that one read, and converts all its fields in one
     `np.array(..., dtype=np.float64)`, which accepts and rounds each string
     as `float` does, and only when that fails or gives a non-finite value
     looks through the rows for the line of the first such field.
@@ -64,9 +65,14 @@ def write_json(path, doc) -> None:
 def read_csv(path, header) -> list[list[str]]:
     """The fields of each line after the header line of CSV `path`, which must
     hold the `header` names; row i is line i + 2. An empty line has no fields."""
+    with open(path, "rb") as fh:
+        return _split_csv(path, fh.read(), header)
+
+
+def _split_csv(path, data: bytes, header) -> list[list[str]]:
+    """`read_csv`'s rows of `data`, the bytes of CSV `path`."""
     header = list(header)
-    with open(path, newline="") as fh:
-        text = fh.read()
+    text = data.decode()
     if '"' in text or "\r" in text:
         at = min(i for i in (text.find('"'), text.find("\r")) if i >= 0)
         lineno = text.count("\n", 0, at) + 1
@@ -87,13 +93,16 @@ def read_csv(path, header) -> list[list[str]]:
     return rows
 
 
-def read_float_csv(path, header) -> np.ndarray:
-    """(rows, columns) float64 matrix of a CSV of finite floats."""
-    rows = read_csv(path, header)
+def read_float_csv(path, header) -> tuple[np.ndarray, str]:
+    """(rows, columns) float64 matrix of a CSV of finite floats, and the hex
+    SHA-256 of the file's bytes, from one read of the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    rows = _split_csv(path, raw, header)
     try:
         data = np.array(rows, dtype=np.float64).reshape(-1, len(header))
         if np.isfinite(data).all():
-            return data
+            return data, hashlib.sha256(raw).hexdigest()
     except ValueError:  # a field `float` rejects
         pass
     for lineno, fields in enumerate(rows, 2):  # only now, name the first bad field's line
@@ -106,12 +115,6 @@ def read_float_csv(path, header) -> np.ndarray:
             raise DataFormatError(f"{path}:{lineno}: non-finite value {field!r} "
                                   f"in column '{name}'")
     raise AssertionError(f"{path}: numpy rejects a field that float accepts")
-
-
-def sha256_file(path) -> str:
-    """Hex SHA-256 of the bytes of the file at `path`."""
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def read_json(path, what: str):

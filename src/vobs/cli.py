@@ -3,8 +3,8 @@
 Subcommands mirror the pipeline stages: {commands}.
 `COMMANDS` is the one table of them. `--seed`, `--out`, `--workers` and
 `--epochs` override the config keys `master_seed`, `out_dir`, `workers` and
-`train.epochs`; `--observer`, `--no-traces` and `--corrupt` only select
-work. The VOBS_OUT environment variable sets the default output root.
+`train.epochs`; `--observer` and `--no-traces` only select work. The
+VOBS_OUT environment variable sets the default output root.
 
 `--workers` (config key `workers`, default 1) runs {forked} in
 forked workers with one BLAS thread each, with
@@ -75,14 +75,6 @@ def _report(args) -> None:
     print(pipeline.render_report(args.out), end="")
 
 
-def _gradcheck(args) -> None:
-    worst = pipeline.run_gradient_check(args.out, corrupt=args.corrupt)
-    print(f"max relative gradient error: {worst:.3e}")
-    if worst >= 1e-4:
-        raise NumericalError(f"gradient check failed: {worst:.3e} >= 1e-4")
-    print("gradient check passed")
-
-
 class Command(NamedTuple):
     help: str
     run: Callable[[argparse.Namespace], None]
@@ -104,11 +96,6 @@ COMMANDS = {
                                  help="skip writing per-trajectory estimate traces")),)),
     "report": Command("re-render tables from a stored report", _report, stage=False, flags=(
         ("--out", dict(required=True, help="run directory holding eval/report.csv")),)),
-    "gradcheck": Command(
-        "verify gradients against finite differences", _gradcheck, stage=False, flags=(
-            ("--out", dict(default=".", help="directory for gradcheck.csv")),
-            ("--corrupt", dict(action="store_true",
-                               help="deliberately corrupt one gradient block (self-test)")))),
 }
 
 

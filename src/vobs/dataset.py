@@ -248,7 +248,7 @@ def read_cache(path) -> WindowedDataset:
         if head[:4] != CACHE_MAGIC:
             raise DataFormatError(f"{path}: not a sample cache (bad magic {head[:4]!r})")
         version = int.from_bytes(head[4:6], "little")
-        if version != CACHE_VERSION:
+        if version != CACHE_VERSION and len(head) >= 6:  # a shorter head is truncated
             raise DataFormatError(f"{path}: cache format version {version} unsupported "
                                   f"(expected {CACHE_VERSION}); rerun 'dataset'")
         if len(head) < _HEADER.size:

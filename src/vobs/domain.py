@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .artifacts import read_float_csv, sha256_file, write_csv
+from .artifacts import read_float_csv, write_csv
 from .errors import DataFormatError
 
 G_MPS2 = 9.81
@@ -98,8 +98,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 def read_trajectory_csv(path, label: str = "") -> Trajectory:
     """Read a trajectory written by `write_trajectory_csv`."""
-    data = read_float_csv(path, CSV_COLUMNS)
+    data, sha256 = read_float_csv(path, CSV_COLUMNS)
     if not len(data):
         raise DataFormatError(f"{path}:2: no samples after the header")
     return Trajectory(data[:, :6].copy(), np.hstack([data[:, :1], data[:, 6:]]),
-                      label=label or str(path), sha256=sha256_file(path))
+                      label=label or str(path), sha256=sha256)

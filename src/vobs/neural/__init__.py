@@ -1,14 +1,12 @@
-"""Self-contained numpy neural engine: layers, BPTT, Adam, gradient
-verification, and weight serialization.
+"""Self-contained numpy neural engine: layers, BPTT, Adam, and weight
+serialization.
 
 Precision policy: training and inference math runs in float32
 (`COMPUTE_DTYPE`) on a cast copy of the network. The float64 network is the
-master: Adam updates it, the weight file stores it bit-exact, and the
-finite-difference gradient check runs on it.
+master: Adam updates it and the weight file stores it bit-exact.
 """
 
 from .adam import Adam
-from .gradcheck import gradient_check
 from .layers import Dense, GruLayer, LstmLayer
 from .network import (
     COMPUTE_DTYPE,

@@ -2,8 +2,8 @@
 
 Each layer computes in the dtype of its weights, float32 or float64: every
 sequence buffer, state and gradient takes that dtype. Training and evaluation
-run float32 copies; the float64 master weights, the weight file and the
-gradient check stay float64.
+run float32 copies; the float64 master weights and the weight file stay
+float64.
 
 Sequence tensors are feature-major, (time, features, batch): step t is one
 contiguous (features, batch) array, and every gate is a contiguous row range

@@ -166,9 +166,6 @@ class RecurrentRegressor:
         """Full pass window(s) -> (B, out_dim) predictions in scaled space."""
         return self.head_forward(self.features(windows), prev_state)
 
-    def loss(self, windows, prev_state, targets) -> float:
-        return l2_loss(self.forward(windows, prev_state), targets)
-
     def loss_and_gradients(self, windows, prev_state, targets):
         """L2 loss plus exact gradients for every parameter, via BPTT.
 

@@ -73,7 +73,8 @@ def load_weights(path) -> RecurrentRegressor:
             fh.readinto(data)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    first = data[:data.find(b"\n")]
+    end = data.find(b"\n")
+    first = data[:end] if end >= 0 else data  # no "\n": all of it is the first line
     magic, _, version_text = first.partition(b" ")
     if magic != MAGIC:
         raise WeightsCorruptionError(f"{path}: not a weight file")

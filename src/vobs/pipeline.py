@@ -29,13 +29,7 @@ from .domain import (
     write_trajectory_csv,
 )
 from .errors import ConfigError, DataFormatError
-from .neural import (
-    COMPUTE_DTYPE,
-    load_weights,
-    lstm_observer_net,
-    save_weights,
-    gradient_check,
-)
+from .neural import COMPUTE_DTYPE, load_weights, save_weights
 from .observer_lstm import run_closed_loop, train_observer, write_trace_csv, write_training_log
 from .pool import map_tasks
 from .seeding import derive_seed
@@ -412,32 +406,3 @@ def render_report(out_dir: str) -> str:
         raise DataFormatError(f"no evaluation report at {path}; run 'evaluate' first")
     return _write_tables(ev.read_report_csv(path), os.path.join(out_dir, "eval"))
 
-
-GRADCHECK_NETWORKS = 5
-
-
-def run_gradient_check(out_dir: str, corrupt: bool = False) -> float:
-    """Gradient verification on `GRADCHECK_NETWORKS` small randomized
-    networks; writes the per-coordinate CSV and returns the worst relative
-    error."""
-    all_rows = []
-    group_worst: dict[str, float] = {}
-    for seed in range(GRADCHECK_NETWORKS):
-        net = lstm_observer_net(seed=seed, in_dim=5, hidden=(3, 4), dense=(4,),
-                                out_dim=3, state_dim=3)
-        rng = np.random.default_rng(derive_seed(seed, "gradcheck-data"))
-        windows = rng.uniform(0, 1, (2, 5, 5))
-        prev = rng.uniform(0, 1, (2, 3))
-        targets = rng.uniform(0, 1, (2, 3))
-        _, rows = gradient_check(net, windows, prev, targets,
-                                 corrupt_forget_gate=corrupt)
-        for coord, analytic, numeric, rel in rows:
-            all_rows.append((f"net{seed}:{coord}", analytic, numeric, rel))
-            group = coord.split("[")[0]
-            group_worst[group] = max(group_worst.get(group, 0.0), rel)
-    write_csv(os.path.join(out_dir, "gradcheck.csv"),
-              ("coordinate", "analytic", "numeric", "rel_error"), all_rows)
-    print("worst relative error per parameter group:")
-    for group in sorted(group_worst, key=group_worst.get, reverse=True):
-        print(f"  {group:12s} {group_worst[group]:.3e}")
-    return max(group_worst.values())

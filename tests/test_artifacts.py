@@ -115,14 +115,16 @@ class TestCsvFormat:
         values = np.random.default_rng(3).normal(size=(5, 3)) * 10.0 ** np.arange(-8, 7, 5)
         path = tmp_path / "m.csv"
         artifacts.write_csv(path, ("a", "b", "c"), values.tolist())
-        np.testing.assert_array_equal(artifacts.read_float_csv(path, ("a", "b", "c")), values)
+        data, _ = artifacts.read_float_csv(path, ("a", "b", "c"))
+        np.testing.assert_array_equal(data, values)
         assert path.read_bytes().count(b"\r") == 0
 
     def test_header_only_is_an_empty_matrix(self, tmp_path):
         path = tmp_path / "m.csv"
         artifacts.write_csv(path, ("a", "b"), [])
         assert path.read_text() == "a,b\n"
-        assert artifacts.read_float_csv(path, ("a", "b")).shape == (0, 2)
+        data, _ = artifacts.read_float_csv(path, ("a", "b"))
+        assert data.shape == (0, 2)
 
     def test_json_layout(self, tmp_path):
         path = tmp_path / "d.json"
@@ -182,7 +184,7 @@ class TestReadFloatCsv:
         header = tuple(f"c{i}" for i in range(cols))
         path = tmp_path_factory.mktemp("float_csv") / "m.csv"
         artifacts.write_csv(path, header, rows)
-        data = artifacts.read_float_csv(path, header)
+        data, _ = artifacts.read_float_csv(path, header)
         expected = _float_per_field(path, header)
         assert data.shape == expected.shape == (len(rows), cols)
         assert data.tobytes() == expected.tobytes()
@@ -227,7 +229,7 @@ class TestReadFloatCsv:
                 artifacts.read_float_csv(path, ("a", "b"))
             assert str(raised.value) == f"{path}{expected}"
         else:
-            data = artifacts.read_float_csv(path, ("a", "b"))
+            data, _ = artifacts.read_float_csv(path, ("a", "b"))
             np.testing.assert_array_equal(data, np.asarray(expected).reshape(-1, 2))
 
     def test_one_column_blank_line_is_a_short_row(self, tmp_path):

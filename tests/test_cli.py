@@ -267,7 +267,7 @@ class TestEvaluateCommand:
                 pathlib.Path(f).name for f in test_files)
             for f in test_files:
                 t_s = read_trajectory_csv(run / f).sensors[:, 0]
-                trace = read_float_csv(traces / pathlib.Path(f).name, TRACE_COLUMNS)
+                trace, _ = read_float_csv(traces / pathlib.Path(f).name, TRACE_COLUMNS)
                 assert trace.shape == (len(t_s), 4)
                 np.testing.assert_array_equal(trace[:, 0], t_s)
 
@@ -492,26 +492,12 @@ class TestCsvDialect:
         tmp_path, cfg = run_copy
         run = tmp_path / "run"
         assert main(["evaluate", "--config", cfg]) == 0
-        assert main(["gradcheck", "--out", str(run)]) == 0
         texts = {p.relative_to(run): p.read_bytes().decode() for p in run.rglob("*.csv")}
-        assert {p.parts[0] for p in texts} == {
-            "trajectories", "models", "eval", "gradcheck.csv"}
+        assert {p.parts[0] for p in texts} == {"trajectories", "models", "eval"}
         assert [str(p) for p, text in texts.items() if '"' in text or "\r" in text] == []
         for path, text in texts.items():
             rows = read_csv(run / path, text.split("\n", 1)[0].split(","))
             assert len(rows) == text.count("\n") - 1
-
-
-class TestGradcheckCommand:
-    def test_passes_and_writes_csv(self, tmp_path):
-        out = tmp_path / "gc"
-        assert main(["gradcheck", "--out", str(out)]) == 0
-        header, first = (out / "gradcheck.csv").read_text().splitlines()[:2]
-        assert header == "coordinate,analytic,numeric,rel_error"
-        assert first.startswith("net0:lstm0.wx[0][0],")
-
-    def test_corrupt_flag_fails_with_numeric_exit(self, tmp_path):
-        assert main(["gradcheck", "--out", str(tmp_path), "--corrupt"]) == 2
 
 
 class TestExitCodes:
@@ -1100,8 +1086,6 @@ class TestCliSurface:
                           ("--epochs", None, False, int, "_StoreAction")],
         "evaluate": STAGE + [("--no-traces", False, False, None, "_StoreTrueAction")],
         "report": [("--out", None, True, None, "_StoreAction")],
-        "gradcheck": [("--out", ".", False, None, "_StoreAction"),
-                      ("--corrupt", False, False, None, "_StoreTrueAction")],
     }
 
     def test_options_of_every_subcommand(self):

@@ -302,6 +302,14 @@ class TestCache:
         with pytest.raises(DataFormatError, match="corrupt"):
             read_cache(path)
 
+    @pytest.mark.parametrize("size", [4, 5, 6, 27])
+    def test_truncated_header_reads_as_truncated(self, tmp_path, scaler, size):
+        path = tmp_path / "x.cache"
+        write_cache(make_windows([_traj(60)], scaler, 50), path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(DataFormatError, match=r"x\.cache: truncated cache header"):
+            read_cache(path)
+
     def test_bad_magic_detected(self, tmp_path):
         path = tmp_path / "x.cache"
         path.write_bytes(b"NOPE" + bytes(64))

@@ -1,4 +1,7 @@
+import builtins
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -100,6 +103,21 @@ class TestTrajectoryCsv:
         back = read_trajectory_csv(path)
         np.testing.assert_array_equal(back.sensors, noisy_straight_traj.sensors)
         np.testing.assert_array_equal(back.truth, noisy_straight_traj.truth)
+
+    def test_one_read_parses_and_hashes(self, tmp_path, noisy_straight_traj, monkeypatch):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(noisy_straight_traj, path)
+        opened, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        back = read_trajectory_csv(path)
+        monkeypatch.undo()
+        assert opened == [str(path)]
+        assert back.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
     HEADER = ",".join(CSV_COLUMNS) + "\n"
     ROW = ",".join(["0.5"] * 15) + "\n"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradcheck import gradient_check
 from vobs.errors import ConfigError, NumericalError
 from vobs.neural import (
     COMPUTE_DTYPE,
@@ -15,7 +16,6 @@ from vobs.neural import (
     GruLayer,
     LstmLayer,
     RecurrentRegressor,
-    gradient_check,
     gru_observer_net,
     l2_loss,
     load_weights,
@@ -534,7 +534,18 @@ class TestGradientCheckTool:
         w = rng.uniform(0, 1, (2, 5, 5))
         p = rng.uniform(0, 1, (2, 3))
         y = rng.uniform(0, 1, (2, 3))
-        worst, _ = gradient_check(net, w, p, y, corrupt_forget_gate=True)
+        exact = net.loss_and_gradients
+
+        def corrupted(*args):
+            # scale the first layer's recurrent forget-gate rows of the gradient
+            loss, grads = exact(*args)
+            h = net.cells[0].hidden
+            grads[1] = grads[1].copy()
+            grads[1][h: 2 * h] *= 1.05
+            return loss, grads
+
+        net.loss_and_gradients = corrupted
+        worst, _ = gradient_check(net, w, p, y)
         assert worst > 1e-2
 
     def test_large_eps_degrades(self):
@@ -586,7 +597,7 @@ class TestAdam:
         for _ in range(500):
             _, grads = net.loss_and_gradients(w, p, y)
             adam.step(params, grads)
-        final = net.loss(w, p, y)
+        final = l2_loss(net.forward(w, p), y)
         assert final < first / 100
 
 
@@ -629,6 +640,21 @@ class TestWeightsIo:
         path.write_bytes(data[:len(data) // 2])
         with pytest.raises(WeightsCorruptionError):
             load_weights(path)
+
+    @pytest.mark.parametrize("size", [14, 15, 40])
+    def test_truncated_header_reads_as_truncated(self, tmp_path, size):
+        # 14 bytes is the version line without its "\n"
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(WeightsCorruptionError,
+                           match="w.weights: header ends before the payload line"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_line_alone_asks_to_retrain(self, tmp_path, version):
+        path = tmp_path / "old.weights"
+        path.write_bytes(f"vobs-weights {version}".encode())
+        self._assert_asks_to_retrain(path)
 
     def test_future_version_rejected_before_load(self, tmp_path):
         path = self._saved(tmp_path)

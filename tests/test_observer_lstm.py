@@ -129,7 +129,7 @@ class TestTraceCsv:
         est = np.random.default_rng(0).normal(size=(5, 3))
         path = tmp_path / "trace.csv"
         write_trace_csv(est, path, t_s)
-        back = read_float_csv(path, TRACE_COLUMNS)
+        back, _ = read_float_csv(path, TRACE_COLUMNS)
         np.testing.assert_array_equal(back[:, 0], t_s)
         np.testing.assert_array_equal(back[:, 1:], est)
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import circle_script
+from gradcheck import gradient_check
 from test_observer_lstm import _toy_dataset
 from vobs.baselines import run_gru
 from vobs.dataset import NoiseSpec, fit_scaler
@@ -18,7 +19,6 @@ from vobs.neural import (
     COMPUTE_DTYPE,
     Adam,
     TrainConfig,
-    gradient_check,
     gru_observer_net,
     l2_loss,
     load_weights,
