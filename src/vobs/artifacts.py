@@ -72,7 +72,11 @@ def read_csv(path, header) -> list[list[str]]:
 def _split_csv(path, data: bytes, header) -> list[list[str]]:
     """`read_csv`'s rows of `data`, the bytes of CSV `path`."""
     header = list(header)
-    text = data.decode()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}:{lineno}: not UTF-8 ({exc})") from None
     if '"' in text or "\r" in text:
         at = min(i for i in (text.find('"'), text.find("\r")) if i >= 0)
         lineno = text.count("\n", 0, at) + 1

@@ -233,13 +233,11 @@ def run_ekf(traj: Trajectory, initial_state, cfg: EkfConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def train_gru(train_ds: WindowedDataset, val_ds: WindowedDataset,
-              scaler: ScalerParams, tc: TrainConfig,
-              net: RecurrentRegressor | None = None):
+              scaler: ScalerParams, tc: TrainConfig):
     """Same optimization loop as the feedback observer, minus the state
     input — there is nothing to inject noise into."""
-    if net is None:
-        net = gru_observer_net(seed=tc.seed)
-    return train_observer(train_ds, val_ds, scaler, NoiseSpec(0.0, 0.0), tc, net=net)
+    return train_observer(train_ds, val_ds, scaler, NoiseSpec(0.0, 0.0), tc,
+                          net=gru_observer_net(seed=tc.seed))
 
 
 def run_gru(traj: Trajectory, initial_state, net: RecurrentRegressor,

@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages: {commands}.
 `COMMANDS` is the one table of them. `--seed`, `--out`, `--workers` and
 `--epochs` override the config keys `master_seed`, `out_dir`, `workers` and
-`train.epochs`; `--observer` and `--no-traces` only select work. The
+`train.epochs`; `--observer` only selects work. The
 VOBS_OUT environment variable sets the default output root.
 
 `--workers` (config key `workers`, default 1) runs {forked} in
@@ -68,7 +68,7 @@ def _train(args) -> None:
 
 
 def _evaluate(args) -> None:
-    print(pipeline.evaluate_run(_load(args), write_traces=not args.no_traces), end="")
+    print(pipeline.evaluate_run(_load(args)), end="")
 
 
 def _report(args) -> None:
@@ -89,11 +89,8 @@ COMMANDS = {
     "train": Command("train learned observers", _train, fan_out="one observer", flags=(
         ("--observer", dict(default=None, help="train only this configured observer")),
         ("--epochs", dict(type=int, default=None, help="override the epoch count")))),
-    "evaluate": Command(
-        "run observers on the test split", _evaluate,
-        fan_out="one (observer, test trajectory) pair", flags=(
-            ("--no-traces", dict(action="store_true",
-                                 help="skip writing per-trajectory estimate traces")),)),
+    "evaluate": Command("run observers on the test split", _evaluate,
+                        fan_out="one (observer, test trajectory) pair"),
     "report": Command("re-render tables from a stored report", _report, stage=False, flags=(
         ("--out", dict(required=True, help="run directory holding eval/report.csv")),)),
 }

@@ -65,8 +65,8 @@ class ObserverSpec:
 
     name: str
     type: str
-    state_noise: bool = True        # lstm only: inject state noise in training
-    ekf: EkfConfig | None = None    # ekf only: the filter's settings
+    state_noise: bool        # lstm only: inject state noise in training
+    ekf: EkfConfig | None    # ekf only: the filter's settings
 
     @property
     def trainable(self) -> bool:
@@ -84,19 +84,11 @@ class RunConfig:
     train: TrainConfig
     observers: dict[str, ObserverSpec]
     segments: SegmentSpec
+    workers: int
     # the `dataset` section
     window_len: int = 50
     train_stride: int = 1
     val_stride: int = 1
-    workers: int = 1
-
-
-# the observers a config without an `observers` section compares
-DEFAULT_OBSERVERS = {
-    "lstm": {"type": "lstm", "state_noise": True},
-    "gru": {"type": "gru"},
-    "ekf": {"type": "ekf"},
-}
 
 
 TOP_LEVEL_KEYS = ("master_seed", "out_dir", "workers", "corpus", "sensor_noise", "split",
@@ -272,9 +264,7 @@ def build_config(doc: dict, seed: int | None = None, out_dir: str | None = None,
         tr_doc["epochs"] = epochs
     train = _built(TrainConfig, tr_doc, f"{where}: train")
 
-    obs_doc = doc.get("observers")
-    if obs_doc is None:
-        obs_doc = DEFAULT_OBSERVERS
+    obs_doc = _require(doc, "observers", where)
     if not isinstance(obs_doc, dict) or not obs_doc:
         raise ConfigError(f"{where}: observers must be a non-empty mapping, got {obs_doc!r}")
     observers = {name: _observer(name, spec, where) for name, spec in obs_doc.items()}

@@ -24,6 +24,9 @@ from .errors import ConfigError, DataFormatError
 CHANNEL_UNITS = ("m/s", "m/s", "mrad/s")
 SEGMENTS = ("overall", "normal", "near_limits")
 REPORT_COLUMNS = ("observer", "segment", "channel", "mae", "unit", "n_samples")
+# the acceleration histograms: bins per axis (friction circle, |ay|), and the
+# range in m/s^2 both cover
+FRICTION_CIRCLE_BINS, ACCEL_BINS, HIST_RANGE_MPS2 = 41, 40, 1.05 * G_MPS2
 
 
 @dataclass(frozen=True)
@@ -75,29 +78,26 @@ def compare_observers(reports: dict[str, np.ndarray]) -> dict[str, dict[str, str
     return ranking
 
 
-def friction_circle_hist(trajs: list[Trajectory], bins: int = 41,
-                         range_g: float = 1.05):
+def friction_circle_hist(trajs: list[Trajectory]):
     """2D histogram of ground-truth (ax, ay) counts over all samples.
 
     Returns (counts, ax_edges, ay_edges); edges are in m/s^2.
     """
-    if bins < 2:
-        raise ConfigError("need at least 2 bins per axis")
     ax = np.concatenate([t.truth[:, G_AX] for t in trajs])
     ay = np.concatenate([t.truth[:, G_AY] for t in trajs])
-    lim = range_g * G_MPS2
+    lim = (-HIST_RANGE_MPS2, HIST_RANGE_MPS2)
     counts, ax_edges, ay_edges = np.histogram2d(
-        ax, ay, bins=bins, range=[[-lim, lim], [-lim, lim]])
+        ax, ay, bins=FRICTION_CIRCLE_BINS, range=[lim, lim])
     return counts, ax_edges, ay_edges
 
 
-def accel_distribution(trajs: list[Trajectory], bins: int = 40) -> dict:
+def accel_distribution(trajs: list[Trajectory]) -> dict:
     """Quantiles plus histogram counts of |ay|, the violin-plot ingredients."""
     if not trajs:
         raise ConfigError("empty trajectory list")
     ay = np.abs(np.concatenate([t.truth[:, G_AY] for t in trajs]))
     quantiles = np.quantile(ay, [0.0, 0.25, 0.5, 0.75, 1.0])
-    counts, edges = np.histogram(ay, bins=bins, range=(0.0, 1.05 * G_MPS2))
+    counts, edges = np.histogram(ay, bins=ACCEL_BINS, range=(0.0, HIST_RANGE_MPS2))
     return {
         "min": float(quantiles[0]),
         "q25": float(quantiles[1]),
@@ -133,7 +133,7 @@ class EvalReport:
     table: dict[str, dict[str, np.ndarray]]  # observer -> segment -> (3,) MAE
     counts: dict[str, int]                   # segment -> sample count
 
-    def ranking(self, segment: str = "overall") -> dict[str, dict[str, str]]:
+    def ranking(self, segment: str) -> dict[str, dict[str, str]]:
         reports = {name: segs[segment] for name, segs in self.table.items()
                    if segment in segs}
         return compare_observers(reports)

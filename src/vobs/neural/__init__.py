@@ -18,10 +18,4 @@ from .network import (
     l2_loss,
     lstm_observer_net,
 )
-from .weights_io import (
-    WeightsCorruptionError,
-    WeightsShapeError,
-    WeightsVersionError,
-    load_weights,
-    save_weights,
-)
+from .weights_io import load_weights, save_weights

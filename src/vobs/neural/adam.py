@@ -13,7 +13,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class Adam:
     """First/second moment accumulators mirroring one parameter list."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-3):
+    def __init__(self, params: list[np.ndarray], lr: float):
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]

@@ -55,20 +55,18 @@ class TrainConfig:
 
 
 class RecurrentRegressor:
-    """Cell stack plus dense head; `state_dim` 0 disables the state input."""
+    """Cell stack plus dense head; `state_dim`, the inputs the head takes
+    beyond the last hidden width, are the previous state (0: no state input)."""
 
-    def __init__(self, kind: str, cells: list, head: list[Dense], state_dim: int):
+    def __init__(self, kind: str, cells: list, head: list[Dense]):
         if kind not in CELLS:
             raise ConfigError(f"unknown cell kind '{kind}'")
         if not cells or not head:
             raise ConfigError("network needs at least one cell and one dense layer")
+        state_dim = head[0].in_dim - cells[-1].hidden
         if state_dim < 0:
-            raise ConfigError(f"state_dim must be >= 0, got {state_dim}")
-        feat_dim = cells[-1].hidden
-        if head[0].in_dim != feat_dim + state_dim:
-            raise ConfigError(
-                f"dense head expects input {head[0].in_dim}, "
-                f"stack provides {feat_dim} + state {state_dim}")
+            raise ConfigError(f"dense head takes {head[0].in_dim} inputs, fewer than "
+                              f"the {cells[-1].hidden} of the last hidden layer")
         for a, b in zip(cells[:-1], cells[1:]):
             if b.in_dim != a.hidden:
                 raise ConfigError("cell stack dimensions do not chain")
@@ -102,7 +100,7 @@ class RecurrentRegressor:
         cells = [type(c)(c.wx.astype(dtype), c.wh.astype(dtype), c.b.astype(dtype))
                  for c in self.cells]
         head = [Dense(d.w.astype(dtype), d.b.astype(dtype)) for d in self.head]
-        return RecurrentRegressor(self.kind, cells, head, self.state_dim)
+        return RecurrentRegressor(self.kind, cells, head)
 
     def copy_weights(self) -> list[np.ndarray]:
         return [arr.copy() for _, arr in self.params()]
@@ -255,7 +253,7 @@ def build_net(kind: str, seed: int, in_dim: int, hidden: tuple, dense: tuple,
     for width in (*dense, out_dim):
         head.append(Dense.initialize(d, width, rng))
         d = width
-    return RecurrentRegressor(kind, cells, head, state_dim)
+    return RecurrentRegressor(kind, cells, head)
 
 
 def lstm_observer_net(seed: int, in_dim: int = 5,

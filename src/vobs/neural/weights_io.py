@@ -17,7 +17,8 @@ truncated or damaged payload would otherwise still decode as finite floats
 and load as a network that quietly predicts garbage. Loading builds the
 network straight from the stored tensors, whose layer constructors check
 every shape, and requires its `params()` to reproduce the array lines'
-names and shapes, in order.
+names and shapes, in order. Every fault of a file is a `DataFormatError`
+naming it.
 
 Files are written atomically (`artifacts.write_file`). Versions 1 and 2,
 which restated the architecture in header lines of their own, are not read;
@@ -40,18 +41,6 @@ from .network import CELLS, RecurrentRegressor
 FORMAT_VERSION = 3
 MAGIC = b"vobs-weights"
 _F8 = np.dtype("<f8")
-
-
-class WeightsVersionError(DataFormatError):
-    """File declares a format version this build cannot read."""
-
-
-class WeightsShapeError(DataFormatError):
-    """The stored tensors do not form a network."""
-
-
-class WeightsCorruptionError(DataFormatError):
-    """Truncated or otherwise unparseable weight file."""
 
 
 def save_weights(net: RecurrentRegressor, path) -> None:
@@ -77,13 +66,13 @@ def load_weights(path) -> RecurrentRegressor:
     first = data[:end] if end >= 0 else data  # no "\n": all of it is the first line
     magic, _, version_text = first.partition(b" ")
     if magic != MAGIC:
-        raise WeightsCorruptionError(f"{path}: not a weight file")
+        raise DataFormatError(f"{path}: not a weight file")
     try:
         version = int(version_text)
     except ValueError:
-        raise WeightsCorruptionError(f"{path}: unreadable version line") from None
+        raise DataFormatError(f"{path}: unreadable version line") from None
     if version != FORMAT_VERSION:
-        raise WeightsVersionError(
+        raise DataFormatError(
             f"{path}: weight format version {version} is not supported (this build "
             f"reads version {FORMAT_VERSION}); re-run 'vobs train' to rewrite it")
     arrays_declared, payload_line, payload_at = _read_header(path, data, len(first) + 1)
@@ -91,18 +80,18 @@ def load_weights(path) -> RecurrentRegressor:
         nbytes_text, digest = payload_line.split()
         nbytes = int(nbytes_text)
     except ValueError:
-        raise WeightsCorruptionError(f"{path}: bad payload line {payload_line[:80]!r}") from None
+        raise DataFormatError(f"{path}: bad payload line {payload_line[:80]!r}") from None
 
     declared = sum(math.prod(shape) for _, shape in arrays_declared) * _F8.itemsize
     if declared != nbytes:
-        raise WeightsCorruptionError(
+        raise DataFormatError(
             f"{path}: array lines declare {declared} payload bytes, header says {nbytes}")
     if len(data) - payload_at != nbytes:
-        raise WeightsCorruptionError(
+        raise DataFormatError(
             f"{path}: payload is {len(data) - payload_at} bytes, expected {nbytes}")
     payload = memoryview(data)[payload_at:]
     if hashlib.sha256(payload).hexdigest() != digest:
-        raise WeightsCorruptionError(f"{path}: payload does not match its SHA-256")
+        raise DataFormatError(f"{path}: payload does not match its SHA-256")
 
     tensors = {}
     offset = 0
@@ -114,9 +103,9 @@ def load_weights(path) -> RecurrentRegressor:
     try:
         net = _net_of(tensors)
     except (KeyError, ValueError, ConfigError) as exc:
-        raise WeightsShapeError(f"{path}: array lines do not form a network ({exc})") from None
+        raise DataFormatError(f"{path}: array lines do not form a network ({exc})") from None
     if [(name, arr.shape) for name, arr in net.params()] != arrays_declared:
-        raise WeightsShapeError(
+        raise DataFormatError(
             f"{path}: array lines are not the tensors of the {net.kind} network "
             f"they describe, in order")
     return net
@@ -136,8 +125,7 @@ def _net_of(tensors: dict) -> RecurrentRegressor:
     head = []
     while f"dense{len(head)}.w" in tensors:
         head.append(Dense(tensors[f"dense{len(head)}.w"], tensors[f"dense{len(head)}.b"]))
-    state_dim = head[0].in_dim - cells[-1].hidden if cells and head else 0
-    return RecurrentRegressor(kind, cells, head, state_dim)
+    return RecurrentRegressor(kind, cells, head)
 
 
 def _read_header(path, data: bytearray, pos: int):
@@ -149,11 +137,11 @@ def _read_header(path, data: bytearray, pos: int):
     while True:
         end = data.find(b"\n", pos)
         if end < 0:
-            raise WeightsCorruptionError(f"{path}: header ends before the payload line")
+            raise DataFormatError(f"{path}: header ends before the payload line")
         try:
             line = data[pos:end].decode("ascii")
         except UnicodeDecodeError:
-            raise WeightsCorruptionError(f"{path}: binary data in the header") from None
+            raise DataFormatError(f"{path}: binary data in the header") from None
         pos = end + 1
         key, _, value = line.partition(" ")
         if key == "payload":
@@ -164,5 +152,5 @@ def _read_header(path, data: bytearray, pos: int):
         except ValueError:
             shape = None
         if key != "array" or not name or shape is None or any(n < 0 for n in shape):
-            raise WeightsCorruptionError(f"{path}: bad header line {line[:60]!r}")
+            raise DataFormatError(f"{path}: bad header line {line[:60]!r}")
         arrays.append((name, shape))

@@ -238,9 +238,9 @@ def _trace_task(cfg: RunConfig, trajs: list[Trajectory], nets: dict,
     return run_ekf(traj, initial, spec.ekf)
 
 
-def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> str:
+def evaluate_run(cfg: RunConfig) -> str:
     """Run every configured observer over the test split, write the report
-    bundle (CSV + text tables + rankings + plot data) and return the text
+    bundle (CSV + text tables + rankings + plot data + traces) and return the text
     tables.
 
     Each loaded network is cast once to `COMPUTE_DTYPE`, so the window stacks
@@ -320,12 +320,11 @@ def evaluate_run(cfg: RunConfig, write_traces: bool = True) -> str:
     _write_plot_data(cfg, report, test_trajs, seg_of, traces, skip, eval_dir)
     _write_distributions(test_trajs, seg_of, eval_dir)
 
-    if write_traces:
-        for name in cfg.observers:
-            for traj in test_trajs:
-                write_trace_csv(traces[name][traj.label], os.path.join(
-                    eval_dir, "traces", name, traj.label.replace("#", "-") + ".csv"),
-                    traj.sensors[:, 0])
+    for name in cfg.observers:
+        for traj in test_trajs:
+            write_trace_csv(traces[name][traj.label], os.path.join(
+                eval_dir, "traces", name, traj.label.replace("#", "-") + ".csv"),
+                traj.sensors[:, 0])
     return text
 
 

@@ -211,7 +211,7 @@ CONTROL_PERIOD_S = 0.002
 
 
 def run_maneuver(script: ManeuverScript, noise: SensorNoiseSpec,
-                 substep_s: float = 0.002) -> Trajectory:
+                 substep_s: float = CONTROL_PERIOD_S) -> Trajectory:
     """Integrate a scripted maneuver and return the 50 Hz trajectory.
 
     Ground truth comes straight from the integrator; sensors from

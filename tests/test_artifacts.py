@@ -238,6 +238,15 @@ class TestReadFloatCsv:
         with pytest.raises(DataFormatError, match=r"m.csv:3: expected 1 fields, found 0"):
             artifacts.read_float_csv(path, ("a",))
 
+    @pytest.mark.parametrize("read", [artifacts.read_csv, artifacts.read_float_csv])
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path, read):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"a,b\n1.0,2.0\n3.0,4.0\xff\n")
+        with pytest.raises(DataFormatError) as raised:
+            read(path, ("a", "b"))
+        assert str(raised.value) == (f"{path}:3: not UTF-8 ('utf-8' codec can't decode "
+                                     f"byte 0xff in position 19: invalid start byte)")
+
 
 SRC = pathlib.Path(vobs.__file__).parent
 _OS_WRITES = ("replace", "rename", "makedirs", "mkdir")

@@ -375,8 +375,7 @@ class TestGruObserver:
     def test_training_learns(self):
         train, val, scaler = _gru_toy()
         tc = TrainConfig(epochs=2, batch_size=64, learning_rate=3e-3, seed=4)
-        net = gru_observer_net(seed=4, in_dim=5, hidden=(4, 4), dense=(8,), out_dim=3)
-        net, log = train_gru(train, val, scaler, tc, net=net)
+        net, log = train_gru(train, val, scaler, tc)
         assert log[-1]["train_loss"] < log[0]["train_loss"]
 
     def test_estimates_pure_function_of_window(self):

@@ -22,7 +22,7 @@ from vobs import pipeline, pool
 from vobs.cli import build_parser, main
 from vobs.baselines import EkfConfig
 from vobs.artifacts import read_csv, read_float_csv
-from vobs.config import DEFAULT_OBSERVERS, EKF_OVERRIDE_KEYS, build_config, load_config
+from vobs.config import EKF_OVERRIDE_KEYS, build_config, load_config
 from vobs.dataset import read_cache, write_cache
 from vobs.errors import ConfigError
 from vobs.domain import read_trajectory_csv
@@ -243,6 +243,12 @@ class TestTrainCommand:
         assert requested.value.args == (len(TWO_TRAINABLE),)
 
 
+def _eval_outputs(eval_dir):
+    """Bytes of the report and of every trace under `eval_dir`, by relative path."""
+    files = [eval_dir / "report.csv", *sorted((eval_dir / "traces").rglob("*.csv"))]
+    return {f.relative_to(eval_dir).as_posix(): f.read_bytes() for f in files}
+
+
 class TestEvaluateCommand:
     def test_report_bundle_written(self, run_copy):
         tmp_path, _ = run_copy
@@ -280,29 +286,27 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "lstm" in err and "weight" in err
 
-    def test_rerun_report_is_byte_identical(self, pipeline_run):
-        tmp_path, cfg = pipeline_run
-        report = tmp_path / "run" / "eval" / "report.csv"
-        assert main(["evaluate", "--config", cfg, "--no-traces"]) == 0
-        first = report.read_bytes()
-        assert main(["evaluate", "--config", cfg, "--no-traces"]) == 0
-        assert report.read_bytes() == first
+    def test_rerun_report_is_byte_identical(self, run_copy):
+        tmp_path, cfg = run_copy
+        eval_dir = tmp_path / "run" / "eval"
+
+        assert main(["evaluate", "--config", cfg]) == 0
+        first = _eval_outputs(eval_dir)
+        assert len(first) > 1  # the traces are written too
+        assert main(["evaluate", "--config", cfg]) == 0
+        assert _eval_outputs(eval_dir) == first
 
     def test_workers_flag_gives_same_output(self, run_copy):
         tmp_path, cfg = run_copy
         eval_dir = tmp_path / "run" / "eval"
         blas_env = os.environ.get("OPENBLAS_NUM_THREADS")
 
-        def outputs():
-            files = [eval_dir / "report.csv", *sorted((eval_dir / "traces").rglob("*.csv"))]
-            return {f.relative_to(eval_dir).as_posix(): f.read_bytes() for f in files}
-
         assert main(["evaluate", "--config", cfg, "--workers", "1"]) == 0
-        serial = outputs()
+        serial = _eval_outputs(eval_dir)
         shutil.rmtree(eval_dir)
         assert main(["evaluate", "--config", cfg, "--workers", "2"]) == 0
         assert len(serial) > 2  # the report and traces of both observers
-        assert outputs() == serial
+        assert _eval_outputs(eval_dir) == serial
         assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_env
         assert multiprocessing.active_children() == []
 
@@ -511,6 +515,11 @@ class TestExitCodes:
 
     def test_bad_flag_usage(self, capsys):
         assert main(["simulate"]) == 1  # --config required
+
+    def test_removed_no_traces_flag_is_usage_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["evaluate", "--config", cfg, "--no-traces"]) == 1
+        assert "unrecognized arguments: --no-traces" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [0, -2, "two", 2.5, True])
     def test_invalid_workers_is_config_error(self, tmp_path, value, capsys):
@@ -744,7 +753,8 @@ class TestMissingRequiredKey:
         ("type", "observer 'e'", lambda d: d.update(observers={"e": {}})),
         ("kind", "corpus entry 0", lambda d: d["corpus"][0].pop("kind")),
         ("intensity", "corpus entry 0", lambda d: d["corpus"][0].pop("intensity")),
-    ], ids=["observer_type", "corpus_kind", "corpus_intensity"])
+        ("observers", "the config", lambda d: d.pop("observers")),
+    ], ids=["observer_type", "corpus_kind", "corpus_intensity", "observers"])
     def test_message_names_the_file(self, key, section, edit):
         doc = json.loads(json.dumps(BASE_CONFIG))
         edit(doc)
@@ -804,9 +814,23 @@ class TestObserverValidation:
         bench = next(ast.literal_eval(node.value) for node in tree.body
                      if isinstance(node, ast.Assign)
                      and getattr(node.targets[0], "id", None) == "OBSERVERS")
-        for observers in (DEFAULT_OBSERVERS, bench):
-            doc = dict(BASE_CONFIG, observers=observers)
-            assert list(build_config(doc).observers) == list(observers)
+        doc = dict(BASE_CONFIG, observers=bench)
+        assert list(build_config(doc).observers) == list(bench)
+
+
+class TestPickOurs:
+    """The observer the plots show against the runner-up: `lstm` when it is
+    an LSTM, else the first noise-injected LSTM, else the first observer."""
+
+    @pytest.mark.parametrize("observers, ours", [
+        ({"ekf": {"type": "ekf"}, "plain": {"type": "lstm", "state_noise": False},
+          "noisy": {"type": "lstm"}}, "noisy"),
+        ({"gru": {"type": "gru"}, "plain": {"type": "lstm", "state_noise": False}}, "gru"),
+        ({"ekf": {"type": "ekf"}, "lstm": {"type": "gru"}}, "ekf"),
+    ], ids=["noisy_lstm", "first_without_noisy_lstm", "lstm_name_of_another_type"])
+    def test_fallbacks(self, observers, ours):
+        cfg = build_config(dict(BASE_CONFIG, observers=observers))
+        assert pipeline._pick_ours(cfg) == ours
 
 
 class TestEkfConfig:
@@ -967,6 +991,20 @@ class TestNonFiniteTrajectory:
         assert _snapshot(run) == before
 
 
+class TestNonUtf8Trajectory:
+    def test_dataset_exits_3_naming_file_and_line(self, run_copy, capsys):
+        tmp_path, cfg = run_copy
+        run = tmp_path / "run"
+        path = sorted((run / "trajectories").glob("*.csv"))[0]
+        data = path.read_bytes()
+        path.write_bytes(data + b"\xff")
+        lineno = data.count(b"\n") + 1  # the byte starts a line after the last one
+        before = _snapshot(run)
+        assert main(["dataset", "--config", cfg]) == 3
+        assert f"{path.name}:{lineno}: not UTF-8" in capsys.readouterr().err
+        assert _snapshot(run) == before
+
+
 class TestNonFiniteCache:
     """A cache holding nan or inf is a data error (exit 3) naming the file and
     the first bad frame, and train writes no weights."""
@@ -1084,7 +1122,7 @@ class TestCliSurface:
         "dataset": STAGE,
         "train": STAGE + [("--observer", None, False, None, "_StoreAction"),
                           ("--epochs", None, False, int, "_StoreAction")],
-        "evaluate": STAGE + [("--no-traces", False, False, None, "_StoreTrueAction")],
+        "evaluate": STAGE,
         "report": [("--out", None, True, None, "_StoreAction")],
     }
 

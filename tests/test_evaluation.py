@@ -179,9 +179,10 @@ class TestCompareObservers:
 class TestFrictionCircle:
     def test_single_sample_in_center_cell(self):
         traj = _traj_with_ay(0.0, n=1)
-        counts, ax_edges, ay_edges = friction_circle_hist([traj], bins=11)
+        counts, ax_edges, ay_edges = friction_circle_hist([traj])
+        assert counts.shape == (41, 41)
         assert counts.sum() == 1
-        assert counts[5, 5] == 1
+        assert counts[20, 20] == 1
 
     def test_count_conservation(self):
         trajs = [_traj_with_ay(3.0, n=77), _traj_with_ay(7.0, n=33)]
@@ -190,14 +191,10 @@ class TestFrictionCircle:
 
     def test_low_g_mass_inside_half_g(self):
         traj = _traj_with_ay(2.0, n=200)
-        counts, ax_edges, ay_edges = friction_circle_hist([traj], bins=41)
+        counts, ax_edges, ay_edges = friction_circle_hist([traj])
         ay_centers = 0.5 * (ay_edges[:-1] + ay_edges[1:])
         outside = np.abs(ay_centers) > 0.5 * G_MPS2
         assert counts[:, outside].sum() == 0
-
-    def test_bins_validated(self):
-        with pytest.raises(ConfigError):
-            friction_circle_hist([_traj_with_ay(1.0)], bins=1)
 
 
 class TestAccelDistribution:

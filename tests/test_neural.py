@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradcheck import gradient_check
-from vobs.errors import ConfigError, NumericalError
+from vobs.errors import ConfigError, DataFormatError, NumericalError
 from vobs.neural import (
     COMPUTE_DTYPE,
     Adam,
@@ -23,11 +23,6 @@ from vobs.neural import (
     save_weights,
 )
 from vobs.neural import layers
-from vobs.neural.weights_io import (
-    WeightsCorruptionError,
-    WeightsShapeError,
-    WeightsVersionError,
-)
 
 
 def _zero_lstm(in_dim=3, hidden=1):
@@ -198,6 +193,15 @@ class TestForwardFull:
             arr[...] = 0.0
         out = net.forward(np.zeros((1, 7, 5)), np.zeros((1, 3)))
         np.testing.assert_allclose(out, 0.5)
+
+    def test_state_width_is_what_the_head_takes_beyond_the_stack(self):
+        for state_dim in (0, 3):
+            net = lstm_observer_net(seed=0, in_dim=5, hidden=(3, 4), dense=(6,),
+                                    out_dim=3, state_dim=state_dim)
+            rebuilt = RecurrentRegressor(net.kind, net.cells, net.head)
+            assert net.state_dim == rebuilt.state_dim == state_dim
+        with pytest.raises(ConfigError, match="takes 2 inputs, fewer than the 4"):
+            RecurrentRegressor("lstm", net.cells, [Dense(np.zeros((3, 2)), np.zeros(3))])
 
     def test_output_in_unit_cube(self):
         net = lstm_observer_net(seed=3, in_dim=5, hidden=(4, 5), dense=(6,),
@@ -563,7 +567,7 @@ class TestGradientCheckTool:
 class TestAdam:
     def test_zero_gradient_keeps_weights(self):
         w = [np.array([1.0, 2.0])]
-        adam = Adam(w)
+        adam = Adam(w, lr=1e-3)
         adam.step(w, [np.zeros(2)])
         np.testing.assert_array_equal(w[0], [1.0, 2.0])
         assert adam.t == 1
@@ -638,7 +642,7 @@ class TestWeightsIo:
         path = self._saved(tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
-        with pytest.raises(WeightsCorruptionError):
+        with pytest.raises(DataFormatError, match="w.weights: payload is"):
             load_weights(path)
 
     @pytest.mark.parametrize("size", [14, 15, 40])
@@ -646,7 +650,7 @@ class TestWeightsIo:
         # 14 bytes is the version line without its "\n"
         path = self._saved(tmp_path)
         path.write_bytes(path.read_bytes()[:size])
-        with pytest.raises(WeightsCorruptionError,
+        with pytest.raises(DataFormatError,
                            match="w.weights: header ends before the payload line"):
             load_weights(path)
 
@@ -660,7 +664,7 @@ class TestWeightsIo:
         path = self._saved(tmp_path)
         data = path.read_bytes().replace(b"vobs-weights 3\n", b"vobs-weights 4\n", 1)
         path.write_bytes(data)
-        with pytest.raises(WeightsVersionError):
+        with pytest.raises(DataFormatError, match="w.weights: weight format version 4 is not"):
             load_weights(path)
 
     def test_shape_mismatch_detected(self, tmp_path):
@@ -669,7 +673,7 @@ class TestWeightsIo:
         data = path.read_bytes().replace(b"\narray dense1.w 3 4\n",
                                          b"\narray dense1.w 4 3\n", 1)
         path.write_bytes(data)
-        with pytest.raises(WeightsShapeError, match="w.weights"):
+        with pytest.raises(DataFormatError, match="w.weights: array lines do not form a"):
             load_weights(path)
 
     def test_array_lines_that_form_no_network_are_shape_errors(self, tmp_path):
@@ -682,7 +686,7 @@ class TestWeightsIo:
             # the first dense layer takes 2 inputs but the last hidden width is
             # 4, so the state input would be -2 wide; a third dense layer keeps
             # the byte count
-            ("state_dim must be >= 0", lambda d: d.replace(
+            ("takes 2 inputs, fewer than the 4 of the last hidden layer", lambda d: d.replace(
                 b"\narray dense0.w 4 7\n", b"\narray dense0.w 4 2\n", 1).replace(
                 b"\npayload ", b"\narray dense2.w 5 3\narray dense2.b 5\npayload ", 1)),
         )
@@ -691,13 +695,13 @@ class TestWeightsIo:
             data = path.read_bytes()
             path.write_bytes(edit(data))
             assert path.read_bytes() != data
-            with pytest.raises(WeightsShapeError, match=f"w.weights.*{reason}"):
+            with pytest.raises(DataFormatError, match=f"w.weights.*{reason}"):
                 load_weights(path)
 
     def test_garbage_file_is_corruption(self, tmp_path):
         path = tmp_path / "junk.weights"
         path.write_text("not a weight file\n")
-        with pytest.raises(WeightsCorruptionError):
+        with pytest.raises(DataFormatError, match="junk.weights: not a weight file"):
             load_weights(path)
 
     def test_flipped_payload_byte_fails_digest(self, tmp_path):
@@ -705,13 +709,13 @@ class TestWeightsIo:
         data = bytearray(path.read_bytes())
         data[-5] ^= 0x01  # a low mantissa bit: still a finite float
         path.write_bytes(bytes(data))
-        with pytest.raises(WeightsCorruptionError, match="SHA-256"):
+        with pytest.raises(DataFormatError, match="w.weights: payload does not match its SHA-256"):
             load_weights(path)
 
     def test_short_payload_is_corruption(self, tmp_path):
         path = self._saved(tmp_path)
         path.write_bytes(path.read_bytes()[:-8])  # one whole float missing
-        with pytest.raises(WeightsCorruptionError, match="payload is"):
+        with pytest.raises(DataFormatError, match="w.weights: payload is [0-9]+ bytes, expected"):
             load_weights(path)
 
     def _old_header(self, version):
@@ -719,7 +723,7 @@ class TestWeightsIo:
                 "state_dim 3", "hidden 3 4", "dense 4 3", "output_activation sigmoid"]
 
     def _assert_asks_to_retrain(self, path):
-        with pytest.raises(WeightsVersionError) as raised:
+        with pytest.raises(DataFormatError, match="weight format version [12] is not") as raised:
             load_weights(path)
         assert path.name in str(raised.value)
         assert "vobs train" in str(raised.value)
@@ -759,7 +763,7 @@ class TestDeterminism:
             net = lstm_observer_net(seed=13, in_dim=5, hidden=(3, 4), dense=(4,),
                                     out_dim=3, state_dim=3)
             params = [a for _, a in net.params()]
-            adam = Adam(params)
+            adam = Adam(params, lr=1e-3)
             for lo in range(0, 32, 8):
                 _, grads = net.loss_and_gradients(w[lo:lo + 8], p[lo:lo + 8],
                                                   y[lo:lo + 8])

@@ -259,6 +259,18 @@ class TestGoldenBits:
         digest = hashlib.sha256(traj.truth.tobytes() + traj.sensors.tobytes())
         assert digest.hexdigest() == self.DIGESTS[kind, substep]
 
+    def test_return_lane_change_is_bit_identical(self):
+        # the return lane change steers from t = 6 s to 9 s, after every 5 s run above ends
+        kind = "double_lane_change"
+        script = builtin_scripts(kind, 0.9, duration_s=10.0, seed=7)
+        traj = run_maneuver(script, SensorNoiseSpec(seed=MANEUVER_KINDS.index(kind)))
+        t = traj.truth[:, G_T]
+        steer = traj.sensors[(t >= 6.0) & (t < 9.0), S_STEER]
+        assert steer.min() < -0.05 and steer.max() > 0.05
+        digest = hashlib.sha256(traj.truth.tobytes() + traj.sensors.tobytes())
+        assert digest.hexdigest() == \
+            "c56e463d6a017c98f33d46674be5c01a43553ae2479a919f46c066deb573e6c0"
+
 
 class TestSynthesizeSensors:
     def test_wheel_speed_exact_on_straight(self, straight_traj):
