@@ -33,8 +33,8 @@ from .domain import (DT_S, INERTIA_Z_KGM2, LF_M, LR_M, MASS_KG, S_AX, S_AY, S_ST
                      S_YAWRATE, STATIC_LOAD_FRONT_N, STATIC_LOAD_REAR_N, TIRE_B, TIRE_C,
                      TIRE_D_PER_N, TRACK_M, Trajectory)
 from .errors import ConfigError, NumericalError
-from .neural import RecurrentRegressor, TrainConfig, gru_observer_net
-from .observer_lstm import train_observer, window_features
+from .neural import RecurrentRegressor, TrainConfig
+from .observer_lstm import observer_net, train_observer, window_features
 
 MIN_SPEED_MPS = 0.5
 
@@ -237,7 +237,7 @@ def train_gru(train_ds: WindowedDataset, val_ds: WindowedDataset,
     """Same optimization loop as the feedback observer, minus the state
     input — there is nothing to inject noise into."""
     return train_observer(train_ds, val_ds, scaler, NoiseSpec(0.0, 0.0), tc,
-                          net=gru_observer_net(seed=tc.seed))
+                          observer_net("gru", tc.seed))
 
 
 def run_gru(traj: Trajectory, initial_state, net: RecurrentRegressor,

@@ -123,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, command in COMMANDS.items():
         sub = subs.add_parser(name, help=command.help)
+        sub.set_defaults(parser=sub)  # an unknown option is a usage error of `name`
         for flag, options in (stage_flags if command.stage else ()) + command.flags:
             sub.add_argument(flag, **options)
     return parser
@@ -131,7 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         COMMANDS[args.command].run(args)
         return EXIT_OK
     except ConfigError as exc:

@@ -189,13 +189,25 @@ def default_out_root() -> str:
     return os.environ.get(ENV_OUT_ROOT, "runs")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, refusing a mapping that names one scalar key twice."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [(k.tag, k.value) if isinstance(k, yaml.ScalarNode) else k for k, _ in node.value]
+        for i, (key, _) in enumerate(node.value):
+            if keys[i] in keys[:i]:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key.value!r}", key.start_mark)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path, seed: int | None = None, out_dir: str | None = None,
                 workers: int | None = None, epochs: int | None = None) -> RunConfig:
     """Parse and validate a run configuration; keyword arguments are the CLI
     overrides and win over file values."""
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, _UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from None
     if not isinstance(doc, dict):

@@ -13,7 +13,7 @@ clipped.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,17 +57,11 @@ class ScalerParams:
         return x * (self.state_max - self.state_min) + self.state_min
 
     def to_dict(self) -> dict:
-        return {
-            "sensor_min": self.sensor_min.tolist(),
-            "sensor_max": self.sensor_max.tolist(),
-            "state_min": self.state_min.tolist(),
-            "state_max": self.state_max.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalerParams":
-        return cls(*(np.asarray(d[k], dtype=np.float64)
-                     for k in ("sensor_min", "sensor_max", "state_min", "state_max")))
+        return cls(*(np.asarray(d[f.name], dtype=np.float64) for f in fields(cls)))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Self-contained numpy neural engine: layers, BPTT, Adam, and weight
-serialization.
+serialization. `build_net` builds a cell stack and dense head of any widths;
+the observers' own widths live in `vobs.observer_lstm`.
 
 Precision policy: training and inference math runs in float32
 (`COMPUTE_DTYPE`) on a cast copy of the network. The float64 network is the
@@ -8,14 +9,5 @@ master: Adam updates it and the weight file stores it bit-exact.
 
 from .adam import Adam
 from .layers import Dense, GruLayer, LstmLayer
-from .network import (
-    COMPUTE_DTYPE,
-    DEFAULT_DENSE,
-    DEFAULT_HIDDEN,
-    RecurrentRegressor,
-    TrainConfig,
-    gru_observer_net,
-    l2_loss,
-    lstm_observer_net,
-)
+from .network import COMPUTE_DTYPE, RecurrentRegressor, TrainConfig, build_net, l2_loss
 from .weights_io import load_weights, save_weights

@@ -25,10 +25,8 @@ import numpy as np
 from ..errors import ConfigError, NumericalError
 from .layers import Dense, GruLayer, LstmLayer
 
-DEFAULT_HIDDEN = (32, 64, 64, 128)
-DEFAULT_DENSE = (64, 128, 64)
 # float32 halves the bytes the window stack moves and about halves its time;
-# over a 50-step window of the default stacks the final features differ from
+# over a 50-step window of the observer stacks the final features differ from
 # float64 by under 1e-7
 COMPUTE_DTYPE = np.float32
 # each cell kind and its layer; a network's tensor names start with its kind
@@ -238,8 +236,9 @@ def build_net(kind: str, seed: int, in_dim: int, hidden: tuple, dense: tuple,
     `dense` and `out_dim` over the last hidden vector and `state_dim` state
     inputs.
 
-    Both observer nets build through it. Weights are drawn from one
-    generator seeded by `seed`, layer by layer, cells first.
+    `observer_lstm.observer_net` builds both observer nets through it.
+    Weights are drawn from one generator seeded by `seed`, layer by layer,
+    cells first.
     """
     cell_cls = CELLS[kind]
     rng = np.random.default_rng(seed)
@@ -255,18 +254,3 @@ def build_net(kind: str, seed: int, in_dim: int, hidden: tuple, dense: tuple,
         d = width
     return RecurrentRegressor(kind, cells, head)
 
-
-def lstm_observer_net(seed: int, in_dim: int = 5,
-                      hidden: tuple = DEFAULT_HIDDEN,
-                      dense: tuple = DEFAULT_DENSE,
-                      out_dim: int = 3, state_dim: int = 3) -> RecurrentRegressor:
-    """LSTM stack + dense head with the previous state concatenated in."""
-    return build_net("lstm", seed, in_dim, hidden, dense, out_dim, state_dim)
-
-
-def gru_observer_net(seed: int, in_dim: int = 5,
-                     hidden: tuple = DEFAULT_HIDDEN,
-                     dense: tuple = DEFAULT_DENSE,
-                     out_dim: int = 3) -> RecurrentRegressor:
-    """GRU stack + dense head driven by the sensor window alone."""
-    return build_net("gru", seed, in_dim, hidden, dense, out_dim, 0)

@@ -16,14 +16,20 @@ from __future__ import annotations
 import numpy as np
 
 from .artifacts import write_csv
-from .dataset import NoiseSpec, ScalerParams, WindowedDataset, inject_state_noise, sliding_windows
+from .dataset import (N_SENSOR, N_STATE, NoiseSpec, ScalerParams, WindowedDataset,
+                      inject_state_noise, sliding_windows)
 from .domain import Trajectory
 from .errors import ConfigError, NumericalError
-from .neural import COMPUTE_DTYPE, Adam, RecurrentRegressor, TrainConfig, lstm_observer_net
+from .neural import COMPUTE_DTYPE, Adam, RecurrentRegressor, TrainConfig, build_net
 from .seeding import derived_rng
 
 # the most windows one `net.features` call stacks at test time
 FEATURE_BATCH = 512
+# the observer architecture: the widths of its cell stack and its dense head,
+# and the state inputs of each kind (the GRU baseline takes none)
+HIDDEN_WIDTHS = (32, 64, 64, 128)
+DENSE_WIDTHS = (64, 128, 64)
+STATE_INPUTS = {"lstm": N_STATE, "gru": 0}
 
 
 TRACE_COLUMNS = ("t", "vx_est", "vy_est", "yaw_rate_est")
@@ -54,10 +60,18 @@ def _batched_val_loss(net: RecurrentRegressor, ds: WindowedDataset,
     return total / (len(ds) * ds.states.shape[1])
 
 
+def observer_net(kind: str, seed: int) -> RecurrentRegressor:
+    """A freshly initialized `kind` observer net, its weights drawn from `seed`:
+    the sensor window through the cell stack, its last hidden vector and the
+    `STATE_INPUTS` of `kind` through the dense head to the state estimate."""
+    return build_net(kind, seed, N_SENSOR, HIDDEN_WIDTHS, DENSE_WIDTHS, N_STATE,
+                     STATE_INPUTS[kind])
+
+
 def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
                    scaler: ScalerParams, noise: NoiseSpec, tc: TrainConfig,
-                   net: RecurrentRegressor | None = None):
-    """Train with noise-injected teacher forcing; returns (weights, log).
+                   net: RecurrentRegressor):
+    """Train `net` with noise-injected teacher forcing; returns (weights, log).
 
     Fresh Gaussian noise from `noise` is drawn for every sample's fed-back
     state each epoch, in physical units: `scaler` unscales the state before
@@ -74,8 +88,6 @@ def train_observer(train_ds: WindowedDataset, val_ds: WindowedDataset,
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ConfigError("training and validation sets must be non-empty")
-    if net is None:
-        net = lstm_observer_net(seed=tc.seed)
     params = [arr for _, arr in net.params()]
     adam = Adam(params, lr=tc.learning_rate)
     work = net.astype(COMPUTE_DTYPE)

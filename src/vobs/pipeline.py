@@ -22,7 +22,6 @@ from .config import RunConfig
 from .domain import (
     G_AY,
     G_MPS2,
-    SENSOR_CHANNELS,
     STATE_CHANNELS,
     Trajectory,
     read_trajectory_csv,
@@ -30,7 +29,8 @@ from .domain import (
 )
 from .errors import ConfigError, DataFormatError
 from .neural import COMPUTE_DTYPE, load_weights, save_weights
-from .observer_lstm import run_closed_loop, train_observer, write_trace_csv, write_training_log
+from .observer_lstm import (STATE_INPUTS, observer_net, run_closed_loop, train_observer,
+                            write_trace_csv, write_training_log)
 from .pool import map_tasks
 from .seeding import derive_seed
 from .simulator import builtin_scripts, run_maneuver
@@ -203,7 +203,8 @@ def train_observer_model(cfg: RunConfig, name: str) -> dict:
                 cfg.state_noise, seed=derive_seed(cfg.master_seed, "state-noise", name))
         else:
             noise = ds.NoiseSpec(0.0, 0.0)
-        net, log = train_observer(train_ds, val_ds, scaler, noise, tc)
+        net, log = train_observer(train_ds, val_ds, scaler, noise, tc,
+                                  observer_net("lstm", tc.seed))
     else:
         net, log = train_gru(train_ds, val_ds, scaler, tc)
 
@@ -282,8 +283,7 @@ def evaluate_run(cfg: RunConfig) -> str:
                     f"observer '{name}': missing weight file {path}; run 'train' first")
             net = load_weights(path)
             found = (net.kind, net.cells[0].in_dim, net.state_dim, net.head[-1].out_dim)
-            wanted = (spec.type, len(SENSOR_CHANNELS),
-                      len(STATE_CHANNELS) if spec.type == "lstm" else 0, len(STATE_CHANNELS))
+            wanted = (spec.type, ds.N_SENSOR, STATE_INPUTS[spec.type], ds.N_STATE)
             if found != wanted:
                 raise DataFormatError(
                     f"observer '{name}': weight file {path} holds a network of (kind, "

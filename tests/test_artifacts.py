@@ -15,7 +15,7 @@ from vobs.dataset import WindowedDataset, read_cache, write_cache
 from vobs.domain import Trajectory, read_trajectory_csv, write_trajectory_csv
 from vobs.errors import DataFormatError
 from vobs.evaluation import EvalReport, read_report_csv, write_report_csv
-from vobs.neural import load_weights, lstm_observer_net, save_weights
+from vobs.neural import build_net, load_weights, save_weights
 from vobs.observer_lstm import TRACE_COLUMNS, write_trace_csv
 from vobs.simulator import SensorNoiseSpec, builtin_scripts, run_maneuver
 
@@ -60,8 +60,7 @@ def _windows(seed):
 
 
 def _net(seed):
-    return lstm_observer_net(seed=seed, in_dim=5, hidden=(3, 4), dense=(4,),
-                             out_dim=3, state_dim=3)
+    return build_net("lstm", seed, 5, (3, 4), (4,), 3, 3)
 
 
 # artifact -> (file name, write the artifact of a seed to a path, read a path)

@@ -23,7 +23,7 @@ from vobs.domain import (DT_S, G_AY, G_MPS2, G_VX, G_VY, INERTIA_Z_KGM2, LF_M, L
                          STATIC_LOAD_FRONT_N, STATIC_LOAD_REAR_N, TRACK_M)
 from vobs.errors import NumericalError
 from vobs.evaluation import mae
-from vobs.neural import TrainConfig, gru_observer_net
+from vobs.neural import TrainConfig, build_net
 from vobs.simulator import (
     ManeuverScript,
     SensorNoiseSpec,
@@ -382,7 +382,7 @@ class TestGruObserver:
         traj = run_maneuver(straight_script(duration_s=4.0),
                             SensorNoiseSpec(seed=6))
         _, _, scaler = _gru_toy()
-        net = gru_observer_net(seed=2, in_dim=5, hidden=(3,), dense=(4,), out_dim=3)
+        net = build_net("gru", 2, 5, (3,), (4,), 3, 0)
         a = run_gru(traj, np.array([0.0, 0.0, 0.0]), net, scaler, 50)
         b = run_gru(traj, np.array([99.0, 9.0, 9.0]), net, scaler, 50)
         # feedback-free: only the warm-up padding can differ
@@ -393,7 +393,7 @@ class TestGruObserver:
         traj = run_maneuver(straight_script(duration_s=3.0),
                             SensorNoiseSpec(seed=7))
         _, _, scaler = _gru_toy()
-        net = gru_observer_net(seed=2, in_dim=5, hidden=(3,), dense=(4,), out_dim=3)
+        net = build_net("gru", 2, 5, (3,), (4,), 3, 0)
         initial = traj.state_channels()[0]
         est = run_gru(traj, initial, net, scaler, 50)
         assert est.shape == (len(traj), 3)

@@ -24,11 +24,10 @@ from vobs.baselines import EkfConfig
 from vobs.artifacts import read_csv, read_float_csv
 from vobs.config import EKF_OVERRIDE_KEYS, build_config, load_config
 from vobs.dataset import read_cache, write_cache
-from vobs.errors import ConfigError
+from vobs.errors import ConfigError, NumericalError
 from vobs.domain import read_trajectory_csv
-from vobs.neural import RecurrentRegressor, gru_observer_net, load_weights, save_weights
-from vobs.neural.network import build_net
-from vobs.observer_lstm import TRACE_COLUMNS
+from vobs.neural import RecurrentRegressor, build_net, load_weights, save_weights
+from vobs.observer_lstm import TRACE_COLUMNS, observer_net
 from vobs.simulator import SensorNoiseSpec
 
 from test_dataset import _v1_cache
@@ -158,6 +157,28 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg1, "--workers", "2"]) == 0
         assert _file_bytes(tmp_path / "run") == serial
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_maneuver_writes_nothing(self, run_copy, monkeypatch, capsys, workers):
+        # outputs are written only after every maneuver ran: a corpus with a
+        # third block, whose last maneuver fails, leaves the run as it was
+        tmp_path, _ = run_copy
+        cfg = _write_config(tmp_path, overrides={"corpus": BASE_CONFIG["corpus"] + [
+            {"kind": "slalom", "intensity": 0.6, "count": 2, "duration_s": 16}]})
+        before = _file_bytes(tmp_path / "run")
+        victim = pipeline._corpus_jobs(load_config(cfg))[-1][4].seed
+        run_maneuver = pipeline.run_maneuver
+
+        def failing(script, noise):
+            if noise.seed == victim:
+                raise NumericalError("integration diverged")
+            return run_maneuver(script, noise)
+
+        monkeypatch.setattr(pipeline, "run_maneuver", failing)
+        assert main(["simulate", "--config", cfg, "--workers", workers]) == 2
+        assert "numerical failure: integration diverged" in capsys.readouterr().err
+        assert _file_bytes(tmp_path / "run") == before
+        assert multiprocessing.active_children() == []
+
     def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path)
         monkeypatch.setattr(pool, "ProcessPoolExecutor", _refuse_pool)
@@ -254,7 +275,7 @@ class TestEvaluateCommand:
         tmp_path, _ = run_copy
         run = tmp_path / "run"
         # an untrained GRU, so that every observer type writes traces
-        save_weights(gru_observer_net(seed=0), run / "models" / "gru.weights")
+        save_weights(observer_net("gru", 0), run / "models" / "gru.weights")
         cfg = _write_config(tmp_path, name="three.yaml", overrides={"observers": {
             **BASE_CONFIG["observers"], "gru": {"type": "gru"}}})
         assert main(["evaluate", "--config", cfg]) == 0
@@ -323,7 +344,7 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("observer_type, net", [
         # a GRU file evaluated as the LSTM observer
-        ("lstm", lambda: gru_observer_net(seed=0)),
+        ("lstm", lambda: observer_net("gru", 0)),
         # the trained LSTM file evaluated as a GRU observer
         ("gru", None),
         # an LSTM file without the state input the closed loop feeds
@@ -519,7 +540,37 @@ class TestExitCodes:
     def test_removed_no_traces_flag_is_usage_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         assert main(["evaluate", "--config", cfg, "--no-traces"]) == 1
-        assert "unrecognized arguments: --no-traces" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vobs evaluate ")
+        assert "unrecognized arguments: --no-traces" in err
+
+    def test_repeated_top_level_key_is_config_error(self, tmp_path, capsys):
+        # YAML kept the last value, so this config ran with 1 worker
+        cfg = _write_config(tmp_path, overrides={"workers": 2})
+        with open(cfg, "a") as fh:
+            fh.write("workers: 1\n")
+        line = len(pathlib.Path(cfg).read_text().splitlines())
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: invalid YAML (found duplicate key 'workers'" in err
+        assert f"line {line}," in err
+        assert not (tmp_path / "run").exists()
+
+    def test_repeated_observer_name_is_config_error(self, tmp_path, capsys):
+        # YAML kept the last of the two 'gru' entries
+        cfg = _write_config(tmp_path)
+        doc = yaml.safe_load(pathlib.Path(cfg).read_text())
+        del doc["observers"]
+        pathlib.Path(cfg).write_text(yaml.safe_dump(doc) + "observers:\n"
+                                     "  gru: {type: gru}\n"
+                                     "  ekf: {type: ekf}\n"
+                                     "  gru: {type: gru}\n")
+        line = len(pathlib.Path(cfg).read_text().splitlines())
+        assert main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: invalid YAML (found duplicate key 'gru'" in err
+        assert f"line {line}," in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("value", [0, -2, "two", 2.5, True])
     def test_invalid_workers_is_config_error(self, tmp_path, value, capsys):

@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 from collections import defaultdict
 
@@ -13,9 +14,7 @@ VERIFICATION_SEAMS = {
 }
 
 # class members that nothing in src/ reads by name, called from outside it
-CALLED_FROM_OUTSIDE = {
-    "_Parser.error": "argparse calls it on a usage error",
-}
+CALLED_FROM_OUTSIDE = {}
 
 
 def _module_names(tree: ast.Module):
@@ -150,3 +149,61 @@ def test_every_class_member_is_read():
                        for r in reads[name]):
                 unread.add(f"{cls}.{name}")
     assert sorted(unread) == sorted(CALLED_FROM_OUTSIDE)
+
+
+# defaulted parameters that no call in src/ passes, kept on purpose
+UNPASSED_DEFAULTS = {
+    "run_maneuver.substep_s": "the integrator refinement the convergence tests use",
+    "main.argv": "the console entry point calls main() with the process arguments",
+}
+
+
+def _functions(tree):
+    """(owning class name or None, def) for every function `tree` defines."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield owner, child
+            yield from visit(child, child.name if isinstance(child, ast.ClassDef) else None)
+
+    yield from visit(tree, None)
+
+
+def _defaulted(func, bound):
+    """(name, position) of each defaulted parameter of `func`, the position
+    counted after the `bound` leading parameters a method call fills, None
+    for a keyword-only one."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a parameter whose default every call in src/ takes is an option only
+    # tests set; calls match defs by name, and `ClassName(...)` counts
+    # toward `ClassName.__init__`
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
+    classes = {n.name for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    keywords, positionals = defaultdict(set), defaultdict(int)
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name in classes:
+            name = f"{name}.__init__"
+        spread = any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg is None for k in call.keywords)
+        positionals[name] = max(positionals[name], math.inf if spread else len(call.args))
+        keywords[name].update(k.arg for k in call.keywords)
+    unpassed = set()
+    for tree in trees:
+        for owner, func in _functions(tree):
+            static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+            name = f"{owner}.__init__" if func.name == "__init__" else func.name
+            for arg, pos in _defaulted(func, 1 if owner and not static else 0):
+                if arg not in keywords[name] and (pos is None or positionals[name] <= pos):
+                    unpassed.add(f"{owner}.{func.name}.{arg}" if owner else f"{func.name}.{arg}")
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)

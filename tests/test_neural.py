@@ -16,13 +16,13 @@ from vobs.neural import (
     GruLayer,
     LstmLayer,
     RecurrentRegressor,
-    gru_observer_net,
+    build_net,
     l2_loss,
     load_weights,
-    lstm_observer_net,
     save_weights,
 )
 from vobs.neural import layers
+from vobs.observer_lstm import STATE_INPUTS, observer_net
 
 
 def _zero_lstm(in_dim=3, hidden=1):
@@ -187,8 +187,7 @@ def test_cache_free_pass_is_bit_identical(kind, dtype, t_len, bsz, seed):
 
 class TestForwardFull:
     def test_zero_weights_give_half(self):
-        net = lstm_observer_net(seed=0, in_dim=5, hidden=(3,), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 0, 5, (3,), (4,), 3, 3)
         for _, arr in net.params():
             arr[...] = 0.0
         out = net.forward(np.zeros((1, 7, 5)), np.zeros((1, 3)))
@@ -196,24 +195,21 @@ class TestForwardFull:
 
     def test_state_width_is_what_the_head_takes_beyond_the_stack(self):
         for state_dim in (0, 3):
-            net = lstm_observer_net(seed=0, in_dim=5, hidden=(3, 4), dense=(6,),
-                                    out_dim=3, state_dim=state_dim)
+            net = build_net("lstm", 0, 5, (3, 4), (6,), 3, state_dim)
             rebuilt = RecurrentRegressor(net.kind, net.cells, net.head)
             assert net.state_dim == rebuilt.state_dim == state_dim
         with pytest.raises(ConfigError, match="takes 2 inputs, fewer than the 4"):
             RecurrentRegressor("lstm", net.cells, [Dense(np.zeros((3, 2)), np.zeros(3))])
 
     def test_output_in_unit_cube(self):
-        net = lstm_observer_net(seed=3, in_dim=5, hidden=(4, 5), dense=(6,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 3, 5, (4, 5), (6,), 3, 3)
         rng = np.random.default_rng(0)
         out = net.forward(rng.normal(0, 5, (8, 10, 5)), rng.normal(0, 5, (8, 3)))
         assert (out > 0).all() and (out < 1).all()
 
     def test_regression_pin(self):
         # frozen once from the finite-difference-verified implementation
-        net = lstm_observer_net(seed=42, in_dim=5, hidden=(3, 4), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 42, 5, (3, 4), (4,), 3, 3)
         rng = np.random.default_rng(7)
         w = rng.uniform(0, 1, (1, 6, 5))
         p = rng.uniform(0, 1, (1, 3))
@@ -224,29 +220,27 @@ class TestForwardFull:
             atol=1e-12)
 
     def test_hidden_states_bounded(self):
-        net = lstm_observer_net(seed=5, in_dim=5, hidden=(6, 7), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 5, 5, (6, 7), (4,), 3, 3)
         rng = np.random.default_rng(2)
         feats = net.features(rng.normal(0, 3, (16, 20, 5)))
         assert np.abs(feats).max() < 1.0
 
     def test_nonfinite_input_identified(self):
-        net = lstm_observer_net(seed=0, in_dim=5, hidden=(3,), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 0, 5, (3,), (4,), 3, 3)
         w = np.zeros((1, 7, 5))
         w[0, 4, 2] = np.nan
         with pytest.raises(NumericalError, match="layer 0 at step 4"):
             net.forward(w, np.zeros((1, 3)))
 
     def test_nonfinite_input_identified_gru(self):
-        net = gru_observer_net(seed=0, in_dim=5, hidden=(3,), dense=(4,), out_dim=3)
+        net = build_net("gru", 0, 5, (3,), (4,), 3, 0)
         w = np.zeros((1, 7, 5))
         w[0, 4, 2] = np.nan
         with pytest.raises(NumericalError, match="gru layer 0 at step 4"):
             net.forward(w)
 
     def test_gru_net_has_no_state_input(self):
-        net = gru_observer_net(seed=1, in_dim=5, hidden=(3,), dense=(4,), out_dim=3)
+        net = build_net("gru", 1, 5, (3,), (4,), 3, 0)
         with pytest.raises(ConfigError):
             net.forward(np.zeros((1, 7, 5)), np.zeros((1, 3)))
 
@@ -343,8 +337,7 @@ class TestNetworkGoldenBits:
 
     @staticmethod
     def _net(kind):
-        make = lstm_observer_net if kind == "lstm" else gru_observer_net
-        return make(seed=3).astype(COMPUTE_DTYPE)
+        return observer_net(kind, 3).astype(COMPUTE_DTYPE)
 
     def _inputs(self, bsz):
         rng = np.random.default_rng(bsz)
@@ -400,8 +393,7 @@ def test_saturated_gates_raise_no_warning(kind, dtype):
     stays finite, the predictions stay in [0, 1], and numpy warns of
     nothing."""
     rng = np.random.default_rng(9)
-    make = lstm_observer_net if kind == "lstm" else gru_observer_net
-    net = make(seed=4, in_dim=5, hidden=(3, 4), dense=(4,), out_dim=3)
+    net = build_net(kind, 4, 5, (3, 4), (4,), 3, STATE_INPUTS[kind])
     for name, arr in net.params():
         if name.endswith(".b"):
             arr[...] = rng.choice([-1000.0, 1000.0], arr.shape)
@@ -449,8 +441,7 @@ class TestL2Loss:
 
 class TestBackward:
     def test_zero_error_zero_gradients(self):
-        net = lstm_observer_net(seed=0, in_dim=5, hidden=(3,), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 0, 5, (3,), (4,), 3, 3)
         for _, arr in net.params():
             arr[...] = 0.0
         w = np.zeros((2, 6, 5))
@@ -463,8 +454,7 @@ class TestBackward:
 
     def test_matches_finite_differences_small_net(self):
         rng = np.random.default_rng(3)
-        net = lstm_observer_net(seed=11, in_dim=5, hidden=(3, 4), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 11, 5, (3, 4), (4,), 3, 3)
         w = rng.uniform(0, 1, (3, 5, 5))
         p = rng.uniform(0, 1, (3, 3))
         y = rng.uniform(0, 1, (3, 3))
@@ -474,8 +464,7 @@ class TestBackward:
     def test_unused_input_channel_has_zero_gradient(self):
         # input channel 4 identically zero -> its weight columns get no signal
         rng = np.random.default_rng(4)
-        net = lstm_observer_net(seed=2, in_dim=5, hidden=(3,), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 2, 5, (3,), (4,), 3, 3)
         w = rng.uniform(0, 1, (4, 6, 5))
         w[:, :, 4] = 0.0
         _, grads = net.loss_and_gradients(w, rng.uniform(0, 1, (4, 3)),
@@ -487,8 +476,7 @@ class TestBackward:
     def test_frozen_unit_bias_has_zero_gradient(self):
         # zero the column feeding dense unit 0 forward -> its bias is unused
         rng = np.random.default_rng(5)
-        net = lstm_observer_net(seed=2, in_dim=5, hidden=(3,), dense=(4, 4),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 2, 5, (3,), (4, 4), 3, 3)
         net.head[1].w[:, 0] = 0.0
         _, grads = net.loss_and_gradients(rng.uniform(0, 1, (4, 6, 5)),
                                           rng.uniform(0, 1, (4, 3)),
@@ -533,8 +521,7 @@ class TestStepSumGradients:
 class TestGradientCheckTool:
     def test_corruption_detected(self):
         rng = np.random.default_rng(6)
-        net = lstm_observer_net(seed=1, in_dim=5, hidden=(3, 4), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 1, 5, (3, 4), (4,), 3, 3)
         w = rng.uniform(0, 1, (2, 5, 5))
         p = rng.uniform(0, 1, (2, 3))
         y = rng.uniform(0, 1, (2, 3))
@@ -554,8 +541,7 @@ class TestGradientCheckTool:
 
     def test_large_eps_degrades(self):
         rng = np.random.default_rng(7)
-        net = lstm_observer_net(seed=1, in_dim=5, hidden=(3, 4), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 1, 5, (3, 4), (4,), 3, 3)
         w = rng.uniform(0, 1, (2, 5, 5))
         p = rng.uniform(0, 1, (2, 3))
         y = rng.uniform(0, 1, (2, 3))
@@ -590,8 +576,7 @@ class TestAdam:
     def test_memorizes_single_batch(self):
         # full-path sanity: 500 steps on one batch cut the loss >= 100x
         rng = np.random.default_rng(8)
-        net = lstm_observer_net(seed=9, in_dim=5, hidden=(4, 4), dense=(6,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 9, 5, (4, 4), (6,), 3, 3)
         params = [a for _, a in net.params()]
         adam = Adam(params, lr=1e-2)
         w = rng.uniform(0, 1, (8, 10, 5))
@@ -611,8 +596,7 @@ PINNED_SHA256 = "1841610bc05e6fb505d00029e6f5e5da0028a011d327c29d47e11e2469f26a9
 
 class TestWeightsIo:
     def _net(self):
-        return lstm_observer_net(seed=21, in_dim=5, hidden=(3, 4), dense=(4,),
-                                 out_dim=3, state_dim=3)
+        return build_net("lstm", 21, 5, (3, 4), (4,), 3, 3)
 
     def test_round_trip_bit_exact(self, tmp_path):
         net = self._net()
@@ -626,7 +610,7 @@ class TestWeightsIo:
         assert back.state_dim == 3
 
     def test_gru_round_trip(self, tmp_path):
-        net = gru_observer_net(seed=4, in_dim=5, hidden=(3,), dense=(4,), out_dim=3)
+        net = build_net("gru", 4, 5, (3,), (4,), 3, 0)
         path = tmp_path / "g.weights"
         save_weights(net, path)
         back = load_weights(path)
@@ -760,8 +744,7 @@ class TestDeterminism:
         y = rng.uniform(0, 1, (32, 3))
 
         def train_once():
-            net = lstm_observer_net(seed=13, in_dim=5, hidden=(3, 4), dense=(4,),
-                                    out_dim=3, state_dim=3)
+            net = build_net("lstm", 13, 5, (3, 4), (4,), 3, 3)
             params = [a for _, a in net.params()]
             adam = Adam(params, lr=1e-3)
             for lo in range(0, 32, 8):
@@ -778,8 +761,7 @@ class TestDeterminism:
         worst = 0.0
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            net = lstm_observer_net(seed=seed, in_dim=5, hidden=(3, 4), dense=(4,),
-                                    out_dim=3, state_dim=3)
+            net = build_net("lstm", seed, 5, (3, 4), (4,), 3, 3)
             w = rng.uniform(0, 1, (2, 5, 5))
             p = rng.uniform(0, 1, (2, 3))
             y = rng.uniform(0, 1, (2, 3))
@@ -791,8 +773,7 @@ class TestDeterminism:
         worst = 0.0
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
-            net = gru_observer_net(seed=seed, in_dim=5, hidden=(3, 4), dense=(4,),
-                                   out_dim=3)
+            net = build_net("gru", seed, 5, (3, 4), (4,), 3, 0)
             w = rng.uniform(0, 1, (2, 5, 5))
             y = rng.uniform(0, 1, (2, 3))
             err, _ = gradient_check(net, w, None, y)

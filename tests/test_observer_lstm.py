@@ -7,7 +7,7 @@ from vobs import observer_lstm
 from vobs.artifacts import read_float_csv
 from vobs.dataset import NoiseSpec, ScalerParams, fit_scaler, make_windows
 from vobs.errors import ConfigError, DataFormatError, NumericalError
-from vobs.neural import RecurrentRegressor, TrainConfig, lstm_observer_net
+from vobs.neural import RecurrentRegressor, TrainConfig, build_net
 from vobs.observer_lstm import (
     TRACE_COLUMNS,
     run_closed_loop,
@@ -27,8 +27,7 @@ def _scaler():
 
 
 def _zero_net():
-    net = lstm_observer_net(seed=0, in_dim=5, hidden=(3,), dense=(4,),
-                            out_dim=3, state_dim=3)
+    net = build_net("lstm", 0, 5, (3,), (4,), 3, 3)
     for _, arr in net.params():
         arr[...] = 0.0
     return net
@@ -51,8 +50,7 @@ class TestEstimateStep:
         np.testing.assert_allclose(est[9:], np.tile(mid, (3, 1)), atol=1e-12)
 
     def test_pure_function(self):
-        net = lstm_observer_net(seed=5, in_dim=5, hidden=(3,), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 5, 5, (3,), (4,), 3, 3)
         traj = sensor_traj(np.random.default_rng(0).normal(0, 1, (12, 5)))
         prev = np.array([12.0, 0.1, 0.05])
         a = run_closed_loop(traj, prev, net, _scaler(), 8)
@@ -61,8 +59,7 @@ class TestEstimateStep:
 
     def test_matches_manual_composition(self):
         scaler = _scaler()
-        net = lstm_observer_net(seed=5, in_dim=5, hidden=(3,), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 5, 5, (3,), (4,), 3, 3)
         raw = np.random.default_rng(1).normal(0, 1, (8, 5))
         prev = np.array([12.0, 0.1, 0.05])
         got = run_closed_loop(sensor_traj(raw), prev, net, scaler, 8)[7]
@@ -83,8 +80,7 @@ class TestRunClosedLoop:
         return raw
 
     def test_trace_length_and_warmup(self):
-        net = lstm_observer_net(seed=6, in_dim=5, hidden=(3,), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 6, 5, (3,), (4,), 3, 3)
         initial = np.array([15.0, 0.0, 0.0])
         est = run_closed_loop(sensor_traj(self._raw()), initial, net, _scaler(), 50)
         assert est.shape == (120, 3)
@@ -99,8 +95,7 @@ class TestRunClosedLoop:
         # feature batches of 7 windows, so one batch ends mid-trace
         monkeypatch.setattr(observer_lstm, "FEATURE_BATCH", 7)
         scaler = _scaler()
-        net = lstm_observer_net(seed=7, in_dim=5, hidden=(3, 4), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 7, 5, (3, 4), (4,), 3, 3)
         raw = self._raw(n=60)
         initial = np.array([15.0, 0.1, 0.02])
         got = run_closed_loop(sensor_traj(raw), initial, net, scaler, 20)
@@ -114,8 +109,7 @@ class TestRunClosedLoop:
         # the trace depends only on sensors and the provided initial state
         traj = run_maneuver(straight_script(duration_s=4.0),
                             SensorNoiseSpec(seed=4))
-        net = lstm_observer_net(seed=8, in_dim=5, hidden=(3,), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 8, 5, (3,), (4,), 3, 3)
         initial = traj.state_channels()[0]
         full = run_closed_loop(traj, initial, net, _scaler(), 50)
         stripped = sensor_traj(traj.sensor_channels())  # sensors only, truth zeroed
@@ -182,8 +176,7 @@ class TestTrainObserver:
     def test_loss_decreases_and_best_epoch_consistent(self):
         train, val, scaler = _toy_dataset()
         tc = TrainConfig(epochs=3, batch_size=64, learning_rate=3e-3, seed=2)
-        net = lstm_observer_net(seed=tc.seed, in_dim=5, hidden=(4, 4), dense=(8,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", tc.seed, 5, (4, 4), (8,), 3, 3)
         net, log = train_observer(train, val, scaler, NoiseSpec(seed=1), tc, net=net)
         assert len(log) == 3
         assert log[-1]["train_loss"] < log[0]["train_loss"]
@@ -196,8 +189,7 @@ class TestTrainObserver:
         # the NaN would reach the head output too; the check after each
         # layer names where it starts
         _, val, _ = _toy_dataset()
-        net = lstm_observer_net(seed=0, in_dim=5, hidden=(4, 4), dense=(8,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 0, 5, (4, 4), (8,), 3, 3)
         net.cells[0].wx[0, 0] = np.nan
         from vobs.observer_lstm import _batched_val_loss
         with pytest.raises(NumericalError, match="lstm layer 0 at step 0"):
@@ -208,8 +200,7 @@ class TestTrainObserver:
         tc = TrainConfig(epochs=2, batch_size=64, learning_rate=3e-3, seed=2)
 
         def run(noise):
-            net = lstm_observer_net(seed=tc.seed, in_dim=5, hidden=(4,), dense=(8,),
-                                    out_dim=3, state_dim=3)
+            net = build_net("lstm", tc.seed, 5, (4,), (8,), 3, 3)
             return train_observer(train, val, scaler, noise, tc, net=net)
 
         _, log_noisy = run(NoiseSpec(seed=1))
@@ -222,8 +213,7 @@ class TestTrainObserver:
         tc = TrainConfig(epochs=1, batch_size=64, learning_rate=3e-3, seed=5)
 
         def run():
-            net = lstm_observer_net(seed=tc.seed, in_dim=5, hidden=(4,), dense=(8,),
-                                    out_dim=3, state_dim=3)
+            net = build_net("lstm", tc.seed, 5, (4,), (8,), 3, 3)
             trained, _ = train_observer(train, val, scaler, NoiseSpec(0.0, 0.0), tc,
                                         net=net)
             return trained.copy_weights()
@@ -236,8 +226,7 @@ class TestTrainObserver:
         train.sensors[train.targets[5] - 29 + 3, 2] = np.nan  # row 3 of window 5
         tc = TrainConfig(epochs=1, batch_size=512, learning_rate=1e-3, seed=1,
                          shuffle=False)
-        net = lstm_observer_net(seed=1, in_dim=5, hidden=(3,), dense=(4,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 1, 5, (3,), (4,), 3, 3)
         with pytest.raises(NumericalError, match="epoch|layer"):
             train_observer(train, val, scaler, NoiseSpec(0.0, 0.0), tc, net=net)
 
@@ -245,7 +234,8 @@ class TestTrainObserver:
         train, val, scaler = _toy_dataset()
         with pytest.raises(ConfigError):
             train_observer(dataclasses.replace(train, targets=train.targets[:0]), val,
-                           scaler, NoiseSpec(), TrainConfig(epochs=1))
+                           scaler, NoiseSpec(), TrainConfig(epochs=1),
+                           build_net("lstm", 0, 5, (3,), (4,), 3, 3))
 
 
 class TestWholeBatches:
@@ -264,8 +254,7 @@ class TestWholeBatches:
 
         monkeypatch.setattr(RecurrentRegressor, "loss_and_gradients", spy)
         tc = TrainConfig(epochs=1, batch_size=batch_size, seed=2, shuffle=False)
-        net = lstm_observer_net(seed=2, in_dim=5, hidden=(4,), dense=(8,),
-                                out_dim=3, state_dim=3)
+        net = build_net("lstm", 2, 5, (4,), (8,), 3, 3)
         _, log = train_observer(train, val, scaler, NoiseSpec(seed=1), tc, net=net)
         assert sizes == call_sizes
         assert np.isfinite([log[0]["train_loss"], log[0]["val_loss"]]).all()

@@ -19,13 +19,12 @@ from vobs.neural import (
     COMPUTE_DTYPE,
     Adam,
     TrainConfig,
-    gru_observer_net,
+    build_net,
     l2_loss,
     load_weights,
-    lstm_observer_net,
     save_weights,
 )
-from vobs.observer_lstm import run_closed_loop, train_observer
+from vobs.observer_lstm import observer_net, run_closed_loop, train_observer
 from vobs.simulator import SensorNoiseSpec, run_maneuver
 
 # float32 carries about 7 significant digits; 1e-4 leaves room for the
@@ -54,7 +53,7 @@ def _assert_traces_close(trace32, trace64, scaler):
 class TestInferenceGate:
     def test_closed_loop_lstm_matches_float64(self, maneuver):
         traj, scaler = maneuver
-        net = lstm_observer_net(seed=4)
+        net = observer_net("lstm", 4)
         initial = traj.state_channels()[0]
         trace64 = run_closed_loop(traj, initial, net, scaler, 50)
         trace32 = run_closed_loop(traj, initial, net.astype(COMPUTE_DTYPE), scaler, 50)
@@ -62,7 +61,7 @@ class TestInferenceGate:
 
     def test_gru_matches_float64(self, maneuver):
         traj, scaler = maneuver
-        net = gru_observer_net(seed=4)
+        net = observer_net("gru", 4)
         initial = traj.state_channels()[0]
         trace64 = run_gru(traj, initial, net, scaler, 50)
         trace32 = run_gru(traj, initial, net.astype(COMPUTE_DTYPE), scaler, 50)
@@ -71,7 +70,7 @@ class TestInferenceGate:
 
 class TestCast:
     def test_astype_copies_and_computes_in_dtype(self):
-        net = lstm_observer_net(seed=1, hidden=(4, 5), dense=(6,))
+        net = build_net("lstm", 1, 5, (4, 5), (6,), 3, 3)
         low = net.astype(COMPUTE_DTYPE)
         assert low.dtype == COMPUTE_DTYPE and net.dtype == np.float64
         assert all(a.dtype == COMPUTE_DTYPE for _, a in low.params())
@@ -89,14 +88,14 @@ class TestCast:
         assert all(g.dtype == COMPUTE_DTYPE for g in grads)
 
     def test_gru_layers_follow_dtype(self):
-        low = gru_observer_net(seed=1, hidden=(4, 5), dense=(6,)).astype(COMPUTE_DTYPE)
+        low = build_net("gru", 1, 5, (4, 5), (6,), 3, 0).astype(COMPUTE_DTYPE)
         rng = np.random.default_rng(1)
         _, grads = low.loss_and_gradients(rng.uniform(0, 1, (2, 6, 5)), None,
                                           rng.uniform(0, 1, (2, 3)))
         assert all(g.dtype == COMPUTE_DTYPE for g in grads)
 
     def test_gradient_check_refuses_float32(self):
-        net = lstm_observer_net(seed=0, hidden=(3,), dense=(4,)).astype(COMPUTE_DTYPE)
+        net = build_net("lstm", 0, 5, (3,), (4,), 3, 3).astype(COMPUTE_DTYPE)
         rng = np.random.default_rng(2)
         with pytest.raises(ConfigError, match="float64"):
             gradient_check(net, rng.uniform(0, 1, (2, 5, 5)), rng.uniform(0, 1, (2, 3)),
@@ -108,8 +107,7 @@ class TestMixedPrecisionTraining:
     BATCH = 64
 
     def _net(self):
-        return lstm_observer_net(seed=2, in_dim=5, hidden=(8, 8), dense=(8,),
-                                 out_dim=3, state_dim=3)
+        return build_net("lstm", 2, 5, (8, 8), (8,), 3, 3)
 
     def _reference_log(self, train, val):
         """The same schedule computed entirely in float64 on one net."""

@@ -26,8 +26,8 @@ def test_features_records_layer_spans():
         "import numpy as np, tracing",
         "tracer = tracing.Tracer()",
         "tracing.install(tracer)",
-        "from vobs.neural import lstm_observer_net",
-        "net = lstm_observer_net(seed=0, hidden=(3, 4), dense=(4,))",
+        "from vobs.neural import build_net",
+        "net = build_net('lstm', 0, 5, (3, 4), (4,), 3, 3)",
         "net.features(np.zeros((5, 7, 5)))",
         "spans = tracer.summary()",
         "print(spans['neural.layers.lstm0.forward_seq']['calls'],",
