@@ -7,11 +7,10 @@ writing.
     reads it back bit-exact) and an int its digits. `write_csv` renders the
     whole file to one string and writes it in one call.
   - CSV reads: `read_csv` reads the file once, refuses any `"` or `\\r` and
-    splits it on `\\n` and ","; `read_float_csv` does the same, hashes the
-    bytes of that one read, and converts all its fields in one
-    `np.array(..., dtype=np.float64)`, which accepts and rounds each string
-    as `float` does, and only when that fails or gives a non-finite value
-    looks through the rows for the line of the first such field.
+    splits it on `\\n` and ",".
+  - Arrays: one `.npy` file (NEP 1) each, written by `np.save` with
+    `allow_pickle=False`; `read_array` reads it once, hashes those bytes and
+    accepts only a finite float64 (N > 0, width) matrix and no byte after it.
   - JSON: `json.dumps(doc, indent=2, sort_keys=True)` and a newline.
   - Atomic writes: `write_file` creates the target's directory if it is
     missing, writes `.<name>.<pid>.tmp` there, then moves it over the target
@@ -19,14 +18,14 @@ writing.
     target keeps its old bytes and no reader sees a half-written artifact.
   - Errors: a malformed artifact raises `DataFormatError` naming the file,
     as `<path>:<line>: ...` for a CSV (the header is line 1) and as
-    `<path>: corrupt <what> (...)` for JSON. A float CSV field must be finite.
+    `<path>: corrupt <what> (...)` for JSON and as `<path>: ...` for an array.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-import math
 import os
 from itertools import chain
 
@@ -66,12 +65,7 @@ def read_csv(path, header) -> list[list[str]]:
     """The fields of each line after the header line of CSV `path`, which must
     hold the `header` names; row i is line i + 2. An empty line has no fields."""
     with open(path, "rb") as fh:
-        return _split_csv(path, fh.read(), header)
-
-
-def _split_csv(path, data: bytes, header) -> list[list[str]]:
-    """`read_csv`'s rows of `data`, the bytes of CSV `path`."""
-    header = list(header)
+        data = fh.read()
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
@@ -87,7 +81,7 @@ def _split_csv(path, data: bytes, header) -> list[list[str]]:
         lines.pop()  # the final line end, or all of an empty file
     rows = [line.split(",") if line else [] for line in lines]
     found = rows.pop(0) if rows else None
-    if found != header:
+    if found != list(header):
         raise DataFormatError(f"{path}:1: expected the header {','.join(header)!r}, "
                               f"found {found!r}")
     for lineno, fields in enumerate(rows, 2):
@@ -97,28 +91,35 @@ def _split_csv(path, data: bytes, header) -> list[list[str]]:
     return rows
 
 
-def read_float_csv(path, header) -> tuple[np.ndarray, str]:
-    """(rows, columns) float64 matrix of a CSV of finite floats, and the hex
-    SHA-256 of the file's bytes, from one read of the file."""
+def write_array(path, array) -> None:
+    """`array` in `.npy` format, written at once."""
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    write_file(path, buf.getvalue())
+
+
+def read_array(path, columns, what: str, stage: str) -> tuple[np.ndarray, str]:
+    """(N, len(columns)) float64 matrix of finite values in `.npy` file `path` and
+    the hex SHA-256 of its bytes; errors name it `what` and its writer `stage`."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    rows = _split_csv(path, raw, header)
+    if not raw.startswith(b"\x93NUMPY"):  # else numpy calls any text pickled data
+        raise DataFormatError(f"{path}: not a {what}; rerun '{stage}'")
+    buf = io.BytesIO(raw)
     try:
-        data = np.array(rows, dtype=np.float64).reshape(-1, len(header))
-        if np.isfinite(data).all():
-            return data, hashlib.sha256(raw).hexdigest()
-    except ValueError:  # a field `float` rejects
-        pass
-    for lineno, fields in enumerate(rows, 2):  # only now, name the first bad field's line
-        for name, field in zip(header, fields):
-            try:
-                if math.isfinite(float(field)):
-                    continue
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            raise DataFormatError(f"{path}:{lineno}: non-finite value {field!r} "
-                                  f"in column '{name}'")
-    raise AssertionError(f"{path}: numpy rejects a field that float accepts")
+        data = np.load(buf, allow_pickle=False)
+    except Exception as exc:  # a bad header or too few bytes: numpy raises many types
+        raise DataFormatError(f"{path}: corrupt {what} ({exc})") from None
+    if data.dtype != np.float64 or data.shape[1:] != (len(columns),) or not len(data) \
+            or buf.tell() != len(raw):
+        raise DataFormatError(f"{path}: {what} of dtype {data.dtype} and shape {data.shape} "
+                              f"in {buf.tell()} of {len(raw)} bytes, expected float64 of "
+                              f"shape (N, {len(columns)}), N > 0, filling the file")
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise DataFormatError(f"{path}: non-finite value {float(data[row, col])} in "
+                              f"column '{columns[col]}' at row {row}")
+    return data, hashlib.sha256(raw).hexdigest()
 
 
 def read_json(path, what: str):

@@ -1,4 +1,4 @@
-"""Core physical types, constants, and trajectory containers.
+"""Core physical types, constants, trajectory containers and their files.
 
 The test vehicle is one set of module constants: the simulator drives it in
 every maneuver and the bicycle-model EKF models it.
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .artifacts import read_float_csv, write_csv
-from .errors import DataFormatError
+from .artifacts import read_array, write_array
 
 G_MPS2 = 9.81
 DT_S = 0.02
@@ -29,11 +28,11 @@ S_T, S_AX, S_AY, S_YAWRATE, S_WHEEL, S_STEER = range(6)
 # Column layout of Trajectory.truth
 (G_T, G_X, G_Y, G_YAW, G_VX, G_VY, G_YAWRATE, G_AX, G_AY, G_BETA) = range(10)
 
-# Columns of a trajectory CSV: the sensor matrix, then the truth matrix
-# without its time column
-CSV_COLUMNS = ("t", "ax", "ay", "yaw_rate", "wheel_speed_rr", "steering",
-               "gt_x", "gt_y", "gt_yaw", "gt_vx", "gt_vy", "gt_yaw_rate",
-               "gt_ax", "gt_ay", "gt_beta")
+# Columns of a trajectory file's one float64 `.npy` array: the sensor
+# matrix, then the truth matrix without its time column
+TRAJECTORY_COLUMNS = ("t", "ax", "ay", "yaw_rate", "wheel_speed_rr", "steering",
+                      "gt_x", "gt_y", "gt_yaw", "gt_vx", "gt_vy", "gt_yaw_rate",
+                      "gt_ax", "gt_ay", "gt_beta")
 
 
 # The one test vehicle, a mid-size sedan: every maneuver drives it and the
@@ -91,15 +90,14 @@ class Trajectory:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write one row per 50 Hz sample in the documented 15-column format."""
-    rows = np.hstack([traj.sensors, traj.truth[:, G_X:]])
-    write_csv(path, CSV_COLUMNS, rows.tolist())
+    """Write `traj` as a trajectory file, one row per 50 Hz sample. The name
+    is the benchmark's span name, kept until the benchmark renames it."""
+    write_array(path, np.hstack([traj.sensors, traj.truth[:, G_X:]]))
 
 
 def read_trajectory_csv(path, label: str = "") -> Trajectory:
-    """Read a trajectory written by `write_trajectory_csv`."""
-    data, sha256 = read_float_csv(path, CSV_COLUMNS)
-    if not len(data):
-        raise DataFormatError(f"{path}:2: no samples after the header")
+    """Read a trajectory written by `write_trajectory_csv`. The name is the
+    benchmark's span name, kept until the benchmark renames it."""
+    data, sha256 = read_array(path, TRAJECTORY_COLUMNS, "trajectory array", "simulate")
     return Trajectory(data[:, :6].copy(), np.hstack([data[:, :1], data[:, 6:]]),
                       label=label or str(path), sha256=sha256)

@@ -71,7 +71,7 @@ def _corpus_jobs(cfg: RunConfig) -> list:
 
 
 def simulate_corpus(cfg: RunConfig) -> dict:
-    """Generate every scripted maneuver and write trajectory CSVs plus a
+    """Generate every scripted maneuver and write trajectory arrays plus a
     corpus manifest. Scripts are all constructed (and validated) before any
     integration starts; outputs are written only after every maneuver ran.
     Forked workers inherit the scripts, so only a job index crosses a pipe."""
@@ -81,7 +81,7 @@ def simulate_corpus(cfg: RunConfig) -> dict:
 
     entries = []
     for (kind, intensity, label, _, noise), traj in zip(jobs, trajectories):
-        fname = label.replace("#", "-") + ".csv"
+        fname = label.replace("#", "-") + ".npy"
         write_trajectory_csv(traj, os.path.join(cfg.out_dir, "trajectories", fname))
         entries.append({
             "file": f"trajectories/{fname}",

@@ -1,5 +1,4 @@
 import ast
-import csv
 import errno
 import hashlib
 import os
@@ -67,11 +66,11 @@ def _net(seed):
 WRITERS = {
     "save_weights": ("w.weights", lambda seed, path: save_weights(_net(seed), path),
                      load_weights),
-    "write_trajectory_csv": ("traj.csv", lambda seed, path: write_trajectory_csv(
+    "write_trajectory_csv": ("traj.npy", lambda seed, path: write_trajectory_csv(
         _trajectory(seed), path), read_trajectory_csv),
     "write_trace_csv": ("trace.csv", lambda seed, path: write_trace_csv(
         _estimates(seed), path, np.arange(6) * 0.02),
-        lambda path: artifacts.read_float_csv(path, TRACE_COLUMNS)),
+        lambda path: artifacts.read_csv(path, TRACE_COLUMNS)),
     "write_report_csv": ("report.csv", lambda seed, path: write_report_csv(
         _report(seed), path), read_report_csv),
     "manifest": ("manifest.json", lambda seed, path: artifacts.write_json(
@@ -109,53 +108,6 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == []
 
 
-class TestCsvFormat:
-    def test_floats_round_trip_bit_exact(self, tmp_path):
-        values = np.random.default_rng(3).normal(size=(5, 3)) * 10.0 ** np.arange(-8, 7, 5)
-        path = tmp_path / "m.csv"
-        artifacts.write_csv(path, ("a", "b", "c"), values.tolist())
-        data, _ = artifacts.read_float_csv(path, ("a", "b", "c"))
-        np.testing.assert_array_equal(data, values)
-        assert path.read_bytes().count(b"\r") == 0
-
-    def test_header_only_is_an_empty_matrix(self, tmp_path):
-        path = tmp_path / "m.csv"
-        artifacts.write_csv(path, ("a", "b"), [])
-        assert path.read_text() == "a,b\n"
-        data, _ = artifacts.read_float_csv(path, ("a", "b"))
-        assert data.shape == (0, 2)
-
-    def test_json_layout(self, tmp_path):
-        path = tmp_path / "d.json"
-        artifacts.write_json(path, {"b": [1, 2.5], "a": "x"})
-        assert path.read_text() == '{\n  "a": "x",\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
-
-    def test_corrupt_json_names_file(self, tmp_path):
-        path = tmp_path / "d.json"
-        path.write_text('{"a": ')
-        with pytest.raises(DataFormatError, match="d.json: corrupt sidecar"):
-            artifacts.read_json(path, "sidecar")
-
-    def test_trajectory_csv_bytes_are_pinned(self, tmp_path):
-        # the rendering rule (str fields, "," separators, "\n" line ends) for
-        # one noisy 4 s slalom; TestGoldenBits pins the arrays behind it
-        traj = run_maneuver(builtin_scripts("slalom", 0.9, duration_s=4.0),
-                            SensorNoiseSpec(seed=5))
-        path = tmp_path / "slalom.csv"
-        write_trajectory_csv(traj, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "0f645b4fdc5129dc43187acb5c66cdfddc187d25247984dd49c679df9dfa1a6c"
-
-
-def _float_per_field(path, header):
-    """The matrix a per-field `float` parse of CSV `path` gives."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == list(header)
-    return np.array([[float(v) for v in row] for row in rows[1:]],
-                    dtype=np.float64).reshape(-1, len(header))
-
-
 # the values at the edges of float64 and of its shortest repr: signed zero,
 # the smallest subnormal, near the largest finite, integral values and both
 # sides of 1e16, where repr switches to an exponent
@@ -171,24 +123,76 @@ def _matrices():
         min_size=1, max_size=8).map(lambda rows: (cols, rows)))
 
 
-_DIALECT = ", but fields are never quoted and lines end in '\\n'"
-
-
-class TestReadFloatCsv:
+class TestCsvFormat:
     @given(_matrices())
     @example((3, [list(EDGE_FLOATS[i:i + 3]) for i in range(0, len(EDGE_FLOATS), 3)]))
+    @example((3, (np.random.default_rng(3).normal(size=(5, 3))
+                  * 10.0 ** np.arange(-8, 7, 5)).tolist()))
     @settings(max_examples=150, deadline=None)
-    def test_bulk_parse_is_bit_equal_to_float(self, tmp_path_factory, matrix):
+    def test_floats_round_trip_bit_exact(self, tmp_path_factory, matrix):
+        # each field is the float's shortest repr, which `float` reads back
         cols, rows = matrix
         header = tuple(f"c{i}" for i in range(cols))
         path = tmp_path_factory.mktemp("float_csv") / "m.csv"
         artifacts.write_csv(path, header, rows)
-        data, _ = artifacts.read_float_csv(path, header)
-        expected = _float_per_field(path, header)
+        back = [[float(field) for field in fields]
+                for fields in artifacts.read_csv(path, header)]
+        assert np.array(back).tobytes() == np.array(rows, dtype=np.float64).tobytes()
+        assert path.read_bytes().count(b"\r") == 0
+
+    def test_header_only_is_an_empty_matrix(self, tmp_path):
+        path = tmp_path / "m.csv"
+        artifacts.write_csv(path, ("a", "b"), [])
+        assert path.read_text() == "a,b\n"
+        assert artifacts.read_csv(path, ("a", "b")) == []
+
+    def test_json_layout(self, tmp_path):
+        path = tmp_path / "d.json"
+        artifacts.write_json(path, {"b": [1, 2.5], "a": "x"})
+        assert path.read_text() == '{\n  "a": "x",\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+
+    def test_corrupt_json_names_file(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"a": ')
+        with pytest.raises(DataFormatError, match="d.json: corrupt sidecar"):
+            artifacts.read_json(path, "sidecar")
+
+    def test_trajectory_csv_bytes_are_pinned(self, tmp_path):
+        # the trajectory file format (an `.npy` header, then the float64
+        # matrix) of one noisy 4 s slalom; TestGoldenBits pins the arrays
+        traj = run_maneuver(builtin_scripts("slalom", 0.9, duration_s=4.0),
+                            SensorNoiseSpec(seed=5))
+        path = tmp_path / "slalom.npy"
+        write_trajectory_csv(traj, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "9f2021d11eaec5579f68d900cbe57308b033e98d0968f7fa4545d4b0fc1ab639"
+
+
+_DIALECT = ", but fields are never quoted and lines end in '\\n'"
+
+
+class TestReadFloatCsv:
+    """A CSV of floats (a trace, plot data, `report.csv`) reads through
+    `read_csv`, which refuses a malformed file naming its line."""
+
+    @given(_matrices())
+    @example((3, [list(EDGE_FLOATS[i:i + 3]) for i in range(0, len(EDGE_FLOATS), 3)]))
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_parse_is_bit_equal_to_float(self, tmp_path_factory, matrix):
+        # `read_array` loads a whole matrix at once; it gives the bits that a
+        # per-field `float` of the same matrix written as CSV gives
+        cols, rows = matrix
+        header = tuple(f"c{i}" for i in range(cols))
+        directory = tmp_path_factory.mktemp("float_csv")
+        artifacts.write_array(directory / "m.npy", np.array(rows, dtype=np.float64))
+        data, _ = artifacts.read_array(directory / "m.npy", header, "matrix", "test")
+        artifacts.write_csv(directory / "m.csv", header, rows)
+        expected = np.array([[float(field) for field in fields] for fields in
+                             artifacts.read_csv(directory / "m.csv", header)])
         assert data.shape == expected.shape == (len(rows), cols)
         assert data.tobytes() == expected.tobytes()
 
-    # name -> (file text, the message or matrix); a `"` or `\r` is refused
+    # name -> (file text, the message or fields); a `"` or `\r` is refused
     # on the line that holds it
     CASES = {
         "bad_header": ("a,c\n1.0,2.0\n",
@@ -199,23 +203,14 @@ class TestReadFloatCsv:
         "every_row_long": ("a,b\n1.0,2.0,0.0\n3.0,4.0,5.0\n",
                            ":2: expected 2 fields, found 3"),
         "blank_line": ("a,b\n1.0,2.0\n\n3.0,4.0\n", ":3: expected 2 fields, found 0"),
-        "non_numeric": ("a,b\n1.0,2.0\n3.0,x\n", ":3: could not convert string to float: 'x'"),
-        "empty_field": ("a,b\n1.0,2.0\n3.0,\n", ":3: could not convert string to float: ''"),
-        "hex": ("a,b\n0x10,2.0\n", ":2: could not convert string to float: '0x10'"),
-        "nan": ("a,b\n1.0,2.0\nnan,4.0\n", ":3: non-finite value 'nan' in column 'a'"),
-        "inf": ("a,b\n1.0,2.0\n3.0,-inf\n", ":3: non-finite value '-inf' in column 'b'"),
-        "overflow": ("a,b\n1.0,2.0\n3.0,1e500\n",
-                     ":3: non-finite value '1e500' in column 'b'"),
         "quoted_comma": ('a,b\n1.0,2.0\n"3.0,4.0"\n', f":3: found '\"'{_DIALECT}"),
         "quoted": ('a,b\n1.0,2.0\n"3.0",4.0\n', f":3: found '\"'{_DIALECT}"),
         "crlf": ("a,b\r\n1.0,2.0\r\n3.0,4.0\r\n", f":1: found '\\r'{_DIALECT}"),
         "crlf_in_body": ("a,b\n1.0,2.0\r\n3.0,4.0\n", f":2: found '\\r'{_DIALECT}"),
         "cr_ends_a_row": ("a,b\n1.0\r,2.0\n", f":2: found '\\r'{_DIALECT}"),
         "lone_cr": ("a,b\n1.0,2.0\r3.0,4.0\n", f":2: found '\\r'{_DIALECT}"),
-        "no_final_newline": ("a,b\n1.0,2.0\n3.0,4.0", [[1.0, 2.0], [3.0, 4.0]]),
-        "header_only_no_newline": ("a,b", np.empty((0, 2))),
-        "padded": ("a,b\n1.0,2.0\n 3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
-        "underscore": ("a,b\n1_0,2.0\n", [[10.0, 2.0]]),
+        "no_final_newline": ("a,b\n1.0,2.0\n3.0,4.0", [["1.0", "2.0"], ["3.0", "4.0"]]),
+        "header_only_no_newline": ("a,b", []),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -225,19 +220,18 @@ class TestReadFloatCsv:
         path.write_bytes(text.encode())
         if isinstance(expected, str):
             with pytest.raises(DataFormatError) as raised:
-                artifacts.read_float_csv(path, ("a", "b"))
+                artifacts.read_csv(path, ("a", "b"))
             assert str(raised.value) == f"{path}{expected}"
         else:
-            data, _ = artifacts.read_float_csv(path, ("a", "b"))
-            np.testing.assert_array_equal(data, np.asarray(expected).reshape(-1, 2))
+            assert artifacts.read_csv(path, ("a", "b")) == expected
 
     def test_one_column_blank_line_is_a_short_row(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a\n1.0\n\n2.0\n")
         with pytest.raises(DataFormatError, match=r"m.csv:3: expected 1 fields, found 0"):
-            artifacts.read_float_csv(path, ("a",))
+            artifacts.read_csv(path, ("a",))
 
-    @pytest.mark.parametrize("read", [artifacts.read_csv, artifacts.read_float_csv])
+    @pytest.mark.parametrize("read", [artifacts.read_csv])
     def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path, read):
         path = tmp_path / "m.csv"
         path.write_bytes(b"a,b\n1.0,2.0\n3.0,4.0\xff\n")

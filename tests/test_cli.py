@@ -21,16 +21,17 @@ import vobs
 from vobs import pipeline, pool
 from vobs.cli import build_parser, main
 from vobs.baselines import EkfConfig
-from vobs.artifacts import read_csv, read_float_csv
+from vobs.artifacts import read_csv, write_csv
 from vobs.config import EKF_OVERRIDE_KEYS, build_config, load_config
 from vobs.dataset import read_cache, write_cache
 from vobs.errors import ConfigError, NumericalError
-from vobs.domain import read_trajectory_csv
+from vobs.domain import TRAJECTORY_COLUMNS, read_trajectory_csv
 from vobs.neural import RecurrentRegressor, build_net, load_weights, save_weights
 from vobs.observer_lstm import TRACE_COLUMNS, observer_net
 from vobs.simulator import SensorNoiseSpec
 
 from test_dataset import _v1_cache
+from test_domain import _npy
 
 BASE_CONFIG = {
     "master_seed": 3,
@@ -291,10 +292,11 @@ class TestEvaluateCommand:
         for observer in ("lstm", "gru", "ekf"):
             traces = eval_dir / "traces" / observer
             assert sorted(p.name for p in traces.iterdir()) == sorted(
-                pathlib.Path(f).name for f in test_files)
+                pathlib.Path(f).stem + ".csv" for f in test_files)
             for f in test_files:
                 t_s = read_trajectory_csv(run / f).sensors[:, 0]
-                trace, _ = read_float_csv(traces / pathlib.Path(f).name, TRACE_COLUMNS)
+                trace = np.array(read_csv(traces / (pathlib.Path(f).stem + ".csv"),
+                                          TRACE_COLUMNS), dtype=np.float64)
                 assert trace.shape == (len(t_s), 4)
                 np.testing.assert_array_equal(trace[:, 0], t_s)
 
@@ -518,7 +520,7 @@ class TestCsvDialect:
         run = tmp_path / "run"
         assert main(["evaluate", "--config", cfg]) == 0
         texts = {p.relative_to(run): p.read_bytes().decode() for p in run.rglob("*.csv")}
-        assert {p.parts[0] for p in texts} == {"trajectories", "models", "eval"}
+        assert {p.parts[0] for p in texts} == {"models", "eval"}  # trajectories are .npy
         assert [str(p) for p, text in texts.items() if '"' in text or "\r" in text] == []
         for path, text in texts.items():
             rows = read_csv(run / path, text.split("\n", 1)[0].split(","))
@@ -1018,8 +1020,8 @@ def _snapshot(run):
 
 
 class TestNonFiniteTrajectory:
-    """A trajectory CSV holding nan or inf is a data error (exit 3) naming
-    file and line, and the stage reading it writes nothing."""
+    """A trajectory array holding nan or inf is a data error (exit 3) naming
+    file, column and row, and the stage reading it writes nothing."""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("stage", ["dataset", "evaluate"])
@@ -1029,30 +1031,65 @@ class TestNonFiniteTrajectory:
         sidecar = json.loads((run / "dataset" / "dataset.json").read_text())
         label = next(label for label, split in sidecar["split_assignment"].items()
                      if split == "test")  # evaluate reads only the test split
-        path = run / "trajectories" / (label.replace("#", "-") + ".csv")
-        lines = path.read_text().splitlines(keepends=True)
-        fields = lines[9].split(",")
-        fields[1] = value  # the ax field of line 10
-        lines[9] = ",".join(fields)
-        path.write_text("".join(lines))
+        path = run / "trajectories" / (label.replace("#", "-") + ".npy")
+        data = np.load(path)
+        data[9, 1] = float(value)  # the ax field of row 9
+        np.save(path, data)
         before = _snapshot(run)
         assert main([stage, "--config", cfg]) == 3
-        assert f"{path.name}:10: non-finite value '{value}' in column 'ax'" \
+        assert f"{path}: non-finite value {value} in column 'ax' at row 9" \
             in capsys.readouterr().err
         assert _snapshot(run) == before
 
 
-class TestNonUtf8Trajectory:
-    def test_dataset_exits_3_naming_file_and_line(self, run_copy, capsys):
+class TestMalformedTrajectory:
+    """A trajectory file that is not one (N, 15) float64 array with N > 0
+    and nothing after it is a data error (exit 3) naming the file."""
+
+    CASES = {
+        "truncated": lambda data: _npy(data)[:-1],
+        "trailing_byte": lambda data: _npy(data) + b"\0",
+        "field_count": lambda data: _npy(data[:, :14]),
+        "no_samples": lambda data: _npy(data[:0]),
+        "float32": lambda data: _npy(data.astype(np.float32)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_dataset_exits_3_naming_the_file(self, run_copy, capsys, case):
         tmp_path, cfg = run_copy
         run = tmp_path / "run"
-        path = sorted((run / "trajectories").glob("*.csv"))[0]
-        data = path.read_bytes()
-        path.write_bytes(data + b"\xff")
-        lineno = data.count(b"\n") + 1  # the byte starts a line after the last one
+        path = sorted((run / "trajectories").glob("*.npy"))[0]
+        path.write_bytes(self.CASES[case](np.load(path)))
         before = _snapshot(run)
         assert main(["dataset", "--config", cfg]) == 3
-        assert f"{path.name}:{lineno}: not UTF-8" in capsys.readouterr().err
+        assert f"i/o error: {path}: " in capsys.readouterr().err
+        assert _snapshot(run) == before
+
+
+class TestCsvTrajectoryRun:
+    """A run simulated when trajectories were CSV text is refused: its first
+    trajectory read exits 3 asking to rerun simulate."""
+
+    @pytest.mark.parametrize("stage", ["dataset", "evaluate"])
+    def test_exits_3_asking_to_rerun_simulate(self, run_copy, capsys, stage):
+        tmp_path, cfg = run_copy
+        run = tmp_path / "run"
+        manifest = json.loads((run / "manifest.json").read_text())
+        for entry in manifest["trajectories"]:
+            traj = read_trajectory_csv(run / entry["file"])
+            os.remove(run / entry["file"])
+            entry["file"] = entry["file"].rsplit(".", 1)[0] + ".csv"
+            write_csv(run / entry["file"], TRAJECTORY_COLUMNS,
+                      np.hstack([traj.sensors, traj.truth[:, 1:]]).tolist())
+        (run / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True)
+                                           + "\n")
+        split = json.loads((run / "dataset" / "dataset.json").read_text())["split_assignment"]
+        first = next(e["file"] for e in manifest["trajectories"]
+                     if stage == "dataset" or split[e["label"]] == "test")
+        before = _snapshot(run)
+        assert main([stage, "--config", cfg]) == 3
+        assert f"i/o error: {run / first}: not a trajectory array; rerun 'simulate'" \
+            in capsys.readouterr().err
         assert _snapshot(run) == before
 
 

@@ -1,5 +1,6 @@
 import builtins
 import hashlib
+import io
 import math
 import os
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vobs.domain import (
-    CSV_COLUMNS,
     DT_S,
     G_BETA,
     G_T,
@@ -22,6 +22,7 @@ from vobs.domain import (
     STATIC_LOAD_FRONT_N,
     STATIC_LOAD_REAR_N,
     TRACK_M,
+    TRAJECTORY_COLUMNS,
     WHEELBASE_M,
     read_trajectory_csv,
     write_trajectory_csv,
@@ -96,16 +97,39 @@ class TestValidateTrajectory:
             np.testing.assert_array_equal(traj.truth[:, G_BETA], expected)
 
 
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    return buf.getvalue()
+
+
+def _with(array, row, col, value):
+    out = array.copy()
+    out[row, col] = value
+    return out
+
+
+_GOOD = np.full((4, 15), 0.5)
+
+
+def _refused(array, extra=b""):
+    """The bytes of `array` followed by `extra`, and the message refusing them."""
+    data = _npy(array)
+    return data + extra, (f"trajectory array of dtype {array.dtype} and shape {array.shape} "
+                          f"in {len(data)} of {len(data + extra)} bytes, expected float64 "
+                          f"of shape (N, 15), N > 0, filling the file")
+
+
 class TestTrajectoryCsv:
     def test_round_trip_bit_exact(self, tmp_path, noisy_straight_traj):
-        path = tmp_path / "traj.csv"
+        path = tmp_path / "traj.npy"
         write_trajectory_csv(noisy_straight_traj, path)
         back = read_trajectory_csv(path)
         np.testing.assert_array_equal(back.sensors, noisy_straight_traj.sensors)
         np.testing.assert_array_equal(back.truth, noisy_straight_traj.truth)
 
     def test_one_read_parses_and_hashes(self, tmp_path, noisy_straight_traj, monkeypatch):
-        path = tmp_path / "traj.csv"
+        path = tmp_path / "traj.npy"
         write_trajectory_csv(noisy_straight_traj, path)
         opened, real_open = [], builtins.open
 
@@ -119,18 +143,33 @@ class TestTrajectoryCsv:
         assert opened == [str(path)]
         assert back.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
-    HEADER = ",".join(CSV_COLUMNS) + "\n"
-    ROW = ",".join(["0.5"] * 15) + "\n"
+    # name -> (file bytes, the message after "<path>: ")
+    CASES = {
+        "bad_header": (_npy(_GOOD).replace(b"'shape'", b"'shope'"),
+                       "corrupt trajectory array (Header does not contain the correct "
+                       "keys: ['descr', 'fortran_order', 'shope'])"),
+        "empty": (b"", "not a trajectory array; rerun 'simulate'"),
+        "csv_text": ((",".join(TRAJECTORY_COLUMNS) + "\n" + ",".join(["0.5"] * 15)
+                      + "\n").encode(), "not a trajectory array; rerun 'simulate'"),
+        "truncated": (_npy(_GOOD)[:-1], "corrupt trajectory array (EOF: reading array "
+                                         "data, expected 480 bytes got 479)"),
+        "trailing_byte": _refused(_GOOD, b"\0"),
+        "no_samples": _refused(np.empty((0, 15))),
+        "field_count": _refused(_GOOD[:, :14]),
+        "one_dim": _refused(_GOOD[0]),
+        "float32": _refused(_GOOD.astype(np.float32)),
+        "non_numeric": _refused(_GOOD.astype("U3")),
+        "nan": (_npy(_with(_GOOD, 2, 1, np.nan)),
+                "non-finite value nan in column 'ax' at row 2"),
+        "inf": (_npy(_with(_GOOD, 3, 10, -np.inf)),
+                "non-finite value -inf in column 'gt_vy' at row 3"),
+    }
 
-    @pytest.mark.parametrize("text, line", [
-        ("a,b,c\n1,2,3\n", 1),
-        ("", 1),
-        (HEADER, 2),
-        (HEADER + ROW + ",".join(["0.5"] * 14) + "\n", 3),
-        (HEADER + ",".join(["0.5"] * 14 + ["abc"]) + "\n", 2),
-    ], ids=["bad_header", "empty", "no_samples", "field_count", "non_numeric"])
-    def test_malformed_trajectory_names_file_and_line(self, tmp_path, text, line):
-        path = tmp_path / "traj.csv"
-        path.write_text(text)
-        with pytest.raises(DataFormatError, match=f"traj.csv:{line}:"):
+    @pytest.mark.parametrize("case", CASES)
+    def test_malformed_trajectory_names_file_and_line(self, tmp_path, case):
+        data, message = self.CASES[case]
+        path = tmp_path / "traj.npy"
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError) as raised:
             read_trajectory_csv(path)
+        assert str(raised.value) == f"{path}: {message}"
