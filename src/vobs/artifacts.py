@@ -8,9 +8,10 @@ writing.
     whole file to one string and writes it in one call.
   - CSV reads: `read_csv` reads the file once, refuses any `"` or `\\r` and
     splits it on `\\n` and ",".
-  - Arrays: one `.npy` file (NEP 1) each, written by `np.save` with
-    `allow_pickle=False`; `read_array` reads it once, hashes those bytes and
-    accepts only a finite float64 (N > 0, width) matrix and no byte after it.
+  - Arrays (trajectories, window caches): one `.npy` file (NEP 1) each,
+    written by `np.save` with `allow_pickle=False`; `write_array` returns the
+    bytes' SHA-256. `read_array` reads them once, hashes them and accepts
+    only a finite float64 (N > 0, width) matrix and no byte after it.
   - JSON: `json.dumps(doc, indent=2, sort_keys=True)` and a newline.
   - Atomic writes: `write_file` creates the target's directory if it is
     missing, writes `.<name>.<pid>.tmp` there, then moves it over the target
@@ -91,11 +92,12 @@ def read_csv(path, header) -> list[list[str]]:
     return rows
 
 
-def write_array(path, array) -> None:
-    """`array` in `.npy` format, written at once."""
+def write_array(path, array) -> str:
+    """`array` in `.npy` format, written at once; returns their hex SHA-256."""
     buf = io.BytesIO()
     np.save(buf, array, allow_pickle=False)
     write_file(path, buf.getvalue())
+    return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
 def read_array(path, columns, what: str, stage: str) -> tuple[np.ndarray, str]:

@@ -1,29 +1,26 @@
 """Turns trajectories into scaled, windowed training samples.
 
 Each split is stored as its frames once, the split's trajectories end to
-end, plus the target frame of every window. A sample follows the observer's
-two inputs: the window of the five sensor channels covering the target
-frame and the window_len - 1 frames before it, and the ground-truth state
-at the frame before the target; `WindowedDataset.batch` gathers them from
-the frames on demand. All values are min-max scaled to the training corpus;
-validation/test values may fall outside [0, 1] and are deliberately not
-clipped.
+end; `_targets` derives each window's target frame from their lengths. A
+sample follows the observer's two inputs: the window of the five sensor
+channels covering the target frame and the window_len - 1 frames before it,
+and the ground-truth state at the frame before the target;
+`WindowedDataset.batch` gathers them from the frames on demand. All values
+are min-max scaled to the training corpus; validation/test values may fall
+outside [0, 1] and are deliberately not clipped.
 """
 
 from __future__ import annotations
 
-import struct
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .artifacts import read_json, write_file, write_json
+from .artifacts import read_array, read_json, write_array, write_json
 from .domain import SENSOR_CHANNELS, STATE_CHANNELS, Trajectory
 from .errors import ConfigError, DataFormatError
 from .seeding import derived_rng
-
-CACHE_MAGIC = b"VOBS"
-CACHE_VERSION = 2
 
 N_SENSOR = len(SENSOR_CHANNELS)
 N_STATE = len(STATE_CHANNELS)
@@ -152,22 +149,26 @@ def fit_scaler(trajectories: list[Trajectory]) -> ScalerParams:
 
 def make_windows(trajectories: list[Trajectory], scaler: ScalerParams, window_len: int,
                  stride: int = 1) -> WindowedDataset:
-    """The scaled frames of `trajectories`, end to end, and their windows.
-
-    Each trajectory has one window per target index t in [max(window_len-1, 1),
-    N-1] of its own frames (every `stride`-th when stride > 1), so no window
-    or previous state reaches into another trajectory.
-    """
+    """The scaled frames of `trajectories`, end to end, and the windows that
+    `_targets` cuts from them."""
     if window_len < 1:
         raise ConfigError(f"window length must be >= 1, got {window_len}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     sensors, states = _frames(trajectories)
-    starts = np.cumsum([0] + [len(traj) for traj in trajectories])
-    targets = np.concatenate([np.arange(lo + max(window_len - 1, 1), hi, stride)
-                              for lo, hi in zip(starts[:-1], starts[1:])])
     return WindowedDataset(scaler.scale_sensors(sensors), scaler.scale_state(states),
-                           targets, window_len=window_len)
+                           _targets([len(traj) for traj in trajectories], window_len, stride),
+                           window_len=window_len)
+
+
+def _targets(lengths, window_len: int, stride: int) -> np.ndarray:
+    """The target frame of each window over trajectories of `lengths` frames,
+    end to end: every `stride`-th index t in [max(window_len-1, 1), N-1] of
+    each one's own frames, so no window or previous state reaches into
+    another trajectory."""
+    starts = np.cumsum([0, *lengths])
+    return np.concatenate([np.arange(lo + max(window_len - 1, 1), hi, stride)
+                           for lo, hi in zip(starts[:-1], starts[1:])])
 
 
 def split_dataset(trajectories: list[Trajectory],
@@ -218,83 +219,67 @@ def inject_state_noise(prev_state: np.ndarray, spec: NoiseSpec,
 
 
 # ---------------------------------------------------------------------------
-# Binary sample cache + sidecar metadata
+# Frame caches + sidecar metadata
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<4sHHHHQQ")
+SIDECAR_NAME = "dataset.json"
+CACHE_COLUMNS = SENSOR_CHANNELS + tuple(f"gt_{c}" for c in STATE_CHANNELS)
 
 
-def write_cache(ds: WindowedDataset, path) -> None:
-    """Binary cache of `ds`, all little-endian: a header of the magic b"VOBS",
-    then uint16 version (2), window_len, sensor and state channel counts
-    (5, 3), then uint64 window count N and frame count F; then N int64
-    target frame indices; then F frames of float64, each its 5 sensor then
-    its 3 state values."""
-    frames = np.column_stack([ds.sensors, ds.states]).astype("<f8", copy=False)
-    write_file(path, (_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, ds.window_len, N_SENSOR,
-                                   N_STATE, len(ds), len(frames)),
-                      ds.targets.astype("<i8", copy=False), frames))
+def write_cache(ds: WindowedDataset, path) -> str:
+    """`ds`'s frames as one (F, 8) float64 array of `CACHE_COLUMNS`, without
+    the window targets; returns the hex SHA-256 of the file."""
+    return write_array(path, np.column_stack([ds.sensors, ds.states]))
 
 
 def read_cache(path) -> WindowedDataset:
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if head[:4] != CACHE_MAGIC:
-            raise DataFormatError(f"{path}: not a sample cache (bad magic {head[:4]!r})")
-        version = int.from_bytes(head[4:6], "little")
-        if version != CACHE_VERSION and len(head) >= 6:  # a shorter head is truncated
-            raise DataFormatError(f"{path}: cache format version {version} unsupported "
-                                  f"(expected {CACHE_VERSION}); rerun 'dataset'")
-        if len(head) < _HEADER.size:
-            raise DataFormatError(f"{path}: truncated cache header")
-        _, _, w, n_sensor, n_state, count, n_frames = _HEADER.unpack(head)
-        if n_sensor != N_SENSOR or n_state != N_STATE:
-            raise DataFormatError(f"{path}: channel layout mismatch")
-        payload = fh.read()
-    expected = 8 * (count + n_frames * (n_sensor + n_state))
-    if len(payload) != expected:
-        raise DataFormatError(
-            f"{path}: corrupt cache, expected {expected} payload bytes, found {len(payload)}")
-    targets = np.frombuffer(payload, dtype="<i8", count=count)
-    first = max(w - 1, 1)
-    if count and (targets[0] < first or targets[-1] >= n_frames
-                  or (np.diff(targets) <= 0).any()):
-        raise DataFormatError(f"{path}: window targets must increase within frames "
-                              f"{first} .. {n_frames - 1}")
-    frames = np.frombuffer(payload, dtype="<f8", offset=8 * count).reshape(
-        n_frames, n_sensor + n_state)
-    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
-    if bad.size:
-        raise DataFormatError(f"{path}: non-finite value in frame {bad[0]}")
-    return WindowedDataset(frames[:, :n_sensor].copy(), frames[:, n_sensor:].copy(),
-                           targets.astype(np.int64), window_len=w)
+    """The windows of cache `path`, `<split>.cache`, as `_targets` derives them
+    from what the `dataset.json` beside it records of the split. The file must
+    hold the split's recorded frame total and hash to its recorded SHA-256."""
+    sidecar_path = os.path.join(os.path.dirname(path), SIDECAR_NAME)
+    sidecar = read_sidecar(sidecar_path)
+    split = os.path.splitext(os.path.basename(path))[0]
+    frames, sha256 = read_array(path, CACHE_COLUMNS, "window cache", "dataset")
+    lengths = [n for _, n in sidecar["splits"].get(split, ())]
+    if len(frames) != sum(lengths) or sha256 != sidecar["cache_sha256"].get(split):
+        raise DataFormatError(f"{path}: not the '{split}' cache that {sidecar_path} records "
+                              f"({len(frames)} frames, {sum(lengths)} recorded, or another "
+                              f"SHA-256); rerun 'dataset'")
+    return WindowedDataset(frames[:, :N_SENSOR], frames[:, N_SENSOR:], _targets(
+        lengths, sidecar["window_len"], sidecar["strides"][split]), sidecar["window_len"])
 
 
-def write_sidecar(path, scaler: ScalerParams, split_assignment: dict,
-                  counts: dict, window_len: int, strides: dict,
-                  noise: NoiseSpec, seed: int, trajectory_sha256: dict) -> None:
-    """Human-readable companion to the caches, with each trajectory file's SHA-256."""
-    doc = {
-        "window_len": window_len,
-        "strides": strides,
-        "seed": seed,
-        "state_noise": {"std_v_mps": noise.std_v_mps,
-                        "std_yaw_rate_radps": noise.std_yaw_rate_radps},
-        "counts": counts,
-        "scaler": scaler.to_dict(),
-        "split_assignment": split_assignment,
-        "trajectory_sha256": trajectory_sha256,
-    }
-    write_json(path, doc)
+def write_sidecar(path, scaler: ScalerParams, splits: dict, counts: dict, window_len: int,
+                  strides: dict, cache_sha256: dict, trajectory_sha256: dict) -> None:
+    """The dataset's record beside its caches; each field's comment names its readers."""
+    write_json(path, {
+        "window_len": window_len,  # read_cache; train and evaluate check it against the config
+        "strides": strides,  # read_cache
+        "splits": splits,  # [label, n_frames] pairs in split_dataset's order: read_cache, evaluate
+        "cache_sha256": cache_sha256,  # read_cache
+        "scaler": scaler.to_dict(),  # train, evaluate
+        "trajectory_sha256": trajectory_sha256,  # evaluate
+        "counts": counts,  # perfbench/run.py's output check
+        "split_assignment": {label: name for name, pairs in splits.items()
+                             for label, _ in pairs},  # perfbench/make_reference.py
+    })
 
 
 def read_sidecar(path) -> dict:
+    """The sidecar at `path`, its scaler as `ScalerParams`; checks each field a stage reads."""
     doc = read_json(path, "dataset sidecar")
     try:
         doc["scaler"] = ScalerParams.from_dict(doc["scaler"])
-        for key in ("split_assignment", "counts"):
+        for key in ("counts", "strides", "splits", "cache_sha256"):
             if not isinstance(doc[key], dict):
                 raise TypeError(f"'{key}' must be a mapping")
+        n_frames = [n if isinstance(label, str) else None
+                    for pairs in doc["splits"].values() for label, n in pairs]
+        if doc["strides"].keys() != doc["splits"].keys() or not all(
+                type(n) is int and n >= 1
+                for n in (doc["window_len"], *doc["strides"].values(), *n_frames)):
+            raise ValueError("'window_len', one stride per split and n_frames must be ints >= 1")
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise DataFormatError(f"{path}: corrupt dataset sidecar ({exc!r})") from None
+        raise DataFormatError(f"{path}: corrupt dataset sidecar ({exc!r}); "
+                              f"rerun 'dataset'") from None
     return doc

@@ -36,7 +36,7 @@ from .seeding import derive_seed
 from .simulator import builtin_scripts, run_maneuver
 
 MANIFEST_NAME = "manifest.json"
-SIDECAR_NAME = "dataset/dataset.json"
+SIDECAR_NAME = f"dataset/{ds.SIDECAR_NAME}"
 
 
 def _jittered_intensity(base: float, index: int, count: int) -> float:
@@ -136,16 +136,16 @@ def build_dataset(cfg: RunConfig) -> dict:
 
     out_dir = os.path.join(cfg.out_dir, "dataset")
     strides = {"train": cfg.train_stride, "val": cfg.val_stride, "test": 1}
-    counts = {}
+    counts, cache_sha256 = {}, {}
     for name in ("train", "val"):
         windowed = ds.make_windows(splits[name], scaler, cfg.window_len, stride=strides[name])
-        ds.write_cache(windowed, os.path.join(out_dir, f"{name}.cache"))
+        cache_sha256[name] = ds.write_cache(windowed, os.path.join(out_dir, f"{name}.cache"))
         counts[name] = len(windowed)
     counts["test_trajectories"] = len(splits["test"])
 
-    assignment = {t.label: name for name, group in splits.items() for t in group}
-    ds.write_sidecar(os.path.join(cfg.out_dir, SIDECAR_NAME), scaler, assignment,
-                     counts, cfg.window_len, strides, cfg.state_noise, cfg.master_seed,
+    ds.write_sidecar(os.path.join(cfg.out_dir, SIDECAR_NAME), scaler,
+                     {name: [[t.label, len(t)] for t in group] for name, group in splits.items()},
+                     counts, cfg.window_len, strides, cache_sha256,
                      {t.label: t.sha256 for t in trajectories})
     return counts
 
@@ -162,23 +162,6 @@ def _load_sidecar(cfg: RunConfig) -> dict:
     return sidecar
 
 
-def _read_split_cache(cfg: RunConfig, sidecar: dict, split: str) -> ds.WindowedDataset:
-    """The `split` window cache, refused unless its window length and window
-    count are the ones the sidecar records."""
-    path = os.path.join(cfg.out_dir, "dataset", f"{split}.cache")
-    data = ds.read_cache(path)
-    if data.window_len != sidecar["window_len"]:
-        raise DataFormatError(
-            f"{path}: cache holds windows of window_len {data.window_len}, but the "
-            f"sidecar records window_len {sidecar['window_len']!r}; rerun 'dataset'")
-    expected = sidecar["counts"].get(split)
-    if len(data) != expected:
-        raise DataFormatError(
-            f"{path}: cache holds {len(data)} windows, but the sidecar counts "
-            f"{expected!r} {split} windows; rerun 'dataset'")
-    return data
-
-
 def weights_path(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, "models", f"{name}.weights")
 
@@ -193,8 +176,8 @@ def train_observer_model(cfg: RunConfig, name: str) -> dict:
 
     sidecar = _load_sidecar(cfg)
     scaler: ds.ScalerParams = sidecar["scaler"]
-    train_ds = _read_split_cache(cfg, sidecar, "train")
-    val_ds = _read_split_cache(cfg, sidecar, "val")
+    train_ds = ds.read_cache(os.path.join(cfg.out_dir, "dataset", "train.cache"))
+    val_ds = ds.read_cache(os.path.join(cfg.out_dir, "dataset", "val.cache"))
 
     tc = dataclasses.replace(cfg.train, seed=derive_seed(cfg.master_seed, "train", name))
     if spec.type == "lstm":
@@ -259,7 +242,7 @@ def evaluate_run(cfg: RunConfig) -> str:
     manifest = _load_manifest(cfg)
     sidecar = _load_sidecar(cfg)
     scaler: ds.ScalerParams = sidecar["scaler"]
-    assignment = sidecar["split_assignment"]
+    assignment = {label: split for split, pairs in sidecar["splits"].items() for label, _ in pairs}
     if {e["label"] for e in manifest["trajectories"]} != assignment.keys():
         raise DataFormatError(
             f"{os.path.join(cfg.out_dir, MANIFEST_NAME)} and "

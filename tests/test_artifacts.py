@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import vobs
 from vobs import artifacts
-from vobs.dataset import WindowedDataset, read_cache, write_cache
+from vobs.dataset import CACHE_COLUMNS, WindowedDataset, write_cache
 from vobs.domain import Trajectory, read_trajectory_csv, write_trajectory_csv
 from vobs.errors import DataFormatError
 from vobs.evaluation import EvalReport, read_report_csv, write_report_csv
@@ -76,7 +76,7 @@ WRITERS = {
     "manifest": ("manifest.json", lambda seed, path: artifacts.write_json(
         path, {"master_seed": seed}), lambda path: artifacts.read_json(path, "manifest")),
     "write_cache": ("train.cache", lambda seed, path: write_cache(_windows(seed), path),
-                    read_cache),
+                    lambda path: artifacts.read_array(path, CACHE_COLUMNS, "cache", "dataset")),
 }
 
 

@@ -23,14 +23,14 @@ from vobs.cli import build_parser, main
 from vobs.baselines import EkfConfig
 from vobs.artifacts import read_csv, write_csv
 from vobs.config import EKF_OVERRIDE_KEYS, build_config, load_config
-from vobs.dataset import read_cache, write_cache
+from vobs.dataset import CACHE_COLUMNS, read_cache
 from vobs.errors import ConfigError, NumericalError
 from vobs.domain import TRAJECTORY_COLUMNS, read_trajectory_csv
 from vobs.neural import RecurrentRegressor, build_net, load_weights, save_weights
 from vobs.observer_lstm import TRACE_COLUMNS, observer_net
 from vobs.simulator import SensorNoiseSpec
 
-from test_dataset import _v1_cache
+from test_dataset import _v1_cache, _v2_cache
 from test_domain import _npy
 
 BASE_CONFIG = {
@@ -196,7 +196,8 @@ class TestDatasetCommand:
         assert (ds_dir / "val.cache").exists()
         sidecar = json.loads((ds_dir / "dataset.json").read_text())
         assert sidecar["window_len"] == 50
-        assert set(sidecar["split_assignment"].values()) == {"train", "val", "test"}
+        assert sorted(sidecar["splits"]) == ["test", "train", "val"]
+        assert all(sidecar["splits"].values())
 
 
 class TestTrainCommand:
@@ -937,8 +938,19 @@ class TestCorruptStageMetadata:
         ("dataset", "manifest.json", "trajectories", None),
         ("evaluate", "manifest.json", "file", None),
         ("train", "dataset/dataset.json", "counts", None),
-        ("evaluate", "dataset/dataset.json", "split_assignment", None),
-        ("evaluate", "dataset/dataset.json", "split_assignment", []),
+        ("evaluate", "dataset/dataset.json", "splits", None),
+        ("evaluate", "dataset/dataset.json", "splits", []),
+        ("train", "dataset/dataset.json", "splits",
+         {"train": [["slalom@0.30#0", 0]], "val": [], "test": []}),
+        ("train", "dataset/dataset.json", "splits",
+         {"train": [[0, 800]], "val": [], "test": []}),
+        ("train", "dataset/dataset.json", "splits", {"train": [["slalom@0.30#0"]]}),
+        ("train", "dataset/dataset.json", "window_len", None),
+        ("train", "dataset/dataset.json", "window_len", "50"),
+        ("train", "dataset/dataset.json", "strides", {"train": 4, "val": 0, "test": 1}),
+        ("train", "dataset/dataset.json", "strides", {"train": 4, "val": 8}),
+        ("train", "dataset/dataset.json", "cache_sha256", None),
+        ("train", "dataset/dataset.json", "cache_sha256", []),
     ])
     def test_missing_or_mistyped_key(self, run_copy, capsys, stage, name, key, value):
         tmp_path, cfg = run_copy
@@ -952,7 +964,10 @@ class TestCorruptStageMetadata:
             doc[key] = value
         path.write_text(json.dumps(doc))
         assert main([stage, "--config", cfg]) == 3
-        assert os.path.basename(name) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert os.path.basename(name) in err
+        if name == "dataset/dataset.json":
+            assert f"{path}: corrupt dataset sidecar" in err and "rerun 'dataset'" in err
 
     def test_bad_array_line_in_weights(self, run_copy, capsys):
         tmp_path, cfg = run_copy
@@ -979,38 +994,63 @@ class TestCorruptStageMetadata:
         assert "window_len 50" in err and "window_len 20" in err
 
     @staticmethod
-    def _w20_caches(tmp_path):
-        """Caches of the same corpus built with window_len 20."""
-        other = tmp_path / "w20"
+    def _dataset(tmp_path, name, overrides):
+        """The dataset directory that `dataset` writes for the run's corpus
+        under the config `overrides`, in a run directory of its own."""
+        other = tmp_path / name
         other.mkdir()
         shutil.copy(tmp_path / "run" / "manifest.json", other)
         shutil.copytree(tmp_path / "run" / "trajectories", other / "trajectories")
-        cfg = _write_config(tmp_path, name="w20.yaml", overrides={
-            "dataset": dict(BASE_CONFIG["dataset"], window_len=20), "out_dir": str(other)})
+        cfg = _write_config(tmp_path, name=f"{name}.yaml",
+                            overrides={**overrides, "out_dir": str(other)})
         assert main(["dataset", "--config", cfg]) == 0
         return other / "dataset"
 
     @pytest.mark.parametrize("split", ["train", "val"])
-    def test_cache_window_len_differs_from_sidecar(self, run_copy, capsys, split):
-        tmp_path, cfg = run_copy
-        shutil.copy(self._w20_caches(tmp_path) / f"{split}.cache",
-                    tmp_path / "run" / "dataset")
-        capsys.readouterr()
-        assert main(["train", "--config", cfg]) == 3
-        err = capsys.readouterr().err
-        assert f"{split}.cache" in err
-        assert "window_len 20" in err and "window_len 50" in err
+    def test_cache_is_the_same_at_window_len_20(self, run_copy, split):
+        # a cache stores frames, not windows: a cache built for another window
+        # length is the same file, and the sidecar's window_len decides
+        tmp_path, _ = run_copy
+        w20 = self._dataset(tmp_path, "w20", {"dataset": dict(BASE_CONFIG["dataset"],
+                                                               window_len=20)})
+        assert (w20 / f"{split}.cache").read_bytes() == \
+            (tmp_path / "run" / "dataset" / f"{split}.cache").read_bytes()
 
     @pytest.mark.parametrize("split, other", [("train", "val"), ("val", "train")])
     def test_cache_count_differs_from_sidecar(self, run_copy, capsys, split, other):
         tmp_path, cfg = run_copy
         dataset = tmp_path / "run" / "dataset"
-        counts = json.loads((dataset / "dataset.json").read_text())["counts"]
+        frames = {s: sum(n for _, n in pairs) for s, pairs in
+                  json.loads((dataset / "dataset.json").read_text())["splits"].items()}
+        assert frames[split] != frames[other]
         shutil.copy(dataset / f"{other}.cache", dataset / f"{split}.cache")
         assert main(["train", "--config", cfg]) == 3
         err = capsys.readouterr().err
-        assert f"{split}.cache" in err
-        assert f"{counts[other]} windows" in err and f"{counts[split]} {split}" in err
+        assert f"{dataset / split}.cache: not the '{split}' cache that " \
+               f"{dataset / 'dataset.json'} records ({frames[other]} frames, " \
+               f"{frames[split]} recorded, or another SHA-256); rerun 'dataset'" in err
+
+    def test_swapped_cache_of_equal_frame_count_refused(self, run_copy, capsys):
+        # equal strides and equal split frame totals: only the SHA-256 tells
+        # the val frames from the train frames
+        tmp_path, _ = run_copy
+        overrides = {"split": {"train": 0.25, "val": 0.25, "test": 0.5},
+                     "dataset": dict(BASE_CONFIG["dataset"], val_stride=4)}
+        dataset = self._dataset(tmp_path, "even", overrides)
+        sidecar = json.loads((dataset / "dataset.json").read_text())
+        frames = {s: sum(n for _, n in pairs) for s, pairs in sidecar["splits"].items()}
+        assert frames["train"] == frames["val"]
+        assert sidecar["strides"]["train"] == sidecar["strides"]["val"]
+        assert sidecar["counts"]["train"] == sidecar["counts"]["val"]
+        shutil.copy(dataset / "val.cache", dataset / "train.cache")
+        cfg = _write_config(tmp_path, name="even.yaml",
+                            overrides={**overrides, "out_dir": str(dataset.parent)})
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"{dataset / 'train.cache'}: not the 'train' cache" in err
+        assert "rerun 'dataset'" in err
+        assert not (dataset.parent / "models").exists()
 
 
 def _snapshot(run):
@@ -1095,7 +1135,8 @@ class TestCsvTrajectoryRun:
 
 class TestNonFiniteCache:
     """A cache holding nan or inf is a data error (exit 3) naming the file and
-    the first bad frame, and train writes no weights."""
+    the column and row (frame) of the first bad value, and train writes no
+    weights."""
 
     FRAME = 5 + 3  # float64 fields per frame: sensors, state
 
@@ -1117,7 +1158,8 @@ class TestNonFiniteCache:
         path.write_bytes(bytes(data))
         before = _snapshot(run)
         assert main(["train", "--config", cfg]) == 3
-        assert f"{path.name}: non-finite value in frame {frame}" in capsys.readouterr().err
+        assert f"{path}: non-finite value {value} in column '{CACHE_COLUMNS[field]}' " \
+               f"at row {frame}" in capsys.readouterr().err
         assert _snapshot(run) == before
 
 
@@ -1141,17 +1183,17 @@ class TestCacheLayout:
         path = run / "dataset" / "train.cache"
         path.write_bytes(_v1_cache(read_cache(path)))
         err = self._train_fails(run, cfg, capsys, path)
-        assert "cache format version 1 unsupported" in err and "rerun 'dataset'" in err
+        assert f"{path}: not a window cache; rerun 'dataset'" in err
 
-    def test_target_past_the_frames(self, run_copy, capsys):
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_struct_cache_asks_for_dataset(self, run_copy, capsys, split):
+        # the last struct layout, with a header and stored targets
         tmp_path, cfg = run_copy
         run = tmp_path / "run"
-        path = run / "dataset" / "val.cache"
-        store = read_cache(path)
-        store.targets[-1] = len(store.states)
-        write_cache(store, path)
+        path = run / "dataset" / f"{split}.cache"
+        path.write_bytes(_v2_cache(read_cache(path)))
         err = self._train_fails(run, cfg, capsys, path)
-        assert f"window targets must increase within frames 49 .. {len(store.states) - 1}" in err
+        assert f"{path}: not a window cache; rerun 'dataset'" in err
 
 
 class TestMalformedReport:

@@ -1,6 +1,8 @@
 import ast
+import json
 import pathlib
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import vobs
 from vobs.dataset import (
+    CACHE_COLUMNS,
     NoiseSpec,
     ScalerParams,
     SplitSpec,
@@ -274,12 +277,30 @@ def _v1_cache(ds) -> bytes:
         records.astype("<f8").tobytes()
 
 
+def _v2_cache(ds) -> bytes:
+    """`ds` in the version 2 layout, the last struct format: a header of the
+    window length and the window and frame counts, the int64 targets, then
+    the frames."""
+    frames = np.column_stack([ds.sensors, ds.states])
+    return struct.pack("<4sHHHHQQ", b"VOBS", 2, ds.window_len, 5, 3, len(ds), len(frames)) + \
+        ds.targets.astype("<i8").tobytes() + frames.astype("<f8").tobytes()
+
+
+def _write_store(directory, trajs, ds, stride=1, split="train"):
+    """Write `ds`, the windows of `trajs` at `stride`, as `<split>.cache` in
+    `directory` with the sidecar that records it; return the cache's path."""
+    path = directory / f"{split}.cache"
+    write_sidecar(directory / "dataset.json", fit_scaler([_traj(300, seed=1), _traj(300, seed=2)]),
+                  {split: [[t.label, len(t)] for t in trajs]}, {split: len(ds)}, ds.window_len,
+                  {split: stride}, {split: write_cache(ds, path)}, {})
+    return path
+
+
 class TestCache:
     def test_round_trip(self, tmp_path, scaler):
-        ds = make_windows([_traj(90), _traj(70, seed=3)], scaler, 50, stride=2)
-        path = tmp_path / "x.cache"
-        write_cache(ds, path)
-        back = read_cache(path)
+        trajs = [_traj(90), _traj(70, seed=3)]
+        ds = make_windows(trajs, scaler, 50, stride=2)
+        back = read_cache(_write_store(tmp_path, trajs, ds, stride=2))
         assert back.window_len == 50
         np.testing.assert_array_equal(back.sensors, ds.sensors)
         np.testing.assert_array_equal(back.states, ds.states)
@@ -287,88 +308,112 @@ class TestCache:
         for got, want in zip(back.batch(slice(None)), ds.batch(slice(None))):
             np.testing.assert_array_equal(got, want)
 
+    @given(lengths=st.lists(st.integers(1, 120), min_size=1, max_size=4),
+           window_len=st.integers(1, 60), stride=st.integers(1, 7),
+           split=st.sampled_from(["train", "val"]))
+    @example(lengths=[70, 12, 55], window_len=50, stride=3, split="val")
+    @settings(max_examples=40, deadline=None)
+    def test_read_back_gives_the_windows_written(self, lengths, window_len, stride, split):
+        scaler = fit_scaler([_traj(300, seed=1), _traj(300, seed=2)])
+        trajs = [_traj(n, label=f"m@0.50#{k}", seed=10 + k) for k, n in enumerate(lengths)]
+        ds = make_windows(trajs, scaler, window_len, stride=stride)
+        with tempfile.TemporaryDirectory() as directory:
+            back = read_cache(_write_store(pathlib.Path(directory), trajs, ds, stride, split))
+        assert back.window_len == window_len
+        np.testing.assert_array_equal(back.targets, ds.targets)
+        for got, want in zip(back.batch(slice(None)), ds.batch(slice(None))):
+            np.testing.assert_array_equal(got, want)
+
     def test_empty_round_trip(self, tmp_path, scaler):
-        path = tmp_path / "x.cache"
-        write_cache(make_windows([_traj(15)], scaler, 50), path)
-        back = read_cache(path)
+        trajs = [_traj(15)]
+        back = read_cache(_write_store(tmp_path, trajs, make_windows(trajs, scaler, 50)))
         assert len(back) == 0 and back.window_len == 50 and back.sensors.shape == (15, 5)
 
     def test_truncation_detected(self, tmp_path, scaler):
-        ds = make_windows([_traj(90)], scaler, 50)
-        path = tmp_path / "x.cache"
-        write_cache(ds, path)
+        trajs = [_traj(90)]
+        path = _write_store(tmp_path, trajs, make_windows(trajs, scaler, 50))
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(DataFormatError, match="corrupt"):
             read_cache(path)
 
-    @pytest.mark.parametrize("size", [4, 5, 6, 27])
-    def test_truncated_header_reads_as_truncated(self, tmp_path, scaler, size):
-        path = tmp_path / "x.cache"
-        write_cache(make_windows([_traj(60)], scaler, 50), path)
-        path.write_bytes(path.read_bytes()[:size])
-        with pytest.raises(DataFormatError, match=r"x\.cache: truncated cache header"):
-            read_cache(path)
-
-    def test_bad_magic_detected(self, tmp_path):
-        path = tmp_path / "x.cache"
+    def test_bad_magic_detected(self, tmp_path, scaler):
+        trajs = [_traj(60)]
+        path = _write_store(tmp_path, trajs, make_windows(trajs, scaler, 50))
         path.write_bytes(b"NOPE" + bytes(64))
-        with pytest.raises(DataFormatError, match="magic"):
+        with pytest.raises(DataFormatError, match=r"train\.cache: not a window cache; "
+                                                  r"rerun 'dataset'"):
             read_cache(path)
 
     def test_version_checked(self, tmp_path, scaler):
-        ds = make_windows([_traj(60)], scaler, 50)
-        path = tmp_path / "x.cache"
-        write_cache(ds, path)
+        trajs = [_traj(60)]
+        path = _write_store(tmp_path, trajs, make_windows(trajs, scaler, 50))
         data = bytearray(path.read_bytes())
-        data[4:6] = (99).to_bytes(2, "little")
+        data[6] = 99  # the major version of the .npy format
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError, match="version"):
             read_cache(path)
 
     @pytest.mark.parametrize("n", [60, 49], ids=["windows", "no_windows"])
     def test_version_1_asks_for_dataset(self, tmp_path, scaler, n):
-        # an empty version 1 cache is shorter than a version 2 header
-        path = tmp_path / "x.cache"
-        path.write_bytes(_v1_cache(make_windows([_traj(n)], scaler, 50)))
-        with pytest.raises(DataFormatError, match=r"x\.cache: cache format version 1 "
-                                                  r".*rerun 'dataset'"):
-            read_cache(path)
-
-    @pytest.mark.parametrize("i, value", [
-        (0, 48),   # below the first target frame of window_len 50
-        (1, 49),   # not after its predecessor
-        (-1, 150),  # past the last of 150 frames
-        (-1, -1),
-    ], ids=["below_window", "out_of_order", "past_frames", "negative"])
-    def test_target_it_cannot_index_rejected(self, tmp_path, scaler, i, value):
-        ds = make_windows([_traj(90), _traj(60, seed=3)], scaler, 50)
-        ds.targets[i] = value
-        path = tmp_path / "x.cache"
-        write_cache(ds, path)
-        with pytest.raises(DataFormatError, match=r"x\.cache: window targets must increase "
-                                                  r"within frames 49 \.\. 149"):
+        trajs = [_traj(n)]
+        ds = make_windows(trajs, scaler, 50)
+        path = _write_store(tmp_path, trajs, ds)
+        path.write_bytes(_v1_cache(ds))
+        with pytest.raises(DataFormatError, match=r"train\.cache: not a window cache; "
+                                                  r"rerun 'dataset'"):
             read_cache(path)
 
     @pytest.mark.parametrize("frame, column, value", [
         (0, 0, np.nan), (37, 6, np.inf), (149, 7, -np.inf)])
     def test_non_finite_value_names_its_frame(self, tmp_path, scaler, frame, column, value):
-        ds = make_windows([_traj(90), _traj(60, seed=3)], scaler, 50)
+        trajs = [_traj(90), _traj(60, seed=3)]
+        ds = make_windows(trajs, scaler, 50)
         (ds.sensors if column < 5 else ds.states)[frame, column % 5] = value
-        path = tmp_path / "x.cache"
-        write_cache(ds, path)
-        with pytest.raises(DataFormatError, match=rf"x\.cache: non-finite value in frame {frame}$"):
+        path = _write_store(tmp_path, trajs, ds)
+        with pytest.raises(DataFormatError, match=rf"train\.cache: non-finite value {value} in "
+                                                  rf"column '{CACHE_COLUMNS[column]}' at row "
+                                                  rf"{frame}$"):
+            read_cache(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["splits"]["train"][0].__setitem__(1, 89),  # a frame short
+        lambda doc: doc["cache_sha256"].__setitem__("train", "0" * 64),
+        lambda doc: doc["cache_sha256"].pop("train"),
+        lambda doc: doc["splits"].update(val=doc["splits"].pop("train")),
+    ], ids=["frame_total", "sha256", "no_sha256", "other_split"])
+    def test_cache_the_sidecar_does_not_record_asks_for_dataset(self, tmp_path, scaler, edit):
+        trajs = [_traj(90), _traj(60, seed=3)]
+        path = _write_store(tmp_path, trajs, make_windows(trajs, scaler, 50))
+        sidecar = tmp_path / "dataset.json"
+        doc = json.loads(sidecar.read_text())
+        edit(doc)
+        doc["strides"] = dict.fromkeys(doc["splits"], 1)
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=rf"{path}: not the 'train' cache that "
+                                                  rf"{sidecar} records .*; rerun 'dataset'$"):
             read_cache(path)
 
     def test_sidecar_round_trip(self, tmp_path, scaler):
         path = tmp_path / "meta.json"
-        write_sidecar(path, scaler, {"a#0": "train"}, {"train": 11}, 50,
-                      {"train": 1}, NoiseSpec(), seed=5, trajectory_sha256={"a#0": "ab12"})
+        write_sidecar(path, scaler, {"train": [["a#0", 60]], "test": [["b#0", 40]]},
+                      {"train": 11}, 50, {"train": 1, "test": 1}, {"train": "cd34"},
+                      trajectory_sha256={"a#0": "ab12"})
         doc = read_sidecar(path)
         assert doc["window_len"] == 50
-        assert doc["split_assignment"] == {"a#0": "train"}
+        assert doc["splits"] == {"train": [["a#0", 60]], "test": [["b#0", 40]]}
+        assert doc["split_assignment"] == {"a#0": "train", "b#0": "test"}
+        assert doc["cache_sha256"] == {"train": "cd34"}
         assert doc["trajectory_sha256"] == {"a#0": "ab12"}
         np.testing.assert_array_equal(doc["scaler"].sensor_min, scaler.sensor_min)
+
+    def test_sidecar_holds_exactly_its_documented_fields(self, tmp_path, scaler):
+        path = tmp_path / "meta.json"
+        write_sidecar(path, scaler, {"train": [["a#0", 60]]}, {"train": 11}, 50,
+                      {"train": 1}, {"train": "cd34"}, {"a#0": "ab12"})
+        assert sorted(json.loads(path.read_text())) == [
+            "cache_sha256", "counts", "scaler", "split_assignment", "splits", "strides",
+            "trajectory_sha256", "window_len"]
 
 
 def _window_len_defaults(source: str):

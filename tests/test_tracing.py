@@ -70,3 +70,28 @@ def test_trajectory_io_records_one_span_per_file(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[-3:] == ["6 True", "6 True", ""]
+
+
+def test_benchmark_output_checks_pass_on_a_tiny_run(tmp_path):
+    # the benchmark's own dataset and train checks, on the bench config's
+    # tiny corpus: `check_dataset` reads each cache by path alone through
+    # `read_cache`, and `check_train` loads each weight file by path alone
+    script = "\n".join([
+        "import json, sys",
+        "from pathlib import Path",
+        "import run",
+        "from vobs.cli import main",
+        "out = Path(sys.argv[1])",
+        "config = out.with_suffix('.yaml')",
+        "config.write_text(json.dumps(dict(run.bench_config('tiny', 1), out_dir=str(out),",
+        "                                  workers=1)))",
+        "for stage in ('simulate', 'dataset', 'train'):",
+        "    assert main([stage, '--config', str(config)]) == 0, stage",
+        "ref = json.loads((run.HERE / 'reference.json').read_text())['tiny']",
+        "print(json.dumps([run.check_dataset(out, ref), run.check_train(out, ref)]))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, PERFBENCH]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[[], []]"
